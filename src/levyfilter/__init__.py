@@ -37,6 +37,7 @@ from .observation import (
 )
 from .branching import (
     ExtinctionError,
+    WeightOverflowError,
     ParticleEnsemble,
     PopulationControl,
     FilterRun,

@@ -24,6 +24,8 @@ from .stable import SignalModel, sample_increment
 
 __all__ = [
     "ExtinctionError",
+    "WeightOverflowError",
+    "MAX_RHO",
     "ParticleEnsemble",
     "PopulationControl",
     "FilterStep",
@@ -43,42 +45,45 @@ __all__ = [
 class ExtinctionError(RuntimeError):
     """All particles died; normalized estimates are undefined."""
 
-    def __init__(self, epoch: int):
-        super().__init__(f"particle system extinct at observation epoch {epoch}")
+    def __init__(self, time: float):
+        super().__init__(f"particle system extinct at time {time:g}")
+        self.time = time
+
+
+# Largest branching weight a run accepts: beyond it one particle would get over
+# a million offspring at once, and rho = inf casts to INT64_MIN offspring.
+MAX_RHO = float(2**20)
+
+
+class WeightOverflowError(RuntimeError):
+    """A branching weight was non-finite or above MAX_RHO."""
+
+    def __init__(self, epoch: int, max_rho: float):
+        super().__init__(
+            f"branching weight overflow at observation epoch {epoch}: "
+            f"max rho {max_rho:g} (cap {MAX_RHO:g})"
+        )
         self.epoch = epoch
+        self.max_rho = max_rho
 
 
-# splitmix64 finalizer, vectorized over uint64 arrays
-_MIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_M2 = np.uint64(0x94D049BB133111EB)
-_MIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+def _risky_epochs(record: ObservationRecord, obs: ObservationModel) -> np.ndarray:
+    """Per epoch, whether the bound rho <= exp(|dY_k| sqrt(sup h'h)) - 1 exceeds MAX_RHO."""
+    h_sup = np.sqrt(obs.sensor.hh_sup_bound())
+    return np.linalg.norm(record.increments, axis=1) * h_sup > np.log1p(MAX_RHO)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    z = x + _MIX_GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _MIX_M1
-    z = (z ^ (z >> np.uint64(27))) * _MIX_M2
-    return z ^ (z >> np.uint64(31))
-
-
-def _child_ids(parent_ids: np.ndarray, child_index: np.ndarray, epoch: int) -> np.ndarray:
-    """Deterministic child identifiers from (parent id, child index, epoch); collision-checked."""
-    with np.errstate(over="ignore"):  # uint64 wraparound is the point of the mix
-        base = parent_ids + _MIX_M2 * (child_index.astype(np.uint64) + np.uint64(1))
-        salt = np.uint64(0)
-        while True:
-            ids = _mix64(base ^ _mix64(np.asarray(np.uint64(epoch) * _MIX_M1 + salt)))
-            if np.unique(ids).size == ids.size:
-                return ids
-            salt += np.uint64(1)
+def _check_weights(rho: np.ndarray, epoch: int) -> None:
+    top = float(np.max(rho))
+    if not top <= MAX_RHO:  # also true for NaN
+        raise WeightOverflowError(epoch, top)
 
 
 @dataclass
 class ParticleEnsemble:
-    """Alive particles: positions (count, d), distinct lineage ids, mass factor, time stamp."""
+    """Alive particles: positions (count, d), mass factor, time stamp."""
 
     positions: np.ndarray
-    lineage_ids: np.ndarray
     initial_count: int
     mass_factor: float = 1.0
     time: float = 0.0
@@ -87,9 +92,6 @@ class ParticleEnsemble:
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if self.positions.size == 0:
             self.positions = self.positions.reshape(0, max(1, self.positions.shape[-1]))
-        self.lineage_ids = np.asarray(self.lineage_ids, dtype=np.uint64)
-        if self.positions.shape[0] != self.lineage_ids.shape[0]:
-            raise ValueError("positions and lineage_ids must have equal length")
         if self.mass_factor <= 0.0:
             raise ValueError("mass_factor must be positive")
 
@@ -124,9 +126,7 @@ def init_ensemble(n: int, signal: SignalModel, rng: np.random.Generator) -> Part
     """n iid particles from the initial law; total mass exactly 1."""
     if n < 1:
         raise ValueError("initial particle count must be at least 1")
-    positions = signal.initial_law.sample(n, rng)
-    ids = _mix64(np.arange(n, dtype=np.uint64))
-    return ParticleEnsemble(positions, ids, initial_count=n)
+    return ParticleEnsemble(signal.initial_law.sample(n, rng), initial_count=n)
 
 
 def evolve_segment(
@@ -141,12 +141,7 @@ def evolve_segment(
     if ensemble.count == 0:
         return replace(ensemble, time=ensemble.time + dt)
     steps = sample_increment(signal, dt, rng, size=ensemble.count)
-    return replace(
-        ensemble,
-        positions=ensemble.positions + steps,
-        lineage_ids=ensemble.lineage_ids.copy(),
-        time=ensemble.time + dt,
-    )
+    return replace(ensemble, positions=ensemble.positions + steps, time=ensemble.time + dt)
 
 
 def _offspring_counts(rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,53 +167,42 @@ def branch_step(
     dy,
     obs: ObservationModel,
     rng: np.random.Generator,
-    *,
-    epoch: int | None = None,
 ) -> ParticleEnsemble:
     """Replace each particle by its offspring at the same site, one uniform per particle.
 
-    Offspring inherit the parent position exactly; lineage ids are derived
-    deterministically from (parent id, child index, epoch).  The conditional
-    expected contribution of a particle to any estimate is (1 + rho) times
-    its own, so the step is unbiased.  An empty result (extinction) is legal.
+    Offspring inherit the parent position exactly and sit in parent order.
+    The conditional expected contribution of a particle to any estimate is
+    (1 + rho) times its own, so the step is unbiased.  An empty result
+    (extinction) is legal.
     """
     if ensemble.count == 0:
         return ensemble
-    if epoch is None:
-        epoch = int(round(ensemble.time / obs.epsilon))
     rho = np.atleast_1d(weight(ensemble.positions, dy, obs))
     u = rng.uniform(size=ensemble.count)
     counts, _ = _offspring_counts(rho, u)
-    return _apply_offspring(ensemble, counts, epoch)
+    return _apply_offspring(ensemble, counts)[0]
 
 
-def _apply_offspring(ensemble: ParticleEnsemble, counts: np.ndarray, epoch: int) -> ParticleEnsemble:
-    total = int(counts.sum())
-    if total == 0:
-        return replace(
-            ensemble,
-            positions=np.empty((0, ensemble.dimension)),
-            lineage_ids=np.empty(0, dtype=np.uint64),
-        )
+def _apply_offspring(
+    ensemble: ParticleEnsemble, counts: np.ndarray
+) -> tuple[ParticleEnsemble, np.ndarray]:
+    """Offspring ensemble plus, for each of its rows, the parent's row in ``ensemble``."""
     parent_index = np.repeat(np.arange(ensemble.count), counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    child_index = np.arange(total) - starts[parent_index]
-    ids = _child_ids(ensemble.lineage_ids[parent_index], child_index, epoch)
-    return replace(
-        ensemble,
-        positions=ensemble.positions[parent_index],
-        lineage_ids=ids,
-    )
+    return replace(ensemble, positions=ensemble.positions[parent_index]), parent_index
 
 
 @dataclass
 class FilterStep:
-    """One observation epoch: the ensemble just before and just after branching."""
+    """One observation epoch: the ensemble just before and just after branching.
+
+    Row i of ``post`` descends from row ``parents[i]`` of ``pre`` (non-decreasing).
+    """
 
     epoch: int
     time: float
     pre: ParticleEnsemble
     post: ParticleEnsemble
+    parents: np.ndarray
     branch_events: int
 
 
@@ -250,35 +234,34 @@ def run_filter(
 ) -> FilterRun:
     """Alternate evolve and branch over the record; keep pre/post snapshots per epoch.
 
-    Terminates early with an extinction report if every particle dies.
+    Terminates early with an extinction report if every particle dies; raises
+    WeightOverflowError if a branching weight exceeds MAX_RHO.
     """
-    if record.count == 0:
-        return FilterRun(initial=init_ensemble(n, signal, rng), steps=[])
     eps = record.epsilon
-    ensemble = init_ensemble(n, signal, rng)
-    initial = ensemble
+    initial = ensemble = init_ensemble(n, signal, rng)
     steps: list[FilterStep] = []
+    risky = _risky_epochs(record, obs)
     for k in range(1, record.count + 1):
-        ensemble = evolve_segment(ensemble, signal, eps, rng)
-        pre = ensemble
+        pre = evolve_segment(ensemble, signal, eps, rng)
         rho = np.atleast_1d(weight(pre.positions, record.increments[k - 1], obs))
+        if risky[k - 1]:
+            _check_weights(rho, k)
         u = rng.uniform(size=pre.count)
         counts, events = _offspring_counts(rho, u)
-        ensemble = _apply_offspring(pre, counts, epoch=k)
+        ensemble, parents = _apply_offspring(pre, counts)
         if control is not None and ensemble.count > 0:
-            ensemble = population_control(
-                ensemble,
-                control.target,
-                (control.low_ratio, control.high_ratio),
-                rng,
-                epoch=k,
+            ensemble, rows = population_control(
+                ensemble, control.target, (control.low_ratio, control.high_ratio), rng
             )
+            if rows is not None:
+                parents = parents[rows]
         steps.append(
             FilterStep(
                 epoch=k,
                 time=k * eps,
                 pre=pre,
                 post=ensemble,
+                parents=parents,
                 branch_events=int(events.sum()),
             )
         )
@@ -295,7 +278,7 @@ def estimate(ensemble: ParticleEnsemble, phi) -> tuple:
     is the plain average over alive particles and requires a nonempty ensemble.
     """
     if ensemble.count == 0:
-        raise ExtinctionError(int(round(ensemble.time)))
+        raise ExtinctionError(ensemble.time)
     values = np.asarray(phi(ensemble.positions))
     total = values.sum()
     unnormalized = ensemble.mass_factor * total / ensemble.initial_count
@@ -330,8 +313,6 @@ def multinomial_baseline_step(
     dy,
     obs: ObservationModel,
     rng: np.random.Generator,
-    *,
-    epoch: int | None = None,
 ) -> tuple[ParticleEnsemble, int]:
     """Constant-population multinomial resampling with weights 1 + rho.
 
@@ -341,16 +322,17 @@ def multinomial_baseline_step(
     """
     if ensemble.count == 0:
         raise ValueError("multinomial step requires a nonempty ensemble")
-    if epoch is None:
-        epoch = int(round(ensemble.time / obs.epsilon))
-    w = 1.0 + np.atleast_1d(weight(ensemble.positions, dy, obs))
+    rho = np.atleast_1d(weight(ensemble.positions, dy, obs))
+    return _multinomial_resample(ensemble, rho, rng)
+
+
+def _multinomial_resample(
+    ensemble: ParticleEnsemble, rho: np.ndarray, rng: np.random.Generator
+) -> tuple[ParticleEnsemble, int]:
+    w = 1.0 + rho
     parents = rng.choice(ensemble.count, size=ensemble.count, p=w / w.sum())
     relocations = int(np.sum(parents != np.arange(ensemble.count)))
-    ids = _child_ids(
-        ensemble.lineage_ids[parents], np.arange(ensemble.count), epoch
-    )
-    new = replace(ensemble, positions=ensemble.positions[parents], lineage_ids=ids)
-    return new, relocations
+    return replace(ensemble, positions=ensemble.positions[parents]), relocations
 
 
 @dataclass
@@ -368,15 +350,20 @@ def run_baseline(
     n: int,
     rng: np.random.Generator,
 ) -> list:
-    """Multinomial-resampling filter on the same record; population stays n."""
+    """Multinomial-resampling filter on the same record; population stays n.
+
+    Raises WeightOverflowError if a weight exceeds MAX_RHO.
+    """
     eps = record.epsilon
     ensemble = init_ensemble(n, signal, rng)
     steps: list[BaselineStep] = []
+    risky = _risky_epochs(record, obs)
     for k in range(1, record.count + 1):
         ensemble = evolve_segment(ensemble, signal, eps, rng)
-        ensemble, moved = multinomial_baseline_step(
-            ensemble, record.increments[k - 1], obs, rng, epoch=k
-        )
+        rho = np.atleast_1d(weight(ensemble.positions, record.increments[k - 1], obs))
+        if risky[k - 1]:
+            _check_weights(rho, k)
+        ensemble, moved = _multinomial_resample(ensemble, rho, rng)
         steps.append(BaselineStep(epoch=k, time=k * eps, post=ensemble, relocations=moved))
     return steps
 
@@ -386,15 +373,14 @@ def population_control(
     n_target: int,
     bounds: tuple,
     rng: np.random.Generator,
-    *,
-    epoch: int = 0,
-) -> ParticleEnsemble:
+) -> tuple[ParticleEnsemble, np.ndarray | None]:
     """Halve or double the population outside the band, preserving estimates exactly.
 
     Above high_ratio * n_target each particle survives with probability 1/2
     and the mass factor doubles; below low_ratio * n_target every particle is
     duplicated and the mass factor halves.  Conditional expectations of all
-    estimates are unchanged.
+    estimates are unchanged.  Also returns the index (a mask when halving) that
+    picks each output row's input row, or None when nothing changed.
     """
     lo_ratio, hi_ratio = bounds
     if not 0.0 < lo_ratio < 1.0 < hi_ratio:
@@ -402,14 +388,13 @@ def population_control(
     count = ensemble.count
     if count > hi_ratio * n_target:
         keep = rng.uniform(size=count) < 0.5
-        return replace(
+        thinned = replace(
             ensemble,
             positions=ensemble.positions[keep],
-            lineage_ids=ensemble.lineage_ids[keep],
             mass_factor=ensemble.mass_factor * 2.0,
         )
+        return thinned, keep
     if count < lo_ratio * n_target and count > 0:
-        counts = np.full(count, 2, dtype=np.int64)
-        doubled = _apply_offspring(ensemble, counts, epoch=epoch)
-        return replace(doubled, mass_factor=ensemble.mass_factor * 0.5)
-    return ensemble
+        doubled, rows = _apply_offspring(ensemble, np.full(count, 2))
+        return replace(doubled, mass_factor=ensemble.mass_factor * 0.5), rows
+    return ensemble, None

@@ -419,8 +419,7 @@ def check_oracle_agreement(
     SKIPPED when no oracle is configured.
     """
     from .observation import ClippedLinearSensor
-    from .reference import kalman_reference, run_reference
-    from .stable import covariance_rate
+    from .reference import _kalman_from_law, run_reference
 
     if oracle == "none":
         return CheckResult(
@@ -456,14 +455,7 @@ def check_oracle_agreement(
                 f"clip region violated (|Bx| reached {worst:.2f} >= {sensor.clip}); "
                 "scenario invalid for the kalman oracle",
             )
-        mean0 = signal.initial_law.center
-        if signal.initial_law.kind == "gaussian":
-            cov0 = np.diag(signal.initial_law.scale**2)
-        else:
-            cov0 = np.zeros((signal.dimension, signal.dimension))
-        means, covs = kalman_reference(
-            record, sensor.matrix, mean0, cov0, covariance_rate(signal.spectral)
-        )
+        _, means, covs = _kalman_from_law(signal, sensor.matrix, record)
         spread = float(np.sqrt(np.mean([np.trace(c) for c in covs])))
     else:
         summaries, _ = run_reference(

@@ -14,7 +14,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .branching import ExtinctionError
 from .harness import ConfigError, parse_config, run_command
 
 COMMANDS = ("simulate", "validate", "rate-sweep", "compare-baseline")
@@ -59,9 +58,6 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"  - {violation}", file=sys.stderr)
         return 2
-    except ExtinctionError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

@@ -14,9 +14,9 @@ import numpy as np
 from .branching import empirical_fourier, run_baseline, run_filter
 from .metrics import FrequencyGrid, RateFit, filter_error, rate_fit, slope_confidence
 from .observation import ClippedLinearSensor, ObservationModel, simulate_scenario
-from .reference import kalman_reference, run_reference
+from .reference import _kalman_from_law, run_reference
 from .seeding import substream
-from .stable import SignalModel, covariance_rate
+from .stable import SignalModel
 
 __all__ = [
     "ensemble_transform",
@@ -152,19 +152,9 @@ def _oracle_transforms(signal, obs, record, metric, oracle, grid_points, grid_ha
         raise ValueError("kalman oracle requires the clipped-linear sensor")
     if signal.alpha != 2.0:
         raise ValueError("kalman oracle requires alpha = 2")
-    law = signal.initial_law
-    cov0 = (
-        np.diag(law.scale**2)
-        if law.kind == "gaussian"
-        else np.zeros((signal.dimension, signal.dimension))
-    )
-    means, covs = kalman_reference(
-        record, sensor.matrix, law.center, cov0, covariance_rate(signal.spectral)
-    )
-    th = metric.nodes
-    targets[0] = np.exp(
-        -1j * (th @ law.center) - 0.5 * np.einsum("mi,ij,mj->m", th, cov0, th)
-    )
+    cov0, means, covs = _kalman_from_law(signal, sensor.matrix, record)
+    th, mean0 = metric.nodes, signal.initial_law.center
+    targets[0] = np.exp(-1j * (th @ mean0) - 0.5 * np.einsum("mi,ij,mj->m", th, cov0, th))
     for k in range(1, record.count + 1):
         quad = np.einsum("mi,ij,mj->m", th, covs[k - 1], th)
         targets[k] = np.exp(-1j * (th @ means[k - 1]) - 0.5 * quad)
@@ -211,15 +201,7 @@ def kalman_crosscheck(
     truth, record = simulate_scenario(
         signal, obs, horizon, substream(seed, "kalman-record")
     )
-    law = signal.initial_law
-    cov0 = (
-        np.diag(law.scale**2)
-        if law.kind == "gaussian"
-        else np.zeros((signal.dimension, signal.dimension))
-    )
-    means, covs = kalman_reference(
-        record, sensor.matrix, law.center, cov0, covariance_rate(signal.spectral)
-    )
+    _, means, covs = _kalman_from_law(signal, sensor.matrix, record)
     posterior_std = float(np.sqrt(np.mean([np.trace(c) for c in covs])))
     largest_projection = float(np.abs(truth @ sensor.matrix.T).max())
     per_n_rms = []

@@ -285,7 +285,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(violations)
 
     raw = {s: dict(v) for s, v in merged.items()}
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         name=name,
         horizon=horizon,
         alpha=alpha,
@@ -325,6 +325,30 @@ def parse_config(text: str) -> ExperimentConfig:
         dump_particles=dump_particles == "on",
         raw=raw,
     )
+    _check_models(cfg)
+    return cfg
+
+
+_SENSOR_KEYS = {
+    "gaussian_bump": "observation.bump_amplitudes/bump_centers/bump_widths",
+    "clipped_linear": "observation.linear_matrix",
+    "zero": "observation.observation_dim",
+}
+
+
+def _check_models(cfg: ExperimentConfig) -> None:
+    """Build the signal and observation models; raise ConfigError naming the keys they reject."""
+    violations = []
+    for keys, build in (
+        ("signal.initial_center/initial_scale", build_signal),
+        (_SENSOR_KEYS[cfg.sensor], build_observation),
+    ):
+        try:
+            build(cfg)
+        except (TypeError, ValueError) as exc:
+            violations.append(f"{keys}: {exc}")
+    if violations:
+        raise ConfigError(violations)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -347,6 +371,10 @@ def build_observation(cfg: ExperimentConfig) -> ObservationModel:
         sensor = ClippedLinearSensor(cfg.linear_matrix, cfg.linear_clip)
     else:
         sensor = ZeroSensor(cfg.observation_dim, cfg.dimension)
+    if sensor.signal_dim != cfg.dimension:
+        raise ValueError(
+            f"sensor takes {sensor.signal_dim}-d points but signal.dimension is {cfg.dimension}"
+        )
     return ObservationModel(sensor, cfg.epsilon)
 
 
@@ -445,11 +473,14 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
     )
     if cfg.dump_particles:
         dump_rows = []
+        root = np.arange(run.initial.count)  # epoch-0 row of each alive particle
         for step in run.steps:
-            for pid, pos in zip(step.post.lineage_ids, step.post.positions):
-                dump_rows.append([step.epoch, int(pid)] + list(pos))
+            root = root[step.parents]
+            for parent, ancestor, pos in zip(step.parents, root, step.post.positions):
+                dump_rows.append([step.epoch, int(parent), int(ancestor)] + list(pos))
         files[f"{cfg.name}_simulate_particles.csv"] = _csv_text(
-            ["epoch", "lineage_id"] + [f"x{i}" for i in range(d)], dump_rows
+            ["epoch", "parent_row", "root_ancestor"] + [f"x{i}" for i in range(d)],
+            dump_rows,
         )
     if cfg.oracle == "grid":
         metric = build_metric(cfg)

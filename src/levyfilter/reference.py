@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .observation import ObservationModel, ObservationRecord, weight
-from .stable import SignalModel, characteristic_exponent
+from .stable import SignalModel, characteristic_exponent, covariance_rate
 
 __all__ = [
     "GridAccuracyWarning",
@@ -313,3 +313,15 @@ def kalman_reference(
         means[k] = m
         covs[k] = P
     return means, covs
+
+
+def _kalman_from_law(signal: SignalModel, matrix, record: ObservationRecord):
+    """(prior covariance, posterior means, posterior covariances) from the signal's own
+    initial law (Gaussian or point) and covariance rate; alpha = 2 and a linear sensor."""
+    law = signal.initial_law
+    d = signal.dimension
+    cov0 = np.diag(law.scale**2) if law.kind == "gaussian" else np.zeros((d, d))
+    means, covs = kalman_reference(
+        record, matrix, law.center, cov0, covariance_rate(signal.spectral)
+    )
+    return cov0, means, covs

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyfilter import (
     ClippedLinearSensor,
@@ -10,8 +12,10 @@ from levyfilter import (
     InitialLaw,
     ObservationModel,
     ObservationRecord,
+    PopulationControl,
     SignalModel,
     SpectralMeasure,
+    WeightOverflowError,
     ZeroSensor,
     branch_step,
     empirical_fourier,
@@ -19,11 +23,13 @@ from levyfilter import (
     evolve_segment,
     init_ensemble,
     multinomial_baseline_step,
+    offspring_parameters,
     population_control,
     run_baseline,
     run_filter,
     weight,
 )
+from levyfilter.branching import MAX_RHO, _apply_offspring, _offspring_counts
 
 
 class FixedUniform:
@@ -35,6 +41,29 @@ class FixedUniform:
     def uniform(self, size=None):
         assert size == self.values.size
         return self.values.copy()
+
+
+class RecordingRng:
+    """A real Generator that also keeps every ``uniform`` draw, in call order."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.uniforms = []
+
+    def uniform(self, *args, **kwargs):
+        out = self.rng.uniform(*args, **kwargs)
+        self.uniforms.append(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def assert_parent_rows(step):
+    """post is pre gathered at parents, with each parent's offspring contiguous."""
+    assert step.parents.shape == (step.post.count,)
+    assert np.array_equal(step.post.positions, step.pre.positions[step.parents])
+    assert np.all(np.diff(step.parents) >= 0)
 
 
 def gaussian_signal(alpha=2.0, w=0.5):
@@ -75,10 +104,6 @@ class TestInit:
         assert abs(ens.positions.mean()) < 5.0 / np.sqrt(ens.count)
         assert ens.total_mass == 1.0
 
-    def test_lineage_ids_distinct(self):
-        ens = init_ensemble(5000, gaussian_signal(), np.random.default_rng(3))
-        assert np.unique(ens.lineage_ids).size == ens.count
-
 
 class TestEvolve:
     def test_counts_and_time(self):
@@ -86,7 +111,6 @@ class TestEvolve:
         ens = init_ensemble(100, gaussian_signal(), rng)
         out = evolve_segment(ens, gaussian_signal(), 0.3, rng)
         assert out.count == ens.count
-        assert np.array_equal(out.lineage_ids, ens.lineage_ids)
         assert out.mass_factor == ens.mass_factor
         assert out.time == pytest.approx(0.3)
 
@@ -117,35 +141,45 @@ class TestBranchStep:
         rng = np.random.default_rng(13)
         ens = init_ensemble(50, gaussian_signal(), rng)
         obs = ObservationModel(ZeroSensor(1, 1), 0.1)
-        out = branch_step(ens, np.array([0.3]), obs, rng, epoch=1)
+        out = branch_step(ens, np.array([0.3]), obs, rng)
         assert out.count == ens.count
         assert np.array_equal(out.positions, ens.positions)
-        assert np.unique(out.lineage_ids).size == out.count
 
     def test_branch_with_fraction(self):
         obs = linear_obs()
         ens = init_ensemble(1, point_signal(1.0), np.random.default_rng(17))
         dy = dy_for_rho(2.3, 1.0, obs)
-        out = branch_step(ens, dy, obs, FixedUniform([0.25]), epoch=1)
+        out = branch_step(ens, dy, obs, FixedUniform([0.25]))
         assert out.count == 4  # 3 certain copies plus the extra (0.25 < 0.3)
         assert np.all(out.positions == ens.positions[0])
-        out2 = branch_step(ens, dy, obs, FixedUniform([0.35]), epoch=1)
+        out2 = branch_step(ens, dy, obs, FixedUniform([0.35]))
         assert out2.count == 3  # half-open rule: 0.35 >= 0.3 adds nothing
 
     def test_kill_is_half_open(self):
         obs = linear_obs()
         ens = init_ensemble(1, point_signal(1.0), np.random.default_rng(19))
         dy = dy_for_rho(-0.4, 1.0, obs)
-        dead = branch_step(ens, dy, obs, FixedUniform([0.25]), epoch=1)
+        dead = branch_step(ens, dy, obs, FixedUniform([0.25]))
         assert dead.count == 0
-        alive = branch_step(ens, dy, obs, FixedUniform([0.45]), epoch=1)
+        alive = branch_step(ens, dy, obs, FixedUniform([0.45]))
         assert alive.count == 1
+
+    def test_offspring_rows_follow_counts(self):
+        ens = init_ensemble(6, gaussian_signal(), np.random.default_rng(3))
+        counts = np.array([0, 3, 1, 0, 2, 1])
+        out, parents = _apply_offspring(ens, counts)
+        assert np.array_equal(parents, [1, 1, 1, 2, 4, 4, 5])
+        assert np.array_equal(np.bincount(parents, minlength=ens.count), counts)
+        assert np.array_equal(out.positions, ens.positions[parents])
+        empty, none = _apply_offspring(ens, np.zeros(6, dtype=np.int64))
+        assert empty.count == 0 and none.size == 0
+        assert empty.positions.shape == (0, 1)
 
     def test_positions_preserved(self):
         rng = np.random.default_rng(23)
         ens = init_ensemble(200, gaussian_signal(), rng)
         obs = linear_obs(0.5)
-        out = branch_step(ens, np.array([0.8]), obs, rng, epoch=1)
+        out = branch_step(ens, np.array([0.8]), obs, rng)
         parents = {float(x) for x in ens.positions[:, 0]}
         assert {float(x) for x in out.positions[:, 0]} <= parents
 
@@ -168,7 +202,7 @@ class TestBranchStep:
             reps = 3000
             vals = np.empty(reps, dtype=complex)
             for r in range(reps):
-                out = branch_step(ens, dy, obs, rng, epoch=1)
+                out = branch_step(ens, dy, obs, rng)
                 vals[r] = estimate(out, phi)[0] if out.count else 0.0
             se = vals.std(ddof=1) / np.sqrt(reps)
             assert abs(vals.mean() - target) < 5.0 * max(se, 1e-12)
@@ -190,16 +224,23 @@ class TestEstimates:
     def test_empty_raises(self):
         ens = init_ensemble(1, gaussian_signal(), np.random.default_rng(41))
         ens.positions = np.empty((0, 1))
-        ens.lineage_ids = np.empty(0, dtype=np.uint64)
         with pytest.raises(ExtinctionError):
             estimate(ens, lambda x: np.ones(x.shape[0]))
+
+    def test_empty_reports_time_not_epoch(self):
+        ens = init_ensemble(1, gaussian_signal(), np.random.default_rng(42))
+        ens.positions = np.empty((0, 1))
+        ens.time = 0.3
+        with pytest.raises(ExtinctionError) as err:
+            estimate(ens, lambda x: np.ones(x.shape[0]))
+        assert err.value.time == 0.3
+        assert "time 0.3" in str(err.value)
 
     def test_fourier_trivialities(self):
         ens = init_ensemble(1, point_signal(0.0), np.random.default_rng(43))
         vals = empirical_fourier(ens, np.array([0.0, 0.5, 2.0]))
         assert np.allclose(vals, 1.0)
         ens.positions = np.empty((0, 1))
-        ens.lineage_ids = np.empty(0, dtype=np.uint64)
         assert np.array_equal(
             empirical_fourier(ens, np.array([0.0, 1.0])), np.zeros(2, dtype=complex)
         )
@@ -262,15 +303,54 @@ class TestRunFilter:
         a, b = runs
         for sa, sb in zip(a.steps, b.steps):
             assert np.array_equal(sa.post.positions, sb.post.positions)
-            assert np.array_equal(sa.post.lineage_ids, sb.post.lineage_ids)
+            assert sa.parents.dtype == sb.parents.dtype
+            assert np.array_equal(sa.parents, sb.parents)
 
-    def test_lineage_ids_stay_distinct(self):
+    def test_parent_rows_match_offspring_counts(self):
         record = self.make_record(K=10)
-        run = run_filter(
-            gaussian_signal(), linear_obs(), record, 500, np.random.default_rng(71)
-        )
-        for step in run.steps:
-            assert np.unique(step.post.lineage_ids).size == step.post.count
+        obs = linear_obs()
+        rng = RecordingRng(71)  # alpha = 2: the branching rule is the only uniform draw
+        run = run_filter(gaussian_signal(), obs, record, 500, rng)
+        assert len(rng.uniforms) == len(run.steps) == 10
+        for step, u in zip(run.steps, rng.uniforms):
+            assert_parent_rows(step)
+            rho = weight(step.pre.positions, record.increments[step.epoch - 1], obs)
+            counts, _ = _offspring_counts(rho, u)
+            assert np.array_equal(np.bincount(step.parents, minlength=step.pre.count), counts)
+
+    def test_weight_overflow_is_an_error_not_extinction(self):
+        # the linear sensor clips at 20, so rho = exp(100 * 20 - ...) - 1 = inf
+        obs = linear_obs(0.5, clip=20.0)
+        record = ObservationRecord(increments=np.full((3, 1), 100.0), epsilon=0.5)
+        signal = point_signal(25.0, w=1e-12)
+        with pytest.raises(WeightOverflowError) as err:
+            run_filter(signal, obs, record, 10, np.random.default_rng(72))
+        assert err.value.epoch == 1 and err.value.max_rho == np.inf
+        with pytest.raises(WeightOverflowError):
+            run_baseline(signal, obs, record, 10, np.random.default_rng(72))
+
+    def test_finite_weight_above_cap_rejected(self):
+        obs = linear_obs(0.1)
+        dy = dy_for_rho(100.0 * MAX_RHO, 1.0, obs)
+        record = ObservationRecord(increments=np.vstack([dy, dy]), epsilon=0.1)
+        with pytest.raises(WeightOverflowError) as err:
+            run_filter(point_signal(1.0, w=1e-12), obs, record, 3, np.random.default_rng(75))
+        assert err.value.epoch == 1
+        assert MAX_RHO < err.value.max_rho < np.inf
+        assert "epoch 1" in str(err.value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rho=st.floats(min_value=-1.0, max_value=1e6, exclude_min=True),
+    u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+def test_offspring_count_has_mean_one_plus_rho(rho, u):
+    base, extra, kill = offspring_parameters(rho)
+    counts, _ = _offspring_counts(np.array([rho]), np.array([u]))
+    # count = base + 1{U < extra} - 1{U < kill}, so E_U[count] = base + extra - kill
+    assert counts[0] == base + (u < extra) - (u < kill)
+    assert base + extra - kill == pytest.approx(1.0 + rho, rel=1e-12, abs=1e-12)
 
 
 class TestMultinomialBaseline:
@@ -278,7 +358,7 @@ class TestMultinomialBaseline:
         ens = init_ensemble(1, point_signal(0.7), np.random.default_rng(73))
         obs = linear_obs()
         out, moved = multinomial_baseline_step(
-            ens, np.array([0.1]), obs, np.random.default_rng(74), epoch=1
+            ens, np.array([0.1]), obs, np.random.default_rng(74)
         )
         assert out.count == 1 and moved == 0
         assert out.positions[0, 0] == 0.7
@@ -292,7 +372,7 @@ class TestMultinomialBaseline:
         fracs = np.empty(reps)
         rng = np.random.default_rng(80)
         for r in range(reps):
-            _, moved = multinomial_baseline_step(ens, np.array([0.0]), obs, rng, epoch=1)
+            _, moved = multinomial_baseline_step(ens, np.array([0.0]), obs, rng)
             fracs[r] = moved / n
         target = 1.0 - 1.0 / n
         se = fracs.std(ddof=1) / np.sqrt(reps)
@@ -308,7 +388,7 @@ class TestMultinomialBaseline:
         reps = 5000
         vals = np.empty(reps)
         for r in range(reps):
-            out, _ = multinomial_baseline_step(ens, dy, obs, rng, epoch=1)
+            out, _ = multinomial_baseline_step(ens, dy, obs, rng)
             assert out.count == ens.count
             vals[r] = out.positions[:, 0].mean()
         se = vals.std(ddof=1) / np.sqrt(reps)
@@ -327,14 +407,15 @@ class TestMultinomialBaseline:
 class TestPopulationControl:
     def test_identity_inside_band(self):
         ens = init_ensemble(100, gaussian_signal(), np.random.default_rng(97))
-        out = population_control(ens, 100, (0.5, 2.0), np.random.default_rng(98))
-        assert out is ens
+        out, rows = population_control(ens, 100, (0.5, 2.0), np.random.default_rng(98))
+        assert out is ens and rows is None
 
     def test_duplication_preserves_estimates_exactly(self):
         ens = init_ensemble(20, gaussian_signal(), np.random.default_rng(101))
         before = estimate(ens, lambda x: x[:, 0] ** 2)[0]
-        out = population_control(ens, 100, (0.5, 2.0), np.random.default_rng(102))
+        out, rows = population_control(ens, 100, (0.5, 2.0), np.random.default_rng(102))
         assert out.count == 40
+        assert np.array_equal(rows, np.repeat(np.arange(20), 2))
         assert out.mass_factor == 0.5
         assert estimate(out, lambda x: x[:, 0] ** 2)[0] == pytest.approx(
             before, rel=1e-15
@@ -346,14 +427,12 @@ class TestPopulationControl:
         reps = 10_000
         masses = np.empty(reps)
         for r in range(reps):
-            out = population_control(ens, 100, (0.5, 2.0), rng)
+            out, _ = population_control(ens, 100, (0.5, 2.0), rng)
             masses[r] = out.total_mass
         se = masses.std(ddof=1) / np.sqrt(reps)
         assert abs(masses.mean() - ens.total_mass) < 5.0 * se
 
     def test_run_filter_with_control_keeps_band(self):
-        from levyfilter import PopulationControl
-
         record = ObservationRecord(
             increments=0.3 * np.ones((12, 1)), epsilon=0.25
         )
@@ -370,3 +449,22 @@ class TestPopulationControl:
             # one control application halves or doubles at most once per epoch
             assert step.post.count <= 2 * int(1.5 * 100)
             assert step.post.total_mass > 0.0
+
+    def test_parent_rows_survive_halving_and_doubling(self):
+        obs = linear_obs(0.1)
+        grow, shrink = dy_for_rho(2.0, 1.0, obs), dy_for_rho(-0.6, 1.0, obs)
+        record = ObservationRecord(
+            increments=np.vstack([grow] * 3 + [shrink] * 4), epsilon=0.1
+        )
+        run = run_filter(
+            point_signal(1.0, w=1e-12),
+            obs,
+            record,
+            100,
+            np.random.default_rng(109),
+            control=PopulationControl(target=100, low_ratio=0.5, high_ratio=2.0),
+        )
+        factors = [step.post.mass_factor / step.pre.mass_factor for step in run.steps]
+        assert 2.0 in factors and 0.5 in factors
+        for step in run.steps:
+            assert_parent_rows(step)

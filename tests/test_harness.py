@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from levyfilter.cli import main as cli_main
@@ -88,6 +89,28 @@ class TestParseConfig:
         assert any("atoms" in v for v in err.value.violations)
 
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[observation]\nbump_widths = [-1.0]\n", "bump_widths"),
+            ("[observation]\nbump_centers = [[0.0, 1.0]]\n", "bump_centers"),
+            ("[signal]\ninitial_center = [0.0, 1.0]\n", "initial_scale"),
+            (
+                "[signal]\ninitial_center = [0.0, 1.0]\ninitial_scale = [1.0, 1.0]\n",
+                "initial_center",
+            ),
+            (
+                "[observation]\nsensor = clipped_linear\nlinear_matrix = [[1.0, 0.0]]\n",
+                "linear_matrix",
+            ),
+        ],
+    )
+    def test_model_errors_name_key(self, text, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert any(key in v for v in err.value.violations)
+
+
 class TestBuilders:
     def test_default_scenario_objects(self):
         cfg = parse_config(default_config_text())
@@ -142,6 +165,22 @@ class TestArtifacts:
         hashes_b = {f["name"]: f["sha256"] for f in mb["files"]}
         assert hashes_a != hashes_b
 
+    def test_particle_dump_genealogy(self, tmp_path):
+        cfg = parse_config(QUICK + "\n[output]\ndump_particles = on\n")
+        cmd_simulate(cfg, tmp_path)
+        lines = (tmp_path / "quick_simulate_particles.csv").read_text().splitlines()
+        assert lines[0] == "epoch,parent_row,root_ancestor,x0"
+        rows = [line.split(",") for line in lines[1:]]
+        epochs = np.array([int(r[0]) for r in rows])
+        parent = np.array([int(r[1]) for r in rows])
+        root = np.array([int(r[2]) for r in rows])
+        first = epochs == 1
+        assert np.array_equal(parent[first], root[first])
+        assert root.min() >= 0 and root.max() < 300
+        for k in range(2, epochs.max() + 1):
+            # a particle's root is its parent's root one epoch earlier
+            assert np.array_equal(root[epochs == k], root[epochs == k - 1][parent[epochs == k]])
+
     def test_estimates_schema(self, tmp_path):
         cfg = parse_config(QUICK)
         cmd_simulate(cfg, tmp_path)
@@ -164,6 +203,31 @@ class TestCli:
         rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[observation]\nbump_widths = [-1.0]\n",
+            "[observation]\nbump_centers = [[0.0, 1.0]]\n",
+        ],
+    )
+    def test_model_violations_exit_2(self, tmp_path, capsys, text):
+        path = self.write_cfg(tmp_path, QUICK + text)
+        rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "bump_" in capsys.readouterr().err
+
+    def test_weight_overflow_exit_3_not_extinction(self, tmp_path, capsys):
+        text = QUICK + (
+            "\n[signal]\nalpha = 1.2\ninitial_center = [15.0]\n"
+            "\n[observation]\nsensor = clipped_linear\nepsilon = 0.5\n"
+        )
+        path = self.write_cfg(tmp_path, text)
+        rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "weight overflow at observation epoch 1" in captured.err
+        assert "extinction" not in captured.out + captured.err
 
     def test_rate_sweep_requires_oracle(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, QUICK + "\n[oracle]\nkind = none\n")
