@@ -73,10 +73,19 @@ def _risky_epochs(record: ObservationRecord, obs: ObservationModel) -> np.ndarra
     return np.linalg.norm(record.increments, axis=1) * h_sup > np.log1p(MAX_RHO)
 
 
-def _check_weights(rho: np.ndarray, epoch: int) -> None:
+def _epoch_weights(
+    positions: np.ndarray, record: ObservationRecord, obs: ObservationModel, k: int, risky: bool
+) -> np.ndarray:
+    """rho at epoch k.  On a risky epoch exp() may overflow: it does so silently and
+    WeightOverflowError reports it; elsewhere the bound rules overflow out."""
+    if not risky:
+        return np.atleast_1d(weight(positions, record.increments[k - 1], obs))
+    with np.errstate(over="ignore"):
+        rho = np.atleast_1d(weight(positions, record.increments[k - 1], obs))
     top = float(np.max(rho))
     if not top <= MAX_RHO:  # also true for NaN
-        raise WeightOverflowError(epoch, top)
+        raise WeightOverflowError(k, top)
+    return rho
 
 
 @dataclass
@@ -243,9 +252,7 @@ def run_filter(
     risky = _risky_epochs(record, obs)
     for k in range(1, record.count + 1):
         pre = evolve_segment(ensemble, signal, eps, rng)
-        rho = np.atleast_1d(weight(pre.positions, record.increments[k - 1], obs))
-        if risky[k - 1]:
-            _check_weights(rho, k)
+        rho = _epoch_weights(pre.positions, record, obs, k, risky[k - 1])
         u = rng.uniform(size=pre.count)
         counts, events = _offspring_counts(rho, u)
         ensemble, parents = _apply_offspring(pre, counts)
@@ -360,9 +367,7 @@ def run_baseline(
     risky = _risky_epochs(record, obs)
     for k in range(1, record.count + 1):
         ensemble = evolve_segment(ensemble, signal, eps, rng)
-        rho = np.atleast_1d(weight(ensemble.positions, record.increments[k - 1], obs))
-        if risky[k - 1]:
-            _check_weights(rho, k)
+        rho = _epoch_weights(ensemble.positions, record, obs, k, risky[k - 1])
         ensemble, moved = _multinomial_resample(ensemble, rho, rng)
         steps.append(BaselineStep(epoch=k, time=k * eps, post=ensemble, relocations=moved))
     return steps

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import empirical_fourier, run_baseline, run_filter
+from .branching import PopulationControl, empirical_fourier, run_baseline, run_filter
 from .metrics import FrequencyGrid, RateFit, filter_error, rate_fit, slope_confidence
 from .observation import ClippedLinearSensor, ObservationModel, simulate_scenario
 from .reference import _kalman_from_law, run_reference
@@ -78,13 +78,16 @@ def rate_sweep(
     grid_points: int = 512,
     grid_halfwidth: float = 10.0,
     error_epochs: str = "final",
+    control: tuple | None = None,
 ) -> RateSweepResult:
     """Sobolev filter error against the configured oracle, per n and replication.
 
     One observation record (drawn from the seed) is shared by the oracle and
     all particle runs; replications vary only the particle randomness, so the
     measured decay in n is the Monte Carlo rate.  ``error_epochs`` is
-    ``"final"`` (error at the terminal epoch only) or ``"all"``.
+    ``"final"`` (error at the terminal epoch only) or ``"all"``.  ``control``
+    is a band ``(low_ratio, high_ratio)``: each run of n particles then runs
+    under ``PopulationControl(n, low_ratio, high_ratio)``.
     """
     if oracle not in ("grid", "kalman"):
         raise ValueError("rate sweep needs a grid or kalman oracle")
@@ -100,10 +103,11 @@ def rate_sweep(
     total_runs = 0
     for n in ns:
         final_sq = []
+        n_control = PopulationControl(n, *control) if control else None
         for rep in range(replications):
             total_runs += 1
             run = run_filter(
-                signal, obs, record, n, substream(seed, "sweep-run", n, rep)
+                signal, obs, record, n, substream(seed, "sweep-run", n, rep), control=n_control
             )
             if run.extinct:
                 extinct_runs += 1

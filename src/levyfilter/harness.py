@@ -1,9 +1,10 @@
 """Experiment configuration, commands, and machine-readable artifacts.
 
-Configurations are flat sectioned INI text (schema documented in the README;
-list- and record-valued keys hold JSON).  Every command writes CSV artifacts
-with deterministic names plus a JSON manifest carrying a content hash per
-file, so identical (config, seed) runs are byte-identical end to end.
+Configurations are flat sectioned INI text (schema declared once, one row per
+key, in ``_SCHEMA`` and documented in the README; list- and record-valued keys
+hold JSON).  Every command writes CSV artifacts with deterministic names plus a
+JSON manifest carrying a content hash per file, so identical (config, seed)
+runs are byte-identical end to end.
 
 Exit codes: 0 pass, 1 check failure, 2 config error, 3 runtime error
 (including an extinction fraction above 20% in sweeps).
@@ -15,12 +16,13 @@ import configparser
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import field, make_dataclass
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .branching import run_filter
+from .branching import PopulationControl, run_filter
 from .checks import default_validation_suite
 from .experiments import baseline_comparison, rate_sweep
 from .metrics import FrequencyGrid, default_gamma
@@ -31,7 +33,7 @@ from .observation import (
     ZeroSensor,
     simulate_scenario,
 )
-from .reference import run_reference
+from .reference import GridDomainError, run_reference
 from .seeding import substream
 from .stable import InitialLaw, SignalModel, SpectralMeasure
 
@@ -50,48 +52,6 @@ __all__ = [
 
 EXTINCTION_LIMIT = 0.2
 
-_DEFAULTS = {
-    "scenario": {"name": "default", "horizon": "2.0"},
-    "signal": {
-        "alpha": "2.0",
-        "dimension": "1",
-        "atoms": '[{"direction": [1.0], "weight": 0.5}]',
-        "initial_law": "gaussian",
-        "initial_center": "[0.0]",
-        "initial_scale": "[1.0]",
-    },
-    "observation": {
-        "sensor": "gaussian_bump",
-        "observation_dim": "1",
-        "epsilon": "0.1",
-        "bump_amplitudes": "[1.0]",
-        "bump_centers": "[[0.0]]",
-        "bump_widths": "[1.0]",
-        "linear_matrix": "[[1.0]]",
-        "linear_clip": "20.0",
-    },
-    "run": {
-        "particle_counts": "[250, 500, 1000, 2000, 4000, 8000, 16000]",
-        "replications": "100",
-        "seed": "20050415",
-        "population_control": "off",
-        "control_low": "0.5",
-        "control_high": "2.0",
-        "xi_threshold": "1.0",
-    },
-    "metric": {"gamma": "auto", "cutoff": "40.0", "spacing": "0.05"},
-    "oracle": {"kind": "grid", "grid_points": "512", "grid_halfwidth": "10.0"},
-    "rate": {
-        "assert_slope": "on",
-        "slope_low": "-0.65",
-        "slope_high": "-0.35",
-        "error_epochs": "final",
-    },
-    "baseline": {"epsilons": "[0.1, 0.05, 0.025, 0.0125]"},
-    "validate": {"scale": "1.0"},
-    "output": {"directory": "out", "dump_particles": "off"},
-}
-
 
 class ConfigError(ValueError):
     """Invalid configuration; ``violations`` lists every offence found."""
@@ -101,231 +61,217 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated experiment parameters plus the raw key map for the manifest."""
-
-    name: str
-    horizon: float
-    alpha: float
-    dimension: int
-    atoms: list
-    initial_law: str
-    initial_center: list
-    initial_scale: list
-    sensor: str
-    observation_dim: int
-    epsilon: float
-    bump_amplitudes: list
-    bump_centers: list
-    bump_widths: list
-    linear_matrix: list
-    linear_clip: float
-    particle_counts: list
-    replications: int
-    seed: int
-    population_control: bool
-    control_low: float
-    control_high: float
-    xi_threshold: float
-    gamma: float | None
-    cutoff: float
-    spacing: float
-    oracle: str
-    grid_points: int
-    grid_halfwidth: float
-    assert_slope: bool
-    slope_low: float
-    slope_high: float
-    error_epochs: str
-    baseline_epsilons: list
-    validate_scale: float
-    output_directory: str
-    dump_particles: bool
-    raw: dict = field(default_factory=dict, repr=False)
+class _Unparsable(ValueError):
+    """A parser's own violation text, used in place of "cannot parse"."""
 
 
-def default_config_text() -> str:
-    parser = configparser.ConfigParser()
-    parser.read_dict(_DEFAULTS)
+def _json_list(raw: str) -> list:
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        raise _Unparsable(f"not valid JSON ({raw!r})") from None
+    if not isinstance(value, list):
+        raise _Unparsable("expected a JSON list")
+    return value
+
+
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise _Unparsable(f"value {raw} violates {'|'.join(options)}")
+        return raw
+
+    return parse
+
+
+def _on_off(raw: str) -> bool:
+    return _choice("on", "off")(raw) == "on"
+
+
+def _auto_or_float(raw: str) -> float | None:
+    return None if raw == "auto" else float(raw)
+
+
+class _Key(NamedTuple):
+    """One config key: its place, default text, parser and bound (checked on the parsed value)."""
+
+    section: str
+    key: str
+    default: str
+    parse: Callable[[str], Any]
+    check: Callable[[Any], bool] | None = None
+    bound: str = ""
+    attr: str = ""  # the ExperimentConfig field, when it is not the key itself
+
+
+# The config schema, in the order of default_config_text() and the README.
+_SCHEMA = (
+    _Key("scenario", "name", "default", str, lambda s: s.replace("-", "").replace("_", "").isalnum(), "filesystem-safe name"),
+    _Key("scenario", "horizon", "2.0", float, lambda v: v > 0, "horizon > 0"),
+    _Key("signal", "alpha", "2.0", float, lambda v: 0 < v <= 2, "bound (0, 2]"),
+    _Key("signal", "dimension", "1", int, lambda v: v >= 1, "dimension >= 1"),
+    _Key("signal", "atoms", '[{"direction": [1.0], "weight": 0.5}]', _json_list),
+    _Key("signal", "initial_law", "gaussian", _choice("point", "gaussian", "uniform")),
+    _Key("signal", "initial_center", "[0.0]", _json_list),
+    _Key("signal", "initial_scale", "[1.0]", _json_list),
+    _Key("observation", "sensor", "gaussian_bump", _choice("gaussian_bump", "clipped_linear", "zero")),
+    _Key("observation", "observation_dim", "1", int, lambda v: v >= 1, "observation_dim >= 1"),
+    _Key("observation", "epsilon", "0.1", float, lambda v: 0 < v <= 1, "bound (0, 1]"),
+    _Key("observation", "bump_amplitudes", "[1.0]", _json_list),
+    _Key("observation", "bump_centers", "[[0.0]]", _json_list),
+    _Key("observation", "bump_widths", "[1.0]", _json_list),
+    _Key("observation", "linear_matrix", "[[1.0]]", _json_list),
+    _Key("observation", "linear_clip", "20.0", float, lambda v: v > 0, "clip > 0"),
+    _Key("run", "particle_counts", "[250, 500, 1000, 2000, 4000, 8000, 16000]", _json_list),
+    _Key("run", "replications", "100", int, lambda v: v >= 1, "replications >= 1"),
+    _Key("run", "seed", "20050415", int),
+    _Key("run", "population_control", "off", _on_off),
+    _Key("run", "control_low", "0.5", float, lambda v: 0 < v < 1, "bound (0, 1)"),
+    _Key("run", "control_high", "2.0", float, lambda v: v > 1, "bound (1, inf)"),
+    _Key("run", "xi_threshold", "1.0", float, lambda v: v > 0, "xi > 0"),
+    _Key("metric", "gamma", "auto", _auto_or_float),
+    _Key("metric", "cutoff", "40.0", float, lambda v: v > 0, "cutoff > 0"),
+    _Key("metric", "spacing", "0.05", float, lambda v: v > 0, "spacing > 0"),
+    _Key("oracle", "kind", "grid", _choice("grid", "kalman", "none"), attr="oracle"),
+    _Key("oracle", "grid_points", "512", int, lambda v: v >= 64 and v & (v - 1) == 0, "power of two >= 64"),
+    _Key("oracle", "grid_halfwidth", "10.0", float, lambda v: v > 0, "halfwidth > 0"),
+    _Key("rate", "assert_slope", "on", _on_off),
+    _Key("rate", "slope_low", "-0.65", float),
+    _Key("rate", "slope_high", "-0.35", float),
+    _Key("rate", "error_epochs", "final", _choice("final", "all")),
+    _Key("baseline", "epsilons", "[0.1, 0.05, 0.025, 0.0125]", _json_list, attr="baseline_epsilons"),
+    _Key("validate", "scale", "1.0", float, lambda v: v > 0, "scale > 0", attr="validate_scale"),
+    _Key("output", "directory", "out", str, attr="output_directory"),
+    _Key("output", "dump_particles", "off", _on_off),
+)
+
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [(row.attr or row.key, Any) for row in _SCHEMA]
+    + [("raw", dict, field(default_factory=dict, repr=False))],
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Validated experiment parameters, one field per _SCHEMA row, "
+        "plus the raw key map for the manifest.",
+    },
+)
+
+
+def _default_sections() -> dict:
+    """{section: {key: default text}} in schema order."""
+    sections: dict = {}
+    for row in _SCHEMA:
+        sections.setdefault(row.section, {})[row.key] = row.default
+    return sections
+
+
+def _ini_text(sections: dict) -> str:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
 
 
-def _json_list(raw: str, key: str, violations: list):
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        violations.append(f"{key}: not valid JSON ({raw!r})")
-        return None
-    if not isinstance(value, list):
-        violations.append(f"{key}: expected a JSON list")
-        return None
-    return value
+def default_config_text() -> str:
+    return _ini_text(_default_sections())
+
+
+def serialize_config(cfg: ExperimentConfig) -> str:
+    return _ini_text(cfg.raw)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every violation."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"malformed config: {exc}"]) from exc
     violations: list[str] = []
+    if parser.defaults():  # configparser would copy these keys into every section
+        violations.append(f"unknown section [{parser.default_section}]")
+    raw = _default_sections()
     for section in parser.sections():
-        if section not in _DEFAULTS:
+        if section not in raw:
             violations.append(f"unknown section [{section}]")
             continue
-        for key in parser[section]:
-            if key not in _DEFAULTS[section]:
+        for key, value in parser[section].items():
+            if key in raw[section]:
+                raw[section][key] = value
+            else:
                 violations.append(f"unknown key {section}.{key}")
-    merged = {
-        section: dict(defaults) for section, defaults in _DEFAULTS.items()
-    }
-    for section in parser.sections():
-        if section in merged:
-            for key, value in parser[section].items():
-                if key in merged[section]:
-                    merged[section][key] = value
-
-    def get(section, key, conv, check=None, bound=""):
-        raw = merged[section][key]
+    values = {}
+    for row in _SCHEMA:
+        text_value = raw[row.section][row.key]
+        where = f"{row.section}.{row.key}"
+        value = None
         try:
-            value = conv(raw)
+            value = row.parse(text_value)
+        except _Unparsable as exc:
+            violations.append(f"{where}: {exc}")
         except (TypeError, ValueError):
-            violations.append(f"{section}.{key}: cannot parse {raw!r}")
-            return None
-        if check is not None and not check(value):
-            violations.append(f"{section}.{key}: value {raw} violates {bound}")
-            return None
-        return value
-
-    name = get("scenario", "name", str, lambda s: s.replace("-", "").replace("_", "").isalnum(), "filesystem-safe name")
-    horizon = get("scenario", "horizon", float, lambda v: v > 0, "horizon > 0")
-    alpha = get("signal", "alpha", float, lambda v: 0 < v <= 2, "bound (0, 2]")
-    dimension = get("signal", "dimension", int, lambda v: v >= 1, "dimension >= 1")
-    atoms = _json_list(merged["signal"]["atoms"], "signal.atoms", violations)
-    initial_law = get("signal", "initial_law", str, lambda s: s in ("point", "gaussian", "uniform"), "point|gaussian|uniform")
-    initial_center = _json_list(merged["signal"]["initial_center"], "signal.initial_center", violations)
-    initial_scale = _json_list(merged["signal"]["initial_scale"], "signal.initial_scale", violations)
-    sensor = get("observation", "sensor", str, lambda s: s in ("gaussian_bump", "clipped_linear", "zero"), "gaussian_bump|clipped_linear|zero")
-    observation_dim = get("observation", "observation_dim", int, lambda v: v >= 1, "observation_dim >= 1")
-    epsilon = get("observation", "epsilon", float, lambda v: 0 < v <= 1, "bound (0, 1]")
-    bump_amplitudes = _json_list(merged["observation"]["bump_amplitudes"], "observation.bump_amplitudes", violations)
-    bump_centers = _json_list(merged["observation"]["bump_centers"], "observation.bump_centers", violations)
-    bump_widths = _json_list(merged["observation"]["bump_widths"], "observation.bump_widths", violations)
-    linear_matrix = _json_list(merged["observation"]["linear_matrix"], "observation.linear_matrix", violations)
-    linear_clip = get("observation", "linear_clip", float, lambda v: v > 0, "clip > 0")
-    particle_counts = _json_list(merged["run"]["particle_counts"], "run.particle_counts", violations)
-    replications = get("run", "replications", int, lambda v: v >= 1, "replications >= 1")
-    seed = get("run", "seed", int)
-    population_control = get("run", "population_control", str, lambda s: s in ("on", "off"), "on|off")
-    control_low = get("run", "control_low", float, lambda v: 0 < v < 1, "bound (0, 1)")
-    control_high = get("run", "control_high", float, lambda v: v > 1, "bound (1, inf)")
-    xi_threshold = get("run", "xi_threshold", float, lambda v: v > 0, "xi > 0")
-    gamma_raw = merged["metric"]["gamma"]
-    gamma: float | None
-    if gamma_raw == "auto":
-        gamma = None
-    else:
-        gamma = get("metric", "gamma", float)
-    cutoff = get("metric", "cutoff", float, lambda v: v > 0, "cutoff > 0")
-    spacing = get("metric", "spacing", float, lambda v: v > 0, "spacing > 0")
-    oracle = get("oracle", "kind", str, lambda s: s in ("grid", "kalman", "none"), "grid|kalman|none")
-    grid_points = get("oracle", "grid_points", int, lambda v: v >= 64 and v & (v - 1) == 0, "power of two >= 64")
-    grid_halfwidth = get("oracle", "grid_halfwidth", float, lambda v: v > 0, "halfwidth > 0")
-    assert_slope = get("rate", "assert_slope", str, lambda s: s in ("on", "off"), "on|off")
-    slope_low = get("rate", "slope_low", float)
-    slope_high = get("rate", "slope_high", float)
-    error_epochs = get("rate", "error_epochs", str, lambda s: s in ("final", "all"), "final|all")
-    baseline_epsilons = _json_list(merged["baseline"]["epsilons"], "baseline.epsilons", violations)
-    validate_scale = get("validate", "scale", float, lambda v: v > 0, "scale > 0")
-    output_directory = merged["output"]["directory"]
-    dump_particles = get("output", "dump_particles", str, lambda s: s in ("on", "off"), "on|off")
+            violations.append(f"{where}: cannot parse {text_value!r}")
+        else:
+            if row.check is not None and not row.check(value):
+                violations.append(f"{where}: value {text_value} violates {row.bound}")
+                value = None
+        values[row.attr or row.key] = value
+    cfg = ExperimentConfig(**values, raw=raw)
 
     # cross-field invariants (only where the pieces parsed)
-    if horizon is not None and epsilon is not None and horizon < epsilon:
+    if cfg.horizon is not None and cfg.epsilon is not None and cfg.horizon < cfg.epsilon:
         violations.append("scenario.horizon: must be at least observation.epsilon")
-    if particle_counts is not None:
-        if not particle_counts or any(
-            (not isinstance(n, int)) or n < 1 for n in particle_counts
-        ):
+    counts = cfg.particle_counts
+    if counts is not None:
+        if not counts or any((not isinstance(n, int)) or n < 1 for n in counts):
             violations.append("run.particle_counts: needs integers >= 1")
     if (
-        particle_counts
-        and epsilon is not None
-        and xi_threshold is not None
-        and assert_slope == "on"
-        and np.sqrt(epsilon) * min(particle_counts) < xi_threshold
+        counts
+        and cfg.epsilon is not None
+        and cfg.xi_threshold is not None
+        and cfg.assert_slope
+        and np.sqrt(cfg.epsilon) * min(counts) < cfg.xi_threshold
     ):
         violations.append(
             "run.particle_counts: sqrt(epsilon) * min(counts) must reach run.xi_threshold "
             "while rate assertions are enabled"
         )
-    if atoms is not None and dimension is not None:
+    if cfg.atoms is not None and cfg.dimension is not None:
         try:
-            SpectralMeasure.from_records(atoms)
+            measure = SpectralMeasure.from_records(cfg.atoms)
         except (KeyError, TypeError, ValueError) as exc:
             violations.append(f"signal.atoms: {exc}")
         else:
-            if SpectralMeasure.from_records(atoms).dimension != dimension:
+            if measure.dimension != cfg.dimension:
                 violations.append("signal.atoms: direction length must equal signal.dimension")
     if (
-        gamma is not None
-        and dimension is not None
-        and gamma >= -dimension / 2.0
+        cfg.gamma is not None
+        and cfg.dimension is not None
+        and cfg.gamma >= -cfg.dimension / 2.0
     ):
         violations.append("metric.gamma: must be < -dimension/2")
-    if baseline_epsilons is not None and any(
-        not (0 < e <= 1) for e in baseline_epsilons
+    if cfg.baseline_epsilons is not None and any(
+        not (0 < e <= 1) for e in cfg.baseline_epsilons
     ):
         violations.append("baseline.epsilons: every entry must lie in (0, 1]")
+    if (
+        cfg.oracle == "kalman"
+        and None not in (cfg.sensor, cfg.alpha, cfg.initial_law)
+        and not (
+            cfg.sensor == "clipped_linear"
+            and cfg.alpha == 2.0
+            and cfg.initial_law in ("point", "gaussian")
+        )
+    ):
+        violations.append(
+            "oracle.kind: kalman needs observation.sensor = clipped_linear, "
+            "signal.alpha = 2 and signal.initial_law = point or gaussian"
+        )
+    if not violations:
+        violations = _model_violations(cfg)
     if violations:
         raise ConfigError(violations)
-
-    raw = {s: dict(v) for s, v in merged.items()}
-    cfg = ExperimentConfig(
-        name=name,
-        horizon=horizon,
-        alpha=alpha,
-        dimension=dimension,
-        atoms=atoms,
-        initial_law=initial_law,
-        initial_center=initial_center,
-        initial_scale=initial_scale,
-        sensor=sensor,
-        observation_dim=observation_dim,
-        epsilon=epsilon,
-        bump_amplitudes=bump_amplitudes,
-        bump_centers=bump_centers,
-        bump_widths=bump_widths,
-        linear_matrix=linear_matrix,
-        linear_clip=linear_clip,
-        particle_counts=particle_counts,
-        replications=replications,
-        seed=seed,
-        population_control=population_control == "on",
-        control_low=control_low,
-        control_high=control_high,
-        xi_threshold=xi_threshold,
-        gamma=gamma,
-        cutoff=cutoff,
-        spacing=spacing,
-        oracle=oracle,
-        grid_points=grid_points,
-        grid_halfwidth=grid_halfwidth,
-        assert_slope=assert_slope == "on",
-        slope_low=slope_low,
-        slope_high=slope_high,
-        error_epochs=error_epochs,
-        baseline_epsilons=baseline_epsilons,
-        validate_scale=validate_scale,
-        output_directory=output_directory,
-        dump_particles=dump_particles == "on",
-        raw=raw,
-    )
-    _check_models(cfg)
     return cfg
 
 
@@ -336,8 +282,8 @@ _SENSOR_KEYS = {
 }
 
 
-def _check_models(cfg: ExperimentConfig) -> None:
-    """Build the signal and observation models; raise ConfigError naming the keys they reject."""
+def _model_violations(cfg: ExperimentConfig) -> list:
+    """Build the signal and observation models; one violation naming the keys per rejection."""
     violations = []
     for keys, build in (
         ("signal.initial_center/initial_scale", build_signal),
@@ -347,16 +293,7 @@ def _check_models(cfg: ExperimentConfig) -> None:
             build(cfg)
         except (TypeError, ValueError) as exc:
             violations.append(f"{keys}: {exc}")
-    if violations:
-        raise ConfigError(violations)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser()
-    parser.read_dict(cfg.raw)
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
+    return violations
 
 
 def build_signal(cfg: ExperimentConfig) -> SignalModel:
@@ -374,6 +311,11 @@ def build_observation(cfg: ExperimentConfig) -> ObservationModel:
     if sensor.signal_dim != cfg.dimension:
         raise ValueError(
             f"sensor takes {sensor.signal_dim}-d points but signal.dimension is {cfg.dimension}"
+        )
+    if sensor.observation_dim != cfg.observation_dim:
+        raise ValueError(
+            f"sensor gives {sensor.observation_dim}-d observations "
+            f"but observation.observation_dim is {cfg.observation_dim}"
         )
     return ObservationModel(sensor, cfg.epsilon)
 
@@ -412,11 +354,7 @@ def emit_results(files: dict, out_dir, *, name: str, command: str, cfg: Experime
         except OSError as exc:
             raise RuntimeError(f"cannot write artifact {path}: {exc}") from exc
         entries.append(
-            {
-                "name": filename,
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "bytes": len(data),
-            }
+            {"name": filename, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
         )
     manifest = {
         "scenario": name,
@@ -430,23 +368,13 @@ def emit_results(files: dict, out_dir, *, name: str, command: str, cfg: Experime
     return manifest_path
 
 
-def _estimates_rows(run, eps):
+def _estimates_rows(run):
     rows = []
     for step in run.steps:
         ens = step.post
-        mean = (
-            ens.positions.mean(axis=0)
-            if ens.count
-            else np.full(ens.dimension, np.nan)
-        )
-        unnorm = (
-            ens.mass_factor * ens.positions.sum(axis=0) / ens.initial_count
-        )
-        rows.append(
-            [step.epoch, step.time, ens.count, ens.total_mass]
-            + [v for v in unnorm]
-            + [v for v in mean]
-        )
+        mean = ens.positions.mean(axis=0) if ens.count else np.full(ens.dimension, np.nan)
+        unnorm = ens.mass_factor * ens.positions.sum(axis=0) / ens.initial_count
+        rows.append([step.epoch, step.time, ens.count, ens.total_mass] + list(unnorm) + list(mean))
     return rows
 
 
@@ -463,13 +391,14 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
     )
     files[f"{cfg.name}_simulate_observations.csv"] = record.to_csv_text()
     n = cfg.particle_counts[0]
-    run = run_filter(signal, obs, record, n, substream(cfg.seed, "filter", n, 0))
+    control = PopulationControl(n, cfg.control_low, cfg.control_high) if cfg.population_control else None
+    run = run_filter(signal, obs, record, n, substream(cfg.seed, "filter", n, 0), control=control)
     d = signal.dimension
     files[f"{cfg.name}_simulate_estimates.csv"] = _csv_text(
         ["epoch", "t", "count", "mass"]
         + [f"sum_x{i}_unnormalized" for i in range(d)]
         + [f"mean_x{i}" for i in range(d)],
-        _estimates_rows(run, cfg.epsilon),
+        _estimates_rows(run),
     )
     if cfg.dump_particles:
         dump_rows = []
@@ -538,11 +467,7 @@ def cmd_validate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
     for r in results:
         print(f"{r.status:7s} {r.name}: {r.detail}")
         rows.append([r.name, r.status, r.detail.replace(",", ";")])
-    files = {
-        f"{cfg.name}_validate_checks.csv": _csv_text(
-            ["check", "status", "detail"], rows
-        )
-    }
+    files = {f"{cfg.name}_validate_checks.csv": _csv_text(["check", "status", "detail"], rows)}
     emit_results(files, out_dir, name=cfg.name, command="validate", cfg=cfg)
     return 0 if all(r.passed for r in results) else 1
 
@@ -569,6 +494,7 @@ def cmd_rate_sweep(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
         grid_points=cfg.grid_points,
         grid_halfwidth=cfg.grid_halfwidth,
         error_epochs=cfg.error_epochs,
+        control=(cfg.control_low, cfg.control_high) if cfg.population_control else None,
     )
     files = {
         f"{cfg.name}_rate-sweep_errors.csv": _csv_text(
@@ -624,32 +550,17 @@ def cmd_compare_baseline(cfg: ExperimentConfig, out_dir, strict: bool = False) -
         grid_points=cfg.grid_points,
         grid_halfwidth=cfg.grid_halfwidth,
     )
-    rows = [
-        [e, bf, mf, be, me]
-        for e, bf, mf, be, me in zip(
-            comparison.epsilons,
-            comparison.branching_fractions,
-            comparison.multinomial_fractions,
-            comparison.branching_errors,
-            comparison.multinomial_errors,
-        )
-    ]
-    files = {
-        f"{cfg.name}_compare-baseline_comparison.csv": _csv_text(
-            [
-                "epsilon",
-                "branching_fraction",
-                "multinomial_fraction",
-                "branching_error",
-                "multinomial_error",
-            ],
-            rows,
-        )
-    }
+    columns = ("epsilon", "branching_fraction", "multinomial_fraction", "branching_error", "multinomial_error")
+    rows = zip(
+        comparison.epsilons,
+        comparison.branching_fractions,
+        comparison.multinomial_fractions,
+        comparison.branching_errors,
+        comparison.multinomial_errors,
+    )
+    files = {f"{cfg.name}_compare-baseline_comparison.csv": _csv_text(columns, rows)}
     emit_results(files, out_dir, name=cfg.name, command="compare-baseline", cfg=cfg)
-    smallest = comparison.branching_fractions[
-        int(np.argmin(comparison.epsilons))
-    ]
+    smallest = comparison.branching_fractions[int(np.argmin(comparison.epsilons))]
     print(
         f"branch-fraction slope in eps: {comparison.slope:.3f}; "
         f"fraction at smallest eps: {smallest:.4f}"
@@ -671,4 +582,7 @@ def run_command(command: str, cfg: ExperimentConfig, out_dir=None, strict: bool 
     }
     if command not in handlers:
         raise ConfigError([f"unknown command {command!r}"])
-    return handlers[command](cfg, out, strict)
+    try:
+        return handlers[command](cfg, out, strict)
+    except GridDomainError as exc:
+        raise ConfigError([f"oracle.grid_halfwidth/signal.initial_center: {exc}"]) from exc

@@ -319,6 +319,8 @@ def _kalman_from_law(signal: SignalModel, matrix, record: ObservationRecord):
     """(prior covariance, posterior means, posterior covariances) from the signal's own
     initial law (Gaussian or point) and covariance rate; alpha = 2 and a linear sensor."""
     law = signal.initial_law
+    if law.kind not in ("point", "gaussian"):
+        raise ValueError(f"kalman oracle needs a point or gaussian initial law, not {law.kind}")
     d = signal.dimension
     cov0 = np.diag(law.scale**2) if law.kind == "gaussian" else np.zeros((d, d))
     means, covs = kalman_reference(

@@ -318,6 +318,7 @@ class TestRunFilter:
             counts, _ = _offspring_counts(rho, u)
             assert np.array_equal(np.bincount(step.parents, minlength=step.pre.count), counts)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_weight_overflow_is_an_error_not_extinction(self):
         # the linear sensor clips at 20, so rho = exp(100 * 20 - ...) - 1 = inf
         obs = linear_obs(0.5, clip=20.0)
@@ -329,6 +330,7 @@ class TestRunFilter:
         with pytest.raises(WeightOverflowError):
             run_baseline(signal, obs, record, 10, np.random.default_rng(72))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_weight_above_cap_rejected(self):
         obs = linear_obs(0.1)
         dy = dy_for_rho(100.0 * MAX_RHO, 1.0, obs)

@@ -143,6 +143,15 @@ class TestKalmanCrosscheck:
         with pytest.raises(ValueError):
             kalman_crosscheck(sig, obs, 1.0, 19)
 
+    def test_rejects_uniform_initial_law(self):
+        # a point-mass prior in its place would give a wrong posterior
+        sig = SignalModel(
+            2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw("uniform", [0.0], [1.0])
+        )
+        obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=20.0), 0.1)
+        with pytest.raises(ValueError, match="point or gaussian"):
+            kalman_crosscheck(sig, obs, 1.0, 19, ns=(300,), reference_n=300, replications=1)
+
 
 class TestBaselineComparison:
     def test_fractions_and_errors(self):

@@ -1,13 +1,18 @@
 """Config parsing, artifact emission, determinism, CLI exit codes."""
 
+import configparser
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyfilter.cli import main as cli_main
 from levyfilter.harness import (
+    _SCHEMA,
     ConfigError,
     build_metric,
     build_observation,
@@ -17,6 +22,8 @@ from levyfilter.harness import (
     parse_config,
     serialize_config,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 QUICK = """
 [scenario]
@@ -68,6 +75,13 @@ class TestParseConfig:
             parse_config("[run]\nparticle_size = 10\n")
         assert any("particle_size" in v for v in err.value.violations)
 
+    def test_default_section_rejected(self):
+        # configparser would otherwise drop these keys, or copy them into every section
+        for text in ("[DEFAULT]\nseed = 5\n", "[DEFAULT]\nseed = 5\n[run]\nreplications = 3\n"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert "unknown section [DEFAULT]" in err.value.violations
+
     def test_counts_round_trip(self):
         text = "[run]\nparticle_counts = [500, 2000, 8000]\nreplications = 3\n"
         cfg = parse_config(text)
@@ -109,6 +123,134 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert any(key in v for v in err.value.violations)
+
+
+    def test_observation_dim_checked_against_sensor(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[observation]\nobservation_dim = 3\n")
+        assert any("observation.observation_dim" in v for v in err.value.violations)
+        parse_config("[observation]\nsensor = zero\nobservation_dim = 3\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",  # the default gaussian_bump sensor
+            "[observation]\nsensor = clipped_linear\n[signal]\nalpha = 1.5\n",
+            "[observation]\nsensor = clipped_linear\n[signal]\ninitial_law = uniform\n",
+        ],
+    )
+    def test_kalman_oracle_needs_linear_gaussian_scenario(self, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[oracle]\nkind = kalman\n" + text)
+        assert any(v.startswith("oracle.kind: kalman needs") for v in err.value.violations)
+
+    def test_shipped_kalman_config_parses(self):
+        cfg = parse_config((ROOT / "configs" / "kalman.ini").read_text())
+        assert cfg.oracle == "kalman" and cfg.sensor == "clipped_linear"
+
+
+# One out-of-bound value per bounded key, written by hand rather than read from
+# the schema, so a bound dropped from the schema fails here.
+OUT_OF_BOUND = [
+    ("scenario", "name", "bad/name"),
+    ("scenario", "horizon", "0"),
+    ("signal", "alpha", "2.5"),
+    ("signal", "dimension", "0"),
+    ("signal", "initial_law", "cauchy"),
+    ("observation", "sensor", "camera"),
+    ("observation", "observation_dim", "0"),
+    ("observation", "epsilon", "1.5"),
+    ("observation", "linear_clip", "-1.0"),
+    ("run", "particle_counts", "[0]"),
+    ("run", "replications", "0"),
+    ("run", "population_control", "maybe"),
+    ("run", "control_low", "1.0"),
+    ("run", "control_high", "1.0"),
+    ("run", "xi_threshold", "0"),
+    ("metric", "gamma", "-0.25"),
+    ("metric", "cutoff", "0"),
+    ("metric", "spacing", "-0.05"),
+    ("oracle", "kind", "exact"),
+    ("oracle", "grid_points", "100"),
+    ("oracle", "grid_halfwidth", "0"),
+    ("rate", "assert_slope", "yes"),
+    ("rate", "error_epochs", "some"),
+    ("baseline", "epsilons", "[0.1, 2.0]"),
+    ("validate", "scale", "0"),
+    ("output", "dump_particles", "1"),
+]
+
+
+class TestSchema:
+    def test_shipped_default_config_is_default_text(self):
+        assert (ROOT / "configs" / "default.ini").read_text() == default_config_text()
+
+    def test_readme_schema_block_matches_table(self):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Configuration schema", 1)[1].split("```ini\n", 1)[1]
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+        parser.read_string(block.split("```", 1)[0])
+        documented = [(s, k, v) for s in parser.sections() for k, v in parser[s].items()]
+        assert documented == [(row.section, row.key, row.default) for row in _SCHEMA]
+
+    @pytest.mark.parametrize("section, key, value", OUT_OF_BOUND)
+    def test_out_of_bound_value_names_key(self, section, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[{section}]\n{key} = {value}\n")
+        assert err.value.violations
+        assert all(v.startswith(f"{section}.{key}: ") for v in err.value.violations)
+
+
+def _float_text(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(repr)
+
+
+def _json_text(elements, max_size=6):
+    return st.lists(elements, min_size=1, max_size=max_size).map(json.dumps)
+
+
+# Valid values for the keys that do not shape the signal or sensor models.
+VALID_VALUES = {
+    ("scenario", "name"): st.from_regex(r"[A-Za-z0-9][A-Za-z0-9_-]{0,11}", fullmatch=True),
+    ("scenario", "horizon"): _float_text(1.0, 10.0),
+    ("signal", "alpha"): _float_text(0.1, 2.0),
+    ("signal", "initial_law"): st.sampled_from(["point", "gaussian", "uniform"]),
+    ("observation", "epsilon"): _float_text(0.01, 1.0),
+    ("run", "particle_counts"): _json_text(st.integers(100, 10**6)),
+    ("run", "replications"): st.integers(1, 10**4).map(str),
+    ("run", "seed"): st.integers(-(2**40), 2**40).map(str),
+    ("run", "population_control"): st.sampled_from(["on", "off"]),
+    ("run", "control_low"): _float_text(0.01, 0.99),
+    ("run", "control_high"): _float_text(1.01, 10.0),
+    ("run", "xi_threshold"): _float_text(0.01, 10.0),
+    ("metric", "gamma"): st.just("auto") | _float_text(-50.0, -0.6),
+    ("metric", "cutoff"): _float_text(0.1, 100.0),
+    ("metric", "spacing"): _float_text(0.001, 1.0),
+    ("oracle", "kind"): st.sampled_from(["grid", "none"]),
+    ("oracle", "grid_points"): st.sampled_from(["64", "128", "1024"]),
+    ("oracle", "grid_halfwidth"): _float_text(0.1, 100.0),
+    ("rate", "assert_slope"): st.sampled_from(["on", "off"]),
+    ("rate", "slope_low"): _float_text(-5.0, 5.0),
+    ("rate", "slope_high"): _float_text(-5.0, 5.0),
+    ("rate", "error_epochs"): st.sampled_from(["final", "all"]),
+    ("baseline", "epsilons"): _json_text(st.floats(min_value=1e-4, max_value=1.0)),
+    ("validate", "scale"): _float_text(0.01, 10.0),
+    ("output", "directory"): st.text(alphabet="abcXYZ019_-./%", min_size=1, max_size=12),
+    ("output", "dump_particles"): st.sampled_from(["on", "off"]),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(values=st.fixed_dictionaries({}, optional=VALID_VALUES))
+def test_serialize_parse_round_trip(values):
+    sections = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    text = "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items())
+    cfg = parse_config(text)
+    for (section, key), value in values.items():
+        assert cfg.raw[section][key] == value
+    assert parse_config(serialize_config(cfg)).raw == cfg.raw
 
 
 class TestBuilders:
@@ -181,6 +323,37 @@ class TestArtifacts:
             # a particle's root is its parent's root one epoch earlier
             assert np.array_equal(root[epochs == k], root[epochs == k - 1][parent[epochs == k]])
 
+    @staticmethod
+    def controlled(switch):
+        return QUICK.replace(
+            "seed = 7", f"seed = 7\npopulation_control = {switch}\ncontrol_low = 0.95"
+        )
+
+    def test_population_control_reaches_simulate(self, tmp_path):
+        texts = {"plain": QUICK, "on": self.controlled("on"), "off": self.controlled("off")}
+        for label, text in texts.items():
+            cmd_simulate(parse_config(text), tmp_path / label)
+        for csv in sorted((tmp_path / "plain").glob("*.csv")):
+            assert (tmp_path / "off" / csv.name).read_bytes() == csv.read_bytes()
+        estimates = (tmp_path / "on" / "quick_simulate_estimates.csv").read_text()
+        assert estimates != (tmp_path / "off" / "quick_simulate_estimates.csv").read_text()
+        rows = [line.split(",") for line in estimates.splitlines()[1:]]
+        # mass = mass_factor * count / n, so the factor leaves 1 once control acts
+        assert any(abs(float(r[3]) * 300 / int(r[2]) - 1.0) > 1e-9 for r in rows)
+
+    def test_population_control_reaches_rate_sweep(self, tmp_path):
+        errors = {}
+        for switch in ("on", "off"):
+            text = self.controlled(switch).replace("[300]", "[100, 200, 300]")
+            text += "\n[rate]\nassert_slope = off\n"
+            out = tmp_path / switch
+            path = out / "cfg.ini"
+            out.mkdir()
+            path.write_text(text)
+            assert cli_main(["rate-sweep", "--config", str(path), "--out", str(out)]) == 0
+            errors[switch] = (out / "quick_rate-sweep_errors.csv").read_text()
+        assert errors["on"] != errors["off"]
+
     def test_estimates_schema(self, tmp_path):
         cfg = parse_config(QUICK)
         cmd_simulate(cfg, tmp_path)
@@ -217,6 +390,7 @@ class TestCli:
         assert rc == 2
         assert "bump_" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_weight_overflow_exit_3_not_extinction(self, tmp_path, capsys):
         text = QUICK + (
             "\n[signal]\nalpha = 1.2\ninitial_center = [15.0]\n"
@@ -234,6 +408,25 @@ class TestCli:
         rc = cli_main(["rate-sweep", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "oracle" in capsys.readouterr().err
+
+    def test_observation_dim_mismatch_exit_2(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, QUICK + "\n[observation]\nobservation_dim = 3\n")
+        rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "observation.observation_dim" in capsys.readouterr().err
+
+    def test_initial_law_outside_grid_exit_2(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, QUICK + "\n[signal]\ninitial_center = [15.0]\n")
+        rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "oracle.grid_halfwidth" in err and "signal.initial_center" in err
+
+    def test_kalman_oracle_with_bump_sensor_exit_2(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, QUICK.replace("grid_points = 256", "kind = kalman"))
+        rc = cli_main(["rate-sweep", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "oracle.kind: kalman needs" in capsys.readouterr().err
 
     def test_seed_override_changes_artifacts(self, tmp_path):
         path = self.write_cfg(tmp_path)
