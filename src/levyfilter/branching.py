@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .metrics import fourier
 from .observation import ObservationModel, ObservationRecord, weight
 from .stable import SignalModel, sample_increment
 
@@ -293,26 +294,13 @@ def estimate(ensemble: ParticleEnsemble, phi) -> tuple:
     return unnormalized, normalized
 
 
-def empirical_fourier(ensemble: ParticleEnsemble, thetas, chunk: int = 256) -> np.ndarray:
+def empirical_fourier(ensemble: ParticleEnsemble, thetas) -> np.ndarray:
     """Fourier transform of the empirical measure on a frequency list.
 
     Returns mass_factor * (1/n) * sum_i exp(-i theta' X_i) per node; an empty
     ensemble transforms to zero everywhere.
     """
-    th = np.asarray(thetas, dtype=float)
-    if th.ndim == 1 and ensemble.dimension == 1:
-        th = th.reshape(-1, 1)
-    th = np.atleast_2d(th)
-    out = np.zeros(th.shape[0], dtype=complex)
-    if ensemble.count == 0:
-        return out
-    scale = ensemble.mass_factor / ensemble.initial_count
-    for lo in range(0, th.shape[0], chunk):
-        block = th[lo : lo + chunk]
-        out[lo : lo + block.shape[0]] = np.exp(
-            -1j * (ensemble.positions @ block.T)
-        ).sum(axis=0)
-    return scale * out
+    return ensemble.mass_factor * fourier(ensemble.positions, None, thetas) / ensemble.initial_count
 
 
 def multinomial_baseline_step(

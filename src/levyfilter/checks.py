@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branching import run_baseline, run_filter
+from .branching import empirical_fourier, run_baseline, run_filter
+from .metrics import fourier
 from .observation import (
     GaussianBumpSensor,
     ObservationModel,
@@ -199,14 +200,6 @@ def check_quadratic_variation(seed: int, scale: float = 1.0) -> CheckResult:
     )
 
 
-def _fourier_estimates(ensemble, thetas):
-    """Plain (1/n) sum of e^{-i theta'X} times mass_factor, one value per theta."""
-    if ensemble.count == 0:
-        return np.zeros(len(thetas), dtype=complex)
-    phases = ensemble.positions @ np.atleast_2d(thetas).T
-    return ensemble.mass_factor * np.exp(-1j * phases).sum(axis=0) / ensemble.initial_count
-
-
 def check_compensator(
     signal: SignalModel,
     obs: ObservationModel,
@@ -241,21 +234,16 @@ def check_compensator(
             extinct += 1
             stats[r] = np.nan
             continue
-        initial = _fourier_estimates(run.initial, theta_vecs)
+        initial = empirical_fourier(run.initial, theta_vecs)
         segment_sum = initial * drift_factor  # segment starting at t_0
         jump_sum = np.zeros(len(thetas), dtype=complex)
         for step in run.steps:
             rho = weight(step.pre.positions, record.increments[step.epoch - 1], obs)
-            phases = step.pre.positions @ theta_vecs.T
-            jump_sum += (
-                step.pre.mass_factor
-                * (rho[:, None] * np.exp(-1j * phases)).sum(axis=0)
-                / step.pre.initial_count
-            )
-            post_vals = _fourier_estimates(step.post, theta_vecs)
+            jump_sum += step.pre.mass_factor * fourier(step.pre.positions, rho, theta_vecs) / step.pre.initial_count
+            post_vals = empirical_fourier(step.post, theta_vecs)
             if step.epoch < record.count:
                 segment_sum += post_vals * drift_factor
-        final = _fourier_estimates(run.steps[-1].post, theta_vecs)
+        final = empirical_fourier(run.steps[-1].post, theta_vecs)
         stats[r] = final - initial - segment_sum - jump_sum
     valid = stats[~np.isnan(stats[:, 0].real)]
     worst_z = 0.0
@@ -413,10 +401,11 @@ def check_oracle_agreement(
     n: int = 2000,
     grid_points: int = 512,
     grid_halfwidth: float = 10.0,
+    strict: bool = False,
 ) -> CheckResult:
     """Particle normalized mean tracks the configured particle-free reference.
 
-    SKIPPED when no oracle is configured.
+    SKIPPED when no oracle is configured; ``strict`` is passed to the grid oracle.
     """
     from .observation import ClippedLinearSensor
     from .reference import _kalman_from_law, run_reference
@@ -464,6 +453,7 @@ def check_oracle_agreement(
             record,
             domain_halfwidth=grid_halfwidth,
             points_per_axis=grid_points,
+            strict=strict,
         )
         means = np.array([s.mean for s in summaries[1:]])
         spread = float(np.sqrt(np.mean([s.variance.sum() for s in summaries[1:]])))
@@ -488,6 +478,7 @@ def default_validation_suite(
     oracle: str = "grid",
     grid_points: int = 512,
     grid_halfwidth: float = 10.0,
+    strict: bool = False,
 ) -> list:
     """The validate command's checks, in print order."""
     results = [
@@ -507,6 +498,7 @@ def default_validation_suite(
             oracle=oracle,
             grid_points=grid_points,
             grid_halfwidth=grid_halfwidth,
+            strict=strict,
         ),
     ]
     return results

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import PopulationControl, empirical_fourier, run_baseline, run_filter
-from .metrics import FrequencyGrid, RateFit, filter_error, rate_fit, slope_confidence
+from .branching import PopulationControl, run_baseline, run_filter
+from .metrics import FrequencyGrid, RateFit, filter_error, fourier, rate_fit, slope_confidence
 from .observation import ClippedLinearSensor, ObservationModel, simulate_scenario
 from .reference import _kalman_from_law, run_reference
 from .seeding import substream
@@ -30,24 +30,8 @@ __all__ = [
 
 
 def ensemble_transform(ensemble, grid: FrequencyGrid) -> np.ndarray:
-    """Exact per-node transform of the empirical measure on a metric grid.
-
-    Direct summation over particles at every node; on a uniform 1-d axis the
-    node phases advance geometrically, which evaluates the same sums without
-    per-node transcendentals.  Agrees with ``empirical_fourier`` to roundoff.
-    """
-    if grid.dimension != 1 or ensemble.count == 0:
-        return empirical_fourier(ensemble, grid.nodes)
-    x = ensemble.positions[:, 0]
-    nodes = grid.nodes[:, 0]
-    current = np.exp(-1j * nodes[0] * x)
-    step = np.exp(-1j * grid.spacing * x)
-    out = np.empty(nodes.size, dtype=complex)
-    out[0] = current.sum()
-    for j in range(1, nodes.size):
-        current *= step
-        out[j] = current.sum()
-    return ensemble.mass_factor * out / ensemble.initial_count
+    """``empirical_fourier`` on a metric grid; a 1-d lattice takes the NUFFT path."""
+    return ensemble.mass_factor * fourier(ensemble.positions, None, grid) / ensemble.initial_count
 
 
 @dataclass
@@ -79,6 +63,7 @@ def rate_sweep(
     grid_halfwidth: float = 10.0,
     error_epochs: str = "final",
     control: tuple | None = None,
+    strict: bool = False,
 ) -> RateSweepResult:
     """Sobolev filter error against the configured oracle, per n and replication.
 
@@ -87,12 +72,12 @@ def rate_sweep(
     measured decay in n is the Monte Carlo rate.  ``error_epochs`` is
     ``"final"`` (error at the terminal epoch only) or ``"all"``.  ``control``
     is a band ``(low_ratio, high_ratio)``: each run of n particles then runs
-    under ``PopulationControl(n, low_ratio, high_ratio)``.
+    under ``PopulationControl(n, low_ratio, high_ratio)``.  ``strict`` goes to the grid oracle.
     """
     if oracle not in ("grid", "kalman"):
         raise ValueError("rate sweep needs a grid or kalman oracle")
     _, record = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
-    targets = _oracle_transforms(signal, obs, record, metric, oracle, grid_points, grid_halfwidth)
+    targets = _oracle_transforms(signal, obs, record, metric, oracle, grid_points, grid_halfwidth, strict)
     epochs = (
         range(1, record.count + 1) if error_epochs == "all" else (record.count,)
     )
@@ -136,7 +121,7 @@ def rate_sweep(
     )
 
 
-def _oracle_transforms(signal, obs, record, metric, oracle, grid_points, grid_halfwidth):
+def _oracle_transforms(signal, obs, record, metric, oracle, grid_points, grid_halfwidth, strict):
     """Per-epoch transform of the reference filter on the metric nodes."""
     targets = {}
     if oracle == "grid":
@@ -146,7 +131,8 @@ def _oracle_transforms(signal, obs, record, metric, oracle, grid_points, grid_ha
             record,
             domain_halfwidth=grid_halfwidth,
             points_per_axis=grid_points,
-            theta_grid=metric.nodes,
+            theta_grid=metric,
+            strict=strict,
         )
         for s in summaries:
             targets[s.epoch] = s.transform
@@ -267,6 +253,7 @@ def baseline_comparison(
     oracle: str = "grid",
     grid_points: int = 512,
     grid_halfwidth: float = 10.0,
+    strict: bool = False,
 ) -> BaselineComparison:
     """Branching versus multinomial resampling on identical records, per eps."""
     b_fracs, m_fracs, b_errs, m_errs = [], [], [], []
@@ -291,6 +278,7 @@ def baseline_comparison(
                 record,
                 domain_halfwidth=grid_halfwidth,
                 points_per_axis=grid_points,
+                strict=strict,
             )
             oracle_means = np.array([s.mean for s in summaries[1:]])
             b_means = np.array([s.post.positions.mean(axis=0) for s in run.steps])

@@ -419,7 +419,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
             record,
             domain_halfwidth=cfg.grid_halfwidth,
             points_per_axis=cfg.grid_points,
-            theta_grid=metric.nodes,
+            theta_grid=metric,
             strict=strict,
         )
         files[f"{cfg.name}_simulate_oracle.csv"] = _csv_text(
@@ -462,6 +462,7 @@ def cmd_validate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
         oracle=cfg.oracle,
         grid_points=cfg.grid_points,
         grid_halfwidth=cfg.grid_halfwidth,
+        strict=strict,
     )
     rows = []
     for r in results:
@@ -495,6 +496,7 @@ def cmd_rate_sweep(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
         grid_halfwidth=cfg.grid_halfwidth,
         error_epochs=cfg.error_epochs,
         control=(cfg.control_low, cfg.control_high) if cfg.population_control else None,
+        strict=strict,
     )
     files = {
         f"{cfg.name}_rate-sweep_errors.csv": _csv_text(
@@ -517,9 +519,9 @@ def cmd_rate_sweep(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
             f"{EXTINCTION_LIMIT}: sweep invalid"
         )
         return 3
-    if result.fit is None:
-        print("too few surviving particle counts to fit a rate")
-        return 3
+    if result.fit is None:  # an error only if extinction, not the config, left too few counts
+        print(f"no rate fit: {len(result.per_n_error)} particle count(s) with survivors, a fit needs 3")
+        return 0 if len(cfg.particle_counts) < 3 else 3
     print(
         f"rate fit: slope {result.fit.slope:.4f}, "
         f"ci [{result.slope_ci[1]:.4f}, {result.slope_ci[2]:.4f}], "
@@ -549,6 +551,7 @@ def cmd_compare_baseline(cfg: ExperimentConfig, out_dir, strict: bool = False) -
         oracle=cfg.oracle,
         grid_points=cfg.grid_points,
         grid_halfwidth=cfg.grid_halfwidth,
+        strict=strict,
     )
     columns = ("epsilon", "branching_fraction", "multinomial_fraction", "branching_error", "multinomial_error")
     rows = zip(

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .metrics import fourier
 from .observation import ObservationModel, ObservationRecord, weight
 from .stable import SignalModel, characteristic_exponent, covariance_rate
 
@@ -219,18 +220,9 @@ def update_step(grid: GridFilter, dy, obs: ObservationModel) -> GridFilter:
     return replace(grid, density=new, last_clamped=0.0)
 
 
-def grid_transform(grid: GridFilter, thetas, chunk: int = 128) -> np.ndarray:
-    """Fourier transform of the grid measure (cell-center atoms) on a frequency list."""
-    th = np.asarray(thetas, dtype=float)
-    if th.ndim == 1 and grid.dimension == 1:
-        th = th.reshape(-1, 1)
-    th = np.atleast_2d(th)
-    masses = grid.density.reshape(-1) * grid.cell_volume
-    out = np.empty(th.shape[0], dtype=complex)
-    for lo in range(0, th.shape[0], chunk):
-        block = th[lo : lo + chunk]
-        out[lo : lo + block.shape[0]] = masses @ np.exp(-1j * (grid.points @ block.T))
-    return out
+def grid_transform(grid: GridFilter, thetas) -> np.ndarray:
+    """Transform of the grid measure (cell-center atoms) on nodes or a ``FrequencyGrid``."""
+    return fourier(grid.points, grid.density.reshape(-1) * grid.cell_volume, thetas)
 
 
 @dataclass
@@ -255,7 +247,8 @@ def run_reference(
     theta_grid=None,
     strict: bool = False,
 ) -> tuple[list, GridFilter]:
-    """Alternate predict and update over the record; per-epoch summaries plus the final grid."""
+    """Alternate predict and update over the record; per-epoch summaries (with the transform
+    on ``theta_grid``, nodes or a ``FrequencyGrid``, if given) plus the final grid."""
     grid = build_grid(
         signal, obs.epsilon, domain_halfwidth, points_per_axis, strict=strict
     )

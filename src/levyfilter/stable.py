@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import fourier
+
 __all__ = [
     "SpectralMeasure",
     "InitialLaw",
@@ -286,7 +288,7 @@ def empirical_cf(samples, theta):
     if x.ndim == 1:
         x = x.reshape(-1, 1)
     th, single = _as_theta_matrix(theta, x.shape[1])
-    vals = np.exp(-1j * (x @ th.T)).mean(axis=0)
+    vals = fourier(x, None, th) / x.shape[0]
     return complex(vals[0]) if single else vals
 
 

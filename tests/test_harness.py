@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyfilter import experiments, reference
 from levyfilter.cli import main as cli_main
 from levyfilter.harness import (
     _SCHEMA,
@@ -451,6 +452,34 @@ class TestCli:
         out = capsys.readouterr().out
         assert "SKIPPED oracle_agreement" in out
         assert rc == 0
+
+    @pytest.mark.parametrize("command", ["rate-sweep", "validate", "compare-baseline"])
+    def test_strict_reaches_grid_oracle(self, tmp_path, monkeypatch, command):
+        class Reached(Exception):
+            pass
+
+        seen = []
+
+        def recording_reference(*args, strict=False, **kwargs):
+            seen.append(strict)
+            raise Reached
+
+        # the validation suite imports run_reference from reference when it runs
+        for module in (reference, experiments):
+            monkeypatch.setattr(module, "run_reference", recording_reference)
+        path = self.write_cfg(tmp_path, QUICK + "\n[rate]\nassert_slope = off\n")
+        with pytest.raises(Reached):
+            cli_main([command, "--config", path, "--out", str(tmp_path / "o"), "--strict"])
+        assert seen == [True]
+
+    def test_sweep_with_one_count_skips_fit_exit_0(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, QUICK + "\n[rate]\nassert_slope = off\n")
+        out = tmp_path / "o"
+        rc = cli_main(["rate-sweep", "--config", path, "--out", str(out)])
+        assert rc == 0
+        assert "no rate fit" in capsys.readouterr().out
+        assert (out / "quick_rate-sweep_rms.csv").exists()
+        assert not (out / "quick_rate-sweep_fit.csv").exists()
 
     def test_sweep_extinction_threshold_exit_3(self, tmp_path, capsys):
         # single-digit populations under a live channel go extinct often

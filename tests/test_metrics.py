@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from levyfilter import (
     FrequencyGrid,
@@ -11,6 +13,7 @@ from levyfilter import (
     slope_confidence,
     sobolev_norm_sq,
 )
+from levyfilter.metrics import fourier
 
 
 def atom_transform(grid, sites, masses):
@@ -41,6 +44,78 @@ class TestFrequencyGrid:
         grid = FrequencyGrid.build(1, alpha=2.0)
         assert np.all(grid.quad_weights > 0.0)
         assert np.all(grid.sobolev_weights > 0.0)
+
+
+def lattice(theta0, spacing, count):
+    """A 1-d FrequencyGrid on theta_m = theta0 + m * spacing (weights unused here)."""
+    nodes = (theta0 + spacing * np.arange(count)).reshape(-1, 1)
+    ones = np.ones(count)
+    return FrequencyGrid(nodes, ones, -1.0, float(np.abs(nodes).max()), spacing, np.arange(count)[::-1], ones)
+
+
+def fourier_bound(grid, sites, masses):
+    """1e-12 sum|m| plus the roundoff of the phases theta x, 8 eps max|theta| max|x| sum|m|."""
+    reach = float(np.abs(grid.nodes).max()) * float(np.abs(sites).max(initial=0.0))
+    return (1e-12 + 8.0 * np.finfo(float).eps * reach) * float(np.abs(masses).sum())
+
+
+atoms = st.lists(
+    st.tuples(st.floats(-100.0, 100.0), st.floats(-10.0, 10.0)), max_size=40
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    atoms=atoms,
+    theta0=st.floats(-50.0, 50.0),
+    spacing=st.floats(0.01, 2.0),
+    count=st.integers(1, 400),
+)
+@example(atoms=[], theta0=-0.5, spacing=0.1, count=10)
+@example(atoms=[(99.97, 1.0)], theta0=-39.975, spacing=0.05, count=1600)
+@example(atoms=[(-3.3, 2.0), (7.1, -0.5)], theta0=-2.0, spacing=0.25, count=17)
+def test_lattice_fourier_matches_direct_summation(atoms, theta0, spacing, count):
+    sites = np.array([[x] for x, _ in atoms]).reshape(-1, 1)
+    masses = np.array([m for _, m in atoms])
+    grid = lattice(theta0, spacing, count)
+    gap = np.abs(fourier(sites, masses, grid) - atom_transform(grid, sites, masses))
+    assert np.max(gap) <= fourier_bound(grid, sites, masses)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    atoms=atoms.filter(len),
+    cutoff=st.floats(1.0, 50.0),
+    spacing=st.floats(0.02, 0.5),
+)
+def test_lattice_fourier_is_hermitian_for_real_masses(atoms, cutoff, spacing):
+    sites = np.array([[x] for x, _ in atoms])
+    masses = np.array([m for _, m in atoms])
+    grid = FrequencyGrid.build(1, gamma=-1.0, cutoff=cutoff, spacing=spacing)
+    values = fourier(sites, masses, grid)
+    assert np.max(np.abs(values[grid.mirror] - np.conj(values))) <= fourier_bound(grid, sites, masses)
+
+
+class TestFourier:
+    def test_single_atom_anywhere_on_default_metric(self):
+        grid = FrequencyGrid.build(1, alpha=2.0)
+        for x in np.linspace(-100.0, 100.0, 801):
+            gap = np.abs(fourier([[x]], None, grid) - atom_transform(grid, [[x]], [1.0]))
+            assert np.max(gap) <= 1e-11
+
+    def test_plain_sum_equals_unit_masses(self):
+        rng = np.random.default_rng(2)
+        sites = rng.normal(size=(300, 1))
+        grid = FrequencyGrid.build(1, alpha=2.0, cutoff=10.0, spacing=0.1)
+        for nodes in (grid, grid.nodes):
+            plain = fourier(sites, None, nodes)
+            assert np.max(np.abs(plain - fourier(sites, np.ones(300), nodes))) <= 1e-12 * 300
+
+    def test_two_dimensional_grid_sums_directly(self):
+        rng = np.random.default_rng(4)
+        sites, masses = rng.normal(size=(50, 2)), rng.uniform(size=50)
+        grid = FrequencyGrid.build(2, gamma=-2.0, cutoff=3.0, spacing=0.5)
+        assert np.array_equal(fourier(sites, masses, grid), fourier(sites, masses, grid.nodes))
 
 
 class TestSobolevNorm:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyfilter import (
     InitialLaw,
@@ -89,6 +91,26 @@ class TestCharacteristicExponent:
         for c in (0.5, 2.0, 7.0):
             scaled = characteristic_exponent(c * theta, model)
             assert scaled == pytest.approx(c**alpha * base, rel=1e-10)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    alpha=st.one_of(
+        st.floats(0.01, 2.0), st.floats(1.0 - 1e-3, 1.0 + 1e-3), st.sampled_from([1.0, 2.0])
+    ),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    weight=st.floats(0.01, 10.0),
+    theta=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+)
+def test_exponent_is_hermitian_across_alpha(alpha, angle, weight, theta):
+    model = SignalModel(
+        alpha,
+        SpectralMeasure([[np.cos(angle), np.sin(angle)], [1.0, 0.0]], [weight, 1.0]),
+        InitialLaw.point([0.0, 0.0]),
+    )
+    th = np.array(theta)
+    value = characteristic_exponent(th, model)
+    assert abs(characteristic_exponent(-th, model) - np.conj(value)) <= 1e-12 * (1.0 + abs(value))
 
 
 class TestStandardStable:
