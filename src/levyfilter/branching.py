@@ -15,7 +15,7 @@ identical (parameters, stream state) gives bit-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,21 +74,6 @@ def _risky_epochs(record: ObservationRecord, obs: ObservationModel) -> np.ndarra
     return np.linalg.norm(record.increments, axis=1) * h_sup > np.log1p(MAX_RHO)
 
 
-def _epoch_weights(
-    positions: np.ndarray, record: ObservationRecord, obs: ObservationModel, k: int, risky: bool
-) -> np.ndarray:
-    """rho at epoch k.  On a risky epoch exp() may overflow: it does so silently and
-    WeightOverflowError reports it; elsewhere the bound rules overflow out."""
-    if not risky:
-        return np.atleast_1d(weight(positions, record.increments[k - 1], obs))
-    with np.errstate(over="ignore"):
-        rho = np.atleast_1d(weight(positions, record.increments[k - 1], obs))
-    top = float(np.max(rho))
-    if not top <= MAX_RHO:  # also true for NaN
-        raise WeightOverflowError(k, top)
-    return rho
-
-
 @dataclass
 class ParticleEnsemble:
     """Alive particles: positions (count, d), mass factor, time stamp."""
@@ -117,6 +102,11 @@ class ParticleEnsemble:
     def total_mass(self) -> float:
         """<mu, 1> = mass_factor * count / initial_count."""
         return self.mass_factor * self.count / self.initial_count
+
+    def _with(self, positions, mass_factor=None) -> "ParticleEnsemble":
+        """New rows under the same bookkeeping (cheaper than ``dataclasses.replace``)."""
+        factor = self.mass_factor if mass_factor is None else mass_factor
+        return ParticleEnsemble(positions, self.initial_count, factor, self.time)
 
 
 @dataclass(frozen=True)
@@ -148,28 +138,22 @@ def evolve_segment(
     """Displace every particle by an independent exact stable increment of duration dt."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if ensemble.count == 0:
-        return replace(ensemble, time=ensemble.time + dt)
-    steps = sample_increment(signal, dt, rng, size=ensemble.count)
-    return replace(ensemble, positions=ensemble.positions + steps, time=ensemble.time + dt)
+    moved = ensemble.positions
+    if ensemble.count:
+        moved = moved + sample_increment(signal, dt, rng, size=ensemble.count)
+    return ParticleEnsemble(moved, ensemble.initial_count, ensemble.mass_factor, ensemble.time + dt)
 
 
 def _offspring_counts(rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-particle offspring counts from one uniform each, plus the branch/death events.
 
-    rho >= 0: floor(rho)+1 copies, one more iff U < frac(rho);
-    rho <  0: killed iff U < |rho|.  An event is a death or a branch
-    (U < |residual| or rho >= 1)."""
-    neg = rho < 0.0
-    frac = np.where(neg, 0.0, rho - np.floor(rho))
-    counts = np.where(
-        neg,
-        (u >= -rho).astype(np.int64),
-        (np.floor(rho) + 1.0).astype(np.int64) + (u < frac),
-    )
-    residual = np.where(neg, rho, frac)
-    events = (rho >= 1.0) | (u < np.abs(residual))
-    return counts, events
+    The rule of ``offspring_parameters`` in one pass: with fl = floor(rho),
+    rho >= 0 leaves fl + 1 copies plus one iff U < rho - fl, and rho < 0
+    (fl = -1) leaves one copy iff U >= -rho.  An event (a death or a branch)
+    is exactly a count other than 1."""
+    fl = np.floor(rho)
+    counts = np.where(rho < 0.0, u >= -rho, u < rho - fl) + (fl + 1.0).astype(np.int64)
+    return counts, counts != 1
 
 
 def branch_step(
@@ -188,8 +172,7 @@ def branch_step(
     if ensemble.count == 0:
         return ensemble
     rho = np.atleast_1d(weight(ensemble.positions, dy, obs))
-    u = rng.uniform(size=ensemble.count)
-    counts, _ = _offspring_counts(rho, u)
+    counts, _ = _offspring_counts(rho, rng.uniform(size=ensemble.count))
     return _apply_offspring(ensemble, counts)[0]
 
 
@@ -197,23 +180,31 @@ def _apply_offspring(
     ensemble: ParticleEnsemble, counts: np.ndarray
 ) -> tuple[ParticleEnsemble, np.ndarray]:
     """Offspring ensemble plus, for each of its rows, the parent's row in ``ensemble``."""
-    parent_index = np.repeat(np.arange(ensemble.count), counts)
-    return replace(ensemble, positions=ensemble.positions[parent_index]), parent_index
+    offspring = ensemble._with(np.repeat(ensemble.positions, counts, axis=0))
+    return offspring, np.repeat(np.arange(ensemble.count), counts)
 
 
 @dataclass
 class FilterStep:
     """One observation epoch: the ensemble just before and just after branching.
 
-    Row i of ``post`` descends from row ``parents[i]`` of ``pre`` (non-decreasing).
+    Row i of ``pre`` left ``counts[i]`` offspring (``branch_events`` of them not 1);
+    ``control_rows`` is the mask or index population control applied, or None.
     """
 
     epoch: int
     time: float
     pre: ParticleEnsemble
     post: ParticleEnsemble
-    parents: np.ndarray
+    counts: np.ndarray
     branch_events: int
+    control_rows: np.ndarray | None = None
+
+    @property
+    def parents(self) -> np.ndarray:
+        """Row i of ``post`` descends from row ``parents[i]`` of ``pre`` (non-decreasing)."""
+        rows = np.repeat(np.arange(self.pre.count), self.counts)
+        return rows if self.control_rows is None else rows[self.control_rows]
 
 
 @dataclass
@@ -247,35 +238,45 @@ def run_filter(
     Terminates early with an extinction report if every particle dies; raises
     WeightOverflowError if a branching weight exceeds MAX_RHO.
     """
-    eps = record.epsilon
-    initial = ensemble = init_ensemble(n, signal, rng)
-    steps: list[FilterStep] = []
-    risky = _risky_epochs(record, obs)
-    for k in range(1, record.count + 1):
-        pre = evolve_segment(ensemble, signal, eps, rng)
-        rho = _epoch_weights(pre.positions, record, obs, k, risky[k - 1])
-        u = rng.uniform(size=pre.count)
-        counts, events = _offspring_counts(rho, u)
-        ensemble, parents = _apply_offspring(pre, counts)
-        if control is not None and ensemble.count > 0:
-            ensemble, rows = population_control(
-                ensemble, control.target, (control.low_ratio, control.high_ratio), rng
-            )
-            if rows is not None:
-                parents = parents[rows]
-        steps.append(
-            FilterStep(
-                epoch=k,
-                time=k * eps,
-                pre=pre,
-                post=ensemble,
-                parents=parents,
-                branch_events=int(events.sum()),
-            )
+
+    def branch(k, pre, rho):
+        counts, events = _offspring_counts(rho, rng.uniform(size=pre.count))
+        post, rows = pre._with(np.repeat(pre.positions, counts, axis=0)), None
+        if control is not None and post.count > 0:
+            band = (control.low_ratio, control.high_ratio)
+            post, rows = population_control(post, control.target, band, rng)
+        return FilterStep(
+            k, k * record.epsilon, pre, post, counts, int(np.count_nonzero(events)), rows
         )
+
+    initial, steps = _run_epochs(signal, obs, record, n, rng, branch)
+    extinct = steps[-1].epoch if steps and steps[-1].post.count == 0 else None
+    return FilterRun(initial=initial, steps=steps, extinct_epoch=extinct)
+
+
+def _run_epochs(signal, obs, record, n, rng, resample) -> tuple[ParticleEnsemble, list]:
+    """The epoch loop of both filters: evolve, weigh, then ``resample(k, pre, rho)``, which
+    returns the epoch's step; its ``post`` enters the next interval.  Stops at extinction.
+    On a risky epoch exp() may overflow: silently, and WeightOverflowError reports it;
+    elsewhere the bound rules overflow out.
+    """
+    initial = ensemble = init_ensemble(n, signal, rng)
+    risky = _risky_epochs(record, obs)
+    steps = []
+    for k in range(1, record.count + 1):
+        pre = evolve_segment(ensemble, signal, record.epsilon, rng)
+        if risky[k - 1]:
+            with np.errstate(over="ignore"):
+                rho = weight(pre.positions, record.increments[k - 1], obs)
+            if not float(np.max(rho)) <= MAX_RHO:  # also true for NaN
+                raise WeightOverflowError(k, float(np.max(rho)))
+        else:
+            rho = weight(pre.positions, record.increments[k - 1], obs)
+        steps.append(resample(k, pre, rho))
+        ensemble = steps[-1].post
         if ensemble.count == 0:
-            return FilterRun(initial=initial, steps=steps, extinct_epoch=k)
-    return FilterRun(initial=initial, steps=steps)
+            break
+    return initial, steps
 
 
 def estimate(ensemble: ParticleEnsemble, phi) -> tuple:
@@ -326,8 +327,8 @@ def _multinomial_resample(
 ) -> tuple[ParticleEnsemble, int]:
     w = 1.0 + rho
     parents = rng.choice(ensemble.count, size=ensemble.count, p=w / w.sum())
-    relocations = int(np.sum(parents != np.arange(ensemble.count)))
-    return replace(ensemble, positions=ensemble.positions[parents]), relocations
+    relocations = int(np.count_nonzero(parents != np.arange(ensemble.count)))
+    return ensemble._with(ensemble.positions[parents]), relocations
 
 
 @dataclass
@@ -349,16 +350,11 @@ def run_baseline(
 
     Raises WeightOverflowError if a weight exceeds MAX_RHO.
     """
-    eps = record.epsilon
-    ensemble = init_ensemble(n, signal, rng)
-    steps: list[BaselineStep] = []
-    risky = _risky_epochs(record, obs)
-    for k in range(1, record.count + 1):
-        ensemble = evolve_segment(ensemble, signal, eps, rng)
-        rho = _epoch_weights(ensemble.positions, record, obs, k, risky[k - 1])
-        ensemble, moved = _multinomial_resample(ensemble, rho, rng)
-        steps.append(BaselineStep(epoch=k, time=k * eps, post=ensemble, relocations=moved))
-    return steps
+
+    def resample(k, pre, rho):
+        return BaselineStep(k, k * record.epsilon, *_multinomial_resample(pre, rho, rng))
+
+    return _run_epochs(signal, obs, record, n, rng, resample)[1]
 
 
 def population_control(
@@ -381,13 +377,8 @@ def population_control(
     count = ensemble.count
     if count > hi_ratio * n_target:
         keep = rng.uniform(size=count) < 0.5
-        thinned = replace(
-            ensemble,
-            positions=ensemble.positions[keep],
-            mass_factor=ensemble.mass_factor * 2.0,
-        )
-        return thinned, keep
+        return ensemble._with(ensemble.positions[keep], ensemble.mass_factor * 2.0), keep
     if count < lo_ratio * n_target and count > 0:
-        doubled, rows = _apply_offspring(ensemble, np.full(count, 2))
-        return replace(doubled, mass_factor=ensemble.mass_factor * 0.5), rows
+        rows = np.repeat(np.arange(count), 2)
+        return ensemble._with(ensemble.positions[rows], ensemble.mass_factor * 0.5), rows
     return ensemble, None

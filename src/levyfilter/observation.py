@@ -72,8 +72,12 @@ class GaussianBumpSensor:
         pts = np.asarray(x, dtype=float)
         squeeze = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        diff = pts[:, None, :] - self.centers[None, :, :]
-        sq = np.sum(diff * diff, axis=2)
+        if pts.shape[1] == 1:  # |x - c|^2 is one square: no sum over a length-1 axis
+            diff = pts - self.centers[:, 0]
+            sq = diff * diff
+        else:
+            diff = pts[:, None, :] - self.centers[None, :, :]
+            sq = np.sum(diff * diff, axis=2)
         vals = self.amplitudes * np.exp(-0.5 * sq / (self.widths**2))
         return vals[0] if squeeze else vals
 
@@ -263,10 +267,12 @@ def simulate_scenario(
 
 def weight(x, dy, obs: ObservationModel):
     """Centered likelihood ratio rho = exp(dy' h(x) - eps (h'h)(x)/2) - 1; always > -1."""
-    h = obs.sensor(x)
+    h = np.atleast_1d(obs.sensor(x))
     dy = np.asarray(dy, dtype=float)
-    expo = h @ dy - 0.5 * obs.epsilon * np.sum(np.atleast_1d(h) ** 2, axis=-1)
-    return np.exp(expo) - 1.0
+    if h.shape[-1] == 1:  # one output: dy'h and h'h are single products, no matmul or sum
+        h = h[..., 0]
+        return np.exp(h * dy[0] - 0.5 * obs.epsilon * (h * h)) - 1.0
+    return np.exp(h @ dy - 0.5 * obs.epsilon * np.sum(h * h, axis=-1)) - 1.0
 
 
 def branch_residual(rho):
@@ -281,14 +287,15 @@ def offspring_parameters(rho):
 
     rho >= 0: floor(rho) + 1 certain copies plus one extra with probability
     rho - floor(rho); rho < 0: one copy killed with probability |rho|.  The
-    expected offspring count is exactly 1 + rho.
+    expected offspring count is exactly 1 + rho (drawn by ``branching._offspring_counts``).
     """
     r = np.asarray(rho, dtype=float)
     if np.any(r <= -1.0):
         raise ValueError("branching weight must exceed -1")
     neg = r < 0.0
-    base = np.where(neg, 1, np.floor(r) + 1).astype(int)
-    extra = np.where(neg, 0.0, r - np.floor(r))
+    fl = np.floor(r)
+    base = np.where(neg, 1, fl + 1).astype(int)
+    extra = np.where(neg, 0.0, r - fl)
     kill = np.where(neg, -r, 0.0)
     if r.ndim == 0:
         return int(base), float(extra), float(kill)

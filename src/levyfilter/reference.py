@@ -194,10 +194,7 @@ def predict_step(grid: GridFilter) -> GridFilter:
     new = np.where(negative, 0.0, new)
     total = float(new.sum() * grid.cell_volume)
     if total > 0.0 and clamped > _CLAMP_ERROR_FRACTION * total:
-        message = f"clamped mass {clamped:.3e} exceeds 1e-03 of total {total:.3e}"
-        if grid.strict:
-            raise RuntimeError(message)
-        warnings.warn(message, GridAccuracyWarning)
+        _accuracy_problem(grid, f"clamped mass {clamped:.3e} exceeds 1e-03 of total {total:.3e}")
     out = replace(
         grid,
         density=new,
@@ -206,11 +203,17 @@ def predict_step(grid: GridFilter) -> GridFilter:
     )
     frac = out.boundary_mass_fraction()
     if frac > _BOUNDARY_WARN_FRACTION:
-        warnings.warn(
-            f"boundary cells hold fraction {frac:.3e} of the mass; periodic wrap-around may bite",
-            GridAccuracyWarning,
+        _accuracy_problem(
+            grid, f"boundary cells hold fraction {frac:.3e} of the mass; periodic wrap-around may bite"
         )
     return out
+
+
+def _accuracy_problem(grid: GridFilter, message: str) -> None:
+    """A GridAccuracyWarning, or a RuntimeError when the grid is ``strict``."""
+    if grid.strict:
+        raise RuntimeError(message)
+    warnings.warn(message, GridAccuracyWarning)
 
 
 def update_step(grid: GridFilter, dy, obs: ObservationModel) -> GridFilter:

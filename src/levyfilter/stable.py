@@ -265,15 +265,13 @@ def sample_increment(model: SignalModel, dt: float, rng: np.random.Generator, si
     alpha = model.alpha
     weights = model.spectral.weights
     directions = model.spectral.directions
+    scales = dt * weights if alpha == 1.0 else (dt * weights) ** (1.0 / alpha)
+    draws = sample_standard_stable_1d(alpha, rng, size=(count, weights.shape[0]))
+    draws *= scales
+    # one atom: a product, bit-equal to the matmul and ~7x faster on (count, 1) arrays
+    out = draws * directions if weights.shape[0] == 1 else draws @ directions
     if alpha == 1.0:
-        scales = dt * weights
-        drift = (2.0 / np.pi) * (scales * np.log(scales)) @ directions
-        draws = sample_standard_stable_1d(1.0, rng, size=(count, weights.shape[0]))
-        out = (draws * scales) @ directions + drift
-    else:
-        scales = (dt * weights) ** (1.0 / alpha)
-        draws = sample_standard_stable_1d(alpha, rng, size=(count, weights.shape[0]))
-        out = (draws * scales) @ directions
+        out += (2.0 / np.pi) * (scales * np.log(scales)) @ directions
     return out[0] if size is None else out
 
 

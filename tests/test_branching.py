@@ -17,6 +17,7 @@ from levyfilter import (
     SpectralMeasure,
     WeightOverflowError,
     ZeroSensor,
+    branch_residual,
     branch_step,
     empirical_fourier,
     estimate,
@@ -349,10 +350,14 @@ class TestRunFilter:
 )
 def test_offspring_count_has_mean_one_plus_rho(rho, u):
     base, extra, kill = offspring_parameters(rho)
-    counts, _ = _offspring_counts(np.array([rho]), np.array([u]))
+    counts, events = _offspring_counts(np.array([rho]), np.array([u]))
     # count = base + 1{U < extra} - 1{U < kill}, so E_U[count] = base + extra - kill
     assert counts[0] == base + (u < extra) - (u < kill)
     assert base + extra - kill == pytest.approx(1.0 + rho, rel=1e-12, abs=1e-12)
+    # an event is a branch (rho >= 1 or U below the fractional part) or a death
+    # (U below |rho|), i.e. exactly a count other than 1
+    assert events[0] == (counts[0] != 1)
+    assert events[0] == ((rho >= 1.0) or (u < abs(branch_residual(rho))))
 
 
 class TestMultinomialBaseline:

@@ -472,6 +472,17 @@ class TestCli:
             cli_main([command, "--config", path, "--out", str(tmp_path / "o"), "--strict"])
         assert seen == [True]
 
+    def test_strict_escalates_boundary_mass_exit_3(self, tmp_path, capsys):
+        # a half-width of 5 leaves mass in the boundary cells after one predict
+        text = QUICK.replace("grid_points = 256", "grid_points = 64\ngrid_halfwidth = 5.0")
+        path = self.write_cfg(tmp_path, text)
+        with pytest.warns(reference.GridAccuracyWarning, match="boundary cells"):
+            assert cli_main(["simulate", "--config", path, "--out", str(tmp_path / "w")]) == 0
+        capsys.readouterr()
+        rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--strict"])
+        assert rc == 3
+        assert "boundary cells hold fraction" in capsys.readouterr().err
+
     def test_sweep_with_one_count_skips_fit_exit_0(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, QUICK + "\n[rate]\nassert_slope = off\n")
         out = tmp_path / "o"
