@@ -172,7 +172,7 @@ def branch_step(
     if ensemble.count == 0:
         return ensemble
     rho = np.atleast_1d(weight(ensemble.positions, dy, obs))
-    counts, _ = _offspring_counts(rho, rng.uniform(size=ensemble.count))
+    counts, _ = _offspring_counts(rho, rng.random(ensemble.count))
     return _apply_offspring(ensemble, counts)[0]
 
 
@@ -240,7 +240,7 @@ def run_filter(
     """
 
     def branch(k, pre, rho):
-        counts, events = _offspring_counts(rho, rng.uniform(size=pre.count))
+        counts, events = _offspring_counts(rho, rng.random(pre.count))
         post, rows = pre._with(np.repeat(pre.positions, counts, axis=0)), None
         if control is not None and post.count > 0:
             band = (control.low_ratio, control.high_ratio)
@@ -376,7 +376,7 @@ def population_control(
         raise ValueError("bounds must satisfy 0 < lo_ratio < 1 < hi_ratio")
     count = ensemble.count
     if count > hi_ratio * n_target:
-        keep = rng.uniform(size=count) < 0.5
+        keep = rng.random(count) < 0.5
         return ensemble._with(ensemble.positions[keep], ensemble.mass_factor * 2.0), keep
     if count < lo_ratio * n_target and count > 0:
         rows = np.repeat(np.arange(count), 2)

@@ -16,6 +16,7 @@ import configparser
 import hashlib
 import io
 import json
+import warnings
 from dataclasses import field, make_dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -31,6 +32,7 @@ from .observation import (
     GaussianBumpSensor,
     ObservationModel,
     ZeroSensor,
+    csv_text,
     simulate_scenario,
 )
 from .reference import GridDomainError, run_reference
@@ -38,6 +40,7 @@ from .seeding import substream
 from .stable import InitialLaw, SignalModel, SpectralMeasure
 
 __all__ = [
+    "AlphaNearOneWarning",
     "ConfigError",
     "ExperimentConfig",
     "parse_config",
@@ -51,6 +54,7 @@ __all__ = [
 ]
 
 EXTINCTION_LIMIT = 0.2
+ALPHA_NEAR_ONE = 0.05  # warn when 0 < |alpha - 1| < this
 
 
 class ConfigError(ValueError):
@@ -59,6 +63,10 @@ class ConfigError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+class AlphaNearOneWarning(UserWarning):
+    """signal.alpha lies near 1, where the S1 parametrization jumps."""
 
 
 class _Unparsable(ValueError):
@@ -327,20 +335,6 @@ def build_metric(cfg: ExperimentConfig) -> FrequencyGrid:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    return buf.getvalue()
-
-
 def emit_results(files: dict, out_dir, *, name: str, command: str, cfg: ExperimentConfig) -> Path:
     """Write text artifacts plus a manifest with one sha256 per file."""
     out = Path(out_dir)
@@ -368,14 +362,9 @@ def emit_results(files: dict, out_dir, *, name: str, command: str, cfg: Experime
     return manifest_path
 
 
-def _estimates_rows(run):
-    rows = []
-    for step in run.steps:
-        ens = step.post
-        mean = ens.positions.mean(axis=0) if ens.count else np.full(ens.dimension, np.nan)
-        unnorm = ens.mass_factor * ens.positions.sum(axis=0) / ens.initial_count
-        rows.append([step.epoch, step.time, ens.count, ens.total_mass] + list(unnorm) + list(mean))
-    return rows
+def _rows_to_columns(rows, width: int) -> list:
+    """Transpose a list of equal-length rows; ``width`` empty columns when there are none."""
+    return list(zip(*rows)) or [()] * width
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
@@ -384,32 +373,49 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
     path, record = simulate_scenario(
         signal, obs, cfg.horizon, substream(cfg.seed, "scenario")
     )
-    files = {}
-    truth_rows = [[k, k * cfg.epsilon] + list(x) for k, x in enumerate(path)]
-    files[f"{cfg.name}_simulate_truth.csv"] = _csv_text(
-        ["epoch", "t"] + [f"x{i}" for i in range(signal.dimension)], truth_rows
-    )
-    files[f"{cfg.name}_simulate_observations.csv"] = record.to_csv_text()
+    d = signal.dimension
+    xs = [f"x{i}" for i in range(d)]
+    epochs = np.arange(len(path))
+    files = {
+        f"{cfg.name}_simulate_truth.csv": csv_text(
+            ["epoch", "t"] + xs, [epochs, epochs * cfg.epsilon, *path.T]
+        ),
+        f"{cfg.name}_simulate_observations.csv": record.to_csv_text(),
+    }
     n = cfg.particle_counts[0]
     control = PopulationControl(n, cfg.control_low, cfg.control_high) if cfg.population_control else None
     run = run_filter(signal, obs, record, n, substream(cfg.seed, "filter", n, 0), control=control)
-    d = signal.dimension
-    files[f"{cfg.name}_simulate_estimates.csv"] = _csv_text(
+    posts = [step.post for step in run.steps]
+    sums = [e.mass_factor * e.positions.sum(axis=0) / e.initial_count for e in posts]
+    means = [e.positions.mean(axis=0) if e.count else np.full(d, np.nan) for e in posts]
+    files[f"{cfg.name}_simulate_estimates.csv"] = csv_text(
         ["epoch", "t", "count", "mass"]
         + [f"sum_x{i}_unnormalized" for i in range(d)]
         + [f"mean_x{i}" for i in range(d)],
-        _estimates_rows(run),
+        [
+            [step.epoch for step in run.steps],
+            [step.time for step in run.steps],
+            [e.count for e in posts],
+            [e.total_mass for e in posts],
+            *np.reshape(sums, (-1, d)).T,
+            *np.reshape(means, (-1, d)).T,
+        ],
     )
     if cfg.dump_particles:
-        dump_rows = []
         root = np.arange(run.initial.count)  # epoch-0 row of each alive particle
+        parents, roots = [], []
         for step in run.steps:
-            root = root[step.parents]
-            for parent, ancestor, pos in zip(step.parents, root, step.post.positions):
-                dump_rows.append([step.epoch, int(parent), int(ancestor)] + list(pos))
-        files[f"{cfg.name}_simulate_particles.csv"] = _csv_text(
-            ["epoch", "parent_row", "root_ancestor"] + [f"x{i}" for i in range(d)],
-            dump_rows,
+            parents.append(step.parents)
+            root = root[parents[-1]]
+            roots.append(root)
+        files[f"{cfg.name}_simulate_particles.csv"] = csv_text(
+            ["epoch", "parent_row", "root_ancestor"] + xs,
+            [
+                np.repeat([step.epoch for step in run.steps], [e.count for e in posts]),
+                np.concatenate(parents),
+                np.concatenate(roots),
+                *np.concatenate([e.positions for e in posts]).T,
+            ],
         )
     if cfg.oracle == "grid":
         metric = build_metric(cfg)
@@ -422,26 +428,28 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
             theta_grid=metric,
             strict=strict,
         )
-        files[f"{cfg.name}_simulate_oracle.csv"] = _csv_text(
+        files[f"{cfg.name}_simulate_oracle.csv"] = csv_text(
             ["epoch", "t", "total_mass"]
             + [f"mean_x{i}" for i in range(d)]
             + ["boundary_mass", "clamped_mass"],
             [
-                [s.epoch, s.time, s.total_mass]
-                + list(s.mean)
-                + [s.boundary_mass, s.clamped_mass]
-                for s in summaries
+                [s.epoch for s in summaries],
+                [s.time for s in summaries],
+                [s.total_mass for s in summaries],
+                *np.reshape([s.mean for s in summaries], (-1, d)).T,
+                [s.boundary_mass for s in summaries],
+                [s.clamped_mass for s in summaries],
             ],
         )
-        transform_rows = []
-        for s in summaries:
-            for node, val in zip(metric.nodes, s.transform):
-                transform_rows.append(
-                    [s.epoch] + list(node) + [val.real, val.imag]
-                )
-        files[f"{cfg.name}_simulate_oracle_transform.csv"] = _csv_text(
+        transforms = np.concatenate([s.transform for s in summaries])
+        files[f"{cfg.name}_simulate_oracle_transform.csv"] = csv_text(
             ["epoch"] + [f"theta{i}" for i in range(d)] + ["re", "im"],
-            transform_rows,
+            [
+                np.repeat([s.epoch for s in summaries], metric.node_count),
+                *np.tile(metric.nodes, (len(summaries), 1)).T,
+                transforms.real,
+                transforms.imag,
+            ],
         )
     emit_results(files, out_dir, name=cfg.name, command="simulate", cfg=cfg)
     if run.extinct:
@@ -464,11 +472,18 @@ def cmd_validate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
         grid_halfwidth=cfg.grid_halfwidth,
         strict=strict,
     )
-    rows = []
     for r in results:
         print(f"{r.status:7s} {r.name}: {r.detail}")
-        rows.append([r.name, r.status, r.detail.replace(",", ";")])
-    files = {f"{cfg.name}_validate_checks.csv": _csv_text(["check", "status", "detail"], rows)}
+    files = {
+        f"{cfg.name}_validate_checks.csv": csv_text(
+            ["check", "status", "detail"],
+            [
+                [r.name for r in results],
+                [r.status for r in results],
+                [r.detail.replace(",", ";") for r in results],
+            ],
+        )
+    }
     emit_results(files, out_dir, name=cfg.name, command="validate", cfg=cfg)
     return 0 if all(r.passed for r in results) else 1
 
@@ -499,18 +514,17 @@ def cmd_rate_sweep(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
         strict=strict,
     )
     files = {
-        f"{cfg.name}_rate-sweep_errors.csv": _csv_text(
-            ["n", "replication", "epoch", "error"], result.rows
+        f"{cfg.name}_rate-sweep_errors.csv": csv_text(
+            ["n", "replication", "epoch", "error"], _rows_to_columns(result.rows, 4)
         ),
-        f"{cfg.name}_rate-sweep_rms.csv": _csv_text(
-            ["n", "rms_error"], result.per_n_error
+        f"{cfg.name}_rate-sweep_rms.csv": csv_text(
+            ["n", "rms_error"], _rows_to_columns(result.per_n_error, 2)
         ),
     }
     if result.fit is not None:
         slope, lo, hi = result.slope_ci
-        files[f"{cfg.name}_rate-sweep_fit.csv"] = _csv_text(
-            ["scenario", "slope", "ci_low", "ci_high"],
-            [[cfg.name, slope, lo, hi]],
+        files[f"{cfg.name}_rate-sweep_fit.csv"] = csv_text(
+            ["scenario", "slope", "ci_low", "ci_high"], [[cfg.name], [slope], [lo], [hi]]
         )
     emit_results(files, out_dir, name=cfg.name, command="rate-sweep", cfg=cfg)
     if result.extinction_fraction > EXTINCTION_LIMIT:
@@ -553,15 +567,15 @@ def cmd_compare_baseline(cfg: ExperimentConfig, out_dir, strict: bool = False) -
         grid_halfwidth=cfg.grid_halfwidth,
         strict=strict,
     )
-    columns = ("epsilon", "branching_fraction", "multinomial_fraction", "branching_error", "multinomial_error")
-    rows = zip(
+    header = ("epsilon", "branching_fraction", "multinomial_fraction", "branching_error", "multinomial_error")
+    columns = (
         comparison.epsilons,
         comparison.branching_fractions,
         comparison.multinomial_fractions,
         comparison.branching_errors,
         comparison.multinomial_errors,
     )
-    files = {f"{cfg.name}_compare-baseline_comparison.csv": _csv_text(columns, rows)}
+    files = {f"{cfg.name}_compare-baseline_comparison.csv": csv_text(header, columns)}
     emit_results(files, out_dir, name=cfg.name, command="compare-baseline", cfg=cfg)
     smallest = comparison.branching_fractions[int(np.argmin(comparison.epsilons))]
     print(
@@ -575,7 +589,10 @@ def cmd_compare_baseline(cfg: ExperimentConfig, out_dir, strict: bool = False) -
 
 
 def run_command(command: str, cfg: ExperimentConfig, out_dir=None, strict: bool = False) -> int:
-    """Dispatch a CLI command; returns the process exit code."""
+    """Dispatch a CLI command; returns the process exit code.
+
+    ``strict`` escalates the alpha-near-1 warning and grid accuracy warnings to RuntimeError.
+    """
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_directory)
     handlers = {
         "simulate": cmd_simulate,
@@ -585,6 +602,15 @@ def run_command(command: str, cfg: ExperimentConfig, out_dir=None, strict: bool 
     }
     if command not in handlers:
         raise ConfigError([f"unknown command {command!r}"])
+    if 0.0 < abs(cfg.alpha - 1.0) < ALPHA_NEAR_ONE:
+        message = (
+            f"signal.alpha = {cfg.alpha} is within {ALPHA_NEAR_ONE} of 1, where the S1 "
+            "parametrization jumps (the skew term tan(pi alpha / 2) diverges), so "
+            "increments change scale abruptly with alpha"
+        )
+        if strict:
+            raise RuntimeError(message)
+        warnings.warn(message, AlphaNearOneWarning)
     try:
         return handlers[command](cfg, out, strict)
     except GridDomainError as exc:

@@ -33,6 +33,7 @@ __all__ = [
     "Sensor",
     "ObservationModel",
     "ObservationRecord",
+    "csv_text",
     "simulate_scenario",
     "weight",
     "branch_residual",
@@ -111,7 +112,10 @@ class ClippedLinearSensor:
         pts = np.asarray(x, dtype=float)
         squeeze = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        vals = np.clip(pts @ self.matrix.T, -self.clip, self.clip)
+        if self.matrix.shape == (1, 1):  # one output of one coordinate: no matmul
+            vals = np.clip(pts * self.matrix[:, 0], -self.clip, self.clip)
+        else:
+            vals = np.clip(pts @ self.matrix.T, -self.clip, self.clip)
         return vals[0] if squeeze else vals
 
     def hh_sup_bound(self) -> float:
@@ -144,6 +148,29 @@ class ZeroSensor:
 
 
 Sensor = Union[GaussianBumpSensor, ClippedLinearSensor, ZeroSensor]
+
+_CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
+_CSV_BLOCK_ROWS = 4096  # rows per `%`: bounds the size of the value tuple and the template
+
+
+def csv_text(header, columns) -> str:
+    """CSV text of equal-length columns: floats as %.17g (lossless), integers in decimal, else str.
+
+    Each block of rows is formatted by one ``%`` on a template of the block's
+    rows, with the values interleaved row by row into one tuple.
+    """
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%s") for c in columns) + "\n"
+    width = len(columns)
+    rows = len(columns[0]) if columns else 0
+    parts = [",".join(header) + "\n"]
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, rows)
+        values = [None] * ((stop - start) * width)
+        for j, column in enumerate(columns):
+            values[j::width] = column[start:stop].tolist()
+        parts.append(row * (stop - start) % tuple(values))
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -189,19 +216,13 @@ class ObservationRecord:
         return self.epsilon * np.arange(1, self.count + 1)
 
     def to_csv_text(self) -> str:
-        """Rows (k, t_k, dY components, truth components); lossless at 17 digits."""
-        d2 = self.observation_dim
-        header = ["k", "t"] + [f"dy{i}" for i in range(d2)]
+        """Rows (k, t_k, dY components, truth components) after an epsilon row; lossless."""
+        header = ["k", "t"] + [f"dy{i}" for i in range(self.observation_dim)]
+        columns = [np.arange(1, self.count + 1), self.times(), *self.increments.T]
         if self.truth is not None:
             header += [f"x{i}" for i in range(self.truth.shape[1])]
-        lines = [f"epsilon,{self.epsilon:.17g}", ",".join(header)]
-        for k in range(self.count):
-            row = [str(k + 1), f"{(k + 1) * self.epsilon:.17g}"]
-            row += [f"{v:.17g}" for v in self.increments[k]]
-            if self.truth is not None:
-                row += [f"{v:.17g}" for v in self.truth[k]]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+            columns += list(self.truth.T)
+        return f"epsilon,{self.epsilon:.17g}\n" + csv_text(header, columns)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -39,13 +39,13 @@ class FixedUniform:
     def __init__(self, values):
         self.values = np.atleast_1d(np.asarray(values, dtype=float))
 
-    def uniform(self, size=None):
+    def random(self, size=None):
         assert size == self.values.size
         return self.values.copy()
 
 
 class RecordingRng:
-    """A real Generator that also keeps every ``uniform`` draw, in call order."""
+    """A real Generator that also keeps every ``uniform`` and ``random`` draw, in call order."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
@@ -53,6 +53,11 @@ class RecordingRng:
 
     def uniform(self, *args, **kwargs):
         out = self.rng.uniform(*args, **kwargs)
+        self.uniforms.append(out)
+        return out
+
+    def random(self, *args, **kwargs):
+        out = self.rng.random(*args, **kwargs)
         self.uniforms.append(out)
         return out
 

@@ -14,6 +14,7 @@ from levyfilter import experiments, reference
 from levyfilter.cli import main as cli_main
 from levyfilter.harness import (
     _SCHEMA,
+    AlphaNearOneWarning,
     ConfigError,
     build_metric,
     build_observation,
@@ -482,6 +483,26 @@ class TestCli:
         rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--strict"])
         assert rc == 3
         assert "boundary cells hold fraction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["0.97", "1.04"])
+    def test_alpha_near_one_warns_and_strict_exits_3(self, tmp_path, capsys, alpha):
+        text = QUICK.replace("[oracle]\ngrid_points = 256", "[oracle]\nkind = none")
+        path = self.write_cfg(tmp_path, text + f"\n[signal]\nalpha = {alpha}\n")
+        with pytest.warns(AlphaNearOneWarning, match=f"signal.alpha = {alpha}"):
+            assert cli_main(["simulate", "--config", path, "--out", str(tmp_path / "w")]) == 0
+        capsys.readouterr()
+        rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--strict"])
+        assert rc == 3
+        assert f"signal.alpha = {alpha}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error::levyfilter.harness.AlphaNearOneWarning")
+    @pytest.mark.parametrize("alpha", ["1.0", "0.95", "1.05", "2.0"])
+    def test_alpha_away_from_the_band_is_silent(self, tmp_path, alpha):
+        text = QUICK.replace("[oracle]\ngrid_points = 256", "[oracle]\nkind = none")
+        path = self.write_cfg(tmp_path, text + f"\n[signal]\nalpha = {alpha}\n")
+        rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--strict"])
+        assert rc == 0
 
     def test_sweep_with_one_count_skips_fit_exit_0(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, QUICK + "\n[rate]\nassert_slope = off\n")
