@@ -32,22 +32,20 @@ from .observation import (
     ObservationRecord,
     simulate_scenario,
     weight,
-    branch_residual,
     offspring_parameters,
 )
 from .branching import (
     ExtinctionError,
     WeightOverflowError,
+    PopulationGrowthError,
     ParticleEnsemble,
     PopulationControl,
     FilterRun,
     init_ensemble,
     evolve_segment,
-    branch_step,
     run_filter,
     estimate,
     empirical_fourier,
-    multinomial_baseline_step,
     run_baseline,
     population_control,
 )

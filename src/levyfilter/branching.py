@@ -26,18 +26,18 @@ from .stable import SignalModel, sample_increment
 __all__ = [
     "ExtinctionError",
     "WeightOverflowError",
+    "PopulationGrowthError",
     "MAX_RHO",
+    "MAX_GROWTH",
     "ParticleEnsemble",
     "PopulationControl",
     "FilterStep",
     "FilterRun",
     "init_ensemble",
     "evolve_segment",
-    "branch_step",
     "run_filter",
     "estimate",
     "empirical_fourier",
-    "multinomial_baseline_step",
     "run_baseline",
     "population_control",
 ]
@@ -66,6 +66,26 @@ class WeightOverflowError(RuntimeError):
         )
         self.epoch = epoch
         self.max_rho = max_rho
+
+
+# Largest population, as a multiple of the initial count n, that a run accepts.
+# The population follows the filter's unnormalized mass, which can grow without
+# bound; the cap stops such a run before it exhausts memory, far above the
+# peaks of the shipped workloads (under 20 n).
+MAX_GROWTH = 1024
+
+
+class PopulationGrowthError(RuntimeError):
+    """A population grew past MAX_GROWTH times its initial count."""
+
+    def __init__(self, epoch: int, count: int, cap: int):
+        super().__init__(
+            f"population growth at observation epoch {epoch}: "
+            f"{count} particles exceed the cap {cap} ({MAX_GROWTH} times the initial count)"
+        )
+        self.epoch = epoch
+        self.count = count
+        self.cap = cap
 
 
 def _risky_epochs(record: ObservationRecord, obs: ObservationModel) -> np.ndarray:
@@ -156,34 +176,6 @@ def _offspring_counts(rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.nd
     return counts, counts != 1
 
 
-def branch_step(
-    ensemble: ParticleEnsemble,
-    dy,
-    obs: ObservationModel,
-    rng: np.random.Generator,
-) -> ParticleEnsemble:
-    """Replace each particle by its offspring at the same site, one uniform per particle.
-
-    Offspring inherit the parent position exactly and sit in parent order.
-    The conditional expected contribution of a particle to any estimate is
-    (1 + rho) times its own, so the step is unbiased.  An empty result
-    (extinction) is legal.
-    """
-    if ensemble.count == 0:
-        return ensemble
-    rho = np.atleast_1d(weight(ensemble.positions, dy, obs))
-    counts, _ = _offspring_counts(rho, rng.random(ensemble.count))
-    return _apply_offspring(ensemble, counts)[0]
-
-
-def _apply_offspring(
-    ensemble: ParticleEnsemble, counts: np.ndarray
-) -> tuple[ParticleEnsemble, np.ndarray]:
-    """Offspring ensemble plus, for each of its rows, the parent's row in ``ensemble``."""
-    offspring = ensemble._with(np.repeat(ensemble.positions, counts, axis=0))
-    return offspring, np.repeat(np.arange(ensemble.count), counts)
-
-
 @dataclass
 class FilterStep:
     """One observation epoch: the ensemble just before and just after branching.
@@ -236,7 +228,8 @@ def run_filter(
     """Alternate evolve and branch over the record; keep pre/post snapshots per epoch.
 
     Terminates early with an extinction report if every particle dies; raises
-    WeightOverflowError if a branching weight exceeds MAX_RHO.
+    WeightOverflowError if a branching weight exceeds MAX_RHO, and
+    PopulationGrowthError if the population exceeds MAX_GROWTH * n.
     """
 
     def branch(k, pre, rho):
@@ -256,7 +249,8 @@ def run_filter(
 
 def _run_epochs(signal, obs, record, n, rng, resample) -> tuple[ParticleEnsemble, list]:
     """The epoch loop of both filters: evolve, weigh, then ``resample(k, pre, rho)``, which
-    returns the epoch's step; its ``post`` enters the next interval.  Stops at extinction.
+    returns the epoch's step; its ``post`` enters the next interval.  Stops at extinction;
+    raises PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
     On a risky epoch exp() may overflow: silently, and WeightOverflowError reports it;
     elsewhere the bound rules overflow out.
     """
@@ -274,6 +268,8 @@ def _run_epochs(signal, obs, record, n, rng, resample) -> tuple[ParticleEnsemble
             rho = weight(pre.positions, record.increments[k - 1], obs)
         steps.append(resample(k, pre, rho))
         ensemble = steps[-1].post
+        if ensemble.count > MAX_GROWTH * n:
+            raise PopulationGrowthError(k, ensemble.count, MAX_GROWTH * n)
         if ensemble.count == 0:
             break
     return initial, steps
@@ -304,11 +300,8 @@ def empirical_fourier(ensemble: ParticleEnsemble, thetas) -> np.ndarray:
     return ensemble.mass_factor * fourier(ensemble.positions, None, thetas) / ensemble.initial_count
 
 
-def multinomial_baseline_step(
-    ensemble: ParticleEnsemble,
-    dy,
-    obs: ObservationModel,
-    rng: np.random.Generator,
+def _multinomial_resample(
+    ensemble: ParticleEnsemble, rho: np.ndarray, rng: np.random.Generator
 ) -> tuple[ParticleEnsemble, int]:
     """Constant-population multinomial resampling with weights 1 + rho.
 
@@ -316,15 +309,6 @@ def multinomial_baseline_step(
     proportional to the parent weight.  Returns the new ensemble and the
     relocation count (particles whose site differs from their own old one).
     """
-    if ensemble.count == 0:
-        raise ValueError("multinomial step requires a nonempty ensemble")
-    rho = np.atleast_1d(weight(ensemble.positions, dy, obs))
-    return _multinomial_resample(ensemble, rho, rng)
-
-
-def _multinomial_resample(
-    ensemble: ParticleEnsemble, rho: np.ndarray, rng: np.random.Generator
-) -> tuple[ParticleEnsemble, int]:
     w = 1.0 + rho
     parents = rng.choice(ensemble.count, size=ensemble.count, p=w / w.sum())
     relocations = int(np.count_nonzero(parents != np.arange(ensemble.count)))

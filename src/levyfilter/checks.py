@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branching import empirical_fourier, run_baseline, run_filter
+from .branching import _offspring_counts, empirical_fourier, run_baseline, run_filter
 from .metrics import fourier
 from .observation import (
     GaussianBumpSensor,
@@ -22,6 +22,7 @@ from .observation import (
     simulate_scenario,
     weight,
 )
+from .reference import ClipRegionError, clip_margin, oracle_summaries
 from .seeding import substream
 from .stable import (
     InitialLaw,
@@ -114,14 +115,9 @@ def check_offspring_unbiasedness(seed: int, scale: float = 1.0) -> CheckResult:
     draws = _count(100_000, scale, 5000)
     rng = substream(seed, "offspring")
     worst_z = 0.0
-    for rho, b, e, q in zip(rho_grid, base, extra, kill):
-        u = rng.uniform(size=draws)
-        if q > 0.0:
-            counts = (u >= q).astype(float)
-            var = q * (1.0 - q)
-        else:
-            counts = b + (u < e)
-            var = e * (1.0 - e)
+    for rho, e, q in zip(rho_grid, extra, kill):
+        counts, _ = _offspring_counts(np.full(draws, rho), rng.uniform(size=draws))
+        var = q * (1.0 - q) if q > 0.0 else e * (1.0 - e)
         se = np.sqrt(max(var, 1e-300) / draws)
         gap = abs(counts.mean() - (1.0 + rho))
         worst_z = max(worst_z, gap / se if var > 0.0 else (0.0 if gap == 0.0 else np.inf))
@@ -406,10 +402,8 @@ def check_oracle_agreement(
     """Particle normalized mean tracks the configured particle-free reference.
 
     SKIPPED when no oracle is configured; ``strict`` is passed to the grid oracle.
+    FAIL when, under the kalman oracle, the truth or a particle left the clip region.
     """
-    from .observation import ClippedLinearSensor
-    from .reference import _kalman_from_law, run_reference
-
     if oracle == "none":
         return CheckResult(
             "oracle_agreement", "SKIPPED", "no oracle configured; nothing to compare"
@@ -421,42 +415,23 @@ def check_oracle_agreement(
     run = run_filter(signal, obs, record, n_eff, substream(seed, "oracle-run"))
     if run.extinct:
         return CheckResult("oracle_agreement", "FAIL", "particle system went extinct")
-    particle_means = np.array([s.post.positions.mean(axis=0) for s in run.steps])
+    summaries = oracle_summaries(
+        signal,
+        obs,
+        record,
+        oracle,
+        grid_points=grid_points,
+        grid_halfwidth=grid_halfwidth,
+        strict=strict,
+    )
     if oracle == "kalman":
-        sensor = obs.sensor
-        if not isinstance(sensor, ClippedLinearSensor):
-            return CheckResult(
-                "oracle_agreement",
-                "FAIL",
-                "kalman oracle requires the clipped-linear sensor",
-            )
-        worst = max(
-            float(np.abs(truth @ sensor.matrix.T).max()),
-            max(
-                float(np.abs(s.post.positions @ sensor.matrix.T).max())
-                for s in run.steps
-            ),
-        )
-        if worst >= sensor.clip:
-            return CheckResult(
-                "oracle_agreement",
-                "FAIL",
-                f"clip region violated (|Bx| reached {worst:.2f} >= {sensor.clip}); "
-                "scenario invalid for the kalman oracle",
-            )
-        _, means, covs = _kalman_from_law(signal, sensor.matrix, record)
-        spread = float(np.sqrt(np.mean([np.trace(c) for c in covs])))
-    else:
-        summaries, _ = run_reference(
-            signal,
-            obs,
-            record,
-            domain_halfwidth=grid_halfwidth,
-            points_per_axis=grid_points,
-            strict=strict,
-        )
-        means = np.array([s.mean for s in summaries[1:]])
-        spread = float(np.sqrt(np.mean([s.variance.sum() for s in summaries[1:]])))
+        try:
+            clip_margin(obs.sensor, [truth] + [s.post.positions for s in run.steps])
+        except ClipRegionError as exc:
+            return CheckResult("oracle_agreement", "FAIL", str(exc))
+    particle_means = np.array([s.post.positions.mean(axis=0) for s in run.steps])
+    means = np.array([s.mean for s in summaries[1:]])
+    spread = float(np.sqrt(np.mean([s.variance.sum() for s in summaries[1:]])))
     rms = float(np.sqrt(np.mean(np.sum((particle_means - means) ** 2, axis=1))))
     bound = 8.0 * spread / np.sqrt(n_eff)
     ok = rms < bound

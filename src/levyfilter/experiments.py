@@ -13,8 +13,8 @@ import numpy as np
 
 from .branching import PopulationControl, run_baseline, run_filter
 from .metrics import FrequencyGrid, RateFit, filter_error, fourier, rate_fit, slope_confidence
-from .observation import ClippedLinearSensor, ObservationModel, simulate_scenario
-from .reference import _kalman_from_law, run_reference
+from .observation import ObservationModel, simulate_scenario
+from .reference import clip_margin, oracle_summaries
 from .seeding import substream
 from .stable import SignalModel
 
@@ -72,16 +72,24 @@ def rate_sweep(
     measured decay in n is the Monte Carlo rate.  ``error_epochs`` is
     ``"final"`` (error at the terminal epoch only) or ``"all"``.  ``control``
     is a band ``(low_ratio, high_ratio)``: each run of n particles then runs
-    under ``PopulationControl(n, low_ratio, high_ratio)``.  ``strict`` goes to the grid oracle.
+    under ``PopulationControl(n, low_ratio, high_ratio)``.  ``strict`` goes to the grid oracle;
+    under the kalman oracle every run must keep to the sensor's clip region.
     """
-    if oracle not in ("grid", "kalman"):
-        raise ValueError("rate sweep needs a grid or kalman oracle")
-    _, record = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
-    targets = _oracle_transforms(signal, obs, record, metric, oracle, grid_points, grid_halfwidth, strict)
+    truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
+    targets = oracle_summaries(
+        signal,
+        obs,
+        record,
+        oracle,
+        grid_points=grid_points,
+        grid_halfwidth=grid_halfwidth,
+        metric=metric,
+        strict=strict,
+    )
     epochs = (
         range(1, record.count + 1) if error_epochs == "all" else (record.count,)
     )
-    normalized = oracle == "kalman"
+    kalman = oracle == "kalman"  # a normalized posterior, exact only inside the clip region
     rows = []
     per_n_error = []
     extinct_runs = 0
@@ -94,15 +102,17 @@ def rate_sweep(
             run = run_filter(
                 signal, obs, record, n, substream(seed, "sweep-run", n, rep), control=n_control
             )
+            if kalman:
+                clip_margin(obs.sensor, [truth] + [step.post.positions for step in run.steps])
             if run.extinct:
                 extinct_runs += 1
                 continue
             for k in epochs:
                 ensemble = run.steps[k - 1].post
                 values = ensemble_transform(ensemble, metric)
-                if normalized and ensemble.total_mass > 0.0:
+                if kalman and ensemble.total_mass > 0.0:
                     values = values / ensemble.total_mass
-                err = filter_error(values, targets[k], metric)
+                err = filter_error(values, targets[k].transform, metric)
                 rows.append((n, rep, k, err))
                 if k == record.count:
                     final_sq.append(err * err)
@@ -119,36 +129,6 @@ def rate_sweep(
         total_runs=total_runs,
         epsilon=obs.epsilon,
     )
-
-
-def _oracle_transforms(signal, obs, record, metric, oracle, grid_points, grid_halfwidth, strict):
-    """Per-epoch transform of the reference filter on the metric nodes."""
-    targets = {}
-    if oracle == "grid":
-        summaries, _ = run_reference(
-            signal,
-            obs,
-            record,
-            domain_halfwidth=grid_halfwidth,
-            points_per_axis=grid_points,
-            theta_grid=metric,
-            strict=strict,
-        )
-        for s in summaries:
-            targets[s.epoch] = s.transform
-        return targets
-    sensor = obs.sensor
-    if not isinstance(sensor, ClippedLinearSensor):
-        raise ValueError("kalman oracle requires the clipped-linear sensor")
-    if signal.alpha != 2.0:
-        raise ValueError("kalman oracle requires alpha = 2")
-    cov0, means, covs = _kalman_from_law(signal, sensor.matrix, record)
-    th, mean0 = metric.nodes, signal.initial_law.center
-    targets[0] = np.exp(-1j * (th @ mean0) - 0.5 * np.einsum("mi,ij,mj->m", th, cov0, th))
-    for k in range(1, record.count + 1):
-        quad = np.einsum("mi,ij,mj->m", th, covs[k - 1], th)
-        targets[k] = np.exp(-1j * (th @ means[k - 1]) - 0.5 * quad)
-    return targets
 
 
 @dataclass
@@ -180,20 +160,15 @@ def kalman_crosscheck(
 
     Pools the squared error over replications and epochs per particle count;
     the tolerance at the reference count is five posterior standard
-    deviations over sqrt(n).  Verifies post hoc that the truth and every
-    particle stayed inside the sensor's linear region.
+    deviations over sqrt(n).  After each run, checks that the truth and every
+    particle stayed inside the sensor's linear region (``ClipRegionError``).
     """
-    sensor = obs.sensor
-    if not isinstance(sensor, ClippedLinearSensor):
-        raise ValueError("kalman cross-check requires the clipped-linear sensor")
-    if signal.alpha != 2.0:
-        raise ValueError("kalman cross-check requires alpha = 2")
     truth, record = simulate_scenario(
         signal, obs, horizon, substream(seed, "kalman-record")
     )
-    _, means, covs = _kalman_from_law(signal, sensor.matrix, record)
-    posterior_std = float(np.sqrt(np.mean([np.trace(c) for c in covs])))
-    largest_projection = float(np.abs(truth @ sensor.matrix.T).max())
+    posterior = oracle_summaries(signal, obs, record, "kalman")
+    posterior_std = float(np.sqrt(np.mean([s.variance.sum() for s in posterior[1:]])))
+    margin = float("inf")
     per_n_rms = []
     reference_rms = np.nan
     for n in sorted(set(list(ns) + [reference_n])):
@@ -204,23 +179,16 @@ def kalman_crosscheck(
             )
             if run.extinct:
                 raise RuntimeError("extinction in the kalman cross-check scenario")
+            posts = [step.post.positions for step in run.steps]
+            margin = min(margin, clip_margin(obs.sensor, [truth] + posts))
             for step in run.steps:
-                largest_projection = max(
-                    largest_projection,
-                    float(np.abs(step.post.positions @ sensor.matrix.T).max()),
-                )
-                gap = step.post.positions.mean(axis=0) - means[step.epoch - 1]
+                gap = step.post.positions.mean(axis=0) - posterior[step.epoch].mean
                 sq.append(float(gap @ gap))
         rms = float(np.sqrt(np.mean(sq)))
         if n == reference_n:
             reference_rms = rms
         if n in ns:
             per_n_rms.append((n, rms))
-    clip_margin = sensor.clip - largest_projection
-    if clip_margin <= 0.0:
-        raise RuntimeError(
-            "clip region violated; scenario invalid for the kalman oracle"
-        )
     return KalmanCrosscheckResult(
         per_n_rms=per_n_rms,
         reference_n=reference_n,
@@ -228,7 +196,7 @@ def kalman_crosscheck(
         tolerance=5.0 * posterior_std / np.sqrt(reference_n),
         fit=rate_fit(per_n_rms) if len(per_n_rms) >= 3 else None,
         posterior_std=posterior_std,
-        clip_margin=clip_margin,
+        clip_margin=margin,
     )
 
 
@@ -237,7 +205,7 @@ class BaselineComparison:
     epsilons: list
     branching_fractions: list      # mean per-epoch branch/death fraction per eps
     multinomial_fractions: list    # mean per-epoch relocation fraction per eps
-    branching_errors: list         # mean |normalized mean - oracle mean| per eps (nan without oracle)
+    branching_errors: list         # mean |normalized mean - oracle mean| per eps (nan without one)
     multinomial_errors: list
     slope: float                   # log-log slope of the branching fraction in eps
 
@@ -255,12 +223,13 @@ def baseline_comparison(
     grid_halfwidth: float = 10.0,
     strict: bool = False,
 ) -> BaselineComparison:
-    """Branching versus multinomial resampling on identical records, per eps."""
+    """Branching versus multinomial resampling on identical records, per eps; the errors are
+    against the grid or kalman oracle (every particle kept to the kalman clip region)."""
     b_fracs, m_fracs, b_errs, m_errs = [], [], [], []
     for eps in epsilons:
         obs = ObservationModel(sensor, eps)
         tag = int(round(1e6 * eps))
-        _, record = simulate_scenario(
+        truth, record = simulate_scenario(
             signal, obs, horizon, substream(seed, "baseline-record", tag)
         )
         run = run_filter(signal, obs, record, n, substream(seed, "baseline-branch", tag))
@@ -271,23 +240,23 @@ def baseline_comparison(
             signal, obs, record, n, substream(seed, "baseline-multi", tag)
         )
         m_fracs.append(float(np.mean([s.relocations / n for s in steps])))
-        if oracle == "grid":
-            summaries, _ = run_reference(
+        oracle_means = np.nan  # no oracle: nan errors
+        if oracle != "none":
+            summaries = oracle_summaries(
                 signal,
                 obs,
                 record,
-                domain_halfwidth=grid_halfwidth,
-                points_per_axis=grid_points,
+                oracle,
+                grid_points=grid_points,
+                grid_halfwidth=grid_halfwidth,
                 strict=strict,
             )
+            if oracle == "kalman":
+                clip_margin(sensor, [truth] + [s.post.positions for s in run.steps + steps])
             oracle_means = np.array([s.mean for s in summaries[1:]])
-            b_means = np.array([s.post.positions.mean(axis=0) for s in run.steps])
-            m_means = np.array([s.post.positions.mean(axis=0) for s in steps])
-            b_errs.append(float(np.mean(np.abs(b_means - oracle_means))))
-            m_errs.append(float(np.mean(np.abs(m_means - oracle_means))))
-        else:
-            b_errs.append(float("nan"))
-            m_errs.append(float("nan"))
+        for errs, filter_steps in ((b_errs, run.steps), (m_errs, steps)):
+            means = np.array([s.post.positions.mean(axis=0) for s in filter_steps])
+            errs.append(float(np.mean(np.abs(means - oracle_means))))
     slope = float(np.polyfit(np.log(epsilons), np.log(b_fracs), 1)[0])
     return BaselineComparison(
         epsilons=list(epsilons),

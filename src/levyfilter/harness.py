@@ -23,7 +23,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .branching import PopulationControl, run_filter
+from .branching import PopulationControl, PopulationGrowthError, run_filter
 from .checks import default_validation_suite
 from .experiments import baseline_comparison, rate_sweep
 from .metrics import FrequencyGrid, default_gamma
@@ -35,7 +35,7 @@ from .observation import (
     csv_text,
     simulate_scenario,
 )
-from .reference import GridDomainError, run_reference
+from .reference import GridDomainError, kalman_sensor, oracle_summaries
 from .seeding import substream
 from .stable import InitialLaw, SignalModel, SpectralMeasure
 
@@ -263,19 +263,6 @@ def parse_config(text: str) -> ExperimentConfig:
         not (0 < e <= 1) for e in cfg.baseline_epsilons
     ):
         violations.append("baseline.epsilons: every entry must lie in (0, 1]")
-    if (
-        cfg.oracle == "kalman"
-        and None not in (cfg.sensor, cfg.alpha, cfg.initial_law)
-        and not (
-            cfg.sensor == "clipped_linear"
-            and cfg.alpha == 2.0
-            and cfg.initial_law in ("point", "gaussian")
-        )
-    ):
-        violations.append(
-            "oracle.kind: kalman needs observation.sensor = clipped_linear, "
-            "signal.alpha = 2 and signal.initial_law = point or gaussian"
-        )
     if not violations:
         violations = _model_violations(cfg)
     if violations:
@@ -291,16 +278,22 @@ _SENSOR_KEYS = {
 
 
 def _model_violations(cfg: ExperimentConfig) -> list:
-    """Build the signal and observation models; one violation naming the keys per rejection."""
-    violations = []
+    """Build the signal and observation models and check that a kalman oracle can solve
+    them; one violation naming the keys per rejection."""
+    violations, models = [], []
     for keys, build in (
         ("signal.initial_center/initial_scale", build_signal),
         (_SENSOR_KEYS[cfg.sensor], build_observation),
     ):
         try:
-            build(cfg)
+            models.append(build(cfg))
         except (TypeError, ValueError) as exc:
             violations.append(f"{keys}: {exc}")
+    if cfg.oracle == "kalman" and not violations:
+        try:
+            kalman_sensor(*models)
+        except ValueError as exc:
+            violations.append(f"oracle.kind: {exc}")
     return violations
 
 
@@ -419,13 +412,14 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
         )
     if cfg.oracle == "grid":
         metric = build_metric(cfg)
-        summaries, _ = run_reference(
+        summaries = oracle_summaries(
             signal,
             obs,
             record,
-            domain_halfwidth=cfg.grid_halfwidth,
-            points_per_axis=cfg.grid_points,
-            theta_grid=metric,
+            "grid",
+            grid_points=cfg.grid_points,
+            grid_halfwidth=cfg.grid_halfwidth,
+            metric=metric,
             strict=strict,
         )
         files[f"{cfg.name}_simulate_oracle.csv"] = csv_text(
@@ -615,3 +609,7 @@ def run_command(command: str, cfg: ExperimentConfig, out_dir=None, strict: bool 
         return handlers[command](cfg, out, strict)
     except GridDomainError as exc:
         raise ConfigError([f"oracle.grid_halfwidth/signal.initial_center: {exc}"]) from exc
+    except PopulationGrowthError as exc:
+        if command in ("simulate", "rate-sweep"):  # the commands that honour the key
+            raise RuntimeError(f"run.population_control: {exc}") from exc
+        raise

@@ -36,7 +36,6 @@ __all__ = [
     "csv_text",
     "simulate_scenario",
     "weight",
-    "branch_residual",
     "offspring_parameters",
 ]
 
@@ -294,13 +293,6 @@ def weight(x, dy, obs: ObservationModel):
         h = h[..., 0]
         return np.exp(h * dy[0] - 0.5 * obs.epsilon * (h * h)) - 1.0
     return np.exp(h @ dy - 0.5 * obs.epsilon * np.sum(h * h, axis=-1)) - 1.0
-
-
-def branch_residual(rho):
-    """Residual xi: rho itself when negative, else its fractional part; lies in (-1, 1)."""
-    rho = np.asarray(rho, dtype=float)
-    out = np.where(rho < 0.0, rho, rho - np.floor(rho))
-    return float(out) if out.ndim == 0 else out
 
 
 def offspring_parameters(rho):

@@ -9,7 +9,8 @@ conditions, so the domain must comfortably contain the filter mass; boundary
 and clamped-mass diagnostics make the discretization error observable.
 
 For alpha = 2 with an unclipped linear sensor the exact normalized filter is
-Gaussian and ``kalman_reference`` provides it in closed form.
+Gaussian and ``kalman_reference`` provides it in closed form.  Every command
+reads its reference posterior, of either kind, from ``oracle_summaries``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import fourier
-from .observation import ObservationModel, ObservationRecord, weight
+from .observation import ClippedLinearSensor, ObservationModel, ObservationRecord, weight
 from .stable import SignalModel, characteristic_exponent, covariance_rate
 
 __all__ = [
@@ -32,8 +33,12 @@ __all__ = [
     "predict_step",
     "update_step",
     "grid_transform",
-    "GridEpochSummary",
+    "OracleSummary",
     "run_reference",
+    "oracle_summaries",
+    "kalman_sensor",
+    "ClipRegionError",
+    "clip_margin",
     "kalman_reference",
 ]
 
@@ -229,15 +234,17 @@ def grid_transform(grid: GridFilter, thetas) -> np.ndarray:
 
 
 @dataclass
-class GridEpochSummary:
+class OracleSummary:
+    """One epoch of a reference posterior; the grid diagnostics are nan for the Kalman one."""
+
     epoch: int
     time: float
-    total_mass: float
     mean: np.ndarray
-    variance: np.ndarray
-    boundary_mass: float
-    clamped_mass: float
+    variance: np.ndarray        # per axis
     transform: np.ndarray | None = None
+    total_mass: float = math.nan
+    boundary_mass: float = math.nan
+    clamped_mass: float = math.nan
 
 
 def run_reference(
@@ -263,8 +270,8 @@ def run_reference(
     return summaries, grid
 
 
-def _summarize(grid: GridFilter, epoch: int, theta_grid) -> GridEpochSummary:
-    return GridEpochSummary(
+def _summarize(grid: GridFilter, epoch: int, theta_grid) -> OracleSummary:
+    return OracleSummary(
         epoch=epoch,
         time=epoch * grid.epsilon,
         total_mass=grid.total_mass,
@@ -274,6 +281,78 @@ def _summarize(grid: GridFilter, epoch: int, theta_grid) -> GridEpochSummary:
         clamped_mass=grid.clamped_mass,
         transform=None if theta_grid is None else grid_transform(grid, theta_grid),
     )
+
+
+def oracle_summaries(
+    signal: SignalModel,
+    obs: ObservationModel,
+    record: ObservationRecord,
+    kind: str,
+    *,
+    grid_points: int = 512,
+    grid_halfwidth: float = 10.0,
+    metric=None,
+    strict: bool = False,
+) -> list:
+    """The reference posterior every command compares against: one summary per epoch 0..K.
+
+    ``kind`` "grid" runs the unnormalized grid filter (``strict`` escalates its accuracy
+    warnings); "kalman" gives the exact normalized Gaussian posterior once
+    ``kalman_sensor`` accepts the scenario.  With ``metric`` each summary carries the
+    transform on its nodes.
+    """
+    if kind == "grid":
+        return run_reference(
+            signal,
+            obs,
+            record,
+            domain_halfwidth=grid_halfwidth,
+            points_per_axis=grid_points,
+            theta_grid=metric,
+            strict=strict,
+        )[0]
+    if kind != "kalman":
+        raise ValueError(f"no reference posterior for oracle kind {kind!r}")
+    law, d = signal.initial_law, signal.dimension
+    cov0 = np.diag(law.scale**2) if law.kind == "gaussian" else np.zeros((d, d))
+    matrix, rate = kalman_sensor(signal, obs).matrix, covariance_rate(signal.spectral)
+    means, covs = kalman_reference(record, matrix, law.center, cov0, rate)
+    summaries = []
+    for k, (mean, cov) in enumerate(zip([law.center, *means], [cov0, *covs])):
+        transform = None
+        if metric is not None:
+            th = metric.nodes
+            transform = np.exp(-1j * (th @ mean) - 0.5 * np.einsum("mi,ij,mj->m", th, cov, th))
+        summaries.append(OracleSummary(k, k * record.epsilon, mean, np.diag(cov).copy(), transform))
+    return summaries
+
+
+def kalman_sensor(signal: SignalModel, obs: ObservationModel) -> ClippedLinearSensor:
+    """The sensor, once the scenario is one the Kalman posterior solves exactly."""
+    gaussian_prior = signal.initial_law.kind in ("point", "gaussian")
+    if not (isinstance(obs.sensor, ClippedLinearSensor) and signal.alpha == 2.0 and gaussian_prior):
+        raise ValueError(
+            "kalman needs observation.sensor = clipped_linear, "
+            "signal.alpha = 2 and signal.initial_law = point or gaussian"
+        )
+    return obs.sensor
+
+
+class ClipRegionError(RuntimeError):
+    """The truth or a particle left the sensor's linear region, where Kalman is exact."""
+
+
+def clip_margin(sensor: ClippedLinearSensor, point_sets) -> float:
+    """Clip bound minus the largest |Bx| over the point sets (the truth, the particles);
+    ClipRegionError when it is not positive."""
+    projections = [np.abs(points @ sensor.matrix.T).max() for points in point_sets if len(points)]
+    largest = float(max(projections, default=0.0))
+    if largest >= sensor.clip:
+        raise ClipRegionError(
+            f"observation.linear_clip: clip region violated (|Bx| reached {largest:.2f} "
+            f">= {sensor.clip}); scenario invalid for the kalman oracle"
+        )
+    return sensor.clip - largest
 
 
 def kalman_reference(
@@ -309,17 +388,3 @@ def kalman_reference(
         means[k] = m
         covs[k] = P
     return means, covs
-
-
-def _kalman_from_law(signal: SignalModel, matrix, record: ObservationRecord):
-    """(prior covariance, posterior means, posterior covariances) from the signal's own
-    initial law (Gaussian or point) and covariance rate; alpha = 2 and a linear sensor."""
-    law = signal.initial_law
-    if law.kind not in ("point", "gaussian"):
-        raise ValueError(f"kalman oracle needs a point or gaussian initial law, not {law.kind}")
-    d = signal.dimension
-    cov0 = np.diag(law.scale**2) if law.kind == "gaussian" else np.zeros((d, d))
-    means, covs = kalman_reference(
-        record, matrix, law.center, cov0, covariance_rate(signal.spectral)
-    )
-    return cov0, means, covs

@@ -15,33 +15,41 @@ from levyfilter import (
     PopulationControl,
     SignalModel,
     SpectralMeasure,
+    PopulationGrowthError,
     WeightOverflowError,
     ZeroSensor,
-    branch_residual,
-    branch_step,
     empirical_fourier,
     estimate,
     evolve_segment,
     init_ensemble,
-    multinomial_baseline_step,
     offspring_parameters,
     population_control,
     run_baseline,
     run_filter,
     weight,
 )
-from levyfilter.branching import MAX_RHO, _apply_offspring, _offspring_counts
+from levyfilter.branching import (
+    MAX_GROWTH,
+    MAX_RHO,
+    FilterStep,
+    _multinomial_resample,
+    _offspring_counts,
+)
 
 
 class FixedUniform:
-    """Stub random stream handing out preset uniforms (branching tests only)."""
+    """A real Generator whose ``random``, the branching draw, hands out preset uniforms."""
 
-    def __init__(self, values):
+    def __init__(self, values, seed=0):
         self.values = np.atleast_1d(np.asarray(values, dtype=float))
+        self.rng = np.random.default_rng(seed)
 
     def random(self, size=None):
         assert size == self.values.size
         return self.values.copy()
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 class RecordingRng:
@@ -143,73 +151,72 @@ class TestEvolve:
 
 
 class TestBranchStep:
+    """One branching epoch, driven through ``run_filter`` or the rule ``_offspring_counts``."""
+
+    def branch_once(self, rho, u):
+        """One epoch of ``run_filter`` on one near-static particle whose weight is rho."""
+        obs = linear_obs()
+        record = ObservationRecord(increments=np.atleast_2d(dy_for_rho(rho, 1.0, obs)), epsilon=0.1)
+        run = run_filter(point_signal(1.0, w=1e-12), obs, record, 1, FixedUniform([u]))
+        return run.steps[0]
+
     def test_zero_weights_relabel_only(self):
-        rng = np.random.default_rng(13)
-        ens = init_ensemble(50, gaussian_signal(), rng)
+        record = ObservationRecord(increments=np.array([[0.3]]), epsilon=0.1)
         obs = ObservationModel(ZeroSensor(1, 1), 0.1)
-        out = branch_step(ens, np.array([0.3]), obs, rng)
-        assert out.count == ens.count
-        assert np.array_equal(out.positions, ens.positions)
+        step = run_filter(gaussian_signal(), obs, record, 50, np.random.default_rng(13)).steps[0]
+        assert step.post.count == step.pre.count
+        assert np.array_equal(step.post.positions, step.pre.positions)
+        assert np.array_equal(step.parents, np.arange(50))
 
     def test_branch_with_fraction(self):
-        obs = linear_obs()
-        ens = init_ensemble(1, point_signal(1.0), np.random.default_rng(17))
-        dy = dy_for_rho(2.3, 1.0, obs)
-        out = branch_step(ens, dy, obs, FixedUniform([0.25]))
-        assert out.count == 4  # 3 certain copies plus the extra (0.25 < 0.3)
-        assert np.all(out.positions == ens.positions[0])
-        out2 = branch_step(ens, dy, obs, FixedUniform([0.35]))
-        assert out2.count == 3  # half-open rule: 0.35 >= 0.3 adds nothing
+        step = self.branch_once(2.3, 0.25)
+        assert step.post.count == 4  # 3 certain copies plus the extra (0.25 < 0.3)
+        assert np.all(step.post.positions == step.pre.positions[0])
+        assert self.branch_once(2.3, 0.35).post.count == 3  # half-open rule: 0.35 >= 0.3 adds nothing
 
     def test_kill_is_half_open(self):
-        obs = linear_obs()
-        ens = init_ensemble(1, point_signal(1.0), np.random.default_rng(19))
-        dy = dy_for_rho(-0.4, 1.0, obs)
-        dead = branch_step(ens, dy, obs, FixedUniform([0.25]))
-        assert dead.count == 0
-        alive = branch_step(ens, dy, obs, FixedUniform([0.45]))
-        assert alive.count == 1
+        dead = self.branch_once(-0.4, 0.25)
+        assert dead.post.count == 0
+        assert self.branch_once(-0.4, 0.45).post.count == 1
+        counts, events = _offspring_counts(np.array([-0.4, -0.4]), np.array([0.4, 0.3999]))
+        assert counts.tolist() == [1, 0] and events.tolist() == [False, True]
 
     def test_offspring_rows_follow_counts(self):
         ens = init_ensemble(6, gaussian_signal(), np.random.default_rng(3))
         counts = np.array([0, 3, 1, 0, 2, 1])
-        out, parents = _apply_offspring(ens, counts)
+        post = ens._with(np.repeat(ens.positions, counts, axis=0))
+        parents = FilterStep(1, 0.1, ens, post, counts, 4).parents
         assert np.array_equal(parents, [1, 1, 1, 2, 4, 4, 5])
         assert np.array_equal(np.bincount(parents, minlength=ens.count), counts)
-        assert np.array_equal(out.positions, ens.positions[parents])
-        empty, none = _apply_offspring(ens, np.zeros(6, dtype=np.int64))
-        assert empty.count == 0 and none.size == 0
-        assert empty.positions.shape == (0, 1)
+        assert np.array_equal(post.positions, ens.positions[parents])
+        none = np.zeros(6, dtype=np.int64)
+        empty = FilterStep(1, 0.1, ens, ens._with(np.repeat(ens.positions, none, axis=0)), none, 6)
+        assert empty.post.count == 0 and empty.parents.size == 0
+        assert empty.post.positions.shape == (0, 1)
 
     def test_positions_preserved(self):
-        rng = np.random.default_rng(23)
-        ens = init_ensemble(200, gaussian_signal(), rng)
-        obs = linear_obs(0.5)
-        out = branch_step(ens, np.array([0.8]), obs, rng)
-        parents = {float(x) for x in ens.positions[:, 0]}
-        assert {float(x) for x in out.positions[:, 0]} <= parents
+        record = ObservationRecord(increments=np.array([[0.8]]), epsilon=0.5)
+        run = run_filter(gaussian_signal(), linear_obs(0.5), record, 200, np.random.default_rng(23))
+        step = run.steps[0]
+        assert_parent_rows(step)
+        parents = {float(x) for x in step.pre.positions[:, 0]}
+        assert {float(x) for x in step.post.positions[:, 0]} <= parents
 
     def test_one_step_unbiasedness(self):
         # fixed pre-branch ensemble and dy: E_U <mu_post, phi> = <mu_pre, (1+rho) phi>
         rng = np.random.default_rng(29)
         ens = init_ensemble(100, gaussian_signal(), rng)
         obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.1)
-        dy = np.array([0.4])
-        rho = weight(ens.positions, dy, obs)
+        rho = weight(ens.positions, np.array([0.4]), obs)
         theta = 0.7
-        for phi, target in [
-            (lambda x: np.ones(x.shape[0]), np.sum(1.0 + rho) / ens.count),
-            (
-                lambda x: np.exp(-1j * theta * x[:, 0]),
-                np.sum((1.0 + rho) * np.exp(-1j * theta * ens.positions[:, 0]))
-                / ens.count,
-            ),
-        ]:
+        for phi in (lambda x: np.ones(x.shape[0]), lambda x: np.exp(-1j * theta * x[:, 0])):
+            values = phi(ens.positions)
+            target = np.sum((1.0 + rho) * values) / ens.count
             reps = 3000
             vals = np.empty(reps, dtype=complex)
             for r in range(reps):
-                out = branch_step(ens, dy, obs, rng)
-                vals[r] = estimate(out, phi)[0] if out.count else 0.0
+                counts, _ = _offspring_counts(rho, rng.random(ens.count))
+                vals[r] = np.sum(counts * values) / ens.count  # <mu_post, phi>
             se = vals.std(ddof=1) / np.sqrt(reps)
             assert abs(vals.mean() - target) < 5.0 * max(se, 1e-12)
 
@@ -347,6 +354,20 @@ class TestRunFilter:
         assert MAX_RHO < err.value.max_rho < np.inf
         assert "epoch 1" in str(err.value)
 
+    def test_population_growth_is_capped(self):
+        # one near-static particle with rho = 2.5 leaves 3 or 4 copies at every
+        # epoch, and 3^7 > 1024: the cap of MAX_GROWTH * 1 trips within 7 epochs
+        obs = linear_obs(0.1)
+        record = ObservationRecord(
+            increments=np.vstack([dy_for_rho(2.5, 1.0, obs)] * 10), epsilon=0.1
+        )
+        with pytest.raises(PopulationGrowthError) as err:
+            run_filter(point_signal(1.0, w=1e-12), obs, record, 1, np.random.default_rng(77))
+        assert 5 <= err.value.epoch <= 7
+        assert err.value.cap == MAX_GROWTH < err.value.count <= 4 * MAX_GROWTH
+        assert f"epoch {err.value.epoch}" in str(err.value)
+        assert f"cap {MAX_GROWTH}" in str(err.value)
+
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
@@ -362,16 +383,14 @@ def test_offspring_count_has_mean_one_plus_rho(rho, u):
     # an event is a branch (rho >= 1 or U below the fractional part) or a death
     # (U below |rho|), i.e. exactly a count other than 1
     assert events[0] == (counts[0] != 1)
-    assert events[0] == ((rho >= 1.0) or (u < abs(branch_residual(rho))))
+    assert events[0] == ((rho >= 1.0) or (u < extra + kill))
 
 
 class TestMultinomialBaseline:
     def test_single_particle_never_relocates(self):
         ens = init_ensemble(1, point_signal(0.7), np.random.default_rng(73))
-        obs = linear_obs()
-        out, moved = multinomial_baseline_step(
-            ens, np.array([0.1]), obs, np.random.default_rng(74)
-        )
+        rho = weight(ens.positions, np.array([0.1]), linear_obs())
+        out, moved = _multinomial_resample(ens, rho, np.random.default_rng(74))
         assert out.count == 1 and moved == 0
         assert out.positions[0, 0] == 0.7
 
@@ -379,12 +398,11 @@ class TestMultinomialBaseline:
         # equal weights: expected relocation fraction 1 - 1/count
         n = 400
         ens = init_ensemble(n, gaussian_signal(), np.random.default_rng(79))
-        obs = ObservationModel(ZeroSensor(1, 1), 0.1)
         reps = 200
         fracs = np.empty(reps)
         rng = np.random.default_rng(80)
         for r in range(reps):
-            _, moved = multinomial_baseline_step(ens, np.array([0.0]), obs, rng)
+            _, moved = _multinomial_resample(ens, np.zeros(n), rng)
             fracs[r] = moved / n
         target = 1.0 - 1.0 / n
         se = fracs.std(ddof=1) / np.sqrt(reps)
@@ -394,13 +412,13 @@ class TestMultinomialBaseline:
         rng = np.random.default_rng(83)
         ens = init_ensemble(50, gaussian_signal(), rng)
         obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.2)
-        dy = np.array([0.3])
-        w = 1.0 + weight(ens.positions, dy, obs)
-        target = float((w / w.sum()) @ ens.positions[:, 0]) * ens.count / ens.count
+        rho = weight(ens.positions, np.array([0.3]), obs)
+        w = 1.0 + rho
+        target = float((w / w.sum()) @ ens.positions[:, 0])
         reps = 5000
         vals = np.empty(reps)
         for r in range(reps):
-            out, _ = multinomial_baseline_step(ens, dy, obs, rng)
+            out, _ = _multinomial_resample(ens, rho, rng)
             assert out.count == ens.count
             vals[r] = out.positions[:, 0].mean()
         se = vals.std(ddof=1) / np.sqrt(reps)

@@ -19,6 +19,7 @@ from levyfilter.experiments import (
     kalman_crosscheck,
     rate_sweep,
 )
+from levyfilter.reference import ClipRegionError
 
 
 def default_signal():
@@ -114,6 +115,12 @@ class TestRateSweep:
         errs = [e for _, e in res.per_n_error]
         assert errs[0] > errs[-1]
 
+    def test_kalman_oracle_outside_clip_region_raises(self):
+        obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=0.5), 0.1)
+        metric = FrequencyGrid.build(1, alpha=2.0, cutoff=5.0, spacing=0.2)
+        with pytest.raises(ClipRegionError, match="observation.linear_clip"):
+            rate_sweep(default_signal(), obs, 1.0, [100], 1, 17, metric, oracle="kalman")
+
 
 class TestKalmanCrosscheck:
     def test_small_run(self):
@@ -168,6 +175,31 @@ class TestBaselineComparison:
         assert all(f < 0.3 for f in res.branching_fractions)
         assert res.branching_fractions[1] < res.branching_fractions[0]
         assert all(np.isfinite(res.branching_errors))
+
+    def test_kalman_oracle_errors_are_finite(self):
+        res = baseline_comparison(
+            default_signal(),
+            ClippedLinearSensor([[1.0]], clip=20.0),
+            0.5,
+            200,
+            29,
+            epsilons=(0.25, 0.125),
+            oracle="kalman",
+        )
+        assert all(np.isfinite(res.branching_errors))
+        assert all(np.isfinite(res.multinomial_errors))
+
+    def test_kalman_oracle_outside_clip_region_raises(self):
+        with pytest.raises(ClipRegionError, match="observation.linear_clip"):
+            baseline_comparison(
+                default_signal(),
+                ClippedLinearSensor([[1.0]], clip=0.5),
+                0.5,
+                200,
+                29,
+                epsilons=(0.25,),
+                oracle="kalman",
+            )
 
     def test_no_oracle_errors_are_nan(self):
         res = baseline_comparison(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyfilter import experiments, reference
+from levyfilter import reference
 from levyfilter.cli import main as cli_main
 from levyfilter.harness import (
     _SCHEMA,
@@ -430,6 +430,49 @@ class TestCli:
         assert rc == 2
         assert "oracle.kind: kalman needs" in capsys.readouterr().err
 
+    def test_kalman_sweep_outside_clip_region_exit_3(self, tmp_path, capsys):
+        # the truth leaves |x| < 0.5 at once, where the clipped sensor is not linear
+        text = QUICK.replace("grid_points = 256", "kind = kalman") + (
+            "\n[observation]\nsensor = clipped_linear\nlinear_clip = 0.5\n"
+            "\n[rate]\nassert_slope = off\n"
+        )
+        path = self.write_cfg(tmp_path, text)
+        rc = cli_main(["rate-sweep", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "observation.linear_clip: clip region violated" in capsys.readouterr().err
+
+    def test_population_growth_cap_exit_3(self, tmp_path, capsys):
+        # two particles started at x = 4 under an unclipped linear sensor: the
+        # unnormalized mass, and with it the population, passes 1024 per particle
+        text = """
+[scenario]
+name = grow
+horizon = 1.0
+
+[signal]
+initial_law = point
+initial_center = [4.0]
+
+[observation]
+sensor = clipped_linear
+
+[run]
+particle_counts = [2]
+seed = 7
+
+[oracle]
+kind = none
+
+[rate]
+assert_slope = off
+"""
+        path = self.write_cfg(tmp_path, text)
+        rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "run.population_control: population growth" in err
+        assert "cap 2048" in err
+
     def test_seed_override_changes_artifacts(self, tmp_path):
         path = self.write_cfg(tmp_path)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -465,9 +508,7 @@ class TestCli:
             seen.append(strict)
             raise Reached
 
-        # the validation suite imports run_reference from reference when it runs
-        for module in (reference, experiments):
-            monkeypatch.setattr(module, "run_reference", recording_reference)
+        monkeypatch.setattr(reference, "run_reference", recording_reference)
         path = self.write_cfg(tmp_path, QUICK + "\n[rate]\nassert_slope = off\n")
         with pytest.raises(Reached):
             cli_main([command, "--config", path, "--out", str(tmp_path / "o"), "--strict"])

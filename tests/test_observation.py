@@ -12,7 +12,6 @@ from levyfilter import (
     SignalModel,
     SpectralMeasure,
     ZeroSensor,
-    branch_residual,
     offspring_parameters,
     simulate_scenario,
     weight,
@@ -75,6 +74,12 @@ class TestWeight:
         for _ in range(20):
             dy = rng.normal(size=1)
             assert np.all(weight(x, dy, obs) > -1.0)
+
+
+def branch_residual(rho):
+    """The residual xi of the offspring rule: the extra-copy chance less the kill chance."""
+    _, extra, kill = offspring_parameters(rho)
+    return extra - kill
 
 
 class TestResidual:
