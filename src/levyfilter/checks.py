@@ -397,11 +397,10 @@ def check_oracle_agreement(
     n: int = 2000,
     grid_points: int = 512,
     grid_halfwidth: float = 10.0,
-    strict: bool = False,
 ) -> CheckResult:
     """Particle normalized mean tracks the configured particle-free reference.
 
-    SKIPPED when no oracle is configured; ``strict`` is passed to the grid oracle.
+    SKIPPED when no oracle is configured.
     FAIL when, under the kalman oracle, the truth or a particle left the clip region.
     """
     if oracle == "none":
@@ -422,7 +421,6 @@ def check_oracle_agreement(
         oracle,
         grid_points=grid_points,
         grid_halfwidth=grid_halfwidth,
-        strict=strict,
     )
     if oracle == "kalman":
         try:
@@ -453,27 +451,26 @@ def default_validation_suite(
     oracle: str = "grid",
     grid_points: int = 512,
     grid_halfwidth: float = 10.0,
-    strict: bool = False,
 ) -> list:
-    """The validate command's checks, in print order."""
-    results = [
-        check_characteristic_function(seed, scale),
-        check_offspring_unbiasedness(seed, scale),
-        check_weight_moment_scaling(seed, scale),
-        check_quadratic_variation(seed, scale),
-        check_compensator(signal, obs, horizon, seed, scale),
-        check_mass_moments(signal, obs, horizon, seed, scale),
-        check_branch_sparsity(signal, obs.sensor, seed, scale),
-        check_oracle_agreement(
-            signal,
-            obs,
-            horizon,
-            seed,
-            scale,
-            oracle=oracle,
-            grid_points=grid_points,
-            grid_halfwidth=grid_halfwidth,
-            strict=strict,
+    """The validate command's checks, in print order.  A check's RuntimeError (a run that
+    outgrew the population cap or overflowed a weight) stops the suite naming the check."""
+    checks = {
+        "characteristic_function": lambda: check_characteristic_function(seed, scale),
+        "offspring_unbiasedness": lambda: check_offspring_unbiasedness(seed, scale),
+        "weight_moment_scaling": lambda: check_weight_moment_scaling(seed, scale),
+        "quadratic_variation": lambda: check_quadratic_variation(seed, scale),
+        "martingale_compensator": lambda: check_compensator(signal, obs, horizon, seed, scale),
+        "mass_moment_stability": lambda: check_mass_moments(signal, obs, horizon, seed, scale),
+        "branch_sparsity": lambda: check_branch_sparsity(signal, obs.sensor, seed, scale),
+        "oracle_agreement": lambda: check_oracle_agreement(
+            signal, obs, horizon, seed, scale, oracle,
+            grid_points=grid_points, grid_halfwidth=grid_halfwidth,
         ),
-    ]
+    }
+    results = []
+    for name, check in checks.items():
+        try:
+            results.append(check())
+        except RuntimeError as exc:
+            raise RuntimeError(f"{name}: {exc}") from exc
     return results

@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--strict",
             action="store_true",
-            help="escalate grid accuracy warnings to errors",
+            help="turn grid accuracy and alpha-near-1 warnings into errors (exit 3)",
         )
     return parser
 

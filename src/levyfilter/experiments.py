@@ -63,7 +63,6 @@ def rate_sweep(
     grid_halfwidth: float = 10.0,
     error_epochs: str = "final",
     control: tuple | None = None,
-    strict: bool = False,
 ) -> RateSweepResult:
     """Sobolev filter error against the configured oracle, per n and replication.
 
@@ -72,8 +71,8 @@ def rate_sweep(
     measured decay in n is the Monte Carlo rate.  ``error_epochs`` is
     ``"final"`` (error at the terminal epoch only) or ``"all"``.  ``control``
     is a band ``(low_ratio, high_ratio)``: each run of n particles then runs
-    under ``PopulationControl(n, low_ratio, high_ratio)``.  ``strict`` goes to the grid oracle;
-    under the kalman oracle every run must keep to the sensor's clip region.
+    under ``PopulationControl(n, low_ratio, high_ratio)``.  Under the kalman oracle every
+    run must keep to the sensor's clip region.
     """
     truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
     targets = oracle_summaries(
@@ -84,7 +83,6 @@ def rate_sweep(
         grid_points=grid_points,
         grid_halfwidth=grid_halfwidth,
         metric=metric,
-        strict=strict,
     )
     epochs = (
         range(1, record.count + 1) if error_epochs == "all" else (record.count,)
@@ -221,7 +219,6 @@ def baseline_comparison(
     oracle: str = "grid",
     grid_points: int = 512,
     grid_halfwidth: float = 10.0,
-    strict: bool = False,
 ) -> BaselineComparison:
     """Branching versus multinomial resampling on identical records, per eps; the errors are
     against the grid or kalman oracle (every particle kept to the kalman clip region)."""
@@ -249,8 +246,7 @@ def baseline_comparison(
                 oracle,
                 grid_points=grid_points,
                 grid_halfwidth=grid_halfwidth,
-                strict=strict,
-            )
+                    )
             if oracle == "kalman":
                 clip_margin(sensor, [truth] + [s.post.positions for s in run.steps + steps])
             oracle_means = np.array([s.mean for s in summaries[1:]])

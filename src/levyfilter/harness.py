@@ -35,7 +35,7 @@ from .observation import (
     csv_text,
     simulate_scenario,
 )
-from .reference import GridDomainError, kalman_sensor, oracle_summaries
+from .reference import GridAccuracyWarning, GridDomainError, kalman_sensor, oracle_summaries
 from .seeding import substream
 from .stable import InitialLaw, SignalModel, SpectralMeasure
 
@@ -259,6 +259,8 @@ def parse_config(text: str) -> ExperimentConfig:
         and cfg.gamma >= -cfg.dimension / 2.0
     ):
         violations.append("metric.gamma: must be < -dimension/2")
+    if cfg.slope_low is not None and cfg.slope_high is not None and cfg.slope_low > cfg.slope_high:
+        violations.append("rate.slope_low/slope_high: slope_low must not exceed slope_high")
     if cfg.baseline_epsilons is not None and any(
         not (0 < e <= 1) for e in cfg.baseline_epsilons
     ):
@@ -323,9 +325,12 @@ def build_observation(cfg: ExperimentConfig) -> ObservationModel:
 
 def build_metric(cfg: ExperimentConfig) -> FrequencyGrid:
     gamma = cfg.gamma if cfg.gamma is not None else default_gamma(cfg.dimension, cfg.alpha)
-    return FrequencyGrid.build(
-        cfg.dimension, gamma=gamma, cutoff=cfg.cutoff, spacing=cfg.spacing
-    )
+    try:
+        return FrequencyGrid.build(
+            cfg.dimension, gamma=gamma, cutoff=cfg.cutoff, spacing=cfg.spacing
+        )
+    except ValueError as exc:
+        raise ConfigError([f"metric.cutoff/spacing/gamma, signal.dimension: {exc}"]) from exc
 
 
 def emit_results(files: dict, out_dir, *, name: str, command: str, cfg: ExperimentConfig) -> Path:
@@ -360,7 +365,7 @@ def _rows_to_columns(rows, width: int) -> list:
     return list(zip(*rows)) or [()] * width
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
     signal = build_signal(cfg)
     obs = build_observation(cfg)
     path, record = simulate_scenario(
@@ -420,7 +425,6 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
             grid_points=cfg.grid_points,
             grid_halfwidth=cfg.grid_halfwidth,
             metric=metric,
-            strict=strict,
         )
         files[f"{cfg.name}_simulate_oracle.csv"] = csv_text(
             ["epoch", "t", "total_mass"]
@@ -452,7 +456,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
     return 0
 
 
-def cmd_validate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
+def cmd_validate(cfg: ExperimentConfig, out_dir) -> int:
     signal = build_signal(cfg)
     obs = build_observation(cfg)
     results = default_validation_suite(
@@ -464,7 +468,6 @@ def cmd_validate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
         oracle=cfg.oracle,
         grid_points=cfg.grid_points,
         grid_halfwidth=cfg.grid_halfwidth,
-        strict=strict,
     )
     for r in results:
         print(f"{r.status:7s} {r.name}: {r.detail}")
@@ -482,7 +485,7 @@ def cmd_validate(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_rate_sweep(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
+def cmd_rate_sweep(cfg: ExperimentConfig, out_dir) -> int:
     if cfg.oracle == "none":
         raise ConfigError(["oracle.kind: rate-sweep needs an oracle (grid or kalman)"])
     if cfg.assert_slope and len(cfg.particle_counts) < 3:
@@ -505,7 +508,6 @@ def cmd_rate_sweep(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
         grid_halfwidth=cfg.grid_halfwidth,
         error_epochs=cfg.error_epochs,
         control=(cfg.control_low, cfg.control_high) if cfg.population_control else None,
-        strict=strict,
     )
     files = {
         f"{cfg.name}_rate-sweep_errors.csv": csv_text(
@@ -546,7 +548,7 @@ def cmd_rate_sweep(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
     return 0
 
 
-def cmd_compare_baseline(cfg: ExperimentConfig, out_dir, strict: bool = False) -> int:
+def cmd_compare_baseline(cfg: ExperimentConfig, out_dir) -> int:
     signal = build_signal(cfg)
     obs = build_observation(cfg)
     comparison = baseline_comparison(
@@ -559,7 +561,6 @@ def cmd_compare_baseline(cfg: ExperimentConfig, out_dir, strict: bool = False) -
         oracle=cfg.oracle,
         grid_points=cfg.grid_points,
         grid_halfwidth=cfg.grid_halfwidth,
-        strict=strict,
     )
     header = ("epsilon", "branching_fraction", "multinomial_fraction", "branching_error", "multinomial_error")
     columns = (
@@ -585,7 +586,7 @@ def cmd_compare_baseline(cfg: ExperimentConfig, out_dir, strict: bool = False) -
 def run_command(command: str, cfg: ExperimentConfig, out_dir=None, strict: bool = False) -> int:
     """Dispatch a CLI command; returns the process exit code.
 
-    ``strict`` escalates the alpha-near-1 warning and grid accuracy warnings to RuntimeError.
+    ``strict`` turns the alpha-near-1 and grid accuracy warnings into RuntimeError.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_directory)
     handlers = {
@@ -596,20 +597,24 @@ def run_command(command: str, cfg: ExperimentConfig, out_dir=None, strict: bool 
     }
     if command not in handlers:
         raise ConfigError([f"unknown command {command!r}"])
-    if 0.0 < abs(cfg.alpha - 1.0) < ALPHA_NEAR_ONE:
-        message = (
-            f"signal.alpha = {cfg.alpha} is within {ALPHA_NEAR_ONE} of 1, where the S1 "
-            "parametrization jumps (the skew term tan(pi alpha / 2) diverges), so "
-            "increments change scale abruptly with alpha"
-        )
+    with warnings.catch_warnings():
         if strict:
-            raise RuntimeError(message)
-        warnings.warn(message, AlphaNearOneWarning)
-    try:
-        return handlers[command](cfg, out, strict)
-    except GridDomainError as exc:
-        raise ConfigError([f"oracle.grid_halfwidth/signal.initial_center: {exc}"]) from exc
-    except PopulationGrowthError as exc:
-        if command in ("simulate", "rate-sweep"):  # the commands that honour the key
-            raise RuntimeError(f"run.population_control: {exc}") from exc
-        raise
+            warnings.simplefilter("error", AlphaNearOneWarning)
+            warnings.simplefilter("error", GridAccuracyWarning)
+        try:
+            if 0.0 < abs(cfg.alpha - 1.0) < ALPHA_NEAR_ONE:
+                warnings.warn(
+                    f"signal.alpha = {cfg.alpha} is within {ALPHA_NEAR_ONE} of 1, where the S1 "
+                    "parametrization jumps (the skew term tan(pi alpha / 2) diverges), so "
+                    "increments change scale abruptly with alpha",
+                    AlphaNearOneWarning,
+                )
+            return handlers[command](cfg, out)
+        except (AlphaNearOneWarning, GridAccuracyWarning) as exc:  # raised under ``strict``
+            raise RuntimeError(str(exc)) from exc
+        except GridDomainError as exc:
+            raise ConfigError([f"oracle.grid_halfwidth/signal.initial_center: {exc}"]) from exc
+        except PopulationGrowthError as exc:
+            if command in ("simulate", "rate-sweep"):  # the commands that honour the key
+                raise RuntimeError(f"run.population_control: {exc}") from exc
+            raise

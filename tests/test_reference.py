@@ -21,7 +21,7 @@ from levyfilter import (
     update_step,
     weight,
 )
-from levyfilter.reference import GridDomainError
+from levyfilter.reference import GridAccuracyWarning, GridDomainError
 
 
 def signal(alpha=2.0, w=0.5, law=None):
@@ -212,6 +212,40 @@ class TestRunReference:
         )
         for s in summaries:
             assert s.total_mass == pytest.approx(1.0, abs=1e-9)
+
+    def test_accuracy_warns_once_with_worst_epoch_and_count(self):
+        # a half-width of 5 lets the alpha = 1.5 law reach the boundary cells; with no
+        # sensor the update keeps the predicted grid, so the summaries hold its fractions
+        K = 10
+        record = ObservationRecord(increments=np.zeros((K, 1)), epsilon=0.1)
+        obs = ObservationModel(ZeroSensor(1, 1), 0.1)
+        with pytest.warns(GridAccuracyWarning) as caught:
+            summaries, _ = run_reference(
+                signal(alpha=1.5), obs, record, domain_halfwidth=5.0, points_per_axis=64
+            )
+        messages = [str(w.message) for w in caught if w.category is GridAccuracyWarning]
+        fractions = np.array([s.boundary_mass for s in summaries[1:]])
+        over = int(np.sum(fractions > 1e-4))
+        assert over > 1 and len(messages) == 1
+        worst = int(np.argmax(fractions)) + 1
+        assert messages[0].startswith(
+            f"boundary cells hold fraction {fractions.max():.3e} of the mass at epoch {worst} "
+            f"(worst of {over} of {K} epochs"
+        )
+
+    def test_clamped_mass_warns_once(self):
+        # a Cauchy kernel much narrower than a cell rings below zero around a point mass
+        record = ObservationRecord(increments=np.zeros((5, 1)), epsilon=0.001)
+        obs = ObservationModel(ZeroSensor(1, 1), 0.001)
+        law = InitialLaw.point([0.0])
+        with pytest.warns(GridAccuracyWarning) as caught:
+            run_reference(
+                signal(alpha=1.0, law=law), obs, record, domain_halfwidth=10.0, points_per_axis=64
+            )
+        messages = [str(w.message) for w in caught if w.category is GridAccuracyWarning]
+        assert len(messages) == 1
+        assert messages[0].startswith("clamped mass fraction ")
+        assert "(worst of 5 of 5 epochs over 1e-03)" in messages[0]
 
 
 class TestKalman:
