@@ -39,7 +39,6 @@ from .branching import (
     WeightOverflowError,
     PopulationGrowthError,
     ParticleEnsemble,
-    PopulationControl,
     FilterRun,
     init_ensemble,
     evolve_segment,

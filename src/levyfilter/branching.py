@@ -30,7 +30,6 @@ __all__ = [
     "MAX_RHO",
     "MAX_GROWTH",
     "ParticleEnsemble",
-    "PopulationControl",
     "FilterStep",
     "FilterRun",
     "init_ensemble",
@@ -45,10 +44,6 @@ __all__ = [
 
 class ExtinctionError(RuntimeError):
     """All particles died; normalized estimates are undefined."""
-
-    def __init__(self, time: float):
-        super().__init__(f"particle system extinct at time {time:g}")
-        self.time = time
 
 
 # Largest branching weight a run accepts: beyond it one particle would get over
@@ -96,12 +91,11 @@ def _risky_epochs(record: ObservationRecord, obs: ObservationModel) -> np.ndarra
 
 @dataclass
 class ParticleEnsemble:
-    """Alive particles: positions (count, d), mass factor, time stamp."""
+    """Alive particles: positions (count, d) and mass factor."""
 
     positions: np.ndarray
     initial_count: int
     mass_factor: float = 1.0
-    time: float = 0.0
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -126,20 +120,7 @@ class ParticleEnsemble:
     def _with(self, positions, mass_factor=None) -> "ParticleEnsemble":
         """New rows under the same bookkeeping (cheaper than ``dataclasses.replace``)."""
         factor = self.mass_factor if mass_factor is None else mass_factor
-        return ParticleEnsemble(positions, self.initial_count, factor, self.time)
-
-
-@dataclass(frozen=True)
-class PopulationControl:
-    """Unbiased birth/death control keeping the count near a target band."""
-
-    target: int
-    low_ratio: float = 0.5
-    high_ratio: float = 2.0
-
-    def __post_init__(self):
-        if not 0.0 < self.low_ratio < 1.0 < self.high_ratio:
-            raise ValueError("bounds must satisfy 0 < low_ratio < 1 < high_ratio")
+        return ParticleEnsemble(positions, self.initial_count, factor)
 
 
 def init_ensemble(n: int, signal: SignalModel, rng: np.random.Generator) -> ParticleEnsemble:
@@ -161,36 +142,38 @@ def evolve_segment(
     moved = ensemble.positions
     if ensemble.count:
         moved = moved + sample_increment(signal, dt, rng, size=ensemble.count)
-    return ParticleEnsemble(moved, ensemble.initial_count, ensemble.mass_factor, ensemble.time + dt)
+    return ensemble._with(moved)
 
 
-def _offspring_counts(rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-particle offspring counts from one uniform each, plus the branch/death events.
+def _offspring_counts(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-particle offspring counts from one uniform each.
 
     The rule of ``offspring_parameters`` in one pass: with fl = floor(rho),
     rho >= 0 leaves fl + 1 copies plus one iff U < rho - fl, and rho < 0
-    (fl = -1) leaves one copy iff U >= -rho.  An event (a death or a branch)
-    is exactly a count other than 1."""
+    (fl = -1) leaves one copy iff U >= -rho."""
     fl = np.floor(rho)
-    counts = np.where(rho < 0.0, u >= -rho, u < rho - fl) + (fl + 1.0).astype(np.int64)
-    return counts, counts != 1
+    return np.where(rho < 0.0, u >= -rho, u < rho - fl) + (fl + 1.0).astype(np.int64)
 
 
 @dataclass
 class FilterStep:
-    """One observation epoch: the ensemble just before and just after branching.
+    """One observation epoch (at t = epoch * epsilon): the ensemble just before and just
+    after branching, and what branching drew.
 
-    Row i of ``pre`` left ``counts[i]`` offspring (``branch_events`` of them not 1);
-    ``control_rows`` is the mask or index population control applied, or None.
+    Row i of ``pre`` left ``counts[i]`` offspring; ``control_rows`` is the mask or
+    index population control applied, or None.
     """
 
     epoch: int
-    time: float
     pre: ParticleEnsemble
     post: ParticleEnsemble
     counts: np.ndarray
-    branch_events: int
     control_rows: np.ndarray | None = None
+
+    @property
+    def branch_events(self) -> int:
+        """Deaths and branches: the rows of ``pre`` that left a count other than 1."""
+        return int(np.count_nonzero(self.counts != 1))
 
     @property
     def parents(self) -> np.ndarray:
@@ -223,24 +206,23 @@ def run_filter(
     n: int,
     rng: np.random.Generator,
     *,
-    control: PopulationControl | None = None,
+    control: tuple | None = None,
 ) -> FilterRun:
     """Alternate evolve and branch over the record; keep pre/post snapshots per epoch.
 
-    Terminates early with an extinction report if every particle dies; raises
+    ``control``, a band ``(low_ratio, high_ratio)``, switches on
+    ``population_control`` around n after each branching.  Terminates early
+    with an extinction report if every particle dies; raises
     WeightOverflowError if a branching weight exceeds MAX_RHO, and
     PopulationGrowthError if the population exceeds MAX_GROWTH * n.
     """
 
     def branch(k, pre, rho):
-        counts, events = _offspring_counts(rho, rng.random(pre.count))
+        counts = _offspring_counts(rho, rng.random(pre.count))
         post, rows = pre._with(np.repeat(pre.positions, counts, axis=0)), None
-        if control is not None and post.count > 0:
-            band = (control.low_ratio, control.high_ratio)
-            post, rows = population_control(post, control.target, band, rng)
-        return FilterStep(
-            k, k * record.epsilon, pre, post, counts, int(np.count_nonzero(events)), rows
-        )
+        if control is not None:
+            post, rows = population_control(post, n, control, rng)
+        return FilterStep(k, pre, post, counts, rows)
 
     initial, steps = _run_epochs(signal, obs, record, n, rng, branch)
     extinct = steps[-1].epoch if steps and steps[-1].post.count == 0 else None
@@ -283,7 +265,7 @@ def estimate(ensemble: ParticleEnsemble, phi) -> tuple:
     is the plain average over alive particles and requires a nonempty ensemble.
     """
     if ensemble.count == 0:
-        raise ExtinctionError(ensemble.time)
+        raise ExtinctionError("particle system extinct: no particle to average over")
     values = np.asarray(phi(ensemble.positions))
     total = values.sum()
     unnormalized = ensemble.mass_factor * total / ensemble.initial_count
@@ -318,7 +300,6 @@ def _multinomial_resample(
 @dataclass
 class BaselineStep:
     epoch: int
-    time: float
     post: ParticleEnsemble
     relocations: int
 
@@ -336,7 +317,7 @@ def run_baseline(
     """
 
     def resample(k, pre, rho):
-        return BaselineStep(k, k * record.epsilon, *_multinomial_resample(pre, rho, rng))
+        return BaselineStep(k, *_multinomial_resample(pre, rho, rng))
 
     return _run_epochs(signal, obs, record, n, rng, resample)[1]
 
@@ -352,12 +333,16 @@ def population_control(
     Above high_ratio * n_target each particle survives with probability 1/2
     and the mass factor doubles; below low_ratio * n_target every particle is
     duplicated and the mass factor halves.  Conditional expectations of all
-    estimates are unchanged.  Also returns the index (a mask when halving) that
-    picks each output row's input row, or None when nothing changed.
+    estimates are unchanged.  An empty ensemble is left alone.  Also returns the
+    index (a mask when halving) that picks each output row's input row, or None
+    when nothing changed.
     """
     lo_ratio, hi_ratio = bounds
     if not 0.0 < lo_ratio < 1.0 < hi_ratio:
-        raise ValueError("bounds must satisfy 0 < lo_ratio < 1 < hi_ratio")
+        raise ValueError(
+            f"population control bounds ({lo_ratio:g}, {hi_ratio:g}) "
+            "must satisfy 0 < low_ratio < 1 < high_ratio"
+        )
     count = ensemble.count
     if count > hi_ratio * n_target:
         keep = rng.random(count) < 0.5

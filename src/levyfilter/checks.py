@@ -62,7 +62,8 @@ class CheckResult:
         return self.status != "FAIL"
 
 
-def _count(base: int, scale: float, floor: int = 1000) -> int:
+def _count(base: int, scale: float, floor: int) -> int:
+    """A check's size at ``validate.scale``: base * scale rounded, but at least floor."""
     return max(floor, int(round(base * scale)))
 
 
@@ -116,7 +117,7 @@ def check_offspring_unbiasedness(seed: int, scale: float = 1.0) -> CheckResult:
     rng = substream(seed, "offspring")
     worst_z = 0.0
     for rho, e, q in zip(rho_grid, extra, kill):
-        counts, _ = _offspring_counts(np.full(draws, rho), rng.uniform(size=draws))
+        counts = _offspring_counts(np.full(draws, rho), rng.uniform(size=draws))
         var = q * (1.0 - q) if q > 0.0 else e * (1.0 - e)
         se = np.sqrt(max(var, 1e-300) / draws)
         gap = abs(counts.mean() - (1.0 + rho))
@@ -168,7 +169,7 @@ def check_quadratic_variation(seed: int, scale: float = 1.0) -> CheckResult:
     law = InitialLaw.point([0.0])
     # alpha = 2: the limit is deterministic, value 2 t |theta|^2
     model2 = SignalModel(2.0, gamma, law)
-    reps2 = max(4, int(round(16 * scale)))
+    reps2 = _count(16, scale, 4)
     est2 = quadratic_variation_paths(
         model2, [1.0], 1.0, 10_000, reps2, substream(seed, "qv2")
     ).mean()
@@ -177,7 +178,7 @@ def check_quadratic_variation(seed: int, scale: float = 1.0) -> CheckResult:
     # alpha = 1.5: statistical match at 5 sigma over replications
     model15 = SignalModel(1.5, gamma, law)
     target = 2.0 * 0.5 * directional_moment(gamma, [2.0], 1.5)
-    reps15 = max(40, int(round(200 * scale)))
+    reps15 = _count(200, scale, 40)
     paths = quadratic_variation_paths(
         model15, [2.0], 0.5, 10_000, reps15, substream(seed, "qv15")
     )
@@ -214,7 +215,7 @@ def check_compensator(
     epochs), and the branching jump compensator; over independent runs the
     mean must vanish at 5 standard errors, separately in both components.
     """
-    reps = max(40, int(round(replications * scale)))
+    reps = _count(replications, scale, 40)
     d = signal.dimension
     theta_vecs = np.array([[t] + [0.0] * (d - 1) for t in thetas])
     ell = np.array(
@@ -275,7 +276,7 @@ def check_mass_moments(
             "FAIL",
             f"hypothesis sqrt(eps)*n >= {xi_threshold} violated for n={min(ns)}",
         )
-    reps = max(40, int(round(replications * scale)))
+    reps = _count(replications, scale, 40)
     sups = np.empty((reps, len(ns)))
     for r in range(reps):
         _, record = simulate_scenario(
@@ -340,8 +341,8 @@ def check_branch_sparsity(
     and is small at the smallest eps, while multinomial resampling relocates
     nearly every particle regardless of eps.
     """
-    reps = max(2, int(round(replications * scale)))
-    n_eff = max(500, int(round(n * scale)))
+    reps = _count(replications, scale, 2)
+    n_eff = _count(n, scale, 500)
     fractions = []
     for eps in epsilons:
         obs = ObservationModel(sensor, eps)
@@ -407,7 +408,7 @@ def check_oracle_agreement(
         return CheckResult(
             "oracle_agreement", "SKIPPED", "no oracle configured; nothing to compare"
         )
-    n_eff = max(500, int(round(n * scale)))
+    n_eff = _count(n, scale, 500)
     truth, record = simulate_scenario(
         signal, obs, horizon, substream(seed, "oracle-record")
     )

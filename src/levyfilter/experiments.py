@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import PopulationControl, run_baseline, run_filter
+from .branching import ExtinctionError, run_baseline, run_filter
 from .metrics import FrequencyGrid, RateFit, filter_error, fourier, rate_fit, slope_confidence
 from .observation import ObservationModel, simulate_scenario
 from .reference import clip_margin, oracle_summaries
@@ -42,7 +42,6 @@ class RateSweepResult:
     slope_ci: tuple            # (slope, lo, hi)
     extinct_runs: int
     total_runs: int
-    epsilon: float
 
     @property
     def extinction_fraction(self) -> float:
@@ -70,9 +69,9 @@ def rate_sweep(
     all particle runs; replications vary only the particle randomness, so the
     measured decay in n is the Monte Carlo rate.  ``error_epochs`` is
     ``"final"`` (error at the terminal epoch only) or ``"all"``.  ``control``
-    is a band ``(low_ratio, high_ratio)``: each run of n particles then runs
-    under ``PopulationControl(n, low_ratio, high_ratio)``.  Under the kalman oracle every
-    run must keep to the sensor's clip region.
+    is ``run_filter``'s population control band ``(low_ratio, high_ratio)``,
+    held around each run's n.  Under the kalman oracle every run must keep to
+    the sensor's clip region.
     """
     truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
     targets = oracle_summaries(
@@ -94,11 +93,10 @@ def rate_sweep(
     total_runs = 0
     for n in ns:
         final_sq = []
-        n_control = PopulationControl(n, *control) if control else None
         for rep in range(replications):
             total_runs += 1
             run = run_filter(
-                signal, obs, record, n, substream(seed, "sweep-run", n, rep), control=n_control
+                signal, obs, record, n, substream(seed, "sweep-run", n, rep), control=control
             )
             if kalman:
                 clip_margin(obs.sensor, [truth] + [step.post.positions for step in run.steps])
@@ -125,7 +123,6 @@ def rate_sweep(
         slope_ci=ci,
         extinct_runs=extinct_runs,
         total_runs=total_runs,
-        epsilon=obs.epsilon,
     )
 
 
@@ -176,7 +173,10 @@ def kalman_crosscheck(
                 signal, obs, record, n, substream(seed, "kalman-run", n, rep)
             )
             if run.extinct:
-                raise RuntimeError("extinction in the kalman cross-check scenario")
+                raise ExtinctionError(
+                    f"kalman cross-check: particle system extinct at observation epoch "
+                    f"{run.extinct_epoch} (n {n}, replication {rep})"
+                )
             posts = [step.post.positions for step in run.steps]
             margin = min(margin, clip_margin(obs.sensor, [truth] + posts))
             for step in run.steps:
@@ -221,7 +221,11 @@ def baseline_comparison(
     grid_halfwidth: float = 10.0,
 ) -> BaselineComparison:
     """Branching versus multinomial resampling on identical records, per eps; the errors are
-    against the grid or kalman oracle (every particle kept to the kalman clip region)."""
+    against the grid or kalman oracle (every particle kept to the kalman clip region).
+
+    Raises ExtinctionError if a branching run dies out: its fractions and errors would
+    cover only the epochs before extinction.
+    """
     b_fracs, m_fracs, b_errs, m_errs = [], [], [], []
     for eps in epsilons:
         obs = ObservationModel(sensor, eps)
@@ -230,6 +234,11 @@ def baseline_comparison(
             signal, obs, horizon, substream(seed, "baseline-record", tag)
         )
         run = run_filter(signal, obs, record, n, substream(seed, "baseline-branch", tag))
+        if run.extinct:
+            raise ExtinctionError(
+                f"compare-baseline: branching particle system of {n} extinct at "
+                f"observation epoch {run.extinct_epoch} of {record.count} (epsilon {eps:g})"
+            )
         b_fracs.append(
             float(np.mean([s.branch_events / s.pre.count for s in run.steps]))
         )
@@ -246,7 +255,7 @@ def baseline_comparison(
                 oracle,
                 grid_points=grid_points,
                 grid_halfwidth=grid_halfwidth,
-                    )
+            )
             if oracle == "kalman":
                 clip_margin(sensor, [truth] + [s.post.positions for s in run.steps + steps])
             oracle_means = np.array([s.mean for s in summaries[1:]])

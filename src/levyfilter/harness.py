@@ -23,7 +23,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .branching import PopulationControl, PopulationGrowthError, run_filter
+from .branching import PopulationGrowthError, run_filter
 from .checks import default_validation_suite
 from .experiments import baseline_comparison, rate_sweep
 from .metrics import FrequencyGrid, default_gamma
@@ -373,15 +373,14 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
     )
     d = signal.dimension
     xs = [f"x{i}" for i in range(d)]
-    epochs = np.arange(len(path))
+    epochs = np.arange(len(path))  # 0..K, observed at t_k = k * epsilon
+    times = epochs * cfg.epsilon
     files = {
-        f"{cfg.name}_simulate_truth.csv": csv_text(
-            ["epoch", "t"] + xs, [epochs, epochs * cfg.epsilon, *path.T]
-        ),
+        f"{cfg.name}_simulate_truth.csv": csv_text(["epoch", "t"] + xs, [epochs, times, *path.T]),
         f"{cfg.name}_simulate_observations.csv": record.to_csv_text(),
     }
     n = cfg.particle_counts[0]
-    control = PopulationControl(n, cfg.control_low, cfg.control_high) if cfg.population_control else None
+    control = (cfg.control_low, cfg.control_high) if cfg.population_control else None
     run = run_filter(signal, obs, record, n, substream(cfg.seed, "filter", n, 0), control=control)
     posts = [step.post for step in run.steps]
     sums = [e.mass_factor * e.positions.sum(axis=0) / e.initial_count for e in posts]
@@ -391,8 +390,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
         + [f"sum_x{i}_unnormalized" for i in range(d)]
         + [f"mean_x{i}" for i in range(d)],
         [
-            [step.epoch for step in run.steps],
-            [step.time for step in run.steps],
+            epochs[1 : len(run.steps) + 1],
+            times[1 : len(run.steps) + 1],
             [e.count for e in posts],
             [e.total_mass for e in posts],
             *np.reshape(sums, (-1, d)).T,
@@ -431,8 +430,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
             + [f"mean_x{i}" for i in range(d)]
             + ["boundary_mass", "clamped_mass"],
             [
-                [s.epoch for s in summaries],
-                [s.time for s in summaries],
+                epochs,
+                times,
                 [s.total_mass for s in summaries],
                 *np.reshape([s.mean for s in summaries], (-1, d)).T,
                 [s.boundary_mass for s in summaries],
@@ -443,7 +442,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
         files[f"{cfg.name}_simulate_oracle_transform.csv"] = csv_text(
             ["epoch"] + [f"theta{i}" for i in range(d)] + ["re", "im"],
             [
-                np.repeat([s.epoch for s in summaries], metric.node_count),
+                np.repeat(epochs, metric.node_count),
                 *np.tile(metric.nodes, (len(summaries), 1)).T,
                 transforms.real,
                 transforms.imag,

@@ -70,7 +70,6 @@ class GridFilter:
     axes: tuple                 # per-dimension cell-center coordinates
     density: np.ndarray         # (N, ...) mass per unit volume, >= 0
     multiplier: np.ndarray      # complex transition factor exp(eps*l(-theta)) per dual node
-    epsilon: float
     cell_volume: float
     points: np.ndarray          # (cells, d) cell centers, flattened in C order
     clamped_mass: float = 0.0   # cumulative mass created by clamping negatives
@@ -150,21 +149,16 @@ def build_grid(
     epsilon: float,
     domain_halfwidth: float,
     points_per_axis: int,
-    *,
-    center=None,
 ) -> GridFilter:
-    """Discretize the initial law on a power-of-two grid and cache the transition multiplier."""
+    """Discretize the initial law on a power-of-two grid centred on the origin and cache the
+    transition multiplier."""
     if domain_halfwidth <= 0.0:
         raise ValueError("domain halfwidth must be positive")
     if points_per_axis < 64 or points_per_axis & (points_per_axis - 1):
         raise ValueError("points_per_axis must be a power of two, at least 64")
     d = signal.dimension
-    center = np.zeros(d) if center is None else np.atleast_1d(np.asarray(center, float))
     delta = 2.0 * domain_halfwidth / points_per_axis
-    axes = tuple(
-        center[i] - domain_halfwidth + (np.arange(points_per_axis) + 0.5) * delta
-        for i in range(d)
-    )
+    axes = tuple(-domain_halfwidth + (np.arange(points_per_axis) + 0.5) * delta for _ in range(d))
     cell_volume = float(delta**d)
     density = _initial_density(signal, axes, cell_volume)
     freq_axes = [2.0 * np.pi * np.fft.fftfreq(points_per_axis, d=delta) for _ in range(d)]
@@ -179,7 +173,6 @@ def build_grid(
         axes=axes,
         density=density,
         multiplier=multiplier,
-        epsilon=epsilon,
         cell_volume=cell_volume,
         points=points,
     )
@@ -218,10 +211,10 @@ def grid_transform(grid: GridFilter, thetas) -> np.ndarray:
 
 @dataclass
 class OracleSummary:
-    """One epoch of a reference posterior; the grid diagnostics are nan for the Kalman one."""
+    """One epoch (at time epoch * epsilon) of a reference posterior; the grid diagnostics
+    are nan for the Kalman one."""
 
     epoch: int
-    time: float
     mean: np.ndarray
     variance: np.ndarray        # per axis
     transform: np.ndarray | None = None
@@ -270,7 +263,6 @@ def run_reference(
 def _summarize(grid: GridFilter, epoch: int, theta_grid) -> OracleSummary:
     return OracleSummary(
         epoch=epoch,
-        time=epoch * grid.epsilon,
         total_mass=grid.total_mass,
         mean=grid.mean.copy(),
         variance=grid.variance.copy(),
@@ -318,7 +310,7 @@ def oracle_summaries(
         if metric is not None:
             th = metric.nodes
             transform = np.exp(-1j * (th @ mean) - 0.5 * np.einsum("mi,ij,mj->m", th, cov, th))
-        summaries.append(OracleSummary(k, k * record.epsilon, mean, np.diag(cov).copy(), transform))
+        summaries.append(OracleSummary(k, mean, np.diag(cov).copy(), transform))
     return summaries
 
 

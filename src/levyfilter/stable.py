@@ -74,10 +74,6 @@ class SpectralMeasure:
         return self.directions.shape[1]
 
     @property
-    def atom_count(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
 

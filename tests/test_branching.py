@@ -12,7 +12,6 @@ from levyfilter import (
     InitialLaw,
     ObservationModel,
     ObservationRecord,
-    PopulationControl,
     SignalModel,
     SpectralMeasure,
     PopulationGrowthError,
@@ -120,13 +119,12 @@ class TestInit:
 
 
 class TestEvolve:
-    def test_counts_and_time(self):
+    def test_counts_and_mass_factor(self):
         rng = np.random.default_rng(5)
         ens = init_ensemble(100, gaussian_signal(), rng)
         out = evolve_segment(ens, gaussian_signal(), 0.3, rng)
         assert out.count == ens.count
         assert out.mass_factor == ens.mass_factor
-        assert out.time == pytest.approx(0.3)
 
     def test_single_step_matches_two_half_steps_in_law(self):
         rng = np.random.default_rng(7)
@@ -178,20 +176,22 @@ class TestBranchStep:
         dead = self.branch_once(-0.4, 0.25)
         assert dead.post.count == 0
         assert self.branch_once(-0.4, 0.45).post.count == 1
-        counts, events = _offspring_counts(np.array([-0.4, -0.4]), np.array([0.4, 0.3999]))
-        assert counts.tolist() == [1, 0] and events.tolist() == [False, True]
+        counts = _offspring_counts(np.array([-0.4, -0.4]), np.array([0.4, 0.3999]))
+        assert counts.tolist() == [1, 0]
 
     def test_offspring_rows_follow_counts(self):
         ens = init_ensemble(6, gaussian_signal(), np.random.default_rng(3))
         counts = np.array([0, 3, 1, 0, 2, 1])
         post = ens._with(np.repeat(ens.positions, counts, axis=0))
-        parents = FilterStep(1, 0.1, ens, post, counts, 4).parents
+        step = FilterStep(1, ens, post, counts)
+        parents = step.parents
+        assert step.branch_events == 4
         assert np.array_equal(parents, [1, 1, 1, 2, 4, 4, 5])
         assert np.array_equal(np.bincount(parents, minlength=ens.count), counts)
         assert np.array_equal(post.positions, ens.positions[parents])
         none = np.zeros(6, dtype=np.int64)
-        empty = FilterStep(1, 0.1, ens, ens._with(np.repeat(ens.positions, none, axis=0)), none, 6)
-        assert empty.post.count == 0 and empty.parents.size == 0
+        empty = FilterStep(1, ens, ens._with(np.repeat(ens.positions, none, axis=0)), none)
+        assert empty.post.count == 0 and empty.parents.size == 0 and empty.branch_events == 6
         assert empty.post.positions.shape == (0, 1)
 
     def test_positions_preserved(self):
@@ -215,7 +215,7 @@ class TestBranchStep:
             reps = 3000
             vals = np.empty(reps, dtype=complex)
             for r in range(reps):
-                counts, _ = _offspring_counts(rho, rng.random(ens.count))
+                counts = _offspring_counts(rho, rng.random(ens.count))
                 vals[r] = np.sum(counts * values) / ens.count  # <mu_post, phi>
             se = vals.std(ddof=1) / np.sqrt(reps)
             assert abs(vals.mean() - target) < 5.0 * max(se, 1e-12)
@@ -240,14 +240,14 @@ class TestEstimates:
         with pytest.raises(ExtinctionError):
             estimate(ens, lambda x: np.ones(x.shape[0]))
 
-    def test_empty_reports_time_not_epoch(self):
+    def test_empty_error_is_a_runtime_error(self):
+        # the CLI maps RuntimeError to exit 3; the error carries only its message
         ens = init_ensemble(1, gaussian_signal(), np.random.default_rng(42))
         ens.positions = np.empty((0, 1))
-        ens.time = 0.3
-        with pytest.raises(ExtinctionError) as err:
+        with pytest.raises(RuntimeError) as err:
             estimate(ens, lambda x: np.ones(x.shape[0]))
-        assert err.value.time == 0.3
-        assert "time 0.3" in str(err.value)
+        assert type(err.value) is ExtinctionError
+        assert "extinct" in str(err.value)
 
     def test_fourier_trivialities(self):
         ens = init_ensemble(1, point_signal(0.0), np.random.default_rng(43))
@@ -328,7 +328,7 @@ class TestRunFilter:
         for step, u in zip(run.steps, rng.uniforms):
             assert_parent_rows(step)
             rho = weight(step.pre.positions, record.increments[step.epoch - 1], obs)
-            counts, _ = _offspring_counts(rho, u)
+            counts = _offspring_counts(rho, u)
             assert np.array_equal(np.bincount(step.parents, minlength=step.pre.count), counts)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -376,14 +376,13 @@ class TestRunFilter:
 )
 def test_offspring_count_has_mean_one_plus_rho(rho, u):
     base, extra, kill = offspring_parameters(rho)
-    counts, events = _offspring_counts(np.array([rho]), np.array([u]))
+    counts = _offspring_counts(np.array([rho]), np.array([u]))
     # count = base + 1{U < extra} - 1{U < kill}, so E_U[count] = base + extra - kill
     assert counts[0] == base + (u < extra) - (u < kill)
     assert base + extra - kill == pytest.approx(1.0 + rho, rel=1e-12, abs=1e-12)
-    # an event is a branch (rho >= 1 or U below the fractional part) or a death
-    # (U below |rho|), i.e. exactly a count other than 1
-    assert events[0] == (counts[0] != 1)
-    assert events[0] == ((rho >= 1.0) or (u < extra + kill))
+    # a branch event (rho >= 1 or U below the fractional part) or a death
+    # (U below |rho|) is exactly a count other than 1
+    assert (counts[0] != 1) == ((rho >= 1.0) or (u < extra + kill))
 
 
 class TestMultinomialBaseline:
@@ -473,7 +472,7 @@ class TestPopulationControl:
             record,
             100,
             np.random.default_rng(107),
-            control=PopulationControl(target=100, low_ratio=0.5, high_ratio=1.5),
+            control=(0.5, 1.5),
         )
         for step in run.steps:
             # one control application halves or doubles at most once per epoch
@@ -492,9 +491,21 @@ class TestPopulationControl:
             record,
             100,
             np.random.default_rng(109),
-            control=PopulationControl(target=100, low_ratio=0.5, high_ratio=2.0),
+            control=(0.5, 2.0),
         )
         factors = [step.post.mass_factor / step.pre.mass_factor for step in run.steps]
         assert 2.0 in factors and 0.5 in factors
         for step in run.steps:
             assert_parent_rows(step)
+
+    def test_run_filter_rejects_band_outside_one(self):
+        record = ObservationRecord(increments=np.zeros((2, 1)), epsilon=0.1)
+        with pytest.raises(ValueError, match=r"bounds \(1\.5, 2\) must satisfy"):
+            run_filter(
+                gaussian_signal(),
+                linear_obs(0.1),
+                record,
+                50,
+                np.random.default_rng(113),
+                control=(1.5, 2.0),
+            )

@@ -8,11 +8,12 @@ behaviour: every artifact must come out byte-identical.
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyfilter import ObservationRecord
-from levyfilter.branching import PopulationControl, run_filter
+from levyfilter.branching import run_filter
 from levyfilter.harness import (
     build_metric,
     build_observation,
@@ -21,7 +22,7 @@ from levyfilter.harness import (
     parse_config,
 )
 from levyfilter.observation import csv_text, simulate_scenario
-from levyfilter.reference import run_reference
+from levyfilter.reference import GridAccuracyWarning, run_reference
 from levyfilter.seeding import substream
 
 
@@ -69,14 +70,15 @@ def simulate_files(cfg) -> dict:
     )
     files[f"{cfg.name}_simulate_observations.csv"] = record_csv_text(record)
     n = cfg.particle_counts[0]
-    control = PopulationControl(n, cfg.control_low, cfg.control_high) if cfg.population_control else None
+    control = (cfg.control_low, cfg.control_high) if cfg.population_control else None
     run = run_filter(signal, obs, record, n, substream(cfg.seed, "filter", n, 0), control=control)
     rows = []
     for step in run.steps:
         ens = step.post
         mean = ens.positions.mean(axis=0) if ens.count else np.full(ens.dimension, np.nan)
         unnorm = ens.mass_factor * ens.positions.sum(axis=0) / ens.initial_count
-        rows.append([step.epoch, step.time, ens.count, ens.total_mass] + list(unnorm) + list(mean))
+        t = step.epoch * record.epsilon
+        rows.append([step.epoch, t, ens.count, ens.total_mass] + list(unnorm) + list(mean))
     files[f"{cfg.name}_simulate_estimates.csv"] = _csv_text(
         ["epoch", "t", "count", "mass"]
         + [f"sum_x{i}_unnormalized" for i in range(d)]
@@ -108,7 +110,9 @@ def simulate_files(cfg) -> dict:
             + [f"mean_x{i}" for i in range(d)]
             + ["boundary_mass", "clamped_mass"],
             [
-                [s.epoch, s.time, s.total_mass] + list(s.mean) + [s.boundary_mass, s.clamped_mass]
+                [s.epoch, s.epoch * obs.epsilon, s.total_mass]
+                + list(s.mean)
+                + [s.boundary_mass, s.clamped_mass]
                 for s in summaries
             ],
         )
@@ -233,11 +237,14 @@ class TestArtifacts:
         )
         self.check(tmp_path, controlled + "[output]\ndump_particles = on\n")
 
+    # the 64-point oracle on half-width 8 leaves 4.3e-4 of the mass in its boundary cells
     def test_plane(self, tmp_path):
-        self.check(tmp_path, PLANE)
+        with pytest.warns(GridAccuracyWarning, match="boundary cells"):
+            self.check(tmp_path, PLANE)
 
     def test_plane_particles(self, tmp_path):
-        self.check(tmp_path, PLANE + "[output]\ndump_particles = on\n")
+        with pytest.warns(GridAccuracyWarning, match="boundary cells"):
+            self.check(tmp_path, PLANE + "[output]\ndump_particles = on\n")
 
 
 # --- observation record ----------------------------------------------------

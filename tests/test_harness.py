@@ -459,6 +459,21 @@ class TestCli:
         assert rc == 3
         assert "runtime error: martingale_compensator: population growth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["grid", "none"])
+    def test_compare_baseline_extinction_exit_3(self, tmp_path, capsys, kind):
+        # one particle on the shipped scenario dies out at epoch 12 of the eps = 0.1 run
+        text = (ROOT / "configs" / "default.ini").read_text()
+        text = text.replace("particle_counts = [250, 500, 1000, 2000, 4000, 8000, 16000]",
+                            "particle_counts = [1]")
+        text = text.replace("assert_slope = on", "assert_slope = off")
+        text = text.replace("kind = grid", f"kind = {kind}")
+        path = self.write_cfg(tmp_path, text)
+        rc = cli_main(
+            ["compare-baseline", "--config", path, "--seed", "1", "--out", str(tmp_path / "o")]
+        )
+        assert rc == 3
+        assert "extinct at observation epoch 12 of 20 (epsilon 0.1)" in capsys.readouterr().err
+
     def test_kalman_oracle_with_bump_sensor_exit_2(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, QUICK.replace("grid_points = 256", "kind = kalman"))
         rc = cli_main(["rate-sweep", "--config", path, "--out", str(tmp_path / "o")])
