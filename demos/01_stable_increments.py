@@ -38,7 +38,7 @@ for alpha in (0.8, 1.0, 1.5, 2.0):
     model = SignalModel(alpha, gamma, law)
     sample = sample_increment(model, dt, rng, size=draws)
     gap = np.abs(empirical_cf(sample, thetas) - increment_cf(model, dt, thetas))
-    ell = characteristic_exponent(np.array([1.0, 0.0]), model)
+    ell = characteristic_exponent(np.array([1.0, 0.0]), model)[0]
     print(f"{alpha:>6} {gap.max():>24.5f} {ell:>22.4f}")
 
 print()

@@ -52,7 +52,7 @@ for step in run.steps:
     weights = grid.density.reshape(-1)
     grid_h = float(weights @ grid_h_values / weights.sum())
     particle_h = sensor(step.post.positions)[:, 0].mean()
-    true_h = sensor(truth[step.epoch])[0]
+    true_h = sensor(truth[step.epoch])[0, 0]
     print(
         f"{step.epoch:>5} {true_h:>9.3f} {particle_h:>13.3f} {grid_h:>9.3f} "
         f"{step.post.count:>6} {step.post.total_mass:>7.3f} "

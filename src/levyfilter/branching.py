@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import fourier
-from .observation import ObservationModel, ObservationRecord, weight
+from .metrics import _rows, fourier
+from .observation import ObservationModel, ObservationRecord, _shared_epsilon, weight
 from .stable import SignalModel, sample_increment
 
 __all__ = [
@@ -98,9 +98,7 @@ class ParticleEnsemble:
     mass_factor: float = 1.0
 
     def __post_init__(self):
-        self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if self.positions.size == 0:
-            self.positions = self.positions.reshape(0, max(1, self.positions.shape[-1]))
+        self.positions = _rows(self.positions)
         if self.mass_factor <= 0.0:
             raise ValueError("mass_factor must be positive")
 
@@ -230,17 +228,19 @@ def run_filter(
 
 
 def _run_epochs(signal, obs, record, n, rng, resample) -> tuple[ParticleEnsemble, list]:
-    """The epoch loop of both filters: evolve, weigh, then ``resample(k, pre, rho)``, which
-    returns the epoch's step; its ``post`` enters the next interval.  Stops at extinction;
+    """The epoch loop of both filters: evolve by the epsilon that the record and ``obs``
+    share (ValueError if they differ), weigh, then ``resample(k, pre, rho)``, which returns
+    the epoch's step; its ``post`` enters the next interval.  Stops at extinction;
     raises PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
     On a risky epoch exp() may overflow: silently, and WeightOverflowError reports it;
     elsewhere the bound rules overflow out.
     """
+    eps = _shared_epsilon(obs, record)
     initial = ensemble = init_ensemble(n, signal, rng)
     risky = _risky_epochs(record, obs)
     steps = []
     for k in range(1, record.count + 1):
-        pre = evolve_segment(ensemble, signal, record.epsilon, rng)
+        pre = evolve_segment(ensemble, signal, eps, rng)
         if risky[k - 1]:
             with np.errstate(over="ignore"):
                 rho = weight(pre.positions, record.increments[k - 1], obs)
@@ -260,14 +260,15 @@ def _run_epochs(signal, obs, record, n, rng, resample) -> tuple[ParticleEnsemble
 def estimate(ensemble: ParticleEnsemble, phi) -> tuple:
     """(unnormalized, normalized) estimates of a test function.
 
-    ``phi`` maps a (count, d) position array to per-particle values (real or
-    complex).  Unnormalized is mass_factor * sum / initial_count; normalized
-    is the plain average over alive particles and requires a nonempty ensemble.
+    ``phi`` maps a (count, d) position array to one value, or one row of
+    values, per particle (real or complex); the sum runs over rows, so a
+    vector-valued phi gives one estimate per component.  Unnormalized is
+    mass_factor * sum / initial_count; normalized is the plain average over
+    alive particles and requires a nonempty ensemble.
     """
     if ensemble.count == 0:
         raise ExtinctionError("particle system extinct: no particle to average over")
-    values = np.asarray(phi(ensemble.positions))
-    total = values.sum()
+    total = np.asarray(phi(ensemble.positions)).sum(axis=0)
     unnormalized = ensemble.mass_factor * total / ensemble.initial_count
     normalized = total / ensemble.count
     return unnormalized, normalized

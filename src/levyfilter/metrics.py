@@ -45,14 +45,15 @@ def _symmetric_axis(cutoff: float, spacing: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Midpoint quadrature nodes on |theta| <= cutoff with the Sobolev weight baked in."""
+    """Midpoint quadrature nodes on |theta| <= cutoff with the Sobolev weight baked in.
+
+    Every quadrature weight is ``spacing**d``, and ``nodes[::-1] == -nodes``.
+    """
 
     nodes: np.ndarray            # (M, d)
-    quad_weights: np.ndarray     # (M,)
     gamma: float
     cutoff: float
     spacing: float
-    mirror: np.ndarray           # (M,) index of -theta_m
     sobolev_weights: np.ndarray  # (M,) quad weight times (1+|theta|^2)^gamma
 
     @classmethod
@@ -74,31 +75,18 @@ class FrequencyGrid:
         if dimension not in (1, 2):
             raise ValueError("metric grids support dimensions 1 and 2 only")
         axis = _symmetric_axis(cutoff, spacing)
-        m = axis.size
         if dimension == 1:
             nodes = axis.reshape(-1, 1)
-            mirror = np.arange(m, dtype=np.int64)[::-1].copy()
         else:
-            ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-            ii, jj = ii.ravel(), jj.ravel()
-            full = np.column_stack([axis[ii], axis[jj]])
-            keep = np.einsum("ij,ij->i", full, full) <= cutoff**2
-            position = np.full(m * m, -1, dtype=np.int64)
-            position[np.flatnonzero(keep)] = np.arange(int(keep.sum()))
-            mirror_flat = (m - 1 - ii) * m + (m - 1 - jj)
-            nodes = full[keep]
-            mirror = position[mirror_flat[keep]]
-            # the mask is symmetric under negation, so every mirror is kept
-            assert np.all(mirror >= 0)
-        quad = np.full(nodes.shape[0], spacing**dimension)
-        sob = quad * (1.0 + np.einsum("ij,ij->i", nodes, nodes)) ** gamma
+            # the disc is symmetric under negation, so its rows in ij order reverse to -nodes
+            full = np.column_stack([np.repeat(axis, axis.size), np.tile(axis, axis.size)])
+            nodes = full[np.einsum("ij,ij->i", full, full) <= cutoff**2]
+        sob = spacing**dimension * (1.0 + np.einsum("ij,ij->i", nodes, nodes)) ** gamma
         return cls(
             nodes=nodes,
-            quad_weights=quad,
             gamma=float(gamma),
             cutoff=float(cutoff),
             spacing=float(spacing),
-            mirror=mirror,
             sobolev_weights=sob,
         )
 
@@ -109,10 +97,6 @@ class FrequencyGrid:
     @property
     def node_count(self) -> int:
         return self.nodes.shape[0]
-
-    def weight_mass(self) -> float:
-        """Quadrature value of integral (1+|theta|^2)^gamma over the grid."""
-        return float(self.sobolev_weights.sum())
 
 
 # Type-1 NUFFT: spread with the "exponential of semicircle" kernel of Barnett, Magland &
@@ -146,8 +130,12 @@ def _deconvolution(count: int) -> tuple:
 def _lattice_sum(x: np.ndarray, masses, grid: FrequencyGrid) -> np.ndarray:
     """Type-1 NUFFT of the atoms ``x`` onto the 1-d lattice theta_m = theta_0 + m s."""
     count, size = grid.node_count, 2 * grid.node_count
+    # spread at unit scale: a power-of-two rescale is exact and keeps subnormal masses accurate
+    exponent = 0 if masses is None else int(np.frexp(np.max(np.abs(masses), initial=0.0))[1])
     # exp(-i theta_m x) = exp(-i theta_c x) exp(-i k u) with u = s x mod 2 pi
-    weights = np.exp(-1j * grid.nodes[count // 2, 0] * x) * (1.0 if masses is None else masses)
+    weights = np.exp(-1j * grid.nodes[count // 2, 0] * x)
+    if masses is not None:
+        weights *= np.ldexp(masses, -exponent)
     u = np.mod(grid.spacing * x, 2.0 * np.pi) * (size / (2.0 * np.pi))
     base = np.floor(u)
     first = (base.astype(np.int64) - (_SPREAD_WIDTH // 2 - 1)) % size
@@ -160,24 +148,47 @@ def _lattice_sum(x: np.ndarray, masses, grid: FrequencyGrid) -> np.ndarray:
         spread += np.bincount(cells, (weights.real[part, None] * kernel).ravel(), spread.size)
         spread += 1j * np.bincount(cells, (weights.imag[part, None] * kernel).ravel(), spread.size)
     bins, factors = _deconvolution(count)
-    return np.fft.fft(spread.reshape(-1, size).sum(axis=0))[bins] * factors
+    out = np.fft.fft(spread.reshape(-1, size).sum(axis=0))[bins] * factors
+    out.real, out.imag = np.ldexp(out.real, exponent), np.ldexp(out.imag, exponent)
+    return out
+
+
+def _rows(array, width: int | None = None) -> np.ndarray:
+    """The one shape rule for points and frequencies: ``array`` as float rows of width d.
+
+    A 0-d or 1-d array is consecutive rows; any other width is a ValueError naming d.
+    ``width`` None lets the array fix d: its own width when 2-d, else 1.  Every function
+    that takes rows returns one value, or one row of values, per row.
+    """
+    a = np.asarray(array, dtype=float)
+    if width is None:
+        width = a.shape[1] if a.ndim == 2 else 1
+    if a.ndim < 2 and a.size % width == 0:
+        return a.reshape(-1, width)
+    if a.ndim != 2 or a.shape[1] != width:
+        raise ValueError(f"expected rows of width {width}, got an array of shape {a.shape}")
+    return a
 
 
 def fourier(points, masses, nodes) -> np.ndarray:
-    """sum_j masses_j exp(-i theta' x_j) for atoms ``points`` (n, d) at every node.
+    """sum_j masses_j exp(-i theta' x_j) for atoms ``points`` at every node.
 
-    ``masses`` is an (n,) array, or None for plain terms.  A node array, (M, d)
-    or (M,) in 1-d, is summed directly: the reference for the other path.  A
-    1-d ``FrequencyGrid`` takes a type-1 NUFFT (Greengard & Lee, SIAM Rev. 46
-    (2004)) in O(n + M log M) that agrees with direct summation within
-    1e-12 * sum|masses| plus the roundoff of the phases theta x.
+    ``points`` and ``nodes`` are rows of width d (``_rows``), where d is the
+    ``FrequencyGrid``'s dimension or else the width of ``points``.  ``masses``
+    is an (n,) array, or None for plain terms.  A node array is summed
+    directly: the reference for the other path.  A 1-d ``FrequencyGrid`` takes
+    a type-1 NUFFT (Greengard & Lee, SIAM Rev. 46 (2004)) in O(n + M log M)
+    that agrees with direct summation within 1e-12 * sum|masses| plus the
+    roundoff of the phases theta x.
     """
-    x = np.asarray(points, dtype=float)
     if isinstance(nodes, FrequencyGrid):
+        x = _rows(points, nodes.dimension)
         if nodes.dimension == 1:
             return _lattice_sum(x[:, 0], masses, nodes)
-        nodes = nodes.nodes
-    th = np.asarray(nodes, dtype=float).reshape(-1, x.shape[1])
+        th = nodes.nodes
+    else:
+        x = _rows(points)
+        th = _rows(nodes, x.shape[1])
     out = np.empty(th.shape[0], dtype=complex)
     for lo in range(0, th.shape[0], _DIRECT_CHUNK):
         terms = np.exp(-1j * (x @ th[lo : lo + _DIRECT_CHUNK].T))
@@ -195,7 +206,7 @@ def sobolev_norm_sq(values, grid: FrequencyGrid, hermitian_tol: float = 1e-8) ->
     v = np.asarray(values, dtype=complex)
     if v.shape != (grid.node_count,):
         raise ValueError("transform values must match the grid nodes")
-    defect = float(np.max(np.abs(v[grid.mirror] - np.conj(v)))) if v.size else 0.0
+    defect = float(np.max(np.abs(v[::-1] - np.conj(v)))) if v.size else 0.0
     if defect > hermitian_tol * max(1.0, float(np.max(np.abs(v)))):
         raise ValueError(f"transform is not Hermitian within tolerance ({defect:.3e})")
     return float(np.sum(grid.sobolev_weights * np.abs(v) ** 2))

@@ -24,6 +24,7 @@ from typing import Union
 
 import numpy as np
 
+from .metrics import _rows
 from .stable import SignalModel, sample_increment
 
 __all__ = [
@@ -69,17 +70,14 @@ class GaussianBumpSensor:
         return self.centers.shape[1]
 
     def __call__(self, x) -> np.ndarray:
-        pts = np.asarray(x, dtype=float)
-        squeeze = pts.ndim == 1
-        pts = np.atleast_2d(pts)
+        pts = _rows(x, self.signal_dim)
         if pts.shape[1] == 1:  # |x - c|^2 is one square: no sum over a length-1 axis
             diff = pts - self.centers[:, 0]
             sq = diff * diff
         else:
             diff = pts[:, None, :] - self.centers[None, :, :]
             sq = np.sum(diff * diff, axis=2)
-        vals = self.amplitudes * np.exp(-0.5 * sq / (self.widths**2))
-        return vals[0] if squeeze else vals
+        return self.amplitudes * np.exp(-0.5 * sq / (self.widths**2))
 
     def hh_sup_bound(self) -> float:
         return float(np.sum(self.amplitudes**2))
@@ -108,14 +106,7 @@ class ClippedLinearSensor:
         return self.matrix.shape[1]
 
     def __call__(self, x) -> np.ndarray:
-        pts = np.asarray(x, dtype=float)
-        squeeze = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if self.matrix.shape == (1, 1):  # one output of one coordinate: no matmul
-            vals = np.clip(pts * self.matrix[:, 0], -self.clip, self.clip)
-        else:
-            vals = np.clip(pts @ self.matrix.T, -self.clip, self.clip)
-        return vals[0] if squeeze else vals
+        return np.clip(_rows(x, self.signal_dim) @ self.matrix.T, -self.clip, self.clip)
 
     def hh_sup_bound(self) -> float:
         return float(self.observation_dim) * self.clip**2
@@ -137,10 +128,7 @@ class ZeroSensor:
         return self.d1
 
     def __call__(self, x) -> np.ndarray:
-        pts = np.asarray(x, dtype=float)
-        if pts.ndim == 1:
-            return np.zeros(self.d2)
-        return np.zeros((pts.shape[0], self.d2))
+        return np.zeros((_rows(x, self.d1).shape[0], self.d2))
 
     def hh_sup_bound(self) -> float:
         return 0.0
@@ -253,6 +241,16 @@ class ObservationRecord:
             return cls.from_csv_text(fh.read())
 
 
+def _shared_epsilon(obs: ObservationModel, record: ObservationRecord) -> float:
+    """The interval epsilon that the model and the record must share; ValueError if they differ."""
+    if record.epsilon != obs.epsilon:
+        raise ValueError(
+            f"the record's epsilon {record.epsilon!r} differs from the observation model's "
+            f"epsilon {obs.epsilon!r}"
+        )
+    return obs.epsilon
+
+
 def epoch_count(horizon: float, epsilon: float) -> int:
     """K = floor(horizon / epsilon), robust to floating division of exact multiples."""
     return int(np.floor(horizon / epsilon + 1e-9))
@@ -273,26 +271,23 @@ def simulate_scenario(
     if horizon < eps:
         raise ValueError("horizon must be at least one observation interval")
     K = epoch_count(horizon, eps)
-    d1 = signal.dimension
     x0 = signal.initial_law.sample(1, rng)[0]
     steps = sample_increment(signal, eps, rng, size=K)
     path = np.vstack([x0, x0 + np.cumsum(steps, axis=0)])
-    h_vals = np.atleast_2d(obs.sensor(path[1:]))
     noise = np.sqrt(eps) * rng.standard_normal((K, obs.observation_dim))
-    increments = h_vals * eps + noise
+    increments = obs.sensor(path[1:]) * eps + noise
     record = ObservationRecord(increments=increments, epsilon=eps, truth=path[1:].copy())
-    assert path.shape == (K + 1, d1)
     return path, record
 
 
 def weight(x, dy, obs: ObservationModel):
-    """Centered likelihood ratio rho = exp(dy' h(x) - eps (h'h)(x)/2) - 1; always > -1."""
-    h = np.atleast_1d(obs.sensor(x))
+    """Centered likelihood ratio rho = exp(dy' h(x) - eps (h'h)(x)/2) - 1 > -1, one per row of x."""
+    h = obs.sensor(x)
     dy = np.asarray(dy, dtype=float)
-    if h.shape[-1] == 1:  # one output: dy'h and h'h are single products, no matmul or sum
-        h = h[..., 0]
+    if h.shape[1] == 1:  # one output: dy'h and h'h are single products, no matmul or sum
+        h = h[:, 0]
         return np.exp(h * dy[0] - 0.5 * obs.epsilon * (h * h)) - 1.0
-    return np.exp(h @ dy - 0.5 * obs.epsilon * np.sum(h * h, axis=-1)) - 1.0
+    return np.exp(h @ dy - 0.5 * obs.epsilon * np.sum(h * h, axis=1)) - 1.0
 
 
 def offspring_parameters(rho):

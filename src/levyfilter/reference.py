@@ -23,6 +23,7 @@ import numpy as np
 
 from .metrics import fourier
 from .observation import ClippedLinearSensor, ObservationModel, ObservationRecord, weight
+from .observation import _shared_epsilon
 from .stable import SignalModel, characteristic_exponent, covariance_rate
 
 __all__ = [
@@ -287,8 +288,9 @@ def oracle_summaries(
     ``kind`` "grid" runs the unnormalized grid filter (``run_reference``, which judges its
     accuracy); "kalman" gives the exact normalized Gaussian posterior once
     ``kalman_sensor`` accepts the scenario.  With ``metric`` each summary carries the
-    transform on its nodes.
+    transform on its nodes.  The record and ``obs`` must share epsilon (ValueError otherwise).
     """
+    _shared_epsilon(obs, record)
     if kind == "grid":
         return run_reference(
             signal,

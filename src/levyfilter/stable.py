@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import fourier
+from .metrics import _rows, fourier
 
 __all__ = [
     "SpectralMeasure",
@@ -138,10 +138,10 @@ class InitialLaw:
         return self.center + self.scale * rng.uniform(-1.0, 1.0, size=(count, d))
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
-        """Density at ``points`` of shape (m, d); undefined for a point mass."""
+        """Density at each row of ``points``; undefined for a point mass."""
         if self.kind == "point":
             raise ValueError("point mass has no density")
-        x = (np.atleast_2d(points) - self.center) / self.scale
+        x = (_rows(points, self.dimension) - self.center) / self.scale
         if self.kind == "gaussian":
             vals = np.exp(-0.5 * np.sum(x * x, axis=1))
             vals /= (2.0 * np.pi) ** (self.dimension / 2.0) * np.prod(self.scale)
@@ -169,28 +169,14 @@ class SignalModel:
         return self.spectral.dimension
 
 
-def _as_theta_matrix(theta, dimension: int) -> tuple[np.ndarray, bool]:
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim == 0:
-        theta = theta.reshape(1, 1)
-        return theta, True
-    if theta.ndim == 1:
-        if dimension == 1 and theta.shape[0] != 1:
-            # a flat list of scalar frequencies for a 1-d model
-            return theta.reshape(-1, 1), False
-        return theta.reshape(1, -1), True
-    return theta, False
-
-
 def characteristic_exponent(theta, model: SignalModel):
     """Exponent l(theta) with E exp(i theta'(X_t - X_s)) = exp((t-s) l(theta)).
 
-    Accepts a single frequency vector or a (k, d) batch.  The real part is
-    always <= 0, l(0) = 0, and l(-theta) = conj(l(theta)); for alpha = 2 the
-    imaginary part vanishes identically.
+    One value per frequency row of width d.  The real part is always <= 0,
+    l(0) = 0, and l(-theta) = conj(l(theta)); for alpha = 2 the imaginary part
+    vanishes identically.
     """
-    th, single = _as_theta_matrix(theta, model.dimension)
-    proj = th @ model.spectral.directions.T  # (k, atoms)
+    proj = _rows(theta, model.dimension) @ model.spectral.directions.T  # (k, atoms)
     mag = np.abs(proj)
     alpha = model.alpha
     if alpha == 1.0:
@@ -200,19 +186,16 @@ def characteristic_exponent(theta, model: SignalModel):
         # tan(pi) is exactly 0 for alpha = 2; avoid the 1e-16 residue of np.tan
         skew = 0.0 if alpha == 2.0 else np.tan(np.pi * alpha / 2.0)
         integrand = mag**alpha * (1.0 - 1j * np.sign(proj) * skew)
-    out = -(integrand @ model.spectral.weights)
-    return complex(out[0]) if single else out
+    return -(integrand @ model.spectral.weights)
 
 
 def increment_cf(model: SignalModel, dt: float, theta):
     """Exact E exp(-i theta' Delta) for an increment of duration dt.
 
     This is the analytic counterpart of ``empirical_cf`` (which also uses the
-    exp(-i theta' x) kernel) and equals exp(dt * l(-theta)).
+    exp(-i theta' x) kernel) and equals exp(dt * l(-theta)), one value per frequency row.
     """
-    th, single = _as_theta_matrix(theta, model.dimension)
-    vals = np.exp(dt * characteristic_exponent(-th, model))
-    return complex(vals[0]) if single else vals
+    return np.exp(dt * characteristic_exponent(-_rows(theta, model.dimension), model))
 
 
 def sample_standard_stable_1d(alpha: float, rng: np.random.Generator, size=None):
@@ -247,8 +230,8 @@ def sample_standard_stable_1d(alpha: float, rng: np.random.Generator, size=None)
     )
 
 
-def sample_increment(model: SignalModel, dt: float, rng: np.random.Generator, size=None):
-    """Exact increment draw(s) over duration dt > 0.
+def sample_increment(model: SignalModel, dt: float, rng: np.random.Generator, size: int):
+    """``size`` exact increment draws over duration dt > 0, as (size, d) rows.
 
     Decomposes the increment as sum_j c_j(dt) W_j z_j over the atoms, with the
     per-atom scales chosen so the characteristic function is exp(dt*l(theta));
@@ -257,33 +240,29 @@ def sample_increment(model: SignalModel, dt: float, rng: np.random.Generator, si
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    count = 1 if size is None else int(size)
     alpha = model.alpha
     weights = model.spectral.weights
     directions = model.spectral.directions
     scales = dt * weights if alpha == 1.0 else (dt * weights) ** (1.0 / alpha)
-    draws = sample_standard_stable_1d(alpha, rng, size=(count, weights.shape[0]))
+    draws = sample_standard_stable_1d(alpha, rng, size=(int(size), weights.shape[0]))
     draws *= scales
     # one atom: a product, bit-equal to the matmul and ~7x faster on (count, 1) arrays
     out = draws * directions if weights.shape[0] == 1 else draws @ directions
     if alpha == 1.0:
         out += (2.0 / np.pi) * (scales * np.log(scales)) @ directions
-    return out[0] if size is None else out
+    return out
 
 
 def empirical_cf(samples, theta):
-    """(1/N) sum_j exp(-i theta' x_j) over the sample list.
+    """(1/N) sum_j exp(-i theta' x_j) over the sample rows, one value per frequency row.
 
-    Modulus is at most 1 and the value at theta = 0 is exactly 1.
+    The samples' width fixes d (a flat sample list is 1-d).  Modulus is at most
+    1 and the value at theta = 0 is exactly 1.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
+    x = _rows(samples)
+    if x.shape[0] == 0:
         raise ValueError("empirical_cf requires a nonempty sample list")
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    th, single = _as_theta_matrix(theta, x.shape[1])
-    vals = fourier(x, None, th) / x.shape[0]
-    return complex(vals[0]) if single else vals
+    return fourier(x, None, theta) / x.shape[0]
 
 
 def directional_moment(spectral: SpectralMeasure, theta, power: float) -> float:

@@ -95,7 +95,7 @@ def linear_obs(eps=0.1, clip=50.0):
 
 def dy_for_rho(rho, x, obs):
     """Observation increment making weight(x) equal rho for the scalar linear sensor."""
-    h = float(obs.sensor(np.atleast_1d(x))[0])
+    h = float(obs.sensor(np.atleast_1d(x))[0, 0])
     return np.array([(np.log1p(rho) + 0.5 * obs.epsilon * h * h) / h])
 
 
@@ -234,6 +234,13 @@ class TestEstimates:
         _, norm = estimate(ens, lambda x: x[:, 0])
         assert norm == 1.0
 
+    def test_vector_phi_gives_one_estimate_per_component(self):
+        ens = init_ensemble(3, gaussian_signal(), np.random.default_rng(39))
+        ens.positions = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        unnorm, norm = estimate(ens, lambda p: p)
+        assert norm.tolist() == [2.0, 3.0]
+        assert unnorm.tolist() == [2.0, 3.0]
+
     def test_empty_raises(self):
         ens = init_ensemble(1, gaussian_signal(), np.random.default_rng(41))
         ens.positions = np.empty((0, 1))
@@ -272,6 +279,14 @@ class TestRunFilter:
         else:
             increments = eps * 0.5 + np.sqrt(eps) * rng.standard_normal((K, 1))
         return ObservationRecord(increments=increments, epsilon=eps)
+
+    def test_record_and_model_must_share_epsilon(self):
+        record = self.make_record(K=20, eps=0.05)
+        obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.1)
+        rng = np.random.default_rng(50)
+        for run in (run_filter, run_baseline):
+            with pytest.raises(ValueError, match=r"epsilon 0\.05 .* epsilon 0\.1"):
+                run(gaussian_signal(), obs, record, 100, rng)
 
     def test_empty_record(self):
         record = ObservationRecord(increments=np.empty((0, 1)), epsilon=0.1)

@@ -13,9 +13,11 @@ from levyfilter import (
     SpectralMeasure,
     ZeroSensor,
     offspring_parameters,
+    run_filter,
     simulate_scenario,
     weight,
 )
+from levyfilter import checks
 
 
 def bump_obs(epsilon=0.1):
@@ -150,6 +152,66 @@ class TestMomentScaling:
         slope2 = np.polyfit(np.log(epsilons), np.log(m2), 1)[0]
         assert 0.35 <= slope1 <= 0.65
         assert 0.85 <= slope2 <= 1.15
+
+
+    def test_check_reports_a_weight_mismatch_as_fail(self, monkeypatch):
+        # the weight of a mutant with 0.55 eps h'h in place of eps h'h / 2
+        def mutant(x, dy, obs):
+            h = obs.sensor(x)
+            return np.exp(h @ dy - 0.55 * obs.epsilon * np.sum(h * h, axis=1)) - 1.0
+
+        monkeypatch.setattr(checks, "weight", mutant)
+        result = checks.check_weight_moment_scaling(5, scale=0.05)
+        assert result.status == "FAIL"
+        assert "weight() differs from the direct rho at eps 0.2, 0.1, 0.05" in result.detail
+
+
+class TestShapeRule:
+    """Sensors and weights read rows of width d and give one value, or one row, per row."""
+
+    def test_flat_points_are_rows_of_the_sensor_width(self):
+        values = GaussianBumpSensor([1.0], [[0.0]], [1.0])(np.array([1.0, 2.0]))
+        assert values.shape == (2, 1)
+        assert values[:, 0] == pytest.approx([np.exp(-0.5), np.exp(-2.0)], rel=1e-15)
+
+    def test_flat_points_of_a_planar_sensor(self):
+        sensor = ClippedLinearSensor([[1.0, 2.0]], clip=100.0)
+        assert sensor(np.array([1.0, 1.0, 2.0, 0.0])).tolist() == [[3.0], [2.0]]
+        with pytest.raises(ValueError, match="width 2"):
+            sensor(np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize(
+        "sensor",
+        [
+            GaussianBumpSensor([1.0], [[0.0]], [1.0]),
+            ClippedLinearSensor([[1.0]], clip=5.0),
+            ZeroSensor(d2=2, d1=1),
+        ],
+    )
+    def test_wrong_width_names_the_expected_width(self, sensor):
+        with pytest.raises(ValueError, match="width 1"):
+            sensor(np.zeros((3, 2)))
+        assert sensor(np.zeros(3)).shape == (3, sensor.observation_dim)
+
+    def test_weight_gives_one_value_per_row(self):
+        one = ObservationModel(ClippedLinearSensor([[0.5]], clip=10.0), 0.1)
+        two = ObservationModel(ClippedLinearSensor([[0.5], [1.0]], clip=10.0), 0.1)
+        assert weight(np.array([1.0]), np.array([0.2]), one).shape == (1,)
+        assert weight(np.zeros((4, 1)), np.array([0.2]), one).shape == (4,)
+        assert weight(np.array([1.0, 2.0]), np.array([0.2, 0.1]), two).shape == (2,)
+
+    def test_line_sensor_on_a_planar_signal_is_rejected(self):
+        planar = SignalModel(
+            2.0,
+            SpectralMeasure([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),
+            InitialLaw.point([0.0, 0.0]),
+        )
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="width 1"):
+            simulate_scenario(planar, bump_obs(), 1.0, rng)
+        record = ObservationRecord(increments=np.zeros((20, 1)), epsilon=0.1)
+        with pytest.raises(ValueError, match="width 1"):
+            run_filter(planar, bump_obs(), record, 50, rng)
 
 
 class TestScenario:

@@ -307,3 +307,12 @@ def test_clip_margin():
     assert clip_margin(sensor, []) == 5.0
     with pytest.raises(ClipRegionError, match=r"\|Bx\| reached 5.00 >= 5.0"):
         clip_margin(sensor, [np.array([[2.5]])])
+
+
+@pytest.mark.parametrize("kind", ["grid", "kalman"])
+def test_oracle_needs_the_record_epsilon(kind):
+    signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.gaussian([0.0], [1.0]))
+    sensor = ClippedLinearSensor([[1.0]], clip=20.0)
+    _, record = simulate_scenario(signal, ObservationModel(sensor, 0.05), 1.0, substream(3, "eps"))
+    with pytest.raises(ValueError, match=r"epsilon 0\.05 .* epsilon 0\.1"):
+        oracle_summaries(signal, ObservationModel(sensor, 0.1), record, kind, grid_points=64)

@@ -153,7 +153,7 @@ class TestIncrements:
     def test_rejects_nonpositive_dt(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_increment(model_1d(1.5), 0.0, rng)
+            sample_increment(model_1d(1.5), 0.0, rng, size=1)
 
     def test_small_dt_cf_near_one(self):
         rng = np.random.default_rng(5)
@@ -211,6 +211,35 @@ class TestIncrements:
         for theta in (0.5, 1.0, 2.0):
             gap = abs(empirical_cf(whole, theta) - empirical_cf(halves, theta))
             assert gap < 5.0 * np.sqrt(2.0 / n)
+
+
+class TestShapeRule:
+    """Frequencies are rows of width d; every function gives one value per row."""
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            lambda theta: characteristic_exponent(theta, model_2d(1.5)),
+            lambda theta: increment_cf(model_2d(1.5), 1.0, theta),
+            lambda theta: empirical_cf(np.zeros((4, 2)), theta),
+        ],
+    )
+    def test_wrong_width_names_the_expected_width(self, transform):
+        with pytest.raises(ValueError, match="width 2"):
+            transform(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="width 2"):
+            transform(np.array([1.0, 2.0, 3.0]))
+        assert transform(np.array([1.0, 0.0])).shape == (1,)
+        assert transform(np.array([1.0, 0.0, 0.0, 1.0])).shape == (2,)
+
+    def test_flat_frequencies_of_a_line_model(self):
+        assert characteristic_exponent(0.5, model_1d(1.5)).shape == (1,)
+        assert increment_cf(model_1d(1.5), 1.0, [0.5, 1.0, 2.0]).shape == (3,)
+
+    def test_increments_are_rows(self):
+        rng = np.random.default_rng(5)
+        assert sample_increment(model_2d(1.5), 1.0, rng, size=1).shape == (1, 2)
+        assert sample_increment(model_1d(0.8), 1.0, rng, size=3).shape == (3, 1)
 
 
 class TestEmpiricalCf:
