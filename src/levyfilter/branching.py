@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import _rows, fourier
-from .observation import ObservationModel, ObservationRecord, _shared_epsilon, weight
+from .observation import ObservationModel, ObservationRecord, _check_record, weight
 from .stable import SignalModel, sample_increment
 
 __all__ = [
@@ -229,13 +229,14 @@ def run_filter(
 
 def _run_epochs(signal, obs, record, n, rng, resample) -> tuple[ParticleEnsemble, list]:
     """The epoch loop of both filters: evolve by the epsilon that the record and ``obs``
-    share (ValueError if they differ), weigh, then ``resample(k, pre, rho)``, which returns
-    the epoch's step; its ``post`` enters the next interval.  Stops at extinction;
-    raises PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
+    share (ValueError if they differ, or if their observation widths do), weigh, then
+    ``resample(k, pre, rho)``, which returns the epoch's step; its ``post`` enters the
+    next interval.  Stops at extinction; raises PopulationGrowthError when ``post``
+    holds more than MAX_GROWTH * n particles.
     On a risky epoch exp() may overflow: silently, and WeightOverflowError reports it;
     elsewhere the bound rules overflow out.
     """
-    eps = _shared_epsilon(obs, record)
+    eps = _check_record(obs, record)
     initial = ensemble = init_ensemble(n, signal, rng)
     risky = _risky_epochs(record, obs)
     steps = []
@@ -291,11 +292,51 @@ def _multinomial_resample(
     Every particle independently picks a parent site with probability
     proportional to the parent weight.  Returns the new ensemble and the
     relocation count (particles whose site differs from their own old one).
+    The draw is ``Generator.choice(count, size=count, p=w / w.sum())`` bit for bit:
+    the same cdf, inverted at the same uniforms.  Non-finite or negative
+    weights, or a zero total, raise ValueError as ``choice`` does.
     """
     w = 1.0 + rho
-    parents = rng.choice(ensemble.count, size=ensemble.count, p=w / w.sum())
+    total = w.sum()
+    if not (np.isfinite(total) and total > 0.0 and w.min() >= 0.0):
+        raise ValueError(
+            f"multinomial weights must be finite and non-negative with a positive sum; "
+            f"got sum {total:g}, min {w.min():g}"
+        )
+    cdf = (w / total).cumsum()
+    cdf /= cdf[-1]
+    parents = _inverse_cdf(cdf, rng.random(ensemble.count))
     relocations = int(np.count_nonzero(parents != np.arange(ensemble.count)))
     return ensemble._with(ensemble.positions[parents]), relocations
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` by guide-table inversion (Chen & Asau 1974;
+    Devroye 1986, sec. III.2.4), in expected O(1) work per key.
+
+    ``cdf`` is non-decreasing with ``cdf[-1] == 1`` and every ``u`` lies in [0, 1).  With
+    m = len(cdf) and f(x) = floor(x * m) in floating point, ``guide[j]`` counts the rows
+    with f(cdf) < j.  Rounding is monotone, so a key's answer lies in
+    [guide[f(u)], guide[f(u) + 1]] exactly; the key probes the bracket's start, then
+    halves what is left.  Ties (zero-weight rows) need no care, and a bracket of many
+    rows costs log2 of its length in passes.
+    """
+    m = cdf.shape[0]
+    guide = np.zeros(m + 2, dtype=np.int64)
+    np.cumsum(np.bincount((cdf * m).astype(np.int64), minlength=m + 1), out=guide[1:])
+    bucket = (u * m).astype(np.int64)
+    idx = guide[bucket]
+    keys = np.flatnonzero(cdf[idx] <= u)
+    idx[keys] += 1
+    lo, hi, uk = idx[keys], guide[bucket[keys] + 1], u[keys]
+    while (open_ := np.flatnonzero(lo < hi)).size:
+        keys, lo, hi, uk = keys[open_], lo[open_], hi[open_], uk[open_]
+        mid = (lo + hi) >> 1
+        above = cdf[mid] > uk
+        lo = np.where(above, lo, mid + 1)
+        hi = np.where(above, mid, hi)
+        idx[keys] = lo
+    return idx
 
 
 @dataclass

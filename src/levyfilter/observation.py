@@ -178,16 +178,19 @@ class ObservationModel:
 
 @dataclass
 class ObservationRecord:
-    """Observation increments dY_k for k = 1..K, with optional synthetic truth."""
+    """Observation increments dY_k for k = 1..K, with optional synthetic truth.
+
+    Both are rows (``metrics._rows``): a flat array is consecutive epochs of width 1.
+    """
 
     increments: np.ndarray          # (K, d2)
     epsilon: float
     truth: np.ndarray | None = None  # (K, d1) signal states at t_1..t_K
 
     def __post_init__(self):
-        self.increments = np.atleast_2d(np.asarray(self.increments, dtype=float))
+        self.increments = _rows(self.increments)
         if self.truth is not None:
-            self.truth = np.atleast_2d(np.asarray(self.truth, dtype=float))
+            self.truth = _rows(self.truth)
             if self.truth.shape[0] != self.increments.shape[0]:
                 raise ValueError("truth and increments must have the same number of epochs")
 
@@ -230,7 +233,7 @@ class ObservationRecord:
             if x_cols:
                 truth.append([float(row[i]) for i in x_cols])
         return cls(
-            increments=np.array(increments, dtype=float),
+            increments=np.array(increments, dtype=float).reshape(-1, len(dy_cols)),
             epsilon=float(eps),
             truth=np.array(truth, dtype=float) if truth else None,
         )
@@ -241,12 +244,18 @@ class ObservationRecord:
             return cls.from_csv_text(fh.read())
 
 
-def _shared_epsilon(obs: ObservationModel, record: ObservationRecord) -> float:
-    """The interval epsilon that the model and the record must share; ValueError if they differ."""
+def _check_record(obs: ObservationModel, record: ObservationRecord) -> float:
+    """The interval epsilon that the model and the record must share; ValueError if the
+    epsilons differ or the record's increments are not as wide as the sensor's output."""
     if record.epsilon != obs.epsilon:
         raise ValueError(
             f"the record's epsilon {record.epsilon!r} differs from the observation model's "
             f"epsilon {obs.epsilon!r}"
+        )
+    if record.observation_dim != obs.observation_dim:
+        raise ValueError(
+            f"the record's increments have width {record.observation_dim} but the sensor "
+            f"gives {obs.observation_dim}-d observations"
         )
     return obs.epsilon
 
@@ -281,9 +290,17 @@ def simulate_scenario(
 
 
 def weight(x, dy, obs: ObservationModel):
-    """Centered likelihood ratio rho = exp(dy' h(x) - eps (h'h)(x)/2) - 1 > -1, one per row of x."""
+    """Centered likelihood ratio rho = exp(dy' h(x) - eps (h'h)(x)/2) - 1 > -1, one per row of x.
+
+    ``dy`` is one row of width ``obs.observation_dim`` (ValueError otherwise).
+    """
     h = obs.sensor(x)
-    dy = np.asarray(dy, dtype=float)
+    rows = _rows(dy, obs.observation_dim)
+    if rows.shape[0] != 1:
+        raise ValueError(
+            f"expected one row of width {obs.observation_dim}, got an array of shape {np.shape(dy)}"
+        )
+    dy = rows[0]
     if h.shape[1] == 1:  # one output: dy'h and h'h are single products, no matmul or sum
         h = h[:, 0]
         return np.exp(h * dy[0] - 0.5 * obs.epsilon * (h * h)) - 1.0

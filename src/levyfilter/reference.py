@@ -23,7 +23,7 @@ import numpy as np
 
 from .metrics import fourier
 from .observation import ClippedLinearSensor, ObservationModel, ObservationRecord, weight
-from .observation import _shared_epsilon
+from .observation import _check_record
 from .stable import SignalModel, characteristic_exponent, covariance_rate
 
 __all__ = [
@@ -288,9 +288,10 @@ def oracle_summaries(
     ``kind`` "grid" runs the unnormalized grid filter (``run_reference``, which judges its
     accuracy); "kalman" gives the exact normalized Gaussian posterior once
     ``kalman_sensor`` accepts the scenario.  With ``metric`` each summary carries the
-    transform on its nodes.  The record and ``obs`` must share epsilon (ValueError otherwise).
+    transform on its nodes.  The record and ``obs`` must share epsilon and observation
+    width (ValueError otherwise).
     """
-    _shared_epsilon(obs, record)
+    _check_record(obs, record)
     if kind == "grid":
         return run_reference(
             signal,

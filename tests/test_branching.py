@@ -31,6 +31,8 @@ from levyfilter.branching import (
     MAX_GROWTH,
     MAX_RHO,
     FilterStep,
+    ParticleEnsemble,
+    _inverse_cdf,
     _multinomial_resample,
     _offspring_counts,
 )
@@ -288,6 +290,14 @@ class TestRunFilter:
             with pytest.raises(ValueError, match=r"epsilon 0\.05 .* epsilon 0\.1"):
                 run(gaussian_signal(), obs, record, 100, rng)
 
+    def test_record_and_model_must_share_observation_width(self):
+        record = ObservationRecord(increments=np.zeros((5, 2)), epsilon=0.1)
+        obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.1)
+        rng = np.random.default_rng(51)
+        for run in (run_filter, run_baseline):
+            with pytest.raises(ValueError, match=r"width 2 but the sensor gives 1-d"):
+                run(gaussian_signal(), obs, record, 100, rng)
+
     def test_empty_record(self):
         record = ObservationRecord(increments=np.empty((0, 1)), epsilon=0.1)
         run = run_filter(
@@ -446,6 +456,59 @@ class TestMultinomialBaseline:
             gaussian_signal(), linear_obs(), record, 100, np.random.default_rng(89)
         )
         assert [s.post.count for s in steps] == [100] * 4
+
+    @pytest.mark.parametrize(
+        "rho",
+        [[-1.0, -1.0, -1.0], [0.0, np.nan, 0.0], [0.0, np.inf, 0.0], [0.0, -1.5, 0.5]],
+        ids=["zero-total", "nan", "inf", "negative"],
+    )
+    def test_rejects_the_weights_choice_rejects(self, rho):
+        ens = ParticleEnsemble(np.zeros(3), initial_count=3)
+        with pytest.raises(ValueError, match="multinomial weights must be finite"):
+            _multinomial_resample(ens, np.array(rho), np.random.default_rng(0))
+
+
+def spiky_rho(count, sigma, zero_share, seed):
+    """Log-normal weights 1 + rho, a share of them exactly 0 (rho = -1), one kept positive."""
+    rng = np.random.default_rng(seed)
+    rho = np.expm1(sigma * rng.standard_normal(count))
+    rho[rng.random(count) < zero_share] = -1.0
+    rho[rng.integers(count)] = 0.0
+    return rho
+
+
+WEIGHT_CASES = dict(
+    count=st.integers(min_value=1, max_value=70_000),
+    sigma=st.sampled_from([0.05, 3.0]),
+    zero_share=st.sampled_from([0.0, 0.3, 0.999]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**WEIGHT_CASES)
+def test_inverse_cdf_is_searchsorted_right(count, sigma, zero_share, seed):
+    w = 1.0 + spiky_rho(count, sigma, zero_share, seed)
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    rng = np.random.default_rng(seed + 1)
+    # the extreme uniforms, keys equal to cdf values (ties go right), then random keys
+    u = np.concatenate(
+        [[0.0, np.nextafter(1.0, 0.0)], cdf[cdf < 1.0][:50], rng.random(count)]
+    )
+    assert np.array_equal(_inverse_cdf(cdf, u), cdf.searchsorted(u, side="right"))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**WEIGHT_CASES)
+def test_multinomial_resample_is_generator_choice(count, sigma, zero_share, seed):
+    rho = spiky_rho(count, sigma, zero_share, seed)
+    ens = ParticleEnsemble(np.arange(count, dtype=float), initial_count=count)
+    out, moved = _multinomial_resample(ens, rho, np.random.default_rng(seed))
+    w = 1.0 + rho
+    parents = np.random.default_rng(seed).choice(count, size=count, p=w / w.sum())
+    assert np.array_equal(out.positions[:, 0], parents)
+    assert moved == np.count_nonzero(parents != np.arange(count))
 
 
 class TestPopulationControl:

@@ -225,6 +225,15 @@ def test_filter_and_baseline_bit_equal(alpha, d, atoms, sensor):
     assert_baseline_bit_equal(signal, obs, record, 120, seed=29)
 
 
+def test_baseline_bit_equal_at_the_benchmark_size():
+    # the count and epsilon of the compare-baseline workload: a cdf of 16000 rows
+    signal = make_signal(1.5, 1, 1)
+    obs = make_obs("bump", 1, eps=0.0125)
+    _, record = simulate_scenario(signal, obs, 0.05, np.random.default_rng(19))
+    assert record.count == 4
+    assert_baseline_bit_equal(signal, obs, record, 16000, seed=47)
+
+
 def test_population_control_bit_equal():
     signal = make_signal(2.0, 1, 1)
     obs = make_obs("linear", 1)

@@ -200,6 +200,24 @@ class TestShapeRule:
         assert weight(np.zeros((4, 1)), np.array([0.2]), one).shape == (4,)
         assert weight(np.array([1.0, 2.0]), np.array([0.2, 0.1]), two).shape == (2,)
 
+    def test_weight_reads_one_row_of_the_observation_width(self):
+        one = ObservationModel(ClippedLinearSensor([[0.5]], clip=10.0), 0.1)
+        two = ObservationModel(ClippedLinearSensor([[0.5], [1.0]], clip=10.0), 0.1)
+        x = np.zeros((4, 1))
+        for obs, dy in [(one, [0.1, 0.2]), (one, [[0.1], [0.2]]), (two, [0.1]), (two, [[0.1] * 3])]:
+            with pytest.raises(ValueError, match=f"width {obs.observation_dim}"):
+                weight(x, np.array(dy), obs)
+
+    def test_flat_record_is_epochs_of_width_one(self):
+        record = ObservationRecord(
+            increments=np.array([0.1, 0.2, 0.3]), epsilon=0.1, truth=np.array([1.0, 2.0, 3.0])
+        )
+        assert (record.count, record.observation_dim) == (3, 1)
+        assert record.truth.shape == (3, 1)
+        signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.point([0.0]))
+        run = run_filter(signal, bump_obs(), record, 20, np.random.default_rng(5))
+        assert [step.epoch for step in run.steps] == [1, 2, 3]
+
     def test_line_sensor_on_a_planar_signal_is_rejected(self):
         planar = SignalModel(
             2.0,
@@ -274,6 +292,11 @@ class TestRecordCsv:
         assert back.epsilon == record.epsilon
         assert np.array_equal(back.increments, record.increments)
         assert np.array_equal(back.truth, record.truth)
+
+    def test_round_trip_keeps_the_width_of_an_empty_record(self):
+        record = ObservationRecord(increments=np.empty((0, 2)), epsilon=0.1)
+        back = ObservationRecord.from_csv_text(record.to_csv_text())
+        assert back.increments.shape == (0, 2)
 
     def test_round_trip_without_truth(self, tmp_path):
         record = ObservationRecord(increments=np.array([[0.25]]), epsilon=1.0)

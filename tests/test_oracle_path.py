@@ -17,6 +17,7 @@ from levyfilter import (
     GaussianBumpSensor,
     InitialLaw,
     ObservationModel,
+    ObservationRecord,
     SignalModel,
     SpectralMeasure,
     covariance_rate,
@@ -316,3 +317,12 @@ def test_oracle_needs_the_record_epsilon(kind):
     _, record = simulate_scenario(signal, ObservationModel(sensor, 0.05), 1.0, substream(3, "eps"))
     with pytest.raises(ValueError, match=r"epsilon 0\.05 .* epsilon 0\.1"):
         oracle_summaries(signal, ObservationModel(sensor, 0.1), record, kind, grid_points=64)
+
+
+@pytest.mark.parametrize("kind", ["grid", "kalman"])
+def test_oracle_needs_the_record_width(kind):
+    signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.gaussian([0.0], [1.0]))
+    record = ObservationRecord(increments=np.zeros((5, 2)), epsilon=0.1)
+    obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=20.0), 0.1)
+    with pytest.raises(ValueError, match=r"width 2 but the sensor gives 1-d"):
+        oracle_summaries(signal, obs, record, kind, grid_points=64)
