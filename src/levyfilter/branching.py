@@ -139,18 +139,28 @@ def evolve_segment(
         raise ValueError("dt must be positive")
     moved = ensemble.positions
     if ensemble.count:
-        moved = moved + sample_increment(signal, dt, rng, size=ensemble.count)
+        moved = sample_increment(signal, dt, rng, size=ensemble.count)
+        moved += ensemble.positions
     return ensemble._with(moved)
 
 
 def _offspring_counts(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-particle offspring counts from one uniform each.
+    """Per-particle int32 offspring counts from one uniform each.
 
     The rule of ``offspring_parameters`` in one pass: with fl = floor(rho),
     rho >= 0 leaves fl + 1 copies plus one iff U < rho - fl, and rho < 0
-    (fl = -1) leaves one copy iff U >= -rho."""
-    fl = np.floor(rho)
-    return np.where(rho < 0.0, u >= -rho, u < rho - fl) + (fl + 1.0).astype(np.int64)
+    (fl = -1) leaves one copy iff U >= -rho.  A run caps rho at MAX_RHO = 2**20,
+    so every count fits in 4 bytes."""
+    threshold = np.floor(rho)
+    counts = threshold.astype(np.int32)
+    counts += 1
+    negative = rho < 0.0
+    np.subtract(rho, threshold, out=threshold)
+    np.negative(rho, out=threshold, where=negative)
+    extra = np.less(u, threshold)
+    extra ^= negative  # rho < 0: the copy survives iff U >= -rho
+    counts += extra
+    return counts
 
 
 @dataclass
@@ -158,7 +168,7 @@ class FilterStep:
     """One observation epoch (at t = epoch * epsilon): the ensemble just before and just
     after branching, and what branching drew.
 
-    Row i of ``pre`` left ``counts[i]`` offspring; ``control_rows`` is the mask or
+    Row i of ``pre`` left ``counts[i]`` offspring (int32); ``control_rows`` is the mask or
     index population control applied, or None.
     """
 

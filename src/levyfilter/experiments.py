@@ -14,7 +14,7 @@ import numpy as np
 from .branching import ExtinctionError, run_baseline, run_filter
 from .metrics import FrequencyGrid, RateFit, filter_error, fourier, rate_fit, slope_confidence
 from .observation import ObservationModel, simulate_scenario
-from .reference import clip_margin, oracle_summaries
+from .reference import clip_margin, clip_reaches, oracle_summaries
 from .seeding import substream
 from .stable import SignalModel
 
@@ -95,6 +95,7 @@ def rate_sweep(
         final_sq = []
         for rep in range(replications):
             total_runs += 1
+            run = None  # release the previous run before the next one is drawn
             run = run_filter(
                 signal, obs, record, n, substream(seed, "sweep-run", n, rep), control=control
             )
@@ -208,6 +209,15 @@ class BaselineComparison:
     slope: float                   # log-log slope of the branching fraction in eps
 
 
+def _run_digest(steps, fractions, clip_sensor) -> tuple:
+    """What the baseline comparison reads of one run: the mean of its per-epoch
+    ``fractions``, the mean position of every ``post``, and the ``clip_reaches`` of the
+    ``post`` ensembles under ``clip_sensor`` (none without one)."""
+    posts = [s.post.positions for s in steps]
+    reaches = [] if clip_sensor is None else clip_reaches(clip_sensor, posts)
+    return float(np.mean(fractions)), np.array([p.mean(axis=0) for p in posts]), reaches
+
+
 def baseline_comparison(
     signal: SignalModel,
     sensor,
@@ -224,9 +234,11 @@ def baseline_comparison(
     against the grid or kalman oracle (every particle kept to the kalman clip region).
 
     Raises ExtinctionError if a branching run dies out: its fractions and errors would
-    cover only the epochs before extinction.
+    cover only the epochs before extinction.  Each run is reduced to what the comparison
+    reads (``_run_digest``) and released before the next one starts.
     """
     b_fracs, m_fracs, b_errs, m_errs = [], [], [], []
+    clip_sensor = sensor if oracle == "kalman" else None
     for eps in epsilons:
         obs = ObservationModel(sensor, eps)
         tag = int(round(1e6 * eps))
@@ -239,13 +251,19 @@ def baseline_comparison(
                 f"compare-baseline: branching particle system of {n} extinct at "
                 f"observation epoch {run.extinct_epoch} of {record.count} (epsilon {eps:g})"
             )
-        b_fracs.append(
-            float(np.mean([s.branch_events / s.pre.count for s in run.steps]))
+        fraction, b_means, b_reaches = _run_digest(
+            run.steps, [s.branch_events / s.pre.count for s in run.steps], clip_sensor
         )
+        b_fracs.append(fraction)
+        del run
         steps = run_baseline(
             signal, obs, record, n, substream(seed, "baseline-multi", tag)
         )
-        m_fracs.append(float(np.mean([s.relocations / n for s in steps])))
+        fraction, m_means, m_reaches = _run_digest(
+            steps, [s.relocations / n for s in steps], clip_sensor
+        )
+        m_fracs.append(fraction)
+        del steps
         oracle_means = np.nan  # no oracle: nan errors
         if oracle != "none":
             summaries = oracle_summaries(
@@ -256,11 +274,10 @@ def baseline_comparison(
                 grid_points=grid_points,
                 grid_halfwidth=grid_halfwidth,
             )
-            if oracle == "kalman":
-                clip_margin(sensor, [truth] + [s.post.positions for s in run.steps + steps])
+            if clip_sensor is not None:
+                clip_margin(sensor, [truth], b_reaches + m_reaches)
             oracle_means = np.array([s.mean for s in summaries[1:]])
-        for errs, filter_steps in ((b_errs, run.steps), (m_errs, steps)):
-            means = np.array([s.post.positions.mean(axis=0) for s in filter_steps])
+        for errs, means in ((b_errs, b_means), (m_errs, m_means)):
             errs.append(float(np.mean(np.abs(means - oracle_means))))
     slope = float(np.polyfit(np.log(epsilons), np.log(b_fracs), 1)[0])
     return BaselineComparison(

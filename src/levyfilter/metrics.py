@@ -105,7 +105,8 @@ _SPREAD_WIDTH = 16
 _SPREAD_BETA = 2.3 * _SPREAD_WIDTH
 _KERNEL_SHIFTS = (np.arange(_SPREAD_WIDTH) - (_SPREAD_WIDTH // 2 - 1)) * (2.0 / _SPREAD_WIDTH)
 _SPREAD_BLOCK = 1024  # atoms per block, bounding the (atoms, width) temporaries
-_DIRECT_CHUNK = 256  # nodes per block of the direct sum
+_DIRECT_CHUNK = 256  # nodes per phase matrix of the direct sum
+_DIRECT_TERMS = 2**17  # (atom, node) terms per block of exponentials in the direct sum
 
 
 def _spread_kernel(z):
@@ -176,10 +177,13 @@ def fourier(points, masses, nodes) -> np.ndarray:
     ``points`` and ``nodes`` are rows of width d (``_rows``), where d is the
     ``FrequencyGrid``'s dimension or else the width of ``points``.  ``masses``
     is an (n,) array, or None for plain terms.  A node array is summed
-    directly: the reference for the other path.  A 1-d ``FrequencyGrid`` takes
-    a type-1 NUFFT (Greengard & Lee, SIAM Rev. 46 (2004)) in O(n + M log M)
-    that agrees with direct summation within 1e-12 * sum|masses| plus the
-    roundoff of the phases theta x.
+    directly: the reference for the other path.  It holds the phases of 256
+    nodes and the exponentials of about 2**17 terms at a time, and for up to
+    256 nodes gives the bits of
+    ``(masses[:, None] * np.exp(-1j * (x @ nodes.T))).sum(axis=0)``.
+    A 1-d ``FrequencyGrid`` takes a type-1 NUFFT (Greengard & Lee, SIAM Rev. 46
+    (2004)) in O(n + M log M) that agrees with direct summation within
+    1e-12 * sum|masses| plus the roundoff of the phases theta x.
     """
     if isinstance(nodes, FrequencyGrid):
         x = _rows(points, nodes.dimension)
@@ -191,9 +195,21 @@ def fourier(points, masses, nodes) -> np.ndarray:
         th = _rows(nodes, x.shape[1])
     out = np.empty(th.shape[0], dtype=complex)
     for lo in range(0, th.shape[0], _DIRECT_CHUNK):
-        terms = np.exp(-1j * (x @ th[lo : lo + _DIRECT_CHUNK].T))
-        terms = terms if masses is None else masses[:, None] * terms
-        out[lo : lo + terms.shape[1]] = terms.sum(axis=0)
+        # one matmul per chunk: in 2-d, BLAS rounds x'theta differently for other shapes
+        phase = x @ th[lo : lo + _DIRECT_CHUNK].T
+        width = phase.shape[1]
+        # numpy sums several columns row by row, so carrying the running sum into the next
+        # block's first row gives the one-shot bits; one column it sums pairwise, all at once
+        rows = _DIRECT_TERMS // width if width > 1 else max(1, x.shape[0])
+        total = None
+        for start in range(0, max(1, x.shape[0]), rows):
+            terms = np.exp(-1j * phase[start : start + rows])
+            if masses is not None:
+                terms = masses[start : start + rows, None] * terms
+            if total is not None:
+                terms[0] += total
+            total = terms.sum(axis=0)
+        out[lo : lo + width] = total
     return out
 
 

@@ -72,12 +72,17 @@ class GaussianBumpSensor:
     def __call__(self, x) -> np.ndarray:
         pts = _rows(x, self.signal_dim)
         if pts.shape[1] == 1:  # |x - c|^2 is one square: no sum over a length-1 axis
-            diff = pts - self.centers[:, 0]
-            sq = diff * diff
+            sq = pts - self.centers[:, 0]
+            sq *= sq
         else:
             diff = pts[:, None, :] - self.centers[None, :, :]
-            sq = np.sum(diff * diff, axis=2)
-        return self.amplitudes * np.exp(-0.5 * sq / (self.widths**2))
+            diff *= diff
+            sq = np.sum(diff, axis=2)
+        sq *= -0.5
+        sq /= self.widths**2
+        np.exp(sq, out=sq)
+        sq *= self.amplitudes
+        return sq
 
     def hh_sup_bound(self) -> float:
         return float(np.sum(self.amplitudes**2))
@@ -303,8 +308,17 @@ def weight(x, dy, obs: ObservationModel):
     dy = rows[0]
     if h.shape[1] == 1:  # one output: dy'h and h'h are single products, no matmul or sum
         h = h[:, 0]
-        return np.exp(h * dy[0] - 0.5 * obs.epsilon * (h * h)) - 1.0
-    return np.exp(h @ dy - 0.5 * obs.epsilon * np.sum(h * h, axis=1)) - 1.0
+        hh = h * h
+        exponent = h  # the sensor's output is fresh: reuse it
+        exponent *= dy[0]
+    else:
+        hh = np.sum(h * h, axis=1)
+        exponent = h @ dy
+    hh *= 0.5 * obs.epsilon
+    exponent -= hh
+    np.exp(exponent, out=exponent)
+    exponent -= 1.0
+    return exponent
 
 
 def offspring_parameters(rho):

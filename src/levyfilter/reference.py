@@ -39,6 +39,7 @@ __all__ = [
     "oracle_summaries",
     "kalman_sensor",
     "ClipRegionError",
+    "clip_reaches",
     "clip_margin",
     "kalman_reference",
 ]
@@ -52,10 +53,12 @@ class GridDomainError(ValueError):
     """The spatial domain is too small for the requested initial law."""
 
 
-# The accuracy tests on each predicted grid: (what, largest fraction of its mass, why).
+# The accuracy tests on each predicted grid: (what, largest fraction of its mass, why, and
+# the config key to change).
 _ACCURACY_TESTS = (
-    ("clamped mass", 1e-3, "negative lobes of the band-limited inversion were set to zero"),
-    ("boundary cells hold", 1e-4, "periodic wrap-around may bite"),
+    ("clamped mass", 1e-3, "negative lobes of the band-limited inversion were set to zero; "
+     "raise oracle.grid_points"),
+    ("boundary cells hold", 1e-4, "periodic wrap-around may bite; widen oracle.grid_halfwidth"),
 )
 _INITIAL_MASS_OUTSIDE_TOL = 1e-6
 
@@ -332,11 +335,16 @@ class ClipRegionError(RuntimeError):
     """The truth or a particle left the sensor's linear region, where Kalman is exact."""
 
 
-def clip_margin(sensor: ClippedLinearSensor, point_sets) -> float:
-    """Clip bound minus the largest |Bx| over the point sets (the truth, the particles);
-    ClipRegionError when it is not positive."""
-    projections = [np.abs(points @ sensor.matrix.T).max() for points in point_sets if len(points)]
-    largest = float(max(projections, default=0.0))
+def clip_reaches(sensor: ClippedLinearSensor, point_sets) -> list:
+    """The largest |Bx| in each nonempty point set, in order."""
+    return [np.abs(points @ sensor.matrix.T).max() for points in point_sets if len(points)]
+
+
+def clip_margin(sensor: ClippedLinearSensor, point_sets, reaches=()) -> float:
+    """Clip bound minus the largest |Bx| over the point sets (the truth, the particles)
+    and the ``clip_reaches`` of sets no longer held, taken after them; ClipRegionError
+    when it is not positive."""
+    largest = float(max(clip_reaches(sensor, point_sets) + list(reaches), default=0.0))
     if largest >= sensor.clip:
         raise ClipRegionError(
             f"observation.linear_clip: clip region violated (|Bx| reached {largest:.2f} "

@@ -181,6 +181,12 @@ class TestBranchStep:
         counts = _offspring_counts(np.array([-0.4, -0.4]), np.array([0.4, 0.3999]))
         assert counts.tolist() == [1, 0]
 
+    def test_counts_are_int32_and_exact_at_the_cap(self):
+        rho = np.array([MAX_RHO, MAX_RHO, MAX_RHO - 0.5, MAX_RHO - 0.5, -0.5, 0.0])
+        counts = _offspring_counts(rho, np.array([0.0, 0.999, 0.25, 0.75, 0.5, 0.999]))
+        assert counts.dtype == np.int32
+        assert counts.tolist() == [2**20 + 1, 2**20 + 1, 2**20 + 1, 2**20, 1, 1]
+
     def test_offspring_rows_follow_counts(self):
         ens = init_ensemble(6, gaussian_signal(), np.random.default_rng(3))
         counts = np.array([0, 3, 1, 0, 2, 1])

@@ -1,5 +1,7 @@
 """Rate sweep, Kalman cross-check, baseline comparison (small sizes)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from levyfilter import (
     SignalModel,
     SpectralMeasure,
 )
+from levyfilter import experiments
 from levyfilter.branching import empirical_fourier, init_ensemble
 from levyfilter.experiments import (
     baseline_comparison,
@@ -212,3 +215,30 @@ class TestBaselineComparison:
             oracle="none",
         )
         assert all(np.isnan(e) for e in res.branching_errors)
+
+    def test_holds_one_run_at_a_time(self, monkeypatch):
+        signal, sensor = default_signal(), GaussianBumpSensor([1.0], [[0.0]], [1.0])
+        # first-call allocations (caches, lazily built objects) are not what is measured
+        baseline_comparison(signal, sensor, 0.5, 100, 23, epsilons=(0.1, 0.05), oracle="none")
+        retained = []  # bytes each branching run keeps: its ensembles and counts
+        run_filter = experiments.run_filter
+
+        def recording_run_filter(*args, **kwargs):
+            run = run_filter(*args, **kwargs)
+            arrays = [run.initial.positions]
+            for s in run.steps:
+                arrays += [s.pre.positions, s.post.positions, s.counts]
+            retained.append(sum(a.nbytes for a in arrays))
+            return run
+
+        monkeypatch.setattr(experiments, "run_filter", recording_run_filter)
+        tracemalloc.start()
+        try:
+            baseline_comparison(signal, sensor, 2.0, 2000, 23, epsilons=(0.1, 0.05), oracle="none")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the multinomial run keeps 28% of the larger branching run's bytes; one epoch's
+        # temporaries stay under 5%
+        assert len(retained) == 2
+        assert peak < 1.25 * max(retained), (peak, retained)

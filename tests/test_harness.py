@@ -565,7 +565,9 @@ assert_slope = off
         capsys.readouterr()
         rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--strict"])
         assert rc == 3
-        assert "boundary cells hold fraction" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "boundary cells hold fraction" in err
+        assert "widen oracle.grid_halfwidth" in err
 
     @pytest.mark.parametrize("alpha", ["0.97", "1.04"])
     def test_alpha_near_one_warns_and_strict_exits_3(self, tmp_path, capsys, alpha):

@@ -13,7 +13,7 @@ from levyfilter import (
     slope_confidence,
     sobolev_norm_sq,
 )
-from levyfilter.metrics import fourier
+from levyfilter.metrics import _DIRECT_TERMS, fourier
 
 
 def atom_transform(grid, sites, masses):
@@ -139,6 +139,20 @@ class TestFourier:
         sites, masses = rng.normal(size=(50, 2)), rng.uniform(size=50)
         grid = FrequencyGrid.build(2, gamma=-2.0, cutoff=3.0, spacing=0.5)
         assert np.array_equal(fourier(sites, masses, grid), fourier(sites, masses, grid.nodes))
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("node_count", [2, 20, 256])
+    def test_blocked_direct_sum_is_bit_equal_to_one_shot(self, dimension, node_count):
+        rng = np.random.default_rng(node_count + dimension)
+        nodes = 4.0 * rng.normal(size=(node_count, dimension))
+        block = _DIRECT_TERMS // node_count  # atoms per block of exponentials
+        for count in (0, 1, block - 1, block, block + 1, 3 * block + 7):
+            sites = 3.0 * rng.normal(size=(count, dimension))
+            masses = rng.uniform(size=count)
+            terms = np.exp(-1j * (sites @ nodes.T))
+            for given_masses, one_shot in ((None, terms), (masses, masses[:, None] * terms)):
+                got = fourier(sites, given_masses, nodes)
+                assert got.tobytes() == one_shot.sum(axis=0).tobytes(), count
 
 
 class TestSobolevNorm:
