@@ -228,6 +228,7 @@ def check_compensator(
     stats = np.empty((reps, len(thetas)), dtype=complex)
     extinct = 0
     for r in range(reps):
+        run = None  # release the previous run before the next one is drawn
         run = run_filter(signal, obs, record, n, substream(seed, "comp-rep", r))
         if run.extinct:
             extinct += 1
@@ -285,6 +286,7 @@ def check_mass_moments(
             signal, obs, horizon, substream(seed, "mass-record", r)
         )
         for j, n in enumerate(ns):
+            run = None  # release the previous run before the next one is drawn
             run = run_filter(signal, obs, record, n, substream(seed, "mass-rep", r, n))
             masses = [1.0] + [s.post.total_mass for s in run.steps]
             sups[r, j] = max(masses)
@@ -353,6 +355,7 @@ def check_branch_sparsity(
             _, record = simulate_scenario(
                 signal, obs, horizon, substream(seed, "sparsity-record", r, int(1e6 * eps))
             )
+            run = None  # release the previous run before the next one is drawn
             run = run_filter(
                 signal, obs, record, n_eff, substream(seed, "sparsity-run", r, int(1e6 * eps))
             )

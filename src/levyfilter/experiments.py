@@ -170,6 +170,7 @@ def kalman_crosscheck(
     for n in sorted(set(list(ns) + [reference_n])):
         sq = []
         for rep in range(replications):
+            run = None  # release the previous run before the next one is drawn
             run = run_filter(
                 signal, obs, record, n, substream(seed, "kalman-run", n, rep)
             )
@@ -178,8 +179,9 @@ def kalman_crosscheck(
                     f"kalman cross-check: particle system extinct at observation epoch "
                     f"{run.extinct_epoch} (n {n}, replication {rep})"
                 )
-            posts = [step.post.positions for step in run.steps]
-            margin = min(margin, clip_margin(obs.sensor, [truth] + posts))
+            margin = min(
+                margin, clip_margin(obs.sensor, [truth] + [s.post.positions for s in run.steps])
+            )
             for step in run.steps:
                 gap = step.post.positions.mean(axis=0) - posterior[step.epoch].mean
                 sq.append(float(gap @ gap))

@@ -4,7 +4,8 @@ Configurations are flat sectioned INI text (schema declared once, one row per
 key, in ``_SCHEMA`` and documented in the README; list- and record-valued keys
 hold JSON).  Every command writes CSV artifacts with deterministic names plus a
 JSON manifest carrying a content hash per file, so identical (config, seed)
-runs are byte-identical end to end.
+runs are byte-identical end to end.  Artifacts are streamed to disk block by
+block, so no command holds an artifact's text whole.
 
 Exit codes: 0 pass, 1 check failure, 2 config error, 3 runtime error
 (including an extinction fraction above 20% in sweeps).
@@ -32,7 +33,7 @@ from .observation import (
     GaussianBumpSensor,
     ObservationModel,
     ZeroSensor,
-    csv_text,
+    csv_blocks,
     simulate_scenario,
 )
 from .reference import GridAccuracyWarning, GridDomainError, kalman_sensor, oracle_summaries
@@ -334,30 +335,39 @@ def build_metric(cfg: ExperimentConfig) -> FrequencyGrid:
 
 
 def emit_results(files: dict, out_dir, *, name: str, command: str, cfg: ExperimentConfig) -> Path:
-    """Write text artifacts plus a manifest with one sha256 per file."""
+    """Write text artifacts plus a manifest with one sha256 and byte count per file.
+
+    ``files`` maps each file name to an iterable of text blocks (text already in
+    memory is a one-element list); each block is encoded, hashed and written in
+    turn.  Any OSError becomes a RuntimeError naming the path.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for filename in sorted(files):
-        data = files[filename].encode()
-        path = out / filename
-        try:
-            path.write_bytes(data)
-        except OSError as exc:
-            raise RuntimeError(f"cannot write artifact {path}: {exc}") from exc
-        entries.append(
-            {"name": filename, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-        )
-    manifest = {
-        "scenario": name,
-        "command": command,
-        "seed": cfg.seed,
-        "config": cfg.raw,
-        "files": entries,
-    }
-    manifest_path = out / f"{name}_{command}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return manifest_path
+    path = out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        entries = []
+        for filename in sorted(files):
+            path = out / filename
+            digest, size = hashlib.sha256(), 0
+            with open(path, "wb") as fh:
+                for text in files[filename]:
+                    data = text.encode()
+                    digest.update(data)
+                    fh.write(data)
+                    size += len(data)
+            entries.append({"name": filename, "sha256": digest.hexdigest(), "bytes": size})
+        manifest = {
+            "scenario": name,
+            "command": command,
+            "seed": cfg.seed,
+            "config": cfg.raw,
+            "files": entries,
+        }
+        path = out / f"{name}_{command}_manifest.json"
+        path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+    return path
 
 
 def _rows_to_columns(rows, width: int) -> list:
@@ -376,8 +386,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
     epochs = np.arange(len(path))  # 0..K, observed at t_k = k * epsilon
     times = epochs * cfg.epsilon
     files = {
-        f"{cfg.name}_simulate_truth.csv": csv_text(["epoch", "t"] + xs, [epochs, times, *path.T]),
-        f"{cfg.name}_simulate_observations.csv": record.to_csv_text(),
+        f"{cfg.name}_simulate_truth.csv": csv_blocks(
+            ["epoch", "t"] + xs, [[epochs, times, *path.T]]
+        ),
+        f"{cfg.name}_simulate_observations.csv": [record.to_csv_text()],
     }
     n = cfg.particle_counts[0]
     control = (cfg.control_low, cfg.control_high) if cfg.population_control else None
@@ -385,34 +397,30 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
     posts = [step.post for step in run.steps]
     sums = [e.mass_factor * e.positions.sum(axis=0) / e.initial_count for e in posts]
     means = [e.positions.mean(axis=0) if e.count else np.full(d, np.nan) for e in posts]
-    files[f"{cfg.name}_simulate_estimates.csv"] = csv_text(
+    files[f"{cfg.name}_simulate_estimates.csv"] = csv_blocks(
         ["epoch", "t", "count", "mass"]
         + [f"sum_x{i}_unnormalized" for i in range(d)]
         + [f"mean_x{i}" for i in range(d)],
-        [
+        [[
             epochs[1 : len(run.steps) + 1],
             times[1 : len(run.steps) + 1],
             [e.count for e in posts],
             [e.total_mass for e in posts],
             *np.reshape(sums, (-1, d)).T,
             *np.reshape(means, (-1, d)).T,
-        ],
+        ]],
     )
     if cfg.dump_particles:
-        root = np.arange(run.initial.count)  # epoch-0 row of each alive particle
-        parents, roots = [], []
-        for step in run.steps:
-            parents.append(step.parents)
-            root = root[parents[-1]]
-            roots.append(root)
-        files[f"{cfg.name}_simulate_particles.csv"] = csv_text(
-            ["epoch", "parent_row", "root_ancestor"] + xs,
-            [
-                np.repeat([step.epoch for step in run.steps], [e.count for e in posts]),
-                np.concatenate(parents),
-                np.concatenate(roots),
-                *np.concatenate([e.positions for e in posts]).T,
-            ],
+
+        def particle_rows():  # one block per epoch, each row with its epoch-0 ancestor
+            root = np.arange(run.initial.count)
+            for step in run.steps:
+                root = root[step.parents]
+                post = step.post
+                yield [np.full(post.count, step.epoch), step.parents, root, *post.positions.T]
+
+        files[f"{cfg.name}_simulate_particles.csv"] = csv_blocks(
+            ["epoch", "parent_row", "root_ancestor"] + xs, particle_rows()
         )
     if cfg.oracle == "grid":
         metric = build_metric(cfg)
@@ -425,28 +433,26 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
             grid_halfwidth=cfg.grid_halfwidth,
             metric=metric,
         )
-        files[f"{cfg.name}_simulate_oracle.csv"] = csv_text(
+        files[f"{cfg.name}_simulate_oracle.csv"] = csv_blocks(
             ["epoch", "t", "total_mass"]
             + [f"mean_x{i}" for i in range(d)]
             + ["boundary_mass", "clamped_mass"],
-            [
+            [[
                 epochs,
                 times,
                 [s.total_mass for s in summaries],
                 *np.reshape([s.mean for s in summaries], (-1, d)).T,
                 [s.boundary_mass for s in summaries],
                 [s.clamped_mass for s in summaries],
-            ],
+            ]],
         )
-        transforms = np.concatenate([s.transform for s in summaries])
-        files[f"{cfg.name}_simulate_oracle_transform.csv"] = csv_text(
+        nodes = [[f"{v:.17g}" for v in axis] for axis in metric.nodes.T.tolist()]  # formatted once
+        files[f"{cfg.name}_simulate_oracle_transform.csv"] = csv_blocks(
             ["epoch"] + [f"theta{i}" for i in range(d)] + ["re", "im"],
-            [
-                np.repeat(epochs, metric.node_count),
-                *np.tile(metric.nodes, (len(summaries), 1)).T,
-                transforms.real,
-                transforms.imag,
-            ],
+            (
+                [np.full(metric.node_count, s.epoch), *nodes, s.transform.real, s.transform.imag]
+                for s in summaries
+            ),
         )
     emit_results(files, out_dir, name=cfg.name, command="simulate", cfg=cfg)
     if run.extinct:
@@ -471,13 +477,13 @@ def cmd_validate(cfg: ExperimentConfig, out_dir) -> int:
     for r in results:
         print(f"{r.status:7s} {r.name}: {r.detail}")
     files = {
-        f"{cfg.name}_validate_checks.csv": csv_text(
+        f"{cfg.name}_validate_checks.csv": csv_blocks(
             ["check", "status", "detail"],
-            [
+            [[
                 [r.name for r in results],
                 [r.status for r in results],
                 [r.detail.replace(",", ";") for r in results],
-            ],
+            ]],
         )
     }
     emit_results(files, out_dir, name=cfg.name, command="validate", cfg=cfg)
@@ -509,17 +515,17 @@ def cmd_rate_sweep(cfg: ExperimentConfig, out_dir) -> int:
         control=(cfg.control_low, cfg.control_high) if cfg.population_control else None,
     )
     files = {
-        f"{cfg.name}_rate-sweep_errors.csv": csv_text(
-            ["n", "replication", "epoch", "error"], _rows_to_columns(result.rows, 4)
+        f"{cfg.name}_rate-sweep_errors.csv": csv_blocks(
+            ["n", "replication", "epoch", "error"], [_rows_to_columns(result.rows, 4)]
         ),
-        f"{cfg.name}_rate-sweep_rms.csv": csv_text(
-            ["n", "rms_error"], _rows_to_columns(result.per_n_error, 2)
+        f"{cfg.name}_rate-sweep_rms.csv": csv_blocks(
+            ["n", "rms_error"], [_rows_to_columns(result.per_n_error, 2)]
         ),
     }
     if result.fit is not None:
         slope, lo, hi = result.slope_ci
-        files[f"{cfg.name}_rate-sweep_fit.csv"] = csv_text(
-            ["scenario", "slope", "ci_low", "ci_high"], [[cfg.name], [slope], [lo], [hi]]
+        files[f"{cfg.name}_rate-sweep_fit.csv"] = csv_blocks(
+            ["scenario", "slope", "ci_low", "ci_high"], [[[cfg.name], [slope], [lo], [hi]]]
         )
     emit_results(files, out_dir, name=cfg.name, command="rate-sweep", cfg=cfg)
     if result.extinction_fraction > EXTINCTION_LIMIT:
@@ -569,7 +575,7 @@ def cmd_compare_baseline(cfg: ExperimentConfig, out_dir) -> int:
         comparison.branching_errors,
         comparison.multinomial_errors,
     )
-    files = {f"{cfg.name}_compare-baseline_comparison.csv": csv_text(header, columns)}
+    files = {f"{cfg.name}_compare-baseline_comparison.csv": csv_blocks(header, [columns])}
     emit_results(files, out_dir, name=cfg.name, command="compare-baseline", cfg=cfg)
     smallest = comparison.branching_fractions[int(np.argmin(comparison.epsilons))]
     print(
@@ -596,6 +602,11 @@ def run_command(command: str, cfg: ExperimentConfig, out_dir=None, strict: bool 
     }
     if command not in handlers:
         raise ConfigError([f"unknown command {command!r}"])
+    existing = out  # checked before any work, and made only by emit_results
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ConfigError([f"output.directory (--out): {existing} is not a directory"])
     with warnings.catch_warnings():
         if strict:
             warnings.simplefilter("error", AlphaNearOneWarning)

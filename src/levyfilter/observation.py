@@ -34,6 +34,7 @@ __all__ = [
     "Sensor",
     "ObservationModel",
     "ObservationRecord",
+    "csv_blocks",
     "csv_text",
     "simulate_scenario",
     "weight",
@@ -145,24 +146,31 @@ _CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
 _CSV_BLOCK_ROWS = 4096  # rows per `%`: bounds the size of the value tuple and the template
 
 
-def csv_text(header, columns) -> str:
-    """CSV text of equal-length columns: floats as %.17g (lossless), integers in decimal, else str.
+def csv_blocks(header, blocks):
+    """CSV text in pieces: the header line, then the rows of each block of equal-length
+    columns.  Floats are written as %.17g (lossless), integers in decimal, anything else as str.
 
-    Each block of rows is formatted by one ``%`` on a template of the block's
-    rows, with the values interleaved row by row into one tuple.
+    Rows are formatted at most ``_CSV_BLOCK_ROWS`` at a time, by one ``%`` on a
+    template of the chunk's rows with the values interleaved row by row into one
+    tuple, and each chunk is yielded as it is made: the text is never held whole.
     """
-    columns = [np.asarray(c) for c in columns]
-    row = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%s") for c in columns) + "\n"
-    width = len(columns)
-    rows = len(columns[0]) if columns else 0
-    parts = [",".join(header) + "\n"]
-    for start in range(0, rows, _CSV_BLOCK_ROWS):
-        stop = min(start + _CSV_BLOCK_ROWS, rows)
-        values = [None] * ((stop - start) * width)
-        for j, column in enumerate(columns):
-            values[j::width] = column[start:stop].tolist()
-        parts.append(row * (stop - start) % tuple(values))
-    return "".join(parts)
+    yield ",".join(header) + "\n"
+    for columns in blocks:
+        columns = [np.asarray(c) for c in columns]
+        row = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%s") for c in columns) + "\n"
+        width = len(columns)
+        rows = len(columns[0]) if columns else 0
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, rows)
+            values = [None] * ((stop - start) * width)
+            for j, column in enumerate(columns):
+                values[j::width] = column[start:stop].tolist()
+            yield row * (stop - start) % tuple(values)
+
+
+def csv_text(header, columns) -> str:
+    """The text of ``csv_blocks`` for one block of columns."""
+    return "".join(csv_blocks(header, [columns]))
 
 
 @dataclass(frozen=True)

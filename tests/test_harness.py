@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyfilter import reference
+from levyfilter import harness, reference
 from levyfilter.cli import main as cli_main
 from levyfilter.harness import (
     _SCHEMA,
@@ -379,6 +379,32 @@ class TestCli:
         rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_output_path_through_a_file_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, under
+    ):
+        def never(*args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(harness, "cmd_validate", never)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        path = self.write_cfg(tmp_path)
+        rc = cli_main(["validate", "--config", path, "--out", str(taken / under)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "output.directory (--out)" in err and str(taken) in err
+        assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("blocked", ["quick_simulate_truth.csv", "quick_simulate_manifest.json"])
+    def test_unwritable_artifact_or_manifest_exits_3_naming_it(self, tmp_path, capsys, blocked):
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)  # a directory where the file must go
+        path = self.write_cfg(tmp_path)
+        rc = cli_main(["simulate", "--config", path, "--out", str(out)])
+        assert rc == 3
+        assert f"cannot write {out / blocked}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text",
