@@ -13,6 +13,7 @@ from levyfilter import (
     GaussianBumpSensor,
     InitialLaw,
     ObservationModel,
+    Oracle,
     SignalModel,
     SpectralMeasure,
 )
@@ -32,8 +33,7 @@ result = rate_sweep(
     replications=30,
     seed=77,
     metric=metric,
-    grid_points=512,
-    grid_halfwidth=10.0,
+    oracle=Oracle("grid", grid_points=512, grid_halfwidth=10.0),
 )
 
 print(f"{'n':>6} {'rms error':>12} {'sqrt(n) * rms':>14}")

@@ -10,6 +10,7 @@ sqrt(epsilon).  Both filters run on identical observation records here.
 from levyfilter import (
     GaussianBumpSensor,
     InitialLaw,
+    Oracle,
     SignalModel,
     SpectralMeasure,
 )
@@ -26,8 +27,8 @@ result = baseline_comparison(
     horizon=2.0,
     n=2000,
     seed=19,
+    oracle=Oracle("grid", grid_points=512, grid_halfwidth=10.0),
     epsilons=(0.1, 0.05, 0.025, 0.0125),
-    grid_points=512,
 )
 
 print(f"{'epsilon':>8} {'branch frac':>12} {'multinomial frac':>17} "

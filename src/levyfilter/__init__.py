@@ -22,7 +22,6 @@ from .stable import (
     empirical_cf,
     directional_moment,
     covariance_rate,
-    quadratic_variation_estimate,
 )
 from .observation import (
     GaussianBumpSensor,
@@ -55,6 +54,7 @@ from .reference import (
     update_step,
     grid_transform,
     run_reference,
+    Oracle,
     kalman_reference,
 )
 from .metrics import (

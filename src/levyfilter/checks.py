@@ -22,7 +22,7 @@ from .observation import (
     simulate_scenario,
     weight,
 )
-from .reference import ClipRegionError, clip_margin, oracle_summaries
+from .reference import ClipRegionError, Oracle
 from .seeding import substream
 from .stable import (
     InitialLaw,
@@ -398,18 +398,16 @@ def check_oracle_agreement(
     obs: ObservationModel,
     horizon: float,
     seed: int,
+    oracle: Oracle | None,
     scale: float = 1.0,
-    oracle: str = "grid",
     n: int = 2000,
-    grid_points: int = 512,
-    grid_halfwidth: float = 10.0,
 ) -> CheckResult:
-    """Particle normalized mean tracks the configured particle-free reference.
+    """Particle normalized mean tracks the particle-free reference ``oracle``.
 
-    SKIPPED when no oracle is configured.
-    FAIL when, under the kalman oracle, the truth or a particle left the clip region.
+    SKIPPED without an oracle.
+    FAIL when the truth or a particle left the oracle's clip region.
     """
-    if oracle == "none":
+    if oracle is None:
         return CheckResult(
             "oracle_agreement", "SKIPPED", "no oracle configured; nothing to compare"
         )
@@ -420,26 +418,18 @@ def check_oracle_agreement(
     run = run_filter(signal, obs, record, n_eff, substream(seed, "oracle-run"))
     if run.extinct:
         return CheckResult("oracle_agreement", "FAIL", "particle system went extinct")
-    summaries = oracle_summaries(
-        signal,
-        obs,
-        record,
-        oracle,
-        grid_points=grid_points,
-        grid_halfwidth=grid_halfwidth,
-    )
-    if oracle == "kalman":
-        try:
-            clip_margin(obs.sensor, [truth] + [s.post.positions for s in run.steps])
-        except ClipRegionError as exc:
-            return CheckResult("oracle_agreement", "FAIL", str(exc))
+    summaries = oracle.summaries(signal, obs, record)
+    try:
+        oracle.clip_margin(obs.sensor, [truth] + [s.post.positions for s in run.steps])
+    except ClipRegionError as exc:
+        return CheckResult("oracle_agreement", "FAIL", str(exc))
     particle_means = np.array([s.post.positions.mean(axis=0) for s in run.steps])
     means = np.array([s.mean for s in summaries[1:]])
     spread = float(np.sqrt(np.mean([s.variance.sum() for s in summaries[1:]])))
     rms = float(np.sqrt(np.mean(np.sum((particle_means - means) ** 2, axis=1))))
     bound = 8.0 * spread / np.sqrt(n_eff)
     ok = rms < bound
-    detail = f"normalized-mean RMS {rms:.4f} vs bound {bound:.4f} ({oracle} oracle, n={n_eff})"
+    detail = f"normalized-mean RMS {rms:.4f} vs bound {bound:.4f} ({oracle.kind} oracle, n={n_eff})"
     return CheckResult(
         "oracle_agreement",
         "PASS" if ok else "FAIL",
@@ -453,10 +443,8 @@ def default_validation_suite(
     obs: ObservationModel,
     horizon: float,
     seed: int,
+    oracle: Oracle | None,
     scale: float = 1.0,
-    oracle: str = "grid",
-    grid_points: int = 512,
-    grid_halfwidth: float = 10.0,
 ) -> list:
     """The validate command's checks, in print order.  A check's RuntimeError (a run that
     outgrew the population cap or overflowed a weight) stops the suite naming the check."""
@@ -469,8 +457,7 @@ def default_validation_suite(
         "mass_moment_stability": lambda: check_mass_moments(signal, obs, horizon, seed, scale),
         "branch_sparsity": lambda: check_branch_sparsity(signal, obs.sensor, seed, scale),
         "oracle_agreement": lambda: check_oracle_agreement(
-            signal, obs, horizon, seed, scale, oracle,
-            grid_points=grid_points, grid_halfwidth=grid_halfwidth,
+            signal, obs, horizon, seed, oracle, scale
         ),
     }
     results = []

@@ -14,7 +14,7 @@ import numpy as np
 from .branching import ExtinctionError, run_baseline, run_filter
 from .metrics import FrequencyGrid, RateFit, filter_error, fourier, rate_fit, slope_confidence
 from .observation import ObservationModel, simulate_scenario
-from .reference import clip_margin, clip_reaches, oracle_summaries
+from .reference import Oracle
 from .seeding import substream
 from .stable import SignalModel
 
@@ -56,37 +56,27 @@ def rate_sweep(
     replications: int,
     seed: int,
     metric: FrequencyGrid,
+    oracle: Oracle,
     *,
-    oracle: str = "grid",
-    grid_points: int = 512,
-    grid_halfwidth: float = 10.0,
     error_epochs: str = "final",
     control: tuple | None = None,
 ) -> RateSweepResult:
-    """Sobolev filter error against the configured oracle, per n and replication.
+    """Sobolev filter error against ``oracle`` (ValueError without one), per n and replication.
 
     One observation record (drawn from the seed) is shared by the oracle and
     all particle runs; replications vary only the particle randomness, so the
     measured decay in n is the Monte Carlo rate.  ``error_epochs`` is
     ``"final"`` (error at the terminal epoch only) or ``"all"``.  ``control``
     is ``run_filter``'s population control band ``(low_ratio, high_ratio)``,
-    held around each run's n.  Under the kalman oracle every run must keep to
-    the sensor's clip region.
+    held around each run's n.  Every run must keep to the oracle's clip margin.
     """
+    if oracle is None:
+        raise ValueError("rate_sweep needs an oracle (grid or kalman)")
     truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
-    targets = oracle_summaries(
-        signal,
-        obs,
-        record,
-        oracle,
-        grid_points=grid_points,
-        grid_halfwidth=grid_halfwidth,
-        metric=metric,
-    )
+    targets = oracle.summaries(signal, obs, record, metric)
     epochs = (
         range(1, record.count + 1) if error_epochs == "all" else (record.count,)
     )
-    kalman = oracle == "kalman"  # a normalized posterior, exact only inside the clip region
     rows = []
     per_n_error = []
     extinct_runs = 0
@@ -99,15 +89,14 @@ def rate_sweep(
             run = run_filter(
                 signal, obs, record, n, substream(seed, "sweep-run", n, rep), control=control
             )
-            if kalman:
-                clip_margin(obs.sensor, [truth] + [step.post.positions for step in run.steps])
+            oracle.clip_margin(obs.sensor, [truth] + [step.post.positions for step in run.steps])
             if run.extinct:
                 extinct_runs += 1
                 continue
             for k in epochs:
                 ensemble = run.steps[k - 1].post
                 values = ensemble_transform(ensemble, metric)
-                if kalman and ensemble.total_mass > 0.0:
+                if oracle.normalized:
                     values = values / ensemble.total_mass
                 err = filter_error(values, targets[k].transform, metric)
                 rows.append((n, rep, k, err))
@@ -162,7 +151,8 @@ def kalman_crosscheck(
     truth, record = simulate_scenario(
         signal, obs, horizon, substream(seed, "kalman-record")
     )
-    posterior = oracle_summaries(signal, obs, record, "kalman")
+    oracle = Oracle("kalman")
+    posterior = oracle.summaries(signal, obs, record)
     posterior_std = float(np.sqrt(np.mean([s.variance.sum() for s in posterior[1:]])))
     margin = float("inf")
     per_n_rms = []
@@ -180,7 +170,8 @@ def kalman_crosscheck(
                     f"{run.extinct_epoch} (n {n}, replication {rep})"
                 )
             margin = min(
-                margin, clip_margin(obs.sensor, [truth] + [s.post.positions for s in run.steps])
+                margin,
+                oracle.clip_margin(obs.sensor, [truth] + [s.post.positions for s in run.steps]),
             )
             for step in run.steps:
                 gap = step.post.positions.mean(axis=0) - posterior[step.epoch].mean
@@ -211,12 +202,12 @@ class BaselineComparison:
     slope: float                   # log-log slope of the branching fraction in eps
 
 
-def _run_digest(steps, fractions, clip_sensor) -> tuple:
+def _run_digest(steps, fractions, oracle, sensor) -> tuple:
     """What the baseline comparison reads of one run: the mean of its per-epoch
-    ``fractions``, the mean position of every ``post``, and the ``clip_reaches`` of the
-    ``post`` ensembles under ``clip_sensor`` (none without one)."""
+    ``fractions``, the mean position of every ``post``, and the ``oracle``'s clip reaches
+    of the ``post`` ensembles under ``sensor`` (none without an oracle)."""
     posts = [s.post.positions for s in steps]
-    reaches = [] if clip_sensor is None else clip_reaches(clip_sensor, posts)
+    reaches = [] if oracle is None else oracle.clip_reaches(sensor, posts)
     return float(np.mean(fractions)), np.array([p.mean(axis=0) for p in posts]), reaches
 
 
@@ -226,21 +217,18 @@ def baseline_comparison(
     horizon: float,
     n: int,
     seed: int,
+    oracle: Oracle | None,
     *,
     epsilons=(0.1, 0.05, 0.025, 0.0125),
-    oracle: str = "grid",
-    grid_points: int = 512,
-    grid_halfwidth: float = 10.0,
 ) -> BaselineComparison:
     """Branching versus multinomial resampling on identical records, per eps; the errors are
-    against the grid or kalman oracle (every particle kept to the kalman clip region).
+    against ``oracle`` (every particle kept to its clip margin), nan without one.
 
     Raises ExtinctionError if a branching run dies out: its fractions and errors would
     cover only the epochs before extinction.  Each run is reduced to what the comparison
     reads (``_run_digest``) and released before the next one starts.
     """
     b_fracs, m_fracs, b_errs, m_errs = [], [], [], []
-    clip_sensor = sensor if oracle == "kalman" else None
     for eps in epsilons:
         obs = ObservationModel(sensor, eps)
         tag = int(round(1e6 * eps))
@@ -254,7 +242,7 @@ def baseline_comparison(
                 f"observation epoch {run.extinct_epoch} of {record.count} (epsilon {eps:g})"
             )
         fraction, b_means, b_reaches = _run_digest(
-            run.steps, [s.branch_events / s.pre.count for s in run.steps], clip_sensor
+            run.steps, [s.branch_events / s.pre.count for s in run.steps], oracle, sensor
         )
         b_fracs.append(fraction)
         del run
@@ -262,22 +250,14 @@ def baseline_comparison(
             signal, obs, record, n, substream(seed, "baseline-multi", tag)
         )
         fraction, m_means, m_reaches = _run_digest(
-            steps, [s.relocations / n for s in steps], clip_sensor
+            steps, [s.relocations / n for s in steps], oracle, sensor
         )
         m_fracs.append(fraction)
         del steps
         oracle_means = np.nan  # no oracle: nan errors
-        if oracle != "none":
-            summaries = oracle_summaries(
-                signal,
-                obs,
-                record,
-                oracle,
-                grid_points=grid_points,
-                grid_halfwidth=grid_halfwidth,
-            )
-            if clip_sensor is not None:
-                clip_margin(sensor, [truth], b_reaches + m_reaches)
+        if oracle is not None:
+            summaries = oracle.summaries(signal, obs, record)
+            oracle.clip_margin(sensor, [truth], b_reaches + m_reaches)
             oracle_means = np.array([s.mean for s in summaries[1:]])
         for errs, means in ((b_errs, b_means), (m_errs, m_means)):
             errs.append(float(np.mean(np.abs(means - oracle_means))))

@@ -36,7 +36,7 @@ from .observation import (
     csv_blocks,
     simulate_scenario,
 )
-from .reference import GridAccuracyWarning, GridDomainError, kalman_sensor, oracle_summaries
+from .reference import GridAccuracyWarning, GridDomainError, Oracle, kalman_sensor
 from .seeding import substream
 from .stable import InitialLaw, SignalModel, SpectralMeasure
 
@@ -50,6 +50,7 @@ __all__ = [
     "build_signal",
     "build_observation",
     "build_metric",
+    "build_oracle",
     "emit_results",
     "run_command",
 ]
@@ -334,17 +335,29 @@ def build_metric(cfg: ExperimentConfig) -> FrequencyGrid:
         raise ConfigError([f"metric.cutoff/spacing/gamma, signal.dimension: {exc}"]) from exc
 
 
+def build_oracle(cfg: ExperimentConfig) -> Oracle | None:
+    """The reference posterior ``oracle.kind`` names; None for ``none``."""
+    if cfg.oracle == "grid":
+        return Oracle("grid", cfg.grid_points, cfg.grid_halfwidth)
+    return Oracle("kalman") if cfg.oracle == "kalman" else None
+
+
 def emit_results(files: dict, out_dir, *, name: str, command: str, cfg: ExperimentConfig) -> Path:
     """Write text artifacts plus a manifest with one sha256 and byte count per file.
 
     ``files`` maps each file name to an iterable of text blocks (text already in
     memory is a one-element list); each block is encoded, hashed and written in
-    turn.  Any OSError becomes a RuntimeError naming the path.
+    turn.  The previous run's manifest is removed first, so a run that fails partway
+    leaves no manifest beside files it does not describe.  Any OSError becomes a
+    RuntimeError naming the path.
     """
     out = Path(out_dir)
+    manifest_path = out / f"{name}_{command}_manifest.json"
     path = out
     try:
         out.mkdir(parents=True, exist_ok=True)
+        path = manifest_path
+        path.unlink(missing_ok=True)
         entries = []
         for filename in sorted(files):
             path = out / filename
@@ -363,7 +376,7 @@ def emit_results(files: dict, out_dir, *, name: str, command: str, cfg: Experime
             "config": cfg.raw,
             "files": entries,
         }
-        path = out / f"{name}_{command}_manifest.json"
+        path = manifest_path
         path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
@@ -422,17 +435,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
         files[f"{cfg.name}_simulate_particles.csv"] = csv_blocks(
             ["epoch", "parent_row", "root_ancestor"] + xs, particle_rows()
         )
-    if cfg.oracle == "grid":
+    oracle = build_oracle(cfg)
+    if oracle is not None and not oracle.normalized:  # the grid filter's mass and diagnostics
         metric = build_metric(cfg)
-        summaries = oracle_summaries(
-            signal,
-            obs,
-            record,
-            "grid",
-            grid_points=cfg.grid_points,
-            grid_halfwidth=cfg.grid_halfwidth,
-            metric=metric,
-        )
+        summaries = oracle.summaries(signal, obs, record, metric)
         files[f"{cfg.name}_simulate_oracle.csv"] = csv_blocks(
             ["epoch", "t", "total_mass"]
             + [f"mean_x{i}" for i in range(d)]
@@ -465,14 +471,7 @@ def cmd_validate(cfg: ExperimentConfig, out_dir) -> int:
     signal = build_signal(cfg)
     obs = build_observation(cfg)
     results = default_validation_suite(
-        signal,
-        obs,
-        cfg.horizon,
-        cfg.seed,
-        scale=cfg.validate_scale,
-        oracle=cfg.oracle,
-        grid_points=cfg.grid_points,
-        grid_halfwidth=cfg.grid_halfwidth,
+        signal, obs, cfg.horizon, cfg.seed, build_oracle(cfg), scale=cfg.validate_scale
     )
     for r in results:
         print(f"{r.status:7s} {r.name}: {r.detail}")
@@ -491,7 +490,8 @@ def cmd_validate(cfg: ExperimentConfig, out_dir) -> int:
 
 
 def cmd_rate_sweep(cfg: ExperimentConfig, out_dir) -> int:
-    if cfg.oracle == "none":
+    oracle = build_oracle(cfg)
+    if oracle is None:
         raise ConfigError(["oracle.kind: rate-sweep needs an oracle (grid or kalman)"])
     if cfg.assert_slope and len(cfg.particle_counts) < 3:
         raise ConfigError(
@@ -508,9 +508,7 @@ def cmd_rate_sweep(cfg: ExperimentConfig, out_dir) -> int:
         cfg.replications,
         cfg.seed,
         metric,
-        oracle=cfg.oracle,
-        grid_points=cfg.grid_points,
-        grid_halfwidth=cfg.grid_halfwidth,
+        oracle,
         error_epochs=cfg.error_epochs,
         control=(cfg.control_low, cfg.control_high) if cfg.population_control else None,
     )
@@ -562,10 +560,8 @@ def cmd_compare_baseline(cfg: ExperimentConfig, out_dir) -> int:
         cfg.horizon,
         cfg.particle_counts[0],
         cfg.seed,
+        build_oracle(cfg),
         epsilons=cfg.baseline_epsilons,
-        oracle=cfg.oracle,
-        grid_points=cfg.grid_points,
-        grid_halfwidth=cfg.grid_halfwidth,
     )
     header = ("epsilon", "branching_fraction", "multinomial_fraction", "branching_error", "multinomial_error")
     columns = (

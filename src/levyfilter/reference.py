@@ -10,7 +10,7 @@ and clamped-mass diagnostics make the discretization error observable.
 
 For alpha = 2 with an unclipped linear sensor the exact normalized filter is
 Gaussian and ``kalman_reference`` provides it in closed form.  Every command
-reads its reference posterior, of either kind, from ``oracle_summaries``.
+reads its reference posterior, of either kind, from one ``Oracle`` value.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = [
     "grid_transform",
     "OracleSummary",
     "run_reference",
-    "oracle_summaries",
+    "Oracle",
     "kalman_sensor",
     "ClipRegionError",
     "clip_reaches",
@@ -276,48 +276,71 @@ def _summarize(grid: GridFilter, epoch: int, theta_grid) -> OracleSummary:
     )
 
 
-def oracle_summaries(
-    signal: SignalModel,
-    obs: ObservationModel,
-    record: ObservationRecord,
-    kind: str,
-    *,
-    grid_points: int = 512,
-    grid_halfwidth: float = 10.0,
-    metric=None,
-) -> list:
-    """The reference posterior every command compares against: one summary per epoch 0..K.
+@dataclass(frozen=True)
+class Oracle:
+    """The reference posterior every command compares against.
 
-    ``kind`` "grid" runs the unnormalized grid filter (``run_reference``, which judges its
-    accuracy); "kalman" gives the exact normalized Gaussian posterior once
-    ``kalman_sensor`` accepts the scenario.  With ``metric`` each summary carries the
-    transform on its nodes.  The record and ``obs`` must share epsilon and observation
-    width (ValueError otherwise).
+    ``kind`` "grid" is the unnormalized grid filter (``run_reference``, which judges its
+    accuracy) on ``grid_points`` cells per axis over [-grid_halfwidth, grid_halfwidth];
+    "kalman" is the exact normalized Gaussian posterior, which carries no grid size and is
+    the filter only while the truth and every particle stay inside the sensor's linear
+    region.  Any other kind, or grid sizes that do not match the kind, raise ValueError.
     """
-    _check_record(obs, record)
-    if kind == "grid":
-        return run_reference(
-            signal,
-            obs,
-            record,
-            domain_halfwidth=grid_halfwidth,
-            points_per_axis=grid_points,
-            theta_grid=metric,
-        )[0]
-    if kind != "kalman":
-        raise ValueError(f"no reference posterior for oracle kind {kind!r}")
-    law, d = signal.initial_law, signal.dimension
-    cov0 = np.diag(law.scale**2) if law.kind == "gaussian" else np.zeros((d, d))
-    matrix, rate = kalman_sensor(signal, obs).matrix, covariance_rate(signal.spectral)
-    means, covs = kalman_reference(record, matrix, law.center, cov0, rate)
-    summaries = []
-    for k, (mean, cov) in enumerate(zip([law.center, *means], [cov0, *covs])):
-        transform = None
-        if metric is not None:
-            th = metric.nodes
-            transform = np.exp(-1j * (th @ mean) - 0.5 * np.einsum("mi,ij,mj->m", th, cov, th))
-        summaries.append(OracleSummary(k, mean, np.diag(cov).copy(), transform))
-    return summaries
+
+    kind: str
+    grid_points: int | None = None
+    grid_halfwidth: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("grid", "kalman"):
+            raise ValueError(f"no reference posterior for oracle kind {self.kind!r}")
+        if (self.grid_points, self.grid_halfwidth).count(None) != (0 if self.kind == "grid" else 2):
+            raise ValueError("the grid oracle takes grid_points and grid_halfwidth, kalman neither")
+
+    @property
+    def normalized(self) -> bool:
+        """Whether the posterior is a probability (kalman) rather than the filter's mass."""
+        return self.kind == "kalman"
+
+    def summaries(
+        self, signal: SignalModel, obs: ObservationModel, record: ObservationRecord, metric=None
+    ) -> list:
+        """One summary per epoch 0..K; with ``metric`` each carries the transform on its nodes.
+
+        The kalman posterior needs a scenario ``kalman_sensor`` accepts.  The record and
+        ``obs`` must share epsilon and observation width (ValueError otherwise).
+        """
+        _check_record(obs, record)
+        if self.kind == "grid":
+            return run_reference(
+                signal,
+                obs,
+                record,
+                domain_halfwidth=self.grid_halfwidth,
+                points_per_axis=self.grid_points,
+                theta_grid=metric,
+            )[0]
+        law, d = signal.initial_law, signal.dimension
+        cov0 = np.diag(law.scale**2) if law.kind == "gaussian" else np.zeros((d, d))
+        matrix, rate = kalman_sensor(signal, obs).matrix, covariance_rate(signal.spectral)
+        means, covs = kalman_reference(record, matrix, law.center, cov0, rate)
+        summaries = []
+        for k, (mean, cov) in enumerate(zip([law.center, *means], [cov0, *covs])):
+            transform = None
+            if metric is not None:
+                th = metric.nodes
+                transform = np.exp(-1j * (th @ mean) - 0.5 * np.einsum("mi,ij,mj->m", th, cov, th))
+            summaries.append(OracleSummary(k, mean, np.diag(cov).copy(), transform))
+        return summaries
+
+    def clip_reaches(self, sensor, point_sets) -> list:
+        """``clip_reaches`` under the kalman oracle; none for the grid, which has no region."""
+        return clip_reaches(sensor, point_sets) if self.kind == "kalman" else []
+
+    def clip_margin(self, sensor, point_sets, reaches=()) -> float:
+        """``clip_margin`` under the kalman oracle (ClipRegionError outside the region);
+        inf for the grid, which has no such region."""
+        return clip_margin(sensor, point_sets, reaches) if self.kind == "kalman" else math.inf
 
 
 def kalman_sensor(signal: SignalModel, obs: ObservationModel) -> ClippedLinearSensor:

@@ -41,7 +41,6 @@ __all__ = [
     "directional_moment",
     "covariance_rate",
     "quadratic_variation_paths",
-    "quadratic_variation_estimate",
 ]
 
 _UNIT_NORM_TOL = 1e-12
@@ -305,18 +304,3 @@ def quadratic_variation_paths(
         out[r] = float(np.sum(np.abs(np.exp(-1j * phases) - 1.0) ** 2))
     return out
 
-
-def quadratic_variation_estimate(
-    model: SignalModel,
-    theta,
-    t: float,
-    partition_count: int,
-    replication_count: int,
-    rng: np.random.Generator,
-) -> float:
-    """Replication average of ``quadratic_variation_paths``."""
-    return float(
-        quadratic_variation_paths(
-            model, theta, t, partition_count, replication_count, rng
-        ).mean()
-    )

@@ -28,6 +28,7 @@ from levyfilter.harness import (
     parse_config,
 )
 from levyfilter.observation import ClippedLinearSensor, ObservationModel
+from levyfilter.reference import Oracle
 
 SEED = 20050415
 
@@ -88,9 +89,7 @@ def test_c06_empirical_convergence_rate():
         100,
         SEED,
         metric,
-        oracle="grid",
-        grid_points=512,
-        grid_halfwidth=10.0,
+        Oracle("grid", 512, 10.0),
         error_epochs="final",
     )
     ok = (

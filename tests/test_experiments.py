@@ -22,7 +22,7 @@ from levyfilter.experiments import (
     kalman_crosscheck,
     rate_sweep,
 )
-from levyfilter.reference import ClipRegionError
+from levyfilter.reference import ClipRegionError, Oracle
 
 
 def default_signal():
@@ -67,7 +67,7 @@ class TestRateSweep:
             4,
             11,
             metric,
-            grid_points=256,
+            Oracle("grid", 256, 10.0),
         )
         assert res.total_runs == 12
         assert res.extinct_runs == 0
@@ -89,7 +89,7 @@ class TestRateSweep:
             2,
             13,
             metric,
-            grid_points=128,
+            Oracle("grid", 128, 10.0),
             error_epochs="all",
         )
         epochs = {r[2] for r in res.rows}
@@ -99,7 +99,7 @@ class TestRateSweep:
         metric = FrequencyGrid.build(1, alpha=2.0, cutoff=5.0, spacing=0.2)
         with pytest.raises(ValueError):
             rate_sweep(
-                default_signal(), bump_obs(), 1.0, [100], 1, 1, metric, oracle="none"
+                default_signal(), bump_obs(), 1.0, [100], 1, 1, metric, None
             )
 
     def test_kalman_oracle_route(self):
@@ -113,7 +113,7 @@ class TestRateSweep:
             4,
             17,
             metric,
-            oracle="kalman",
+            Oracle("kalman"),
         )
         errs = [e for _, e in res.per_n_error]
         assert errs[0] > errs[-1]
@@ -122,7 +122,7 @@ class TestRateSweep:
         obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=0.5), 0.1)
         metric = FrequencyGrid.build(1, alpha=2.0, cutoff=5.0, spacing=0.2)
         with pytest.raises(ClipRegionError, match="observation.linear_clip"):
-            rate_sweep(default_signal(), obs, 1.0, [100], 1, 17, metric, oracle="kalman")
+            rate_sweep(default_signal(), obs, 1.0, [100], 1, 17, metric, Oracle("kalman"))
 
 
 class TestKalmanCrosscheck:
@@ -171,8 +171,8 @@ class TestBaselineComparison:
             1.0,
             400,
             23,
+            Oracle("grid", 256, 10.0),
             epsilons=(0.1, 0.05),
-            grid_points=256,
         )
         assert all(f > 0.9 for f in res.multinomial_fractions)
         assert all(f < 0.3 for f in res.branching_fractions)
@@ -186,8 +186,8 @@ class TestBaselineComparison:
             0.5,
             200,
             29,
+            Oracle("kalman"),
             epsilons=(0.25, 0.125),
-            oracle="kalman",
         )
         assert all(np.isfinite(res.branching_errors))
         assert all(np.isfinite(res.multinomial_errors))
@@ -200,8 +200,8 @@ class TestBaselineComparison:
                 0.5,
                 200,
                 29,
+                Oracle("kalman"),
                 epsilons=(0.25,),
-                oracle="kalman",
             )
 
     def test_no_oracle_errors_are_nan(self):
@@ -211,15 +211,15 @@ class TestBaselineComparison:
             0.5,
             200,
             29,
+            None,
             epsilons=(0.25, 0.125),
-            oracle="none",
         )
         assert all(np.isnan(e) for e in res.branching_errors)
 
     def test_holds_one_run_at_a_time(self, monkeypatch):
         signal, sensor = default_signal(), GaussianBumpSensor([1.0], [[0.0]], [1.0])
         # first-call allocations (caches, lazily built objects) are not what is measured
-        baseline_comparison(signal, sensor, 0.5, 100, 23, epsilons=(0.1, 0.05), oracle="none")
+        baseline_comparison(signal, sensor, 0.5, 100, 23, None, epsilons=(0.1, 0.05))
         retained = []  # bytes each branching run keeps: its ensembles and counts
         run_filter = experiments.run_filter
 
@@ -234,7 +234,7 @@ class TestBaselineComparison:
         monkeypatch.setattr(experiments, "run_filter", recording_run_filter)
         tracemalloc.start()
         try:
-            baseline_comparison(signal, sensor, 2.0, 2000, 23, epsilons=(0.1, 0.05), oracle="none")
+            baseline_comparison(signal, sensor, 2.0, 2000, 23, None, epsilons=(0.1, 0.05))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

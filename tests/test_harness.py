@@ -18,6 +18,7 @@ from levyfilter.harness import (
     ConfigError,
     build_metric,
     build_observation,
+    build_oracle,
     build_signal,
     cmd_simulate,
     default_config_text,
@@ -273,6 +274,21 @@ class TestBuilders:
         obs = build_observation(cfg)
         assert obs.sensor.hh_sup_bound() == 0.0
 
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            ("grid", reference.Oracle("grid", 64, 6.0)),
+            ("kalman", reference.Oracle("kalman")),
+            ("none", None),
+        ],
+    )
+    def test_oracle_built_once_from_the_config(self, kind, expected):
+        cfg = parse_config(
+            "[observation]\nsensor = clipped_linear\n"
+            f"[oracle]\nkind = {kind}\ngrid_points = 64\ngrid_halfwidth = 6.0\n"
+        )
+        assert build_oracle(cfg) == expected
+
 
 class TestArtifacts:
     def test_simulate_emits_files_and_manifest(self, tmp_path):
@@ -405,6 +421,19 @@ class TestCli:
         rc = cli_main(["simulate", "--config", path, "--out", str(out)])
         assert rc == 3
         assert f"cannot write {out / blocked}" in capsys.readouterr().err
+
+    def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        blocked = out / "quick_simulate_particles.csv"
+        blocked.mkdir(parents=True)  # in the way only once particles are dumped
+        path = self.write_cfg(tmp_path)
+        assert cli_main(["simulate", "--config", path, "--seed", "7", "--out", str(out)]) == 0
+        path = self.write_cfg(tmp_path, QUICK + "\n[output]\ndump_particles = on\n")
+        rc = cli_main(["simulate", "--config", path, "--seed", "8", "--out", str(out)])
+        assert rc == 3
+        assert f"cannot write {blocked}" in capsys.readouterr().err
+        # the seed-7 manifest would list hashes of files the seed-8 run overwrote
+        assert not (out / "quick_simulate_manifest.json").exists()
 
     @pytest.mark.parametrize(
         "text",

@@ -1,6 +1,6 @@
 """The one oracle path against a frozen copy of the per-caller reference code it replaced.
 
-Before ``reference.oracle_summaries`` every consumer ran its own grid filter
+Before the one ``reference.Oracle`` every consumer ran its own grid filter
 or Kalman recursion: the rate sweep's ``_oracle_transforms``, the baseline
 comparison's grid branch, ``check_oracle_agreement``'s two private branches
 and ``kalman_crosscheck``'s own recursion.  The copies below keep them
@@ -38,8 +38,8 @@ from levyfilter.metrics import filter_error, rate_fit
 from levyfilter.reference import (
     ClipRegionError,
     clip_margin,
+    Oracle,
     kalman_sensor,
-    oracle_summaries,
 )
 from levyfilter.seeding import substream
 
@@ -198,6 +198,10 @@ def record_for(signal, obs, seed=3):
     return simulate_scenario(signal, obs, 0.8, np.random.default_rng(seed))[1]
 
 
+def make_oracle(kind, grid_points):
+    return Oracle("grid", grid_points, 10.0) if kind == "grid" else Oracle(kind)
+
+
 # ---- comparison
 
 
@@ -210,9 +214,7 @@ def test_summaries_bit_equal_to_per_caller_code(kind, d, law):
     obs = linear_obs(d)
     record = record_for(signal, obs)
     metric = FrequencyGrid.build(d, alpha=2.0, cutoff=5.0 if d == 1 else 2.0, spacing=0.1 if d == 1 else 0.5)
-    summaries = oracle_summaries(
-        signal, obs, record, kind, grid_points=128, grid_halfwidth=10.0, metric=metric
-    )
+    summaries = make_oracle(kind, 128).summaries(signal, obs, record, metric)
     targets = ref_oracle_transforms(signal, obs, record, metric, kind, 128, 10.0)
     assert [s.epoch for s in summaries] == list(range(record.count + 1))
     for s in summaries:
@@ -231,15 +233,16 @@ def test_rate_sweep_bit_equal(oracle, obs):
     signal = gaussian_signal()
     metric = FrequencyGrid.build(1, alpha=2.0, cutoff=5.0, spacing=0.1)
     result = rate_sweep(
-        signal, obs, 0.8, [100, 200, 400], 2, 11, metric, oracle=oracle, grid_points=256
+        signal, obs, 0.8, [100, 200, 400], 2, 11, metric, make_oracle(oracle, 256)
     )
-    assert result.rows == ref_rate_sweep_rows(signal, obs, 0.8, [100, 200, 400], 2, 11, metric, oracle)
+    expected = ref_rate_sweep_rows(signal, obs, 0.8, [100, 200, 400], 2, 11, metric, oracle)
+    assert result.rows == expected
 
 
 def test_baseline_grid_errors_bit_equal():
     sensor = GaussianBumpSensor([1.3], [[0.5]], [0.7])
     result = baseline_comparison(
-        gaussian_signal(), sensor, 0.5, 200, 23, epsilons=(0.1, 0.05), grid_points=256
+        gaussian_signal(), sensor, 0.5, 200, 23, Oracle("grid", 256, 10.0), epsilons=(0.1, 0.05)
     )
     b_errs, m_errs = ref_baseline_errors(gaussian_signal(), sensor, 0.5, 200, 23, (0.1, 0.05))
     assert result.branching_errors == b_errs
@@ -249,14 +252,14 @@ def test_baseline_grid_errors_bit_equal():
 @pytest.mark.parametrize("oracle, obs", [("grid", bump_obs()), ("kalman", linear_obs())])
 def test_oracle_agreement_bit_equal(oracle, obs):
     signal = gaussian_signal()
-    result = check_oracle_agreement(signal, obs, 0.8, 5, scale=0.1, oracle=oracle, grid_points=256)
+    result = check_oracle_agreement(signal, obs, 0.8, 5, scale=0.1, oracle=make_oracle(oracle, 256))
     rms, bound = ref_oracle_agreement(signal, obs, 0.8, 5, 0.1, oracle, 2000, 256)
     assert result.values == {"rms": rms, "bound": bound}
 
 
 def test_oracle_agreement_clip_failure_unchanged():
     signal, obs = gaussian_signal(), linear_obs(clip=0.5)
-    result = check_oracle_agreement(signal, obs, 0.8, 5, scale=0.1, oracle="kalman")
+    result = check_oracle_agreement(signal, obs, 0.8, 5, scale=0.1, oracle=Oracle("kalman"))
     expected = ref_oracle_agreement(signal, obs, 0.8, 5, 0.1, "kalman", 2000, 512)
     assert result.status == "FAIL"
     assert expected in result.detail
@@ -290,15 +293,20 @@ def test_kalman_preconditions_checked_once_for_every_consumer(signal, obs):
         kalman_sensor(signal, obs)
     record = record_for(signal, obs)
     with pytest.raises(ValueError, match="kalman needs"):
-        oracle_summaries(signal, obs, record, "kalman")
+        Oracle("kalman").summaries(signal, obs, record)
     with pytest.raises(ValueError, match="kalman needs"):
-        check_oracle_agreement(signal, obs, 0.5, 5, scale=0.1, oracle="kalman")
+        check_oracle_agreement(signal, obs, 0.5, 5, scale=0.1, oracle=Oracle("kalman"))
 
 
 def test_unknown_oracle_kind_rejected():
-    signal, obs = gaussian_signal(), linear_obs()
     with pytest.raises(ValueError, match="oracle kind 'none'"):
-        oracle_summaries(signal, obs, record_for(signal, obs), "none")
+        Oracle("none")
+
+
+@pytest.mark.parametrize("args", [("grid",), ("grid", 64), ("kalman", 64, 10.0)])
+def test_grid_sizes_must_match_the_oracle_kind(args):
+    with pytest.raises(ValueError, match="grid oracle takes grid_points and grid_halfwidth"):
+        Oracle(*args)
 
 
 def test_clip_margin():
@@ -316,7 +324,7 @@ def test_oracle_needs_the_record_epsilon(kind):
     sensor = ClippedLinearSensor([[1.0]], clip=20.0)
     _, record = simulate_scenario(signal, ObservationModel(sensor, 0.05), 1.0, substream(3, "eps"))
     with pytest.raises(ValueError, match=r"epsilon 0\.05 .* epsilon 0\.1"):
-        oracle_summaries(signal, ObservationModel(sensor, 0.1), record, kind, grid_points=64)
+        make_oracle(kind, 64).summaries(signal, ObservationModel(sensor, 0.1), record)
 
 
 @pytest.mark.parametrize("kind", ["grid", "kalman"])
@@ -325,4 +333,4 @@ def test_oracle_needs_the_record_width(kind):
     record = ObservationRecord(increments=np.zeros((5, 2)), epsilon=0.1)
     obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=20.0), 0.1)
     with pytest.raises(ValueError, match=r"width 2 but the sensor gives 1-d"):
-        oracle_summaries(signal, obs, record, kind, grid_points=64)
+        make_oracle(kind, 64).summaries(signal, obs, record)

@@ -14,7 +14,6 @@ from levyfilter import (
     directional_moment,
     empirical_cf,
     increment_cf,
-    quadratic_variation_estimate,
     sample_increment,
     sample_standard_stable_1d,
 )
@@ -264,13 +263,13 @@ class TestEmpiricalCf:
 class TestQuadraticVariation:
     def test_zero_theta_gives_zero(self):
         rng = np.random.default_rng(2)
-        val = quadratic_variation_estimate(model_1d(1.5), [0.0], 1.0, 200, 3, rng)
+        val = quadratic_variation_paths(model_1d(1.5), [0.0], 1.0, 200, 3, rng).mean()
         assert val == 0.0
 
     def test_alpha_two_deterministic_value(self):
         # expected quadratic variation 2 t |theta|^2 for the Gaussian case
         rng = np.random.default_rng(13)
-        val = quadratic_variation_estimate(model_1d(2.0), [1.0], 1.0, 10_000, 16, rng)
+        val = quadratic_variation_paths(model_1d(2.0), [1.0], 1.0, 10_000, 16, rng).mean()
         assert abs(val - 2.0) < 0.02 * 2.0
 
     def test_alpha_three_halves_value(self):
@@ -297,4 +296,4 @@ class TestQuadraticVariation:
     def test_partition_floor(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
-            quadratic_variation_estimate(model_1d(1.5), [1.0], 1.0, 50, 1, rng)
+            quadratic_variation_paths(model_1d(1.5), [1.0], 1.0, 50, 1, rng).mean()
