@@ -37,7 +37,14 @@ sensor = GaussianBumpSensor([1.0], [[0.0]], [1.0])
 obs = ObservationModel(sensor, 0.1)
 
 truth, record = simulate_scenario(signal, obs, horizon=2.0, rng=rng)
-run = run_filter(signal, obs, record, n=4000, rng=rng)
+# a run keeps each epoch's sizes, not its particles: read them through a reducer
+particle_hs = []
+run = run_filter(
+    signal, obs, record, n=4000, rng=rng,
+    reduce=lambda k, pre, rho, counts, control_rows, post: particle_hs.append(
+        sensor(post.positions)[:, 0].mean()
+    ),
+)
 
 grid = build_grid(signal, obs.epsilon, domain_halfwidth=10.0, points_per_axis=512)
 grid_h_values = sensor(grid.points)[:, 0]
@@ -45,13 +52,12 @@ grid_h_values = sensor(grid.points)[:, 0]
 print(f"{'epoch':>5} {'h(truth)':>9} {'<h> particle':>13} {'<h> grid':>9} "
       f"{'count':>6} {'mass':>7} {'touched':>8}")
 worst_boundary = 0.0  # predict_step does not warn; a direct caller reads its diagnostics
-for step in run.steps:
+for step, particle_h in zip(run.steps, particle_hs):
     grid = predict_step(grid)
     worst_boundary = max(worst_boundary, grid.boundary_mass_fraction())
     grid = update_step(grid, record.increments[step.epoch - 1], obs)
     weights = grid.density.reshape(-1)
     grid_h = float(weights @ grid_h_values / weights.sum())
-    particle_h = sensor(step.post.positions)[:, 0].mean()
     true_h = sensor(truth[step.epoch])[0, 0]
     print(
         f"{step.epoch:>5} {true_h:>9.3f} {particle_h:>13.3f} {grid_h:>9.3f} "

@@ -16,6 +16,7 @@ identical (parameters, stream state) gives bit-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "MAX_RHO",
     "MAX_GROWTH",
     "ParticleEnsemble",
+    "EnsembleSize",
     "FilterStep",
     "FilterRun",
     "init_ensemble",
@@ -113,7 +115,12 @@ class ParticleEnsemble:
     @property
     def total_mass(self) -> float:
         """<mu, 1> = mass_factor * count / initial_count."""
-        return self.mass_factor * self.count / self.initial_count
+        return self.size.total_mass
+
+    @property
+    def size(self) -> "EnsembleSize":
+        """The bookkeeping without the positions."""
+        return EnsembleSize(self.count, self.initial_count, self.mass_factor)
 
     def _with(self, positions, mass_factor=None) -> "ParticleEnsemble":
         """New rows under the same bookkeeping (cheaper than ``dataclasses.replace``)."""
@@ -163,44 +170,45 @@ def _offspring_counts(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return counts
 
 
-@dataclass
-class FilterStep:
-    """One observation epoch (at t = epoch * epsilon): the ensemble just before and just
-    after branching, and what branching drew.
+def _parent_rows(counts: np.ndarray, control_rows: np.ndarray | None = None) -> np.ndarray:
+    """Row i of an epoch's ``post`` descends from row ``parents[i]`` of its ``pre``
+    (non-decreasing), given the offspring ``counts`` and population control's rows."""
+    rows = np.repeat(np.arange(counts.shape[0]), counts)
+    return rows if control_rows is None else rows[control_rows]
 
-    Row i of ``pre`` left ``counts[i]`` offspring (int32); ``control_rows`` is the mask or
-    index population control applied, or None.
-    """
+
+class EnsembleSize(NamedTuple):
+    """The bookkeeping of an ensemble without its positions: what a run keeps per epoch."""
+
+    count: int
+    initial_count: int
+    mass_factor: float
+
+    @property
+    def total_mass(self) -> float:
+        """<mu, 1> = mass_factor * count / initial_count."""
+        return self.mass_factor * self.count / self.initial_count
+
+
+class FilterStep(NamedTuple):
+    """What a branching run keeps of one observation epoch (at t = epoch * epsilon): the
+    sizes just before and just after branching (and population control), and the deaths
+    plus branches, the rows of ``pre`` that left a count other than 1."""
 
     epoch: int
-    pre: ParticleEnsemble
-    post: ParticleEnsemble
-    counts: np.ndarray
-    control_rows: np.ndarray | None = None
-
-    @property
-    def branch_events(self) -> int:
-        """Deaths and branches: the rows of ``pre`` that left a count other than 1."""
-        return int(np.count_nonzero(self.counts != 1))
-
-    @property
-    def parents(self) -> np.ndarray:
-        """Row i of ``post`` descends from row ``parents[i]`` of ``pre`` (non-decreasing)."""
-        rows = np.repeat(np.arange(self.pre.count), self.counts)
-        return rows if self.control_rows is None else rows[self.control_rows]
+    pre: EnsembleSize
+    post: EnsembleSize
+    branch_events: int
 
 
 @dataclass
 class FilterRun:
-    """Full filter trajectory; ``extinct_epoch`` reports termination by extinction."""
+    """A run's per-epoch records, its first and last ensembles, and the extinction epoch."""
 
     initial: ParticleEnsemble
+    final: ParticleEnsemble
     steps: list
     extinct_epoch: int | None = None
-
-    @property
-    def final(self) -> ParticleEnsemble:
-        return self.steps[-1].post if self.steps else self.initial
 
     @property
     def extinct(self) -> bool:
@@ -215,14 +223,17 @@ def run_filter(
     rng: np.random.Generator,
     *,
     control: tuple | None = None,
+    reduce=None,
 ) -> FilterRun:
-    """Alternate evolve and branch over the record; keep pre/post snapshots per epoch.
+    """Alternate evolve and branch over the record; keep one ``FilterStep`` per epoch.
 
     ``control``, a band ``(low_ratio, high_ratio)``, switches on
-    ``population_control`` around n after each branching.  Terminates early
-    with an extinction report if every particle dies; raises
-    WeightOverflowError if a branching weight exceeds MAX_RHO, and
-    PopulationGrowthError if the population exceeds MAX_GROWTH * n.
+    ``population_control`` around n after each branching.  ``reduce`` is the
+    per-epoch reducer of ``_run_epochs``; ``counts`` are the int32 offspring counts
+    of the rows of ``pre`` and ``control_rows`` the mask or index that population control
+    applied to the offspring, or None.  Terminates early with an extinction report
+    if every particle dies; raises WeightOverflowError if a branching weight exceeds
+    MAX_RHO, and PopulationGrowthError if the population exceeds MAX_GROWTH * n.
     """
 
     def branch(k, pre, rho):
@@ -230,21 +241,27 @@ def run_filter(
         post, rows = pre._with(np.repeat(pre.positions, counts, axis=0)), None
         if control is not None:
             post, rows = population_control(post, n, control, rng)
-        return FilterStep(k, pre, post, counts, rows)
+        events = int(np.count_nonzero(counts != 1))
+        return post, counts, rows, FilterStep(k, pre.size, post.size, events)
 
-    initial, steps = _run_epochs(signal, obs, record, n, rng, branch)
-    extinct = steps[-1].epoch if steps and steps[-1].post.count == 0 else None
-    return FilterRun(initial=initial, steps=steps, extinct_epoch=extinct)
+    initial, final, steps = _run_epochs(signal, obs, record, n, rng, branch, reduce)
+    extinct = steps[-1].epoch if final.count == 0 else None
+    return FilterRun(initial, final, steps, extinct)
 
 
-def _run_epochs(signal, obs, record, n, rng, resample) -> tuple[ParticleEnsemble, list]:
+def _run_epochs(signal, obs, record, n, rng, resample, reduce) -> tuple:
     """The epoch loop of both filters: evolve by the epsilon that the record and ``obs``
     share (ValueError if they differ, or if their observation widths do), weigh, then
-    ``resample(k, pre, rho)``, which returns the epoch's step; its ``post`` enters the
-    next interval.  Stops at extinction; raises PopulationGrowthError when ``post``
-    holds more than MAX_GROWTH * n particles.
+    ``resample(k, pre, rho)``, which returns ``(post, counts, control_rows, step)``; ``post``
+    enters the next interval and ``step`` is the epoch's record.  Stops at extinction;
+    raises PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
     On a risky epoch exp() may overflow: silently, and WeightOverflowError reports it;
     elsewhere the bound rules overflow out.
+
+    A ``reduce`` callable, when given, is called once per epoch as
+    ``reduce(k, pre, rho, counts, control_rows, post)`` with the live arrays, after resampling:
+    it must not change them and should keep only what it needs, because nothing else
+    of them outlives the epoch.  Returns (initial ensemble, final ensemble, records).
     """
     eps = _check_record(obs, record)
     initial = ensemble = init_ensemble(n, signal, rng)
@@ -259,13 +276,15 @@ def _run_epochs(signal, obs, record, n, rng, resample) -> tuple[ParticleEnsemble
                 raise WeightOverflowError(k, float(np.max(rho)))
         else:
             rho = weight(pre.positions, record.increments[k - 1], obs)
-        steps.append(resample(k, pre, rho))
-        ensemble = steps[-1].post
+        ensemble, counts, control_rows, step = resample(k, pre, rho)
         if ensemble.count > MAX_GROWTH * n:
             raise PopulationGrowthError(k, ensemble.count, MAX_GROWTH * n)
+        if reduce is not None:
+            reduce(k, pre, rho, counts, control_rows, ensemble)
+        steps.append(step)
         if ensemble.count == 0:
             break
-    return initial, steps
+    return initial, ensemble, steps
 
 
 def estimate(ensemble: ParticleEnsemble, phi) -> tuple:
@@ -349,10 +368,12 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-@dataclass
-class BaselineStep:
+class BaselineStep(NamedTuple):
+    """What a multinomial run keeps of one epoch: the size after resampling and the
+    number of particles whose site differs from their own old one."""
+
     epoch: int
-    post: ParticleEnsemble
+    post: EnsembleSize
     relocations: int
 
 
@@ -362,16 +383,21 @@ def run_baseline(
     record: ObservationRecord,
     n: int,
     rng: np.random.Generator,
+    *,
+    reduce=None,
 ) -> list:
-    """Multinomial-resampling filter on the same record; population stays n.
+    """Multinomial-resampling filter on the same record; population stays n.  Returns one
+    ``BaselineStep`` per epoch; ``reduce`` is the per-epoch reducer of ``_run_epochs``,
+    called with ``counts`` and ``control_rows`` None.
 
     Raises WeightOverflowError if a weight exceeds MAX_RHO.
     """
 
     def resample(k, pre, rho):
-        return BaselineStep(k, *_multinomial_resample(pre, rho, rng))
+        post, relocations = _multinomial_resample(pre, rho, rng)
+        return post, None, None, BaselineStep(k, post.size, relocations)
 
-    return _run_epochs(signal, obs, record, n, rng, resample)[1]
+    return _run_epochs(signal, obs, record, n, rng, resample, reduce)[2]
 
 
 def population_control(

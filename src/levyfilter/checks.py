@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .branching import _offspring_counts, empirical_fourier, run_baseline, run_filter
+from .experiments import PostMeans
 from .metrics import fourier
 from .observation import (
     GaussianBumpSensor,
@@ -228,8 +229,13 @@ def check_compensator(
     stats = np.empty((reps, len(thetas)), dtype=complex)
     extinct = 0
     for r in range(reps):
-        run = None  # release the previous run before the next one is drawn
-        run = run_filter(signal, obs, record, n, substream(seed, "comp-rep", r))
+        jumps, posts = [], []  # per epoch: the branching jump and the post transform
+
+        def reduce(k, pre, rho, counts, control_rows, post):
+            jumps.append(pre.mass_factor * fourier(pre.positions, rho, theta_vecs) / pre.initial_count)
+            posts.append(empirical_fourier(post, theta_vecs))
+
+        run = run_filter(signal, obs, record, n, substream(seed, "comp-rep", r), reduce=reduce)
         if run.extinct:
             extinct += 1
             stats[r] = np.nan
@@ -237,14 +243,11 @@ def check_compensator(
         initial = empirical_fourier(run.initial, theta_vecs)
         segment_sum = initial * drift_factor  # segment starting at t_0
         jump_sum = np.zeros(len(thetas), dtype=complex)
-        for step in run.steps:
-            rho = weight(step.pre.positions, record.increments[step.epoch - 1], obs)
-            jump_sum += step.pre.mass_factor * fourier(step.pre.positions, rho, theta_vecs) / step.pre.initial_count
-            post_vals = empirical_fourier(step.post, theta_vecs)
+        for step, jump, post_vals in zip(run.steps, jumps, posts):
+            jump_sum += jump
             if step.epoch < record.count:
                 segment_sum += post_vals * drift_factor
-        final = empirical_fourier(run.steps[-1].post, theta_vecs)
-        stats[r] = final - initial - segment_sum - jump_sum
+        stats[r] = posts[-1] - initial - segment_sum - jump_sum
     valid = stats[~np.isnan(stats[:, 0].real)]
     worst_z = 0.0
     for j in range(len(thetas)):
@@ -286,7 +289,6 @@ def check_mass_moments(
             signal, obs, horizon, substream(seed, "mass-record", r)
         )
         for j, n in enumerate(ns):
-            run = None  # release the previous run before the next one is drawn
             run = run_filter(signal, obs, record, n, substream(seed, "mass-rep", r, n))
             masses = [1.0] + [s.post.total_mass for s in run.steps]
             sups[r, j] = max(masses)
@@ -355,7 +357,6 @@ def check_branch_sparsity(
             _, record = simulate_scenario(
                 signal, obs, horizon, substream(seed, "sparsity-record", r, int(1e6 * eps))
             )
-            run = None  # release the previous run before the next one is drawn
             run = run_filter(
                 signal, obs, record, n_eff, substream(seed, "sparsity-run", r, int(1e6 * eps))
             )
@@ -415,15 +416,16 @@ def check_oracle_agreement(
     truth, record = simulate_scenario(
         signal, obs, horizon, substream(seed, "oracle-record")
     )
-    run = run_filter(signal, obs, record, n_eff, substream(seed, "oracle-run"))
+    summaries = oracle.summaries(signal, obs, record)  # first: it checks the Kalman sensor
+    posts = PostMeans(oracle, obs.sensor)
+    run = run_filter(signal, obs, record, n_eff, substream(seed, "oracle-run"), reduce=posts)
     if run.extinct:
         return CheckResult("oracle_agreement", "FAIL", "particle system went extinct")
-    summaries = oracle.summaries(signal, obs, record)
     try:
-        oracle.clip_margin(obs.sensor, [truth] + [s.post.positions for s in run.steps])
+        oracle.clip_margin(obs.sensor, [truth], posts.reaches)
     except ClipRegionError as exc:
         return CheckResult("oracle_agreement", "FAIL", str(exc))
-    particle_means = np.array([s.post.positions.mean(axis=0) for s in run.steps])
+    particle_means = np.array(posts.means)
     means = np.array([s.mean for s in summaries[1:]])
     spread = float(np.sqrt(np.mean([s.variance.sum() for s in summaries[1:]])))
     rms = float(np.sqrt(np.mean(np.sum((particle_means - means) ** 2, axis=1))))

@@ -26,6 +26,7 @@ __all__ = [
     "kalman_crosscheck",
     "BaselineComparison",
     "baseline_comparison",
+    "PostMeans",
 ]
 
 
@@ -85,20 +86,25 @@ def rate_sweep(
         final_sq = []
         for rep in range(replications):
             total_runs += 1
-            run = None  # release the previous run before the next one is drawn
+            reaches, errors = [], []
+
+            def reduce(k, pre, rho, counts, control_rows, post):
+                reaches.extend(oracle.clip_reaches(obs.sensor, [post.positions]))
+                if k in epochs and post.count:
+                    values = ensemble_transform(post, metric)
+                    if oracle.normalized:
+                        values = values / post.total_mass
+                    errors.append((k, filter_error(values, targets[k].transform, metric)))
+
             run = run_filter(
-                signal, obs, record, n, substream(seed, "sweep-run", n, rep), control=control
+                signal, obs, record, n, substream(seed, "sweep-run", n, rep),
+                control=control, reduce=reduce,
             )
-            oracle.clip_margin(obs.sensor, [truth] + [step.post.positions for step in run.steps])
+            oracle.clip_margin(obs.sensor, [truth], reaches)
             if run.extinct:
                 extinct_runs += 1
                 continue
-            for k in epochs:
-                ensemble = run.steps[k - 1].post
-                values = ensemble_transform(ensemble, metric)
-                if oracle.normalized:
-                    values = values / ensemble.total_mass
-                err = filter_error(values, targets[k].transform, metric)
+            for k, err in errors:
                 rows.append((n, rep, k, err))
                 if k == record.count:
                     final_sq.append(err * err)
@@ -160,21 +166,18 @@ def kalman_crosscheck(
     for n in sorted(set(list(ns) + [reference_n])):
         sq = []
         for rep in range(replications):
-            run = None  # release the previous run before the next one is drawn
+            posts = PostMeans(oracle, obs.sensor)
             run = run_filter(
-                signal, obs, record, n, substream(seed, "kalman-run", n, rep)
+                signal, obs, record, n, substream(seed, "kalman-run", n, rep), reduce=posts
             )
             if run.extinct:
                 raise ExtinctionError(
                     f"kalman cross-check: particle system extinct at observation epoch "
                     f"{run.extinct_epoch} (n {n}, replication {rep})"
                 )
-            margin = min(
-                margin,
-                oracle.clip_margin(obs.sensor, [truth] + [s.post.positions for s in run.steps]),
-            )
-            for step in run.steps:
-                gap = step.post.positions.mean(axis=0) - posterior[step.epoch].mean
+            margin = min(margin, oracle.clip_margin(obs.sensor, [truth], posts.reaches))
+            for step, mean in zip(run.steps, posts.means):
+                gap = mean - posterior[step.epoch].mean
                 sq.append(float(gap @ gap))
         rms = float(np.sqrt(np.mean(sq)))
         if n == reference_n:
@@ -202,13 +205,20 @@ class BaselineComparison:
     slope: float                   # log-log slope of the branching fraction in eps
 
 
-def _run_digest(steps, fractions, oracle, sensor) -> tuple:
-    """What the baseline comparison reads of one run: the mean of its per-epoch
-    ``fractions``, the mean position of every ``post``, and the ``oracle``'s clip reaches
-    of the ``post`` ensembles under ``sensor`` (none without an oracle)."""
-    posts = [s.post.positions for s in steps]
-    reaches = [] if oracle is None else oracle.clip_reaches(sensor, posts)
-    return float(np.mean(fractions)), np.array([p.mean(axis=0) for p in posts]), reaches
+class PostMeans:
+    """A per-epoch reducer for ``run_filter`` and ``run_baseline``: the mean position of
+    every nonempty ``post`` (``means``) and the ``oracle``'s clip reaches of them under
+    ``sensor`` (``reaches``; none without an oracle)."""
+
+    def __init__(self, oracle: Oracle | None, sensor):
+        self.oracle, self.sensor = oracle, sensor
+        self.means, self.reaches = [], []
+
+    def __call__(self, k, pre, rho, counts, control_rows, post):
+        if post.count:
+            self.means.append(post.positions.mean(axis=0))
+        if self.oracle is not None:
+            self.reaches += self.oracle.clip_reaches(self.sensor, [post.positions])
 
 
 def baseline_comparison(
@@ -225,8 +235,8 @@ def baseline_comparison(
     against ``oracle`` (every particle kept to its clip margin), nan without one.
 
     Raises ExtinctionError if a branching run dies out: its fractions and errors would
-    cover only the epochs before extinction.  Each run is reduced to what the comparison
-    reads (``_run_digest``) and released before the next one starts.
+    cover only the epochs before extinction.  Each run keeps only its per-epoch sizes;
+    ``PostMeans`` reduces it to the means and clip reaches the comparison reads.
     """
     b_fracs, m_fracs, b_errs, m_errs = [], [], [], []
     for eps in epsilons:
@@ -235,32 +245,28 @@ def baseline_comparison(
         truth, record = simulate_scenario(
             signal, obs, horizon, substream(seed, "baseline-record", tag)
         )
-        run = run_filter(signal, obs, record, n, substream(seed, "baseline-branch", tag))
+        branch = PostMeans(oracle, sensor)
+        run = run_filter(
+            signal, obs, record, n, substream(seed, "baseline-branch", tag), reduce=branch
+        )
         if run.extinct:
             raise ExtinctionError(
                 f"compare-baseline: branching particle system of {n} extinct at "
                 f"observation epoch {run.extinct_epoch} of {record.count} (epsilon {eps:g})"
             )
-        fraction, b_means, b_reaches = _run_digest(
-            run.steps, [s.branch_events / s.pre.count for s in run.steps], oracle, sensor
-        )
-        b_fracs.append(fraction)
-        del run
+        b_fracs.append(float(np.mean([s.branch_events / s.pre.count for s in run.steps])))
+        multi = PostMeans(oracle, sensor)
         steps = run_baseline(
-            signal, obs, record, n, substream(seed, "baseline-multi", tag)
+            signal, obs, record, n, substream(seed, "baseline-multi", tag), reduce=multi
         )
-        fraction, m_means, m_reaches = _run_digest(
-            steps, [s.relocations / n for s in steps], oracle, sensor
-        )
-        m_fracs.append(fraction)
-        del steps
+        m_fracs.append(float(np.mean([s.relocations / n for s in steps])))
         oracle_means = np.nan  # no oracle: nan errors
         if oracle is not None:
             summaries = oracle.summaries(signal, obs, record)
-            oracle.clip_margin(sensor, [truth], b_reaches + m_reaches)
+            oracle.clip_margin(sensor, [truth], branch.reaches + multi.reaches)
             oracle_means = np.array([s.mean for s in summaries[1:]])
-        for errs, means in ((b_errs, b_means), (m_errs, m_means)):
-            errs.append(float(np.mean(np.abs(means - oracle_means))))
+        for errs, posts in ((b_errs, branch), (m_errs, multi)):
+            errs.append(float(np.mean(np.abs(np.array(posts.means) - oracle_means))))
     slope = float(np.polyfit(np.log(epsilons), np.log(b_fracs), 1)[0])
     return BaselineComparison(
         epsilons=list(epsilons),

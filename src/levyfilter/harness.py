@@ -24,7 +24,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .branching import PopulationGrowthError, run_filter
+from .branching import PopulationGrowthError, _parent_rows, run_filter
 from .checks import default_validation_suite
 from .experiments import baseline_comparison, rate_sweep
 from .metrics import FrequencyGrid, default_gamma
@@ -406,10 +406,21 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
     }
     n = cfg.particle_counts[0]
     control = (cfg.control_low, cfg.control_high) if cfg.population_control else None
-    run = run_filter(signal, obs, record, n, substream(cfg.seed, "filter", n, 0), control=control)
-    posts = [step.post for step in run.steps]
-    sums = [e.mass_factor * e.positions.sum(axis=0) / e.initial_count for e in posts]
-    means = [e.positions.mean(axis=0) if e.count else np.full(d, np.nan) for e in posts]
+    sums, means, dump = [], [], []  # dump: one block of particle rows per epoch
+    root = np.arange(n)  # each row's epoch-0 ancestor
+
+    def reduce(k, pre, rho, counts, control_rows, post):
+        nonlocal root
+        sums.append(post.mass_factor * post.positions.sum(axis=0) / post.initial_count)
+        means.append(post.positions.mean(axis=0) if post.count else np.full(d, np.nan))
+        if cfg.dump_particles:
+            parents = _parent_rows(counts, control_rows)
+            root = root[parents]
+            dump.append([np.full(post.count, k), parents, root, *post.positions.T])
+
+    run = run_filter(
+        signal, obs, record, n, substream(cfg.seed, "filter", n, 0), control=control, reduce=reduce
+    )
     files[f"{cfg.name}_simulate_estimates.csv"] = csv_blocks(
         ["epoch", "t", "count", "mass"]
         + [f"sum_x{i}_unnormalized" for i in range(d)]
@@ -417,23 +428,15 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
         [[
             epochs[1 : len(run.steps) + 1],
             times[1 : len(run.steps) + 1],
-            [e.count for e in posts],
-            [e.total_mass for e in posts],
+            [s.post.count for s in run.steps],
+            [s.post.total_mass for s in run.steps],
             *np.reshape(sums, (-1, d)).T,
             *np.reshape(means, (-1, d)).T,
         ]],
     )
     if cfg.dump_particles:
-
-        def particle_rows():  # one block per epoch, each row with its epoch-0 ancestor
-            root = np.arange(run.initial.count)
-            for step in run.steps:
-                root = root[step.parents]
-                post = step.post
-                yield [np.full(post.count, step.epoch), step.parents, root, *post.positions.T]
-
         files[f"{cfg.name}_simulate_particles.csv"] = csv_blocks(
-            ["epoch", "parent_row", "root_ancestor"] + xs, particle_rows()
+            ["epoch", "parent_row", "root_ancestor"] + xs, dump
         )
     oracle = build_oracle(cfg)
     if oracle is not None and not oracle.normalized:  # the grid filter's mass and diagnostics

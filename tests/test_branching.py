@@ -1,5 +1,8 @@
 """Branching particle system: mechanics, unbiasedness, baseline, control."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,12 +33,21 @@ from levyfilter import (
 from levyfilter.branching import (
     MAX_GROWTH,
     MAX_RHO,
-    FilterStep,
     ParticleEnsemble,
     _inverse_cdf,
     _multinomial_resample,
     _offspring_counts,
+    _parent_rows,
 )
+
+
+class LiveSteps(list):
+    """A reducer that keeps every epoch as the run saw it, with the parent rows rebuilt
+    from its offspring counts and population control's rows."""
+
+    def __call__(self, k, pre, rho, counts, control_rows, post):
+        parents = None if counts is None else _parent_rows(counts, control_rows)
+        self.append(SimpleNamespace(epoch=k, pre=pre, rho=rho, post=post, parents=parents))
 
 
 class FixedUniform:
@@ -157,13 +169,16 @@ class TestBranchStep:
         """One epoch of ``run_filter`` on one near-static particle whose weight is rho."""
         obs = linear_obs()
         record = ObservationRecord(increments=np.atleast_2d(dy_for_rho(rho, 1.0, obs)), epsilon=0.1)
-        run = run_filter(point_signal(1.0, w=1e-12), obs, record, 1, FixedUniform([u]))
-        return run.steps[0]
+        steps = LiveSteps()
+        run_filter(point_signal(1.0, w=1e-12), obs, record, 1, FixedUniform([u]), reduce=steps)
+        return steps[0]
 
     def test_zero_weights_relabel_only(self):
         record = ObservationRecord(increments=np.array([[0.3]]), epsilon=0.1)
         obs = ObservationModel(ZeroSensor(1, 1), 0.1)
-        step = run_filter(gaussian_signal(), obs, record, 50, np.random.default_rng(13)).steps[0]
+        steps = LiveSteps()
+        run_filter(gaussian_signal(), obs, record, 50, np.random.default_rng(13), reduce=steps)
+        step = steps[0]
         assert step.post.count == step.pre.count
         assert np.array_equal(step.post.positions, step.pre.positions)
         assert np.array_equal(step.parents, np.arange(50))
@@ -191,21 +206,22 @@ class TestBranchStep:
         ens = init_ensemble(6, gaussian_signal(), np.random.default_rng(3))
         counts = np.array([0, 3, 1, 0, 2, 1])
         post = ens._with(np.repeat(ens.positions, counts, axis=0))
-        step = FilterStep(1, ens, post, counts)
-        parents = step.parents
-        assert step.branch_events == 4
+        parents = _parent_rows(counts)
         assert np.array_equal(parents, [1, 1, 1, 2, 4, 4, 5])
         assert np.array_equal(np.bincount(parents, minlength=ens.count), counts)
         assert np.array_equal(post.positions, ens.positions[parents])
         none = np.zeros(6, dtype=np.int64)
-        empty = FilterStep(1, ens, ens._with(np.repeat(ens.positions, none, axis=0)), none)
-        assert empty.post.count == 0 and empty.parents.size == 0 and empty.branch_events == 6
-        assert empty.post.positions.shape == (0, 1)
+        empty = ens._with(np.repeat(ens.positions, none, axis=0))
+        assert empty.count == 0 and _parent_rows(none).size == 0
+        assert empty.positions.shape == (0, 1)
 
     def test_positions_preserved(self):
         record = ObservationRecord(increments=np.array([[0.8]]), epsilon=0.5)
-        run = run_filter(gaussian_signal(), linear_obs(0.5), record, 200, np.random.default_rng(23))
-        step = run.steps[0]
+        steps = LiveSteps()
+        run_filter(
+            gaussian_signal(), linear_obs(0.5), record, 200, np.random.default_rng(23), reduce=steps
+        )
+        step = steps[0]
         assert_parent_rows(step)
         parents = {float(x) for x in step.pre.positions[:, 0]}
         assert {float(x) for x in step.post.positions[:, 0]} <= parents
@@ -336,16 +352,34 @@ class TestRunFilter:
         assert run.steps[-1].post.count == 0
         assert run.extinct_epoch == run.steps[-1].epoch
 
+    @pytest.mark.parametrize("runner", [run_filter, run_baseline])
+    def test_a_run_keeps_its_end_ensembles_and_o_k_bytes(self, runner):
+        obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.0125)
+        record = self.make_record(K=160, eps=0.0125)
+        runner(gaussian_signal(), obs, record, 50, np.random.default_rng(78))  # first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = runner(gaussian_signal(), obs, record, 2000, np.random.default_rng(79))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a filter run keeps its initial and final ensembles, a baseline run its records
+        kept = 0
+        if runner is run_filter:
+            kept = result.initial.positions.nbytes + result.final.positions.nbytes
+        # one record per epoch costs a few hundred bytes; one epoch's arrays cost 48 kB
+        assert retained < kept + 1000 * record.count, (retained, kept)
+
     def test_determinism_bit_identical(self):
         record = self.make_record(K=6)
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(67)
-            runs.append(
-                run_filter(gaussian_signal(), linear_obs(), record, 300, rng)
-            )
+            runs.append(LiveSteps())
+            run_filter(gaussian_signal(), linear_obs(), record, 300, rng, reduce=runs[-1])
         a, b = runs
-        for sa, sb in zip(a.steps, b.steps):
+        for sa, sb in zip(a, b):
             assert np.array_equal(sa.post.positions, sb.post.positions)
             assert sa.parents.dtype == sb.parents.dtype
             assert np.array_equal(sa.parents, sb.parents)
@@ -354,9 +388,10 @@ class TestRunFilter:
         record = self.make_record(K=10)
         obs = linear_obs()
         rng = RecordingRng(71)  # alpha = 2: the branching rule is the only uniform draw
-        run = run_filter(gaussian_signal(), obs, record, 500, rng)
-        assert len(rng.uniforms) == len(run.steps) == 10
-        for step, u in zip(run.steps, rng.uniforms):
+        steps = LiveSteps()
+        run_filter(gaussian_signal(), obs, record, 500, rng, reduce=steps)
+        assert len(rng.uniforms) == len(steps) == 10
+        for step, u in zip(steps, rng.uniforms):
             assert_parent_rows(step)
             rho = weight(step.pre.positions, record.increments[step.epoch - 1], obs)
             counts = _offspring_counts(rho, u)
@@ -569,6 +604,7 @@ class TestPopulationControl:
         record = ObservationRecord(
             increments=np.vstack([grow] * 3 + [shrink] * 4), epsilon=0.1
         )
+        steps = LiveSteps()
         run = run_filter(
             point_signal(1.0, w=1e-12),
             obs,
@@ -576,10 +612,11 @@ class TestPopulationControl:
             100,
             np.random.default_rng(109),
             control=(0.5, 2.0),
+            reduce=steps,
         )
         factors = [step.post.mass_factor / step.pre.mass_factor for step in run.steps]
         assert 2.0 in factors and 0.5 in factors
-        for step in run.steps:
+        for step in steps:
             assert_parent_rows(step)
 
     def test_run_filter_rejects_band_outside_one(self):

@@ -6,6 +6,7 @@ behaviour: every artifact must come out byte-identical.
 """
 
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyfilter import ObservationRecord
-from levyfilter.branching import run_filter
+from levyfilter.branching import _parent_rows, run_filter
 from levyfilter.harness import (
     build_metric,
     build_observation,
@@ -71,9 +72,16 @@ def simulate_files(cfg) -> dict:
     files[f"{cfg.name}_simulate_observations.csv"] = record_csv_text(record)
     n = cfg.particle_counts[0]
     control = (cfg.control_low, cfg.control_high) if cfg.population_control else None
-    run = run_filter(signal, obs, record, n, substream(cfg.seed, "filter", n, 0), control=control)
+    steps = []  # every epoch's post ensemble and the parent row of each of its rows
+
+    def keep(k, pre, rho, counts, control_rows, post):
+        steps.append(SimpleNamespace(epoch=k, post=post, parents=_parent_rows(counts, control_rows)))
+
+    run = run_filter(
+        signal, obs, record, n, substream(cfg.seed, "filter", n, 0), control=control, reduce=keep
+    )
     rows = []
-    for step in run.steps:
+    for step in steps:
         ens = step.post
         mean = ens.positions.mean(axis=0) if ens.count else np.full(ens.dimension, np.nan)
         unnorm = ens.mass_factor * ens.positions.sum(axis=0) / ens.initial_count
@@ -88,7 +96,7 @@ def simulate_files(cfg) -> dict:
     if cfg.dump_particles:
         dump_rows = []
         root = np.arange(run.initial.count)
-        for step in run.steps:
+        for step in steps:
             root = root[step.parents]
             for parent, ancestor, pos in zip(step.parents, root, step.post.positions):
                 dump_rows.append([step.epoch, int(parent), int(ancestor)] + list(pos))

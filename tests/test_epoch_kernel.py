@@ -10,6 +10,7 @@ arithmetic that moves a single bit fails here.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from levyfilter import (
     simulate_scenario,
     weight,
 )
-from levyfilter.branching import MAX_RHO, WeightOverflowError, _risky_epochs
+from levyfilter.branching import MAX_RHO, WeightOverflowError, _parent_rows, _risky_epochs
 from levyfilter.stable import sample_standard_stable_1d
 
 # ---- frozen reference: the loops and kernels as they were before the shared loop
@@ -151,6 +152,15 @@ def ref_run_baseline(signal, obs, record, n, rng):
 # ---- comparison
 
 
+class LiveSteps(list):
+    """A reducer that keeps every epoch as the run saw it, with the parent rows rebuilt
+    from its offspring counts and population control's rows."""
+
+    def __call__(self, k, pre, rho, counts, control_rows, post):
+        parents = None if counts is None else _parent_rows(counts, control_rows)
+        self.append(SimpleNamespace(epoch=k, pre=pre, post=post, parents=parents))
+
+
 def assert_same_ensemble(new, old):
     assert new.positions.dtype == old.positions.dtype
     assert np.array_equal(new.positions, old.positions)
@@ -159,13 +169,16 @@ def assert_same_ensemble(new, old):
 
 
 def assert_filter_bit_equal(signal, obs, record, n, seed, control=None):
-    run = run_filter(signal, obs, record, n, np.random.default_rng(seed), control=control)
+    live = LiveSteps()
+    run = run_filter(
+        signal, obs, record, n, np.random.default_rng(seed), control=control, reduce=live
+    )
     steps, extinct_epoch = ref_run_filter(
         signal, obs, record, n, np.random.default_rng(seed), control
     )
     assert run.extinct_epoch == extinct_epoch
-    assert len(run.steps) == len(steps)
-    for step, (pre, post, parents, events) in zip(run.steps, steps):
+    assert len(run.steps) == len(live) == len(steps)
+    for kept, step, (pre, post, parents, events) in zip(run.steps, live, steps):
         assert_same_ensemble(step.pre, pre)
         # weights reach the output only through comparisons with uniforms,
         # so compare them directly
@@ -175,17 +188,18 @@ def assert_filter_bit_equal(signal, obs, record, n, seed, control=None):
         assert_same_ensemble(step.post, post)
         assert step.parents.dtype == parents.dtype
         assert np.array_equal(step.parents, parents)
-        assert step.branch_events == events
+        assert kept.branch_events == events
     return run
 
 
 def assert_baseline_bit_equal(signal, obs, record, n, seed):
-    steps = run_baseline(signal, obs, record, n, np.random.default_rng(seed))
+    live = LiveSteps()
+    steps = run_baseline(signal, obs, record, n, np.random.default_rng(seed), reduce=live)
     ref = ref_run_baseline(signal, obs, record, n, np.random.default_rng(seed))
-    assert len(steps) == len(ref)
-    for step, (post, moved) in zip(steps, ref):
+    assert len(steps) == len(live) == len(ref)
+    for kept, step, (post, moved) in zip(steps, live, ref):
         assert_same_ensemble(step.post, post)
-        assert step.relocations == moved
+        assert kept.relocations == moved
 
 
 def make_signal(alpha, d, atoms):

@@ -220,25 +220,26 @@ class TestBaselineComparison:
         signal, sensor = default_signal(), GaussianBumpSensor([1.0], [[0.0]], [1.0])
         # first-call allocations (caches, lazily built objects) are not what is measured
         baseline_comparison(signal, sensor, 0.5, 100, 23, None, epsilons=(0.1, 0.05))
-        retained = []  # bytes each branching run keeps: its ensembles and counts
+        epoch_bytes = []  # per branching epoch: its pre and post positions and its counts
         run_filter = experiments.run_filter
 
-        def recording_run_filter(*args, **kwargs):
-            run = run_filter(*args, **kwargs)
-            arrays = [run.initial.positions]
-            for s in run.steps:
-                arrays += [s.pre.positions, s.post.positions, s.counts]
-            retained.append(sum(a.nbytes for a in arrays))
-            return run
+        def recording_run_filter(*args, reduce, **kwargs):
+            def recording(k, pre, rho, counts, control_rows, post):
+                epoch_bytes.append(pre.positions.nbytes + post.positions.nbytes + counts.nbytes)
+                reduce(k, pre, rho, counts, control_rows, post)
+
+            return run_filter(*args, reduce=recording, **kwargs)
 
         monkeypatch.setattr(experiments, "run_filter", recording_run_filter)
-        tracemalloc.start()
-        try:
-            baseline_comparison(signal, sensor, 2.0, 2000, 23, None, epsilons=(0.1, 0.05))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the multinomial run keeps 28% of the larger branching run's bytes; one epoch's
-        # temporaries stay under 5%
-        assert len(retained) == 2
-        assert peak < 1.25 * max(retained), (peak, retained)
+        # twice the epochs in the second pair: no epoch's arrays outlive it, so the peak is
+        # one epoch's temporaries (about 3.7 times its largest arrays) either way
+        for epsilons in ((0.1, 0.05), (0.05, 0.025)):
+            epoch_bytes.clear()
+            tracemalloc.start()
+            try:
+                baseline_comparison(signal, sensor, 2.0, 2000, 23, None, epsilons=epsilons)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(epoch_bytes) == 2.0 / epsilons[0] + 2.0 / epsilons[1]
+            assert peak < 6 * max(epoch_bytes), (epsilons, peak, max(epoch_bytes))

@@ -46,6 +46,11 @@ from levyfilter.seeding import substream
 # ---- frozen reference: each consumer's own oracle code, as it was
 
 
+def keep(posts):
+    """A reducer that appends every epoch's post ensemble to ``posts``."""
+    return lambda k, pre, rho, counts, control_rows, post: posts.append(post)
+
+
 def ref_kalman_from_law(signal, matrix, record):
     law = signal.initial_law
     d = signal.dimension
@@ -88,7 +93,7 @@ def ref_rate_sweep_rows(signal, obs, horizon, ns, replications, seed, metric, or
             run = run_filter(signal, obs, record, n, substream(seed, "sweep-run", n, rep))
             if run.extinct:
                 continue
-            ensemble = run.steps[-1].post
+            ensemble = run.final
             values = ensemble_transform(ensemble, metric)
             if oracle == "kalman" and ensemble.total_mass > 0.0:
                 values = values / ensemble.total_mass
@@ -102,14 +107,15 @@ def ref_baseline_errors(signal, sensor, horizon, n, seed, epsilons):
         obs = ObservationModel(sensor, eps)
         tag = int(round(1e6 * eps))
         _, record = simulate_scenario(signal, obs, horizon, substream(seed, "baseline-record", tag))
-        run = run_filter(signal, obs, record, n, substream(seed, "baseline-branch", tag))
-        steps = run_baseline(signal, obs, record, n, substream(seed, "baseline-multi", tag))
+        b_posts, m_posts = [], []
+        run_filter(signal, obs, record, n, substream(seed, "baseline-branch", tag), reduce=keep(b_posts))
+        run_baseline(signal, obs, record, n, substream(seed, "baseline-multi", tag), reduce=keep(m_posts))
         summaries, _ = run_reference(
             signal, obs, record, domain_halfwidth=10.0, points_per_axis=256
         )
         oracle_means = np.array([s.mean for s in summaries[1:]])
-        b_means = np.array([s.post.positions.mean(axis=0) for s in run.steps])
-        m_means = np.array([s.post.positions.mean(axis=0) for s in steps])
+        b_means = np.array([post.positions.mean(axis=0) for post in b_posts])
+        m_means = np.array([post.positions.mean(axis=0) for post in m_posts])
         b_errs.append(float(np.mean(np.abs(b_means - oracle_means))))
         m_errs.append(float(np.mean(np.abs(m_means - oracle_means))))
     return b_errs, m_errs
@@ -119,13 +125,14 @@ def ref_oracle_agreement(signal, obs, horizon, seed, scale, oracle, n, grid_poin
     """(rms, bound), or the clip-region failure text."""
     n_eff = max(500, int(round(n * scale)))
     truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "oracle-record"))
-    run = run_filter(signal, obs, record, n_eff, substream(seed, "oracle-run"))
-    particle_means = np.array([s.post.positions.mean(axis=0) for s in run.steps])
+    posts = []
+    run_filter(signal, obs, record, n_eff, substream(seed, "oracle-run"), reduce=keep(posts))
+    particle_means = np.array([post.positions.mean(axis=0) for post in posts])
     if oracle == "kalman":
         sensor = obs.sensor
         worst = max(
             float(np.abs(truth @ sensor.matrix.T).max()),
-            max(float(np.abs(s.post.positions @ sensor.matrix.T).max()) for s in run.steps),
+            max(float(np.abs(post.positions @ sensor.matrix.T).max()) for post in posts),
         )
         if worst >= sensor.clip:
             return f"clip region violated (|Bx| reached {worst:.2f} >= {sensor.clip})"
@@ -152,13 +159,14 @@ def ref_kalman_crosscheck(signal, obs, horizon, seed, ns, reference_n, replicati
     for n in sorted(set(list(ns) + [reference_n])):
         sq = []
         for rep in range(replications):
-            run = run_filter(signal, obs, record, n, substream(seed, "kalman-run", n, rep))
-            for step in run.steps:
+            posts = []
+            run_filter(signal, obs, record, n, substream(seed, "kalman-run", n, rep), reduce=keep(posts))
+            for epoch, post in enumerate(posts, start=1):
                 largest_projection = max(
                     largest_projection,
-                    float(np.abs(step.post.positions @ sensor.matrix.T).max()),
+                    float(np.abs(post.positions @ sensor.matrix.T).max()),
                 )
-                gap = step.post.positions.mean(axis=0) - means[step.epoch - 1]
+                gap = post.positions.mean(axis=0) - means[epoch - 1]
                 sq.append(float(gap @ gap))
         rms = float(np.sqrt(np.mean(sq)))
         if n == reference_n:
