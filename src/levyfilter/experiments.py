@@ -202,7 +202,7 @@ class BaselineComparison:
     multinomial_fractions: list    # mean per-epoch relocation fraction per eps
     branching_errors: list         # mean |normalized mean - oracle mean| per eps (nan without one)
     multinomial_errors: list
-    slope: float                   # log-log slope of the branching fraction in eps
+    slope: float                   # log-log slope of the branching fraction in eps, nan for one eps
 
 
 class PostMeans:
@@ -267,7 +267,9 @@ def baseline_comparison(
             oracle_means = np.array([s.mean for s in summaries[1:]])
         for errs, posts in ((b_errs, branch), (m_errs, multi)):
             errs.append(float(np.mean(np.abs(np.array(posts.means) - oracle_means))))
-    slope = float(np.polyfit(np.log(epsilons), np.log(b_fracs), 1)[0])
+    slope = np.nan  # no line through fewer than two distinct epsilons
+    if len(set(epsilons)) > 1:
+        slope = float(np.polyfit(np.log(epsilons), np.log(b_fracs), 1)[0])
     return BaselineComparison(
         epsilons=list(epsilons),
         branching_fractions=b_fracs,

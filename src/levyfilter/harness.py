@@ -263,10 +263,16 @@ def parse_config(text: str) -> ExperimentConfig:
         violations.append("metric.gamma: must be < -dimension/2")
     if cfg.slope_low is not None and cfg.slope_high is not None and cfg.slope_low > cfg.slope_high:
         violations.append("rate.slope_low/slope_high: slope_low must not exceed slope_high")
-    if cfg.baseline_epsilons is not None and any(
-        not (0 < e <= 1) for e in cfg.baseline_epsilons
-    ):
-        violations.append("baseline.epsilons: every entry must lie in (0, 1]")
+    if cfg.baseline_epsilons is not None:
+        if not all(
+            isinstance(e, (int, float)) and not isinstance(e, bool) and 0 < e <= 1
+            for e in cfg.baseline_epsilons
+        ):
+            violations.append("baseline.epsilons: every entry must be a number in (0, 1]")
+        elif len(set(cfg.baseline_epsilons)) < 2:
+            violations.append(
+                "baseline.epsilons: needs at least two distinct values to fit the slope in eps"
+            )
     if not violations:
         violations = _model_violations(cfg)
     if violations:

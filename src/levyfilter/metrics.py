@@ -105,8 +105,8 @@ _SPREAD_WIDTH = 16
 _SPREAD_BETA = 2.3 * _SPREAD_WIDTH
 _KERNEL_SHIFTS = (np.arange(_SPREAD_WIDTH) - (_SPREAD_WIDTH // 2 - 1)) * (2.0 / _SPREAD_WIDTH)
 _SPREAD_BLOCK = 1024  # atoms per block, bounding the (atoms, width) temporaries
-_DIRECT_CHUNK = 256  # nodes per phase matrix of the direct sum
-_DIRECT_TERMS = 2**17  # (atom, node) terms per block of exponentials in the direct sum
+_DIRECT_CHUNK = 256  # nodes per chunk, at most: keeps a huge node set's blocks to _DIRECT_TERMS
+_DIRECT_TERMS = 2**17  # (atom, node) terms per block of the direct sum, at most
 
 
 def _spread_kernel(z):
@@ -171,16 +171,47 @@ def _rows(array, width: int | None = None) -> np.ndarray:
     return a
 
 
+def _direct_sum(x: np.ndarray, masses, nodes: np.ndarray) -> np.ndarray:
+    """sum_j masses_j exp(-i theta' x_j) at ``nodes``, over blocks of rows of ``x`` that
+    hold at most ``_DIRECT_TERMS`` terms (all rows for a single node).
+
+    A block's phases start from +0 and add x[:, j] * theta[:, j] for each coordinate j in
+    turn, with numpy's elementwise products and sums: a matrix product would round by the
+    BLAS build and the block's shape.  numpy sums two or more columns row by row, so
+    carrying the running sum into the next block's first row gives the bits of one
+    ``sum(axis=0)`` over all rows; a single column it sums pairwise, all in one block.
+    """
+    rows = _DIRECT_TERMS // nodes.shape[0] if nodes.shape[0] > 1 else max(1, x.shape[0])
+    total = None
+    for start in range(0, max(1, x.shape[0]), rows):
+        block = x[start : start + rows]
+        phase = np.zeros((block.shape[0], nodes.shape[0]))
+        for j in range(x.shape[1]):
+            phase += block[:, j, None] * nodes[:, j]
+        terms = np.exp(-1j * phase)
+        del phase
+        if masses is not None:
+            terms = masses[start : start + rows, None] * terms
+        if total is not None:
+            terms[0] += total
+        total = terms.sum(axis=0)
+        del terms  # one block alive at a time
+    return total
+
+
 def fourier(points, masses, nodes) -> np.ndarray:
     """sum_j masses_j exp(-i theta' x_j) for atoms ``points`` at every node.
 
     ``points`` and ``nodes`` are rows of width d (``_rows``), where d is the
     ``FrequencyGrid``'s dimension or else the width of ``points``.  ``masses``
     is an (n,) array, or None for plain terms.  A node array is summed
-    directly: the reference for the other path.  It holds the phases of 256
-    nodes and the exponentials of about 2**17 terms at a time, and for up to
-    256 nodes gives the bits of
-    ``(masses[:, None] * np.exp(-1j * (x @ nodes.T))).sum(axis=0)``.
+    directly: the reference for the other path.  It takes the nodes in
+    near-equal chunks of at most 256 and the atoms in blocks of at most 2**17
+    (atom, node) terms, and gives the bits of
+    ``(masses[:, None] * np.exp(-1j * phase)).sum(axis=0)`` for any node
+    count, where ``phase`` is the (n, M) zero array plus
+    ``np.multiply.outer(x[:, j], theta[:, j])`` for each j in turn.  A single
+    node takes its atoms in one block.
     A 1-d ``FrequencyGrid`` takes a type-1 NUFFT (Greengard & Lee, SIAM Rev. 46
     (2004)) in O(n + M log M) that agrees with direct summation within
     1e-12 * sum|masses| plus the roundoff of the phases theta x.
@@ -193,24 +224,9 @@ def fourier(points, masses, nodes) -> np.ndarray:
     else:
         x = _rows(points)
         th = _rows(nodes, x.shape[1])
-    out = np.empty(th.shape[0], dtype=complex)
-    for lo in range(0, th.shape[0], _DIRECT_CHUNK):
-        # one matmul per chunk: in 2-d, BLAS rounds x'theta differently for other shapes
-        phase = x @ th[lo : lo + _DIRECT_CHUNK].T
-        width = phase.shape[1]
-        # numpy sums several columns row by row, so carrying the running sum into the next
-        # block's first row gives the one-shot bits; one column it sums pairwise, all at once
-        rows = _DIRECT_TERMS // width if width > 1 else max(1, x.shape[0])
-        total = None
-        for start in range(0, max(1, x.shape[0]), rows):
-            terms = np.exp(-1j * phase[start : start + rows])
-            if masses is not None:
-                terms = masses[start : start + rows, None] * terms
-            if total is not None:
-                terms[0] += total
-            total = terms.sum(axis=0)
-        out[lo : lo + width] = total
-    return out
+    # near-equal chunks: none is a single node (summed pairwise) unless the whole set is
+    chunks = np.array_split(th, max(1, -(-th.shape[0] // _DIRECT_CHUNK)))
+    return np.concatenate([_direct_sum(x, masses, chunk) for chunk in chunks])
 
 
 def sobolev_norm_sq(values, grid: FrequencyGrid, hermitian_tol: float = 1e-8) -> float:

@@ -216,6 +216,21 @@ class TestBaselineComparison:
         )
         assert all(np.isnan(e) for e in res.branching_errors)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("epsilons", [(0.25,), (0.25, 0.25)])
+    def test_one_distinct_epsilon_has_no_slope(self, epsilons):
+        res = baseline_comparison(
+            default_signal(),
+            GaussianBumpSensor([1.0], [[0.0]], [1.0]),
+            0.5,
+            200,
+            29,
+            None,
+            epsilons=epsilons,
+        )
+        assert np.isnan(res.slope)
+        assert len(res.branching_fractions) == len(epsilons)
+
     def test_holds_one_run_at_a_time(self, monkeypatch):
         signal, sensor = default_signal(), GaussianBumpSensor([1.0], [[0.0]], [1.0])
         # first-call allocations (caches, lazily built objects) are not what is measured

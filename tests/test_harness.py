@@ -99,6 +99,23 @@ class TestParseConfig:
         assert any("xi_threshold" in v for v in err.value.violations)
         parse_config("[run]\nparticle_counts = [2]\n[rate]\nassert_slope = off\n")
 
+    @pytest.mark.parametrize(
+        "epsilons, violation",
+        [
+            ("[0.1]", "needs at least two distinct values to fit the slope in eps"),
+            ("[0.05, 0.05]", "needs at least two distinct values to fit the slope in eps"),
+            ("[]", "needs at least two distinct values to fit the slope in eps"),
+            ('["a", 0.1]', "every entry must be a number in (0, 1]"),
+            ("[[0.1], 0.05]", "every entry must be a number in (0, 1]"),
+            ("[true, 0.05]", "every entry must be a number in (0, 1]"),
+        ],
+        ids=["one", "repeated", "none", "string", "list", "bool"],
+    )
+    def test_baseline_epsilons_are_two_distinct_numbers(self, epsilons, violation):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[baseline]\nepsilons = {epsilons}\n")
+        assert err.value.violations == [f"baseline.epsilons: {violation}"]
+
     def test_atoms_dimension_mismatch(self):
         bad = '[signal]\ndimension = 2\natoms = [{"direction": [1.0], "weight": 1.0}]\n'
         with pytest.raises(ConfigError) as err:
@@ -237,7 +254,9 @@ VALID_VALUES = {
     ("rate", "slope_low"): _float_text(-5.0, -0.65),
     ("rate", "slope_high"): _float_text(-0.35, 5.0),
     ("rate", "error_epochs"): st.sampled_from(["final", "all"]),
-    ("baseline", "epsilons"): _json_text(st.floats(min_value=1e-4, max_value=1.0)),
+    ("baseline", "epsilons"): st.lists(
+        st.floats(min_value=1e-4, max_value=1.0), min_size=2, max_size=6, unique=True
+    ).map(json.dumps),
     ("validate", "scale"): _float_text(0.01, 10.0),
     ("output", "directory"): st.text(alphabet="abcXYZ019_-./%", min_size=1, max_size=12),
     ("output", "dump_particles"): st.sampled_from(["on", "off"]),
@@ -472,6 +491,13 @@ class TestCli:
         rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "observation.observation_dim" in capsys.readouterr().err
+
+    def test_one_baseline_epsilon_exit_2(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, QUICK + "\n[baseline]\nepsilons = [0.1]\n")
+        rc = cli_main(["compare-baseline", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "baseline.epsilons" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_initial_law_outside_grid_exit_2(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, QUICK + "\n[signal]\ninitial_center = [15.0]\n")

@@ -1,5 +1,7 @@
 """Frequency grids, Sobolev norms, and rate fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,7 +15,7 @@ from levyfilter import (
     slope_confidence,
     sobolev_norm_sq,
 )
-from levyfilter.metrics import _DIRECT_TERMS, fourier
+from levyfilter.metrics import _DIRECT_CHUNK, _DIRECT_TERMS, fourier
 
 
 def atom_transform(grid, sites, masses):
@@ -141,18 +143,37 @@ class TestFourier:
         assert np.array_equal(fourier(sites, masses, grid), fourier(sites, masses, grid.nodes))
 
     @pytest.mark.parametrize("dimension", [1, 2])
-    @pytest.mark.parametrize("node_count", [2, 20, 256])
+    @pytest.mark.parametrize("node_count", [2, 20, 256, 257, 300])
     def test_blocked_direct_sum_is_bit_equal_to_one_shot(self, dimension, node_count):
         rng = np.random.default_rng(node_count + dimension)
         nodes = 4.0 * rng.normal(size=(node_count, dimension))
-        block = _DIRECT_TERMS // node_count  # atoms per block of exponentials
+        chunks = -(-node_count // _DIRECT_CHUNK)
+        block = _DIRECT_TERMS // (node_count // chunks)  # atoms per block of the last chunk
         for count in (0, 1, block - 1, block, block + 1, 3 * block + 7):
             sites = 3.0 * rng.normal(size=(count, dimension))
             masses = rng.uniform(size=count)
-            terms = np.exp(-1j * (sites @ nodes.T))
+            phase = np.zeros((count, node_count))  # elementwise, so no BLAS rounding
+            for j in range(dimension):
+                phase += np.multiply.outer(sites[:, j], nodes[:, j])
+            terms = np.exp(-1j * phase)
             for given_masses, one_shot in ((None, terms), (masses, masses[:, None] * terms)):
                 got = fourier(sites, given_masses, nodes)
                 assert got.tobytes() == one_shot.sum(axis=0).tobytes(), count
+
+    def test_direct_sum_holds_one_block_at_a_time(self):
+        rng = np.random.default_rng(5)
+        sites, masses = rng.normal(size=(100_000, 2)), rng.uniform(size=100_000)
+        nodes = rng.normal(size=(20, 2))
+        fourier(sites, masses, nodes)  # first-call allocations are not what is measured
+        tracemalloc.start()
+        try:
+            fourier(sites, masses, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's float phases and two complex arrays of at most _DIRECT_TERMS terms,
+        # with 8 bytes a term to spare; the (100000, 20) phases alone would be 16 MB
+        assert peak < 48 * _DIRECT_TERMS, peak
 
 
 class TestSobolevNorm:
