@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import itertools
 import json
 import warnings
 from dataclasses import field, make_dataclass
@@ -33,7 +34,6 @@ from .observation import (
     GaussianBumpSensor,
     ObservationModel,
     ZeroSensor,
-    csv_blocks,
     simulate_scenario,
 )
 from .reference import GridAccuracyWarning, GridDomainError, Oracle, kalman_sensor
@@ -51,6 +51,7 @@ __all__ = [
     "build_observation",
     "build_metric",
     "build_oracle",
+    "csv_blocks",
     "emit_results",
     "run_command",
 ]
@@ -234,7 +235,7 @@ def parse_config(text: str) -> ExperimentConfig:
         violations.append("scenario.horizon: must be at least observation.epsilon")
     counts = cfg.particle_counts
     if counts is not None:
-        if not counts or any((not isinstance(n, int)) or n < 1 for n in counts):
+        if not counts or any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in counts):
             violations.append("run.particle_counts: needs integers >= 1")
     if (
         counts
@@ -348,6 +349,32 @@ def build_oracle(cfg: ExperimentConfig) -> Oracle | None:
     return Oracle("kalman") if cfg.oracle == "kalman" else None
 
 
+_CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
+_CSV_BLOCK_ROWS = 4096  # rows per `%`: bounds the size of the value tuple and the template
+
+
+def csv_blocks(header, blocks):
+    """CSV text in pieces: the header line, then the rows of each block of equal-length
+    columns.  Floats are written as %.17g (lossless), integers in decimal, anything else as str.
+
+    Rows are formatted at most ``_CSV_BLOCK_ROWS`` at a time, by one ``%`` on a
+    template of the chunk's rows with the values interleaved row by row into one
+    tuple, and each chunk is yielded as it is made: the text is never held whole.
+    """
+    yield ",".join(header) + "\n"
+    for columns in blocks:
+        columns = [np.asarray(c) for c in columns]
+        row = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%s") for c in columns) + "\n"
+        width = len(columns)
+        rows = len(columns[0]) if columns else 0
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, rows)
+            values = [None] * ((stop - start) * width)
+            for j, column in enumerate(columns):
+                values[j::width] = column[start:stop].tolist()
+            yield row * (stop - start) % tuple(values)
+
+
 def emit_results(files: dict, out_dir, *, name: str, command: str, cfg: ExperimentConfig) -> Path:
     """Write text artifacts plus a manifest with one sha256 and byte count per file.
 
@@ -408,7 +435,13 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
         f"{cfg.name}_simulate_truth.csv": csv_blocks(
             ["epoch", "t"] + xs, [[epochs, times, *path.T]]
         ),
-        f"{cfg.name}_simulate_observations.csv": [record.to_csv_text()],
+        f"{cfg.name}_simulate_observations.csv": itertools.chain(
+            [f"epsilon,{record.epsilon:.17g}\n"],
+            csv_blocks(
+                ["k", "t"] + [f"dy{i}" for i in range(record.observation_dim)] + xs,
+                [[epochs[1:], times[1:], *record.increments.T, *path[1:].T]],
+            ),
+        ),
     }
     n = cfg.particle_counts[0]
     control = (cfg.control_low, cfg.control_high) if cfg.population_control else None

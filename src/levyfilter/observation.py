@@ -17,8 +17,6 @@ particle with rho < 0 is killed with probability |rho|.  Expected offspring is
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Union
 
@@ -34,8 +32,6 @@ __all__ = [
     "Sensor",
     "ObservationModel",
     "ObservationRecord",
-    "csv_blocks",
-    "csv_text",
     "simulate_scenario",
     "weight",
     "offspring_parameters",
@@ -142,37 +138,6 @@ class ZeroSensor:
 
 Sensor = Union[GaussianBumpSensor, ClippedLinearSensor, ZeroSensor]
 
-_CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
-_CSV_BLOCK_ROWS = 4096  # rows per `%`: bounds the size of the value tuple and the template
-
-
-def csv_blocks(header, blocks):
-    """CSV text in pieces: the header line, then the rows of each block of equal-length
-    columns.  Floats are written as %.17g (lossless), integers in decimal, anything else as str.
-
-    Rows are formatted at most ``_CSV_BLOCK_ROWS`` at a time, by one ``%`` on a
-    template of the chunk's rows with the values interleaved row by row into one
-    tuple, and each chunk is yielded as it is made: the text is never held whole.
-    """
-    yield ",".join(header) + "\n"
-    for columns in blocks:
-        columns = [np.asarray(c) for c in columns]
-        row = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%s") for c in columns) + "\n"
-        width = len(columns)
-        rows = len(columns[0]) if columns else 0
-        for start in range(0, rows, _CSV_BLOCK_ROWS):
-            stop = min(start + _CSV_BLOCK_ROWS, rows)
-            values = [None] * ((stop - start) * width)
-            for j, column in enumerate(columns):
-                values[j::width] = column[start:stop].tolist()
-            yield row * (stop - start) % tuple(values)
-
-
-def csv_text(header, columns) -> str:
-    """The text of ``csv_blocks`` for one block of columns."""
-    return "".join(csv_blocks(header, [columns]))
-
-
 @dataclass(frozen=True)
 class ObservationModel:
     """Sensor plus the inter-observation interval epsilon in (0, 1]."""
@@ -191,21 +156,16 @@ class ObservationModel:
 
 @dataclass
 class ObservationRecord:
-    """Observation increments dY_k for k = 1..K, with optional synthetic truth.
+    """Observation increments dY_k for k = 1..K, taken at t_k = k * epsilon.
 
-    Both are rows (``metrics._rows``): a flat array is consecutive epochs of width 1.
+    The increments are rows (``metrics._rows``): a flat array is consecutive epochs of width 1.
     """
 
-    increments: np.ndarray          # (K, d2)
+    increments: np.ndarray  # (K, d2)
     epsilon: float
-    truth: np.ndarray | None = None  # (K, d1) signal states at t_1..t_K
 
     def __post_init__(self):
         self.increments = _rows(self.increments)
-        if self.truth is not None:
-            self.truth = _rows(self.truth)
-            if self.truth.shape[0] != self.increments.shape[0]:
-                raise ValueError("truth and increments must have the same number of epochs")
 
     @property
     def count(self) -> int:
@@ -214,47 +174,6 @@ class ObservationRecord:
     @property
     def observation_dim(self) -> int:
         return self.increments.shape[1]
-
-    def times(self) -> np.ndarray:
-        return self.epsilon * np.arange(1, self.count + 1)
-
-    def to_csv_text(self) -> str:
-        """Rows (k, t_k, dY components, truth components) after an epsilon row; lossless."""
-        header = ["k", "t"] + [f"dy{i}" for i in range(self.observation_dim)]
-        columns = [np.arange(1, self.count + 1), self.times(), *self.increments.T]
-        if self.truth is not None:
-            header += [f"x{i}" for i in range(self.truth.shape[1])]
-            columns += list(self.truth.T)
-        return f"epsilon,{self.epsilon:.17g}\n" + csv_text(header, columns)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "ObservationRecord":
-        reader = csv.reader(io.StringIO(text))
-        tag, eps = next(reader)
-        if tag != "epsilon":
-            raise ValueError("malformed observation CSV: missing epsilon row")
-        header = next(reader)
-        dy_cols = [i for i, name in enumerate(header) if name.startswith("dy")]
-        x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
-        increments, truth = [], []
-        for row in reader:
-            increments.append([float(row[i]) for i in dy_cols])
-            if x_cols:
-                truth.append([float(row[i]) for i in x_cols])
-        return cls(
-            increments=np.array(increments, dtype=float).reshape(-1, len(dy_cols)),
-            epsilon=float(eps),
-            truth=np.array(truth, dtype=float) if truth else None,
-        )
-
-    @classmethod
-    def from_csv(cls, path) -> "ObservationRecord":
-        with open(path, newline="") as fh:
-            return cls.from_csv_text(fh.read())
 
 
 def _check_record(obs: ObservationModel, record: ObservationRecord) -> float:
@@ -286,8 +205,8 @@ def simulate_scenario(
 ) -> tuple[np.ndarray, ObservationRecord]:
     """Sample a truth path at the observation epochs and its observation record.
 
-    Returns (path, record) where path has K+1 rows (the initial state first)
-    and record.truth keeps the K states at t_1..t_K.
+    Returns (path, record): path has K+1 rows, the initial state first and then
+    the states at t_1..t_K; record holds the K increments observed along it.
     """
     eps = obs.epsilon
     if horizon < eps:
@@ -298,8 +217,7 @@ def simulate_scenario(
     path = np.vstack([x0, x0 + np.cumsum(steps, axis=0)])
     noise = np.sqrt(eps) * rng.standard_normal((K, obs.observation_dim))
     increments = obs.sensor(path[1:]) * eps + noise
-    record = ObservationRecord(increments=increments, epsilon=eps, truth=path[1:].copy())
-    return path, record
+    return path, ObservationRecord(increments=increments, epsilon=eps)
 
 
 def weight(x, dy, obs: ObservationModel):

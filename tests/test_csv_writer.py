@@ -13,16 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyfilter import ObservationRecord
 from levyfilter.branching import _parent_rows, run_filter
 from levyfilter.harness import (
     build_metric,
     build_observation,
     build_signal,
     cmd_simulate,
+    csv_blocks,
     parse_config,
 )
-from levyfilter.observation import csv_text, simulate_scenario
+from levyfilter.observation import simulate_scenario
 from levyfilter.reference import GridAccuracyWarning, run_reference
 from levyfilter.seeding import substream
 
@@ -43,17 +43,15 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def record_csv_text(record) -> str:
+def record_csv_text(record, truth) -> str:
     d2 = record.observation_dim
     header = ["k", "t"] + [f"dy{i}" for i in range(d2)]
-    if record.truth is not None:
-        header += [f"x{i}" for i in range(record.truth.shape[1])]
+    header += [f"x{i}" for i in range(truth.shape[1])]
     lines = [f"epsilon,{record.epsilon:.17g}", ",".join(header)]
     for k in range(record.count):
         row = [str(k + 1), f"{(k + 1) * record.epsilon:.17g}"]
         row += [f"{v:.17g}" for v in record.increments[k]]
-        if record.truth is not None:
-            row += [f"{v:.17g}" for v in record.truth[k]]
+        row += [f"{v:.17g}" for v in truth[k]]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -69,7 +67,7 @@ def simulate_files(cfg) -> dict:
     files[f"{cfg.name}_simulate_truth.csv"] = _csv_text(
         ["epoch", "t"] + [f"x{i}" for i in range(d)], truth_rows
     )
-    files[f"{cfg.name}_simulate_observations.csv"] = record_csv_text(record)
+    files[f"{cfg.name}_simulate_observations.csv"] = record_csv_text(record, path[1:])
     n = cfg.particle_counts[0]
     control = (cfg.control_low, cfg.control_high) if cfg.population_control else None
     steps = []  # every epoch's post ensemble and the parent row of each of its rows
@@ -135,6 +133,11 @@ def simulate_files(cfg) -> dict:
 
 
 # --- values ----------------------------------------------------------------
+
+def csv_text(header, columns) -> str:
+    """The text of ``csv_blocks`` for one block of columns."""
+    return "".join(csv_blocks(header, [columns]))
+
 
 SPECIAL = [
     float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -5e-324,
@@ -253,35 +256,3 @@ class TestArtifacts:
     def test_plane_particles(self, tmp_path):
         with pytest.warns(GridAccuracyWarning, match="boundary cells"):
             self.check(tmp_path, PLANE + "[output]\ndump_particles = on\n")
-
-
-# --- observation record ----------------------------------------------------
-
-finite = st.floats(allow_nan=False, allow_infinity=False)
-
-
-class TestRecord:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 12),
-        st.integers(1, 3),
-        st.one_of(st.none(), st.integers(1, 3)),
-        st.floats(1e-6, 1.0),
-        st.data(),
-    )
-    def test_round_trip_is_exact_and_matches_row_writer(self, k, d2, d1, eps, data):
-        increments = np.array(data.draw(st.lists(finite, min_size=k * d2, max_size=k * d2)))
-        truth = None
-        if d1 is not None:
-            truth = np.array(data.draw(st.lists(finite, min_size=k * d1, max_size=k * d1)))
-            truth = truth.reshape(k, d1)
-        record = ObservationRecord(increments.reshape(k, d2), eps, truth)
-        text = record.to_csv_text()
-        assert text == record_csv_text(record)
-        back = ObservationRecord.from_csv_text(text)
-        assert back.epsilon == record.epsilon
-        assert back.increments.tobytes() == record.increments.tobytes()
-        if truth is None:
-            assert back.truth is None
-        else:
-            assert back.truth.tobytes() == record.truth.tobytes()

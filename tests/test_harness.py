@@ -99,6 +99,12 @@ class TestParseConfig:
         assert any("xi_threshold" in v for v in err.value.violations)
         parse_config("[run]\nparticle_counts = [2]\n[rate]\nassert_slope = off\n")
 
+    def test_particle_counts_reject_booleans(self):
+        # slope assertions off, so the xi gate cannot name the key in the count check's place
+        with pytest.raises(ConfigError) as err:
+            parse_config("[run]\nparticle_counts = [true, 4000]\n[rate]\nassert_slope = off\n")
+        assert err.value.violations == ["run.particle_counts: needs integers >= 1"]
+
     @pytest.mark.parametrize(
         "epsilons, violation",
         [

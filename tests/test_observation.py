@@ -1,4 +1,4 @@
-"""Observation channel, weights, residuals, offspring rule, record round-trip."""
+"""Observation channel, weights, residuals, offspring rule, records."""
 
 import numpy as np
 import pytest
@@ -209,11 +209,8 @@ class TestShapeRule:
                 weight(x, np.array(dy), obs)
 
     def test_flat_record_is_epochs_of_width_one(self):
-        record = ObservationRecord(
-            increments=np.array([0.1, 0.2, 0.3]), epsilon=0.1, truth=np.array([1.0, 2.0, 3.0])
-        )
+        record = ObservationRecord(increments=np.array([0.1, 0.2, 0.3]), epsilon=0.1)
         assert (record.count, record.observation_dim) == (3, 1)
-        assert record.truth.shape == (3, 1)
         signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.point([0.0]))
         run = run_filter(signal, bump_obs(), record, 20, np.random.default_rng(5))
         assert [step.epoch for step in run.steps] == [1, 2, 3]
@@ -274,34 +271,4 @@ class TestScenario:
         rng = np.random.default_rng(79)
         path, record = simulate_scenario(self.signal(), bump_obs(0.5), 2.0, rng)
         assert path.shape == (5, 1)
-        assert record.truth.shape == (4, 1)
-        assert np.array_equal(path[1:], record.truth)
-
-
-class TestRecordCsv:
-    def test_round_trip_lossless(self, tmp_path):
-        rng = np.random.default_rng(83)
-        record = ObservationRecord(
-            increments=rng.normal(size=(7, 2)) * np.pi,
-            epsilon=0.1,
-            truth=rng.normal(size=(7, 3)) / 3.0,
-        )
-        path = tmp_path / "record.csv"
-        record.to_csv(path)
-        back = ObservationRecord.from_csv(path)
-        assert back.epsilon == record.epsilon
-        assert np.array_equal(back.increments, record.increments)
-        assert np.array_equal(back.truth, record.truth)
-
-    def test_round_trip_keeps_the_width_of_an_empty_record(self):
-        record = ObservationRecord(increments=np.empty((0, 2)), epsilon=0.1)
-        back = ObservationRecord.from_csv_text(record.to_csv_text())
-        assert back.increments.shape == (0, 2)
-
-    def test_round_trip_without_truth(self, tmp_path):
-        record = ObservationRecord(increments=np.array([[0.25]]), epsilon=1.0)
-        path = tmp_path / "record.csv"
-        record.to_csv(path)
-        back = ObservationRecord.from_csv(path)
-        assert back.truth is None
-        assert np.array_equal(back.increments, record.increments)
+        assert record.count == 4
