@@ -85,12 +85,6 @@ class PopulationGrowthError(RuntimeError):
         self.cap = cap
 
 
-def _risky_epochs(record: ObservationRecord, obs: ObservationModel) -> np.ndarray:
-    """Per epoch, whether the bound rho <= exp(|dY_k| sqrt(sup h'h)) - 1 exceeds MAX_RHO."""
-    h_sup = np.sqrt(obs.sensor.hh_sup_bound())
-    return np.linalg.norm(record.increments, axis=1) * h_sup > np.log1p(MAX_RHO)
-
-
 @dataclass
 class ParticleEnsemble:
     """Alive particles: positions (count, d) and mass factor."""
@@ -232,8 +226,8 @@ def run_filter(
     per-epoch reducer of ``_run_epochs``; ``counts`` are the int32 offspring counts
     of the rows of ``pre`` and ``control_rows`` the mask or index that population control
     applied to the offspring, or None.  Terminates early with an extinction report
-    if every particle dies; raises WeightOverflowError if a branching weight exceeds
-    MAX_RHO, and PopulationGrowthError if the population exceeds MAX_GROWTH * n.
+    if every particle dies; raises WeightOverflowError if a branching weight is NaN or
+    exceeds MAX_RHO, and PopulationGrowthError if the population exceeds MAX_GROWTH * n.
     """
 
     def branch(k, pre, rho):
@@ -255,8 +249,8 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce) -> tuple:
     ``resample(k, pre, rho)``, which returns ``(post, counts, control_rows, step)``; ``post``
     enters the next interval and ``step`` is the epoch's record.  Stops at extinction;
     raises PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
-    On a risky epoch exp() may overflow: silently, and WeightOverflowError reports it;
-    elsewhere the bound rules overflow out.
+    Every epoch's weights are checked: exp() may overflow silently, and WeightOverflowError
+    reports any weight above MAX_RHO or NaN before it reaches ``resample``.
 
     A ``reduce`` callable, when given, is called once per epoch as
     ``reduce(k, pre, rho, counts, control_rows, post)`` with the live arrays, after resampling:
@@ -265,17 +259,13 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce) -> tuple:
     """
     eps = _check_record(obs, record)
     initial = ensemble = init_ensemble(n, signal, rng)
-    risky = _risky_epochs(record, obs)
     steps = []
     for k in range(1, record.count + 1):
         pre = evolve_segment(ensemble, signal, eps, rng)
-        if risky[k - 1]:
-            with np.errstate(over="ignore"):
-                rho = weight(pre.positions, record.increments[k - 1], obs)
-            if not float(np.max(rho)) <= MAX_RHO:  # also true for NaN
-                raise WeightOverflowError(k, float(np.max(rho)))
-        else:
+        with np.errstate(over="ignore"):
             rho = weight(pre.positions, record.increments[k - 1], obs)
+        if not float(np.max(rho)) <= MAX_RHO:  # also true for NaN
+            raise WeightOverflowError(k, float(np.max(rho)))
         ensemble, counts, control_rows, step = resample(k, pre, rho)
         if ensemble.count > MAX_GROWTH * n:
             raise PopulationGrowthError(k, ensemble.count, MAX_GROWTH * n)
@@ -390,7 +380,7 @@ def run_baseline(
     ``BaselineStep`` per epoch; ``reduce`` is the per-epoch reducer of ``_run_epochs``,
     called with ``counts`` and ``control_rows`` None.
 
-    Raises WeightOverflowError if a weight exceeds MAX_RHO.
+    Raises WeightOverflowError if a weight is NaN or exceeds MAX_RHO.
     """
 
     def resample(k, pre, rho):

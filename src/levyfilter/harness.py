@@ -18,6 +18,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import warnings
 from dataclasses import field, make_dataclass
 from pathlib import Path
@@ -86,6 +87,25 @@ def _json_list(raw: str) -> list:
     return value
 
 
+def _json_numbers(raw: str) -> list:
+    """A JSON list whose every leaf, through lists and record values, is a finite number."""
+    value = _json_list(raw)
+    leaves = list(value)
+    while leaves:
+        leaf = leaves.pop(0)
+        if isinstance(leaf, (list, dict)):
+            leaves[:0] = leaf.values() if isinstance(leaf, dict) else leaf
+        elif type(leaf) not in (int, float) or not math.isfinite(leaf):  # a bool is no number
+            raise _Unparsable(f"entries must be finite numbers, not {json.dumps(leaf)}")
+    return value
+
+
+def _finite(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):
+        raise _Unparsable(f"value {raw} is not a finite number")
+    return value
+
+
 def _choice(*options: str) -> Callable[[str], str]:
     def parse(raw: str) -> str:
         if raw not in options:
@@ -100,7 +120,7 @@ def _on_off(raw: str) -> bool:
 
 
 def _auto_or_float(raw: str) -> float | None:
-    return None if raw == "auto" else float(raw)
+    return None if raw == "auto" else _finite(raw)
 
 
 class _Key(NamedTuple):
@@ -118,40 +138,40 @@ class _Key(NamedTuple):
 # The config schema, in the order of default_config_text() and the README.
 _SCHEMA = (
     _Key("scenario", "name", "default", str, lambda s: s.replace("-", "").replace("_", "").isalnum(), "filesystem-safe name"),
-    _Key("scenario", "horizon", "2.0", float, lambda v: v > 0, "horizon > 0"),
-    _Key("signal", "alpha", "2.0", float, lambda v: 0 < v <= 2, "bound (0, 2]"),
+    _Key("scenario", "horizon", "2.0", _finite, lambda v: v > 0, "horizon > 0"),
+    _Key("signal", "alpha", "2.0", _finite, lambda v: 0 < v <= 2, "bound (0, 2]"),
     _Key("signal", "dimension", "1", int, lambda v: v >= 1, "dimension >= 1"),
-    _Key("signal", "atoms", '[{"direction": [1.0], "weight": 0.5}]', _json_list),
+    _Key("signal", "atoms", '[{"direction": [1.0], "weight": 0.5}]', _json_numbers),
     _Key("signal", "initial_law", "gaussian", _choice("point", "gaussian", "uniform")),
-    _Key("signal", "initial_center", "[0.0]", _json_list),
-    _Key("signal", "initial_scale", "[1.0]", _json_list),
+    _Key("signal", "initial_center", "[0.0]", _json_numbers),
+    _Key("signal", "initial_scale", "[1.0]", _json_numbers),
     _Key("observation", "sensor", "gaussian_bump", _choice("gaussian_bump", "clipped_linear", "zero")),
     _Key("observation", "observation_dim", "1", int, lambda v: v >= 1, "observation_dim >= 1"),
-    _Key("observation", "epsilon", "0.1", float, lambda v: 0 < v <= 1, "bound (0, 1]"),
-    _Key("observation", "bump_amplitudes", "[1.0]", _json_list),
-    _Key("observation", "bump_centers", "[[0.0]]", _json_list),
-    _Key("observation", "bump_widths", "[1.0]", _json_list),
-    _Key("observation", "linear_matrix", "[[1.0]]", _json_list),
-    _Key("observation", "linear_clip", "20.0", float, lambda v: v > 0, "clip > 0"),
+    _Key("observation", "epsilon", "0.1", _finite, lambda v: 0 < v <= 1, "bound (0, 1]"),
+    _Key("observation", "bump_amplitudes", "[1.0]", _json_numbers),
+    _Key("observation", "bump_centers", "[[0.0]]", _json_numbers),
+    _Key("observation", "bump_widths", "[1.0]", _json_numbers),
+    _Key("observation", "linear_matrix", "[[1.0]]", _json_numbers),
+    _Key("observation", "linear_clip", "20.0", _finite, lambda v: v > 0, "clip > 0"),
     _Key("run", "particle_counts", "[250, 500, 1000, 2000, 4000, 8000, 16000]", _json_list),
     _Key("run", "replications", "100", int, lambda v: v >= 1, "replications >= 1"),
     _Key("run", "seed", "20050415", int),
     _Key("run", "population_control", "off", _on_off),
-    _Key("run", "control_low", "0.5", float, lambda v: 0 < v < 1, "bound (0, 1)"),
-    _Key("run", "control_high", "2.0", float, lambda v: v > 1, "bound (1, inf)"),
-    _Key("run", "xi_threshold", "1.0", float, lambda v: v > 0, "xi > 0"),
+    _Key("run", "control_low", "0.5", _finite, lambda v: 0 < v < 1, "bound (0, 1)"),
+    _Key("run", "control_high", "2.0", _finite, lambda v: v > 1, "bound (1, inf)"),
+    _Key("run", "xi_threshold", "1.0", _finite, lambda v: v > 0, "xi > 0"),
     _Key("metric", "gamma", "auto", _auto_or_float),
-    _Key("metric", "cutoff", "40.0", float, lambda v: v > 0, "cutoff > 0"),
-    _Key("metric", "spacing", "0.05", float, lambda v: v > 0, "spacing > 0"),
+    _Key("metric", "cutoff", "40.0", _finite, lambda v: v > 0, "cutoff > 0"),
+    _Key("metric", "spacing", "0.05", _finite, lambda v: v > 0, "spacing > 0"),
     _Key("oracle", "kind", "grid", _choice("grid", "kalman", "none"), attr="oracle"),
     _Key("oracle", "grid_points", "512", int, lambda v: v >= 64 and v & (v - 1) == 0, "power of two >= 64"),
-    _Key("oracle", "grid_halfwidth", "10.0", float, lambda v: v > 0, "halfwidth > 0"),
+    _Key("oracle", "grid_halfwidth", "10.0", _finite, lambda v: v > 0, "halfwidth > 0"),
     _Key("rate", "assert_slope", "on", _on_off),
-    _Key("rate", "slope_low", "-0.65", float),
-    _Key("rate", "slope_high", "-0.35", float),
+    _Key("rate", "slope_low", "-0.65", _finite),
+    _Key("rate", "slope_high", "-0.35", _finite),
     _Key("rate", "error_epochs", "final", _choice("final", "all")),
     _Key("baseline", "epsilons", "[0.1, 0.05, 0.025, 0.0125]", _json_list, attr="baseline_epsilons"),
-    _Key("validate", "scale", "1.0", float, lambda v: v > 0, "scale > 0", attr="validate_scale"),
+    _Key("validate", "scale", "1.0", _finite, lambda v: v > 0, "scale > 0", attr="validate_scale"),
     _Key("output", "directory", "out", str, attr="output_directory"),
     _Key("output", "dump_particles", "off", _on_off),
 )
@@ -221,7 +241,7 @@ def parse_config(text: str) -> ExperimentConfig:
             value = row.parse(text_value)
         except _Unparsable as exc:
             violations.append(f"{where}: {exc}")
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             violations.append(f"{where}: cannot parse {text_value!r}")
         else:
             if row.check is not None and not row.check(value):
@@ -265,10 +285,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if cfg.slope_low is not None and cfg.slope_high is not None and cfg.slope_low > cfg.slope_high:
         violations.append("rate.slope_low/slope_high: slope_low must not exceed slope_high")
     if cfg.baseline_epsilons is not None:
-        if not all(
-            isinstance(e, (int, float)) and not isinstance(e, bool) and 0 < e <= 1
-            for e in cfg.baseline_epsilons
-        ):
+        if not all(type(e) in (int, float) and 0 < e <= 1 for e in cfg.baseline_epsilons):
             violations.append("baseline.epsilons: every entry must be a number in (0, 1]")
         elif len(set(cfg.baseline_epsilons)) < 2:
             violations.append(

@@ -81,9 +81,6 @@ class GaussianBumpSensor:
         sq *= self.amplitudes
         return sq
 
-    def hh_sup_bound(self) -> float:
-        return float(np.sum(self.amplitudes**2))
-
 
 @dataclass(frozen=True)
 class ClippedLinearSensor:
@@ -110,9 +107,6 @@ class ClippedLinearSensor:
     def __call__(self, x) -> np.ndarray:
         return np.clip(_rows(x, self.signal_dim) @ self.matrix.T, -self.clip, self.clip)
 
-    def hh_sup_bound(self) -> float:
-        return float(self.observation_dim) * self.clip**2
-
 
 @dataclass(frozen=True)
 class ZeroSensor:
@@ -131,9 +125,6 @@ class ZeroSensor:
 
     def __call__(self, x) -> np.ndarray:
         return np.zeros((_rows(x, self.d1).shape[0], self.d2))
-
-    def hh_sup_bound(self) -> float:
-        return 0.0
 
 
 Sensor = Union[GaussianBumpSensor, ClippedLinearSensor, ZeroSensor]

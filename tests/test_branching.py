@@ -28,6 +28,7 @@ from levyfilter import (
     population_control,
     run_baseline,
     run_filter,
+    simulate_scenario,
     weight,
 )
 from levyfilter.branching import (
@@ -419,6 +420,21 @@ class TestRunFilter:
         assert err.value.epoch == 1
         assert MAX_RHO < err.value.max_rho < np.inf
         assert "epoch 1" in str(err.value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_weight_is_an_overflow_error(self):
+        # a NaN initial scale puts every particle at NaN, so every weight is NaN
+        obs = linear_obs(0.1)
+        _, record = simulate_scenario(gaussian_signal(), obs, 0.5, np.random.default_rng(78))
+        signal = SignalModel(
+            2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.gaussian([0.0], [np.nan])
+        )
+        with pytest.raises(WeightOverflowError) as err:
+            run_filter(signal, obs, record, 10, np.random.default_rng(79))
+        assert err.value.epoch == 1 and np.isnan(err.value.max_rho)
+        with pytest.raises(WeightOverflowError) as err:
+            run_baseline(signal, obs, record, 10, np.random.default_rng(79))
+        assert err.value.epoch == 1 and np.isnan(err.value.max_rho)
 
     def test_population_growth_is_capped(self):
         # one near-static particle with rho = 2.5 leaves 3 or 4 copies at every

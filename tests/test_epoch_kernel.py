@@ -29,7 +29,7 @@ from levyfilter import (
     simulate_scenario,
     weight,
 )
-from levyfilter.branching import MAX_RHO, WeightOverflowError, _parent_rows, _risky_epochs
+from levyfilter.branching import MAX_RHO, WeightOverflowError, _parent_rows
 from levyfilter.stable import sample_standard_stable_1d
 
 # ---- frozen reference: the loops and kernels as they were before the shared loop
@@ -61,6 +61,16 @@ def ref_weight(x, dy, obs):
     h = ref_sensor(obs.sensor, x)
     expo = h @ dy - 0.5 * obs.epsilon * np.sum(np.atleast_1d(h) ** 2, axis=-1)
     return np.exp(expo) - 1.0
+
+
+def ref_risky_epochs(record, obs):
+    """Per epoch, whether the bound rho <= exp(|dY_k| sqrt(sup h'h)) - 1 exceeds MAX_RHO."""
+    sensor = obs.sensor
+    if isinstance(sensor, GaussianBumpSensor):
+        hh_sup = float(np.sum(sensor.amplitudes**2))
+    else:
+        hh_sup = float(sensor.observation_dim) * sensor.clip**2
+    return np.linalg.norm(record.increments, axis=1) * np.sqrt(hh_sup) > np.log1p(MAX_RHO)
 
 
 def ref_epoch_weights(positions, record, obs, k, risky):
@@ -116,7 +126,7 @@ def ref_run_filter(signal, obs, record, n, rng, control=None):
     """Per epoch (pre, post, parents, branch_events); then the extinction epoch."""
     ensemble = init_ensemble(n, signal, rng)
     steps = []
-    risky = _risky_epochs(record, obs)
+    risky = ref_risky_epochs(record, obs)
     for k in range(1, record.count + 1):
         pre = ref_evolve(ensemble, signal, record.epsilon, rng)
         rho = ref_epoch_weights(pre.positions, record, obs, k, risky[k - 1])
@@ -137,7 +147,7 @@ def ref_run_baseline(signal, obs, record, n, rng):
     """Per epoch (post, relocations)."""
     ensemble = init_ensemble(n, signal, rng)
     steps = []
-    risky = _risky_epochs(record, obs)
+    risky = ref_risky_epochs(record, obs)
     for k in range(1, record.count + 1):
         ensemble = ref_evolve(ensemble, signal, record.epsilon, rng)
         rho = ref_epoch_weights(ensemble.positions, record, obs, k, risky[k - 1])
@@ -262,12 +272,13 @@ def test_population_control_bit_equal():
 
 
 def test_risky_epoch_bit_equal():
-    # clip 20 makes every epoch with |dY| > log1p(MAX_RHO) / 20 risky, so the
-    # overflow scan runs; particles near the origin keep rho far below the cap
+    # clip 20 makes every epoch with |dY| > log1p(MAX_RHO) / 20 risky, so the frozen
+    # loop takes both of its weighting paths; particles near the origin keep rho far
+    # below the cap
     signal = make_signal(1.5, 1, 1)
     obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=20.0), 0.1)
     record = ObservationRecord(increments=np.array([[1.0], [0.1], [-1.0]]), epsilon=0.1)
-    assert _risky_epochs(record, obs).tolist() == [True, False, True]
+    assert ref_risky_epochs(record, obs).tolist() == [True, False, True]
     assert_filter_bit_equal(signal, obs, record, 80, seed=37)
     assert_baseline_bit_equal(signal, obs, record, 80, seed=41)
 

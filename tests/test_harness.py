@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyfilter import harness, reference
+from levyfilter import GaussianBumpSensor, ZeroSensor, harness, reference
 from levyfilter.cli import main as cli_main
 from levyfilter.harness import (
     _SCHEMA,
@@ -54,6 +54,12 @@ class TestParseConfig:
         assert cfg.epsilon == 0.1
         assert cfg.particle_counts == [250, 500, 1000, 2000, 4000, 8000, 16000]
         assert cfg.oracle == "grid"
+
+    def test_integer_beyond_every_float_names_key(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[signal]\ninitial_center = [" + "9" * 400 + "]\n")
+        (violation,) = err.value.violations
+        assert violation.startswith("signal.initial_center: cannot parse")
 
     def test_default_text_parses(self):
         cfg = parse_config(default_config_text())
@@ -204,6 +210,34 @@ OUT_OF_BOUND = [
     ("baseline", "epsilons", "[0.1, 2.0]"),
     ("validate", "scale", "0"),
     ("output", "dump_particles", "1"),
+    # numbers must be finite, and JSON numbers are never booleans
+    ("scenario", "horizon", "inf"),
+    ("observation", "linear_clip", "inf"),
+    ("run", "control_high", "inf"),
+    ("run", "xi_threshold", "inf"),
+    ("metric", "gamma", "nan"),
+    ("metric", "gamma", "-inf"),
+    ("metric", "cutoff", "inf"),
+    ("metric", "spacing", "inf"),
+    ("oracle", "grid_halfwidth", "inf"),
+    ("rate", "slope_low", "nan"),
+    ("rate", "slope_high", "nan"),
+    ("validate", "scale", "inf"),
+    ("signal", "atoms", '[{"direction": [1.0], "weight": true}]'),
+    ("signal", "atoms", '[{"direction": [NaN], "weight": 0.5}]'),
+    ("signal", "atoms", '[{"direction": [true], "weight": 0.5}]'),
+    ("signal", "initial_center", "[true]"),
+    ("signal", "initial_center", "[Infinity]"),
+    ("signal", "initial_scale", "[NaN]"),
+    ("signal", "initial_scale", "[false]"),
+    ("observation", "bump_amplitudes", "[-Infinity]"),
+    ("observation", "bump_amplitudes", "[true]"),
+    ("observation", "bump_centers", "[[NaN]]"),
+    ("observation", "bump_centers", "[[true]]"),
+    ("observation", "bump_widths", "[true]"),
+    ("observation", "bump_widths", "[Infinity]"),
+    ("observation", "linear_matrix", "[[false]]"),
+    ("observation", "linear_matrix", "[[NaN]]"),
 ]
 
 
@@ -291,13 +325,16 @@ class TestBuilders:
         assert signal.alpha == 2.0
         assert signal.spectral.total_mass == pytest.approx(0.5)
         assert obs.epsilon == 0.1
-        assert obs.sensor.hh_sup_bound() == pytest.approx(1.0)
+        assert isinstance(obs.sensor, GaussianBumpSensor)
+        assert obs.sensor.amplitudes.tolist() == [1.0]
+        assert obs.sensor.centers.tolist() == [[0.0]]
+        assert obs.sensor.widths.tolist() == [1.0]
         assert metric.gamma == pytest.approx(-5.0)
 
     def test_zero_sensor_built(self):
         cfg = parse_config("[observation]\nsensor = zero\n")
         obs = build_observation(cfg)
-        assert obs.sensor.hh_sup_bound() == 0.0
+        assert obs.sensor == ZeroSensor(d2=1, d1=1)
 
     @pytest.mark.parametrize(
         "kind, expected",
@@ -472,6 +509,14 @@ class TestCli:
         rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "bump_" in capsys.readouterr().err
+
+    def test_nan_initial_scale_exit_2(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, QUICK + "\n[signal]\ninitial_scale = [NaN]\n")
+        rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "signal.initial_scale: entries must be finite numbers, not NaN" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_weight_overflow_exit_3_not_extinction(self, tmp_path, capsys):

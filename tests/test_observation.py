@@ -29,19 +29,16 @@ class TestSensors:
         sensor = GaussianBumpSensor([2.0], [[1.0]], [0.5])
         assert sensor(np.array([1.0]))[0] == pytest.approx(2.0)
         assert sensor(np.array([2.0]))[0] == pytest.approx(2.0 * np.exp(-2.0))
-        assert sensor.hh_sup_bound() == pytest.approx(4.0)
 
     def test_clipped_linear_clamps(self):
         sensor = ClippedLinearSensor([[2.0]], clip=3.0)
         assert sensor(np.array([1.0]))[0] == pytest.approx(2.0)
         assert sensor(np.array([10.0]))[0] == pytest.approx(3.0)
         assert sensor(np.array([-10.0]))[0] == pytest.approx(-3.0)
-        assert sensor.hh_sup_bound() == pytest.approx(9.0)
 
     def test_zero_sensor(self):
         sensor = ZeroSensor(d2=2, d1=1)
         assert np.array_equal(sensor(np.zeros((5, 1))), np.zeros((5, 2)))
-        assert sensor.hh_sup_bound() == 0.0
 
     def test_epsilon_bounds(self):
         with pytest.raises(ValueError):
