@@ -40,9 +40,7 @@ from .branching import (
     ParticleEnsemble,
     FilterRun,
     init_ensemble,
-    evolve_segment,
     run_filter,
-    estimate,
     empirical_fourier,
     run_baseline,
     population_control,

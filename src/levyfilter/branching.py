@@ -1,4 +1,4 @@
-"""Branching particle system: evolve, branch, estimate.
+"""Branching particle system: evolve and branch, epoch by epoch; the multinomial baseline.
 
 Particles move as independent copies of the signal between observation
 epochs (exact stable increments, one per segment) and are independently
@@ -35,9 +35,7 @@ __all__ = [
     "FilterStep",
     "FilterRun",
     "init_ensemble",
-    "evolve_segment",
     "run_filter",
-    "estimate",
     "empirical_fourier",
     "run_baseline",
     "population_control",
@@ -127,22 +125,6 @@ def init_ensemble(n: int, signal: SignalModel, rng: np.random.Generator) -> Part
     if n < 1:
         raise ValueError("initial particle count must be at least 1")
     return ParticleEnsemble(signal.initial_law.sample(n, rng), initial_count=n)
-
-
-def evolve_segment(
-    ensemble: ParticleEnsemble,
-    signal: SignalModel,
-    dt: float,
-    rng: np.random.Generator,
-) -> ParticleEnsemble:
-    """Displace every particle by an independent exact stable increment of duration dt."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    moved = ensemble.positions
-    if ensemble.count:
-        moved = sample_increment(signal, dt, rng, size=ensemble.count)
-        moved += ensemble.positions
-    return ensemble._with(moved)
 
 
 def _offspring_counts(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -261,7 +243,9 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce) -> tuple:
     initial = ensemble = init_ensemble(n, signal, rng)
     steps = []
     for k in range(1, record.count + 1):
-        pre = evolve_segment(ensemble, signal, eps, rng)
+        moved = sample_increment(signal, eps, rng, size=ensemble.count)
+        moved += ensemble.positions
+        pre = ensemble._with(moved)
         with np.errstate(over="ignore"):
             rho = weight(pre.positions, record.increments[k - 1], obs)
         if not float(np.max(rho)) <= MAX_RHO:  # also true for NaN
@@ -275,23 +259,6 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce) -> tuple:
         if ensemble.count == 0:
             break
     return initial, ensemble, steps
-
-
-def estimate(ensemble: ParticleEnsemble, phi) -> tuple:
-    """(unnormalized, normalized) estimates of a test function.
-
-    ``phi`` maps a (count, d) position array to one value, or one row of
-    values, per particle (real or complex); the sum runs over rows, so a
-    vector-valued phi gives one estimate per component.  Unnormalized is
-    mass_factor * sum / initial_count; normalized is the plain average over
-    alive particles and requires a nonempty ensemble.
-    """
-    if ensemble.count == 0:
-        raise ExtinctionError("particle system extinct: no particle to average over")
-    total = np.asarray(phi(ensemble.positions)).sum(axis=0)
-    unnormalized = ensemble.mass_factor * total / ensemble.initial_count
-    normalized = total / ensemble.count
-    return unnormalized, normalized
 
 
 def empirical_fourier(ensemble: ParticleEnsemble, thetas) -> np.ndarray:

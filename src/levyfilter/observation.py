@@ -68,13 +68,12 @@ class GaussianBumpSensor:
 
     def __call__(self, x) -> np.ndarray:
         pts = _rows(x, self.signal_dim)
-        if pts.shape[1] == 1:  # |x - c|^2 is one square: no sum over a length-1 axis
-            sq = pts - self.centers[:, 0]
-            sq *= sq
-        else:
-            diff = pts[:, None, :] - self.centers[None, :, :]
-            diff *= diff
-            sq = np.sum(diff, axis=2)
+        sq = pts[:, :1] - self.centers[:, 0]  # |x - c|^2, summed coordinate by coordinate
+        sq *= sq
+        for j in range(1, pts.shape[1]):
+            term = pts[:, j, None] - self.centers[:, j]
+            term *= term
+            sq += term
         sq *= -0.5
         sq /= self.widths**2
         np.exp(sq, out=sq)

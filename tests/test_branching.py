@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from levyfilter import (
     ClippedLinearSensor,
-    ExtinctionError,
     GaussianBumpSensor,
     InitialLaw,
     ObservationModel,
@@ -21,8 +20,6 @@ from levyfilter import (
     WeightOverflowError,
     ZeroSensor,
     empirical_fourier,
-    estimate,
-    evolve_segment,
     init_ensemble,
     offspring_parameters,
     population_control,
@@ -134,21 +131,36 @@ class TestInit:
 
 
 class TestEvolve:
+    """The loop's evolution step, seen through runs whose zero sensor never branches."""
+
+    def evolve(self, signal, n, eps, epochs, rng):
+        record = ObservationRecord(increments=np.zeros((epochs, 1)), epsilon=eps)
+        obs = ObservationModel(ZeroSensor(1, 1), eps)
+        return run_filter(signal, obs, record, n, rng).final
+
     def test_counts_and_mass_factor(self):
-        rng = np.random.default_rng(5)
-        ens = init_ensemble(100, gaussian_signal(), rng)
-        out = evolve_segment(ens, gaussian_signal(), 0.3, rng)
-        assert out.count == ens.count
-        assert out.mass_factor == ens.mass_factor
+        # population control halves and doubles around the moves: each epoch's evolved
+        # ensemble keeps the count and mass factor of the one that entered the interval
+        record = ObservationRecord(increments=np.full((6, 1), 0.4), epsilon=0.25)
+        obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.25)
+        steps = LiveSteps()
+        run = run_filter(
+            gaussian_signal(), obs, record, 100, np.random.default_rng(5),
+            control=(0.9, 1.1), reduce=steps,
+        )
+        entering = [run.initial] + [step.post for step in steps[:-1]]
+        assert {step.post.mass_factor for step in steps} != {1.0}
+        for before, step in zip(entering, steps):
+            assert step.pre.count == before.count
+            assert step.pre.mass_factor == before.mass_factor
+            assert not np.array_equal(step.pre.positions, before.positions)
 
     def test_single_step_matches_two_half_steps_in_law(self):
         rng = np.random.default_rng(7)
         signal = point_signal(0.0, alpha=1.5, w=1.0)
         n = 100_000
-        whole = evolve_segment(init_ensemble(n, signal, rng), signal, 0.5, rng)
-        half = init_ensemble(n, signal, rng)
-        half = evolve_segment(half, signal, 0.25, rng)
-        half = evolve_segment(half, signal, 0.25, rng)
+        whole = self.evolve(signal, n, 0.5, 1, rng)
+        half = self.evolve(signal, n, 0.25, 2, rng)
         for theta in (0.5, 1.0, 2.0):
             a = np.exp(-1j * theta * whole.positions[:, 0]).mean()
             b = np.exp(-1j * theta * half.positions[:, 0]).mean()
@@ -158,7 +170,7 @@ class TestEvolve:
         rng = np.random.default_rng(11)
         signal = point_signal(0.0, alpha=2.0, w=0.5)
         n = 100_000
-        out = evolve_segment(init_ensemble(n, signal, rng), signal, 1.0, rng)
+        out = self.evolve(signal, n, 1.0, 1, rng)
         # variance of one displacement over dt=1 is 2 * weight
         assert abs(out.positions[:, 0].var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
 
@@ -247,40 +259,6 @@ class TestBranchStep:
 
 
 class TestEstimates:
-    def test_constant_function(self):
-        ens = init_ensemble(7, gaussian_signal(), np.random.default_rng(31))
-        unnorm, norm = estimate(ens, lambda x: np.ones(x.shape[0]))
-        assert norm == 1.0
-        assert unnorm == pytest.approx(ens.total_mass)
-
-    def test_two_particle_mean(self):
-        ens = init_ensemble(2, gaussian_signal(), np.random.default_rng(37))
-        ens.positions = np.array([[0.0], [2.0]])
-        _, norm = estimate(ens, lambda x: x[:, 0])
-        assert norm == 1.0
-
-    def test_vector_phi_gives_one_estimate_per_component(self):
-        ens = init_ensemble(3, gaussian_signal(), np.random.default_rng(39))
-        ens.positions = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-        unnorm, norm = estimate(ens, lambda p: p)
-        assert norm.tolist() == [2.0, 3.0]
-        assert unnorm.tolist() == [2.0, 3.0]
-
-    def test_empty_raises(self):
-        ens = init_ensemble(1, gaussian_signal(), np.random.default_rng(41))
-        ens.positions = np.empty((0, 1))
-        with pytest.raises(ExtinctionError):
-            estimate(ens, lambda x: np.ones(x.shape[0]))
-
-    def test_empty_error_is_a_runtime_error(self):
-        # the CLI maps RuntimeError to exit 3; the error carries only its message
-        ens = init_ensemble(1, gaussian_signal(), np.random.default_rng(42))
-        ens.positions = np.empty((0, 1))
-        with pytest.raises(RuntimeError) as err:
-            estimate(ens, lambda x: np.ones(x.shape[0]))
-        assert type(err.value) is ExtinctionError
-        assert "extinct" in str(err.value)
-
     def test_fourier_trivialities(self):
         ens = init_ensemble(1, point_signal(0.0), np.random.default_rng(43))
         vals = empirical_fourier(ens, np.array([0.0, 0.5, 2.0]))
@@ -576,14 +554,13 @@ class TestPopulationControl:
 
     def test_duplication_preserves_estimates_exactly(self):
         ens = init_ensemble(20, gaussian_signal(), np.random.default_rng(101))
-        before = estimate(ens, lambda x: x[:, 0] ** 2)[0]
+        before = ens.mass_factor * np.sum(ens.positions[:, 0] ** 2) / ens.initial_count
         out, rows = population_control(ens, 100, (0.5, 2.0), np.random.default_rng(102))
         assert out.count == 40
         assert np.array_equal(rows, np.repeat(np.arange(20), 2))
         assert out.mass_factor == 0.5
-        assert estimate(out, lambda x: x[:, 0] ** 2)[0] == pytest.approx(
-            before, rel=1e-15
-        )
+        after = out.mass_factor * np.sum(out.positions[:, 0] ** 2) / out.initial_count
+        assert after == pytest.approx(before, rel=1e-15)
 
     def test_thinning_unbiased_mass(self):
         ens = init_ensemble(300, gaussian_signal(), np.random.default_rng(103))

@@ -3,6 +3,9 @@
 import configparser
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +255,23 @@ class TestSchema:
         parser.read_string(block.split("```", 1)[0])
         documented = [(s, k, v) for s in parser.sections() for k, v in parser[s].items()]
         assert documented == [(row.section, row.key, row.default) for row in _SCHEMA]
+
+    def test_readme_python_blocks_run(self):
+        # every library example in the README runs as written, from the repository root
+        readme = (ROOT / "README.md").read_text()
+        blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+        assert blocks
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        for block in blocks:
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::UserWarning", "-c", block],
+                cwd=ROOT,
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, block + proc.stderr
 
     @pytest.mark.parametrize("section, key, value", OUT_OF_BOUND)
     def test_out_of_bound_value_names_key(self, section, key, value):

@@ -30,6 +30,15 @@ class TestSensors:
         assert sensor(np.array([1.0]))[0] == pytest.approx(2.0)
         assert sensor(np.array([2.0]))[0] == pytest.approx(2.0 * np.exp(-2.0))
 
+    @pytest.mark.parametrize("d, outputs", [(1, 3), (2, 1), (3, 2)])
+    def test_gaussian_bump_is_the_summed_square_bit_for_bit(self, d, outputs):
+        rng = np.random.default_rng(d * 10 + outputs)
+        amplitudes, widths = rng.uniform(0.5, 2.0, outputs), rng.uniform(0.3, 2.0, outputs)
+        centers, pts = rng.normal(size=(outputs, d)), 3.0 * rng.normal(size=(500, d))
+        diff = pts[:, None, :] - centers[None, :, :]
+        expected = amplitudes * np.exp(-0.5 * np.sum(diff * diff, axis=2) / widths**2)
+        assert np.array_equal(GaussianBumpSensor(amplitudes, centers, widths)(pts), expected)
+
     def test_clipped_linear_clamps(self):
         sensor = ClippedLinearSensor([[2.0]], clip=3.0)
         assert sensor(np.array([1.0]))[0] == pytest.approx(2.0)
