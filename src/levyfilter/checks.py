@@ -15,7 +15,7 @@ import numpy as np
 
 from .branching import _offspring_counts, empirical_fourier, run_baseline, run_filter
 from .experiments import PostMeans
-from .metrics import fourier
+from .metrics import _running_total, _unit_terms
 from .observation import (
     GaussianBumpSensor,
     ObservationModel,
@@ -219,6 +219,7 @@ def check_compensator(
     evolves by exp(eps * l(-theta)) in conditional expectation between
     epochs), and the branching jump compensator; over independent runs the
     mean must vanish at 5 standard errors, separately in both components.
+    Each epoch's jump and post transforms come from one set of unit terms.
     """
     reps = _count(replications, scale, 40)
     d = signal.dimension
@@ -232,8 +233,12 @@ def check_compensator(
         jumps, posts = [], []  # per epoch: the branching jump and the post transform
 
         def reduce(k, pre, rho, counts, control_rows, post):
-            jumps.append(pre.mass_factor * fourier(pre.positions, rho, theta_vecs) / pre.initial_count)
-            posts.append(empirical_fourier(post, theta_vecs))
+            if control_rows is not None:
+                raise ValueError("the compensator needs post to be pre's rows repeated by counts")
+            terms = _unit_terms(pre.positions, theta_vecs)  # post's terms are these, repeated
+            jumps.append(pre.mass_factor * _running_total(terms * rho) / pre.initial_count)
+            post_sum = _running_total(terms.repeat(counts, axis=1))
+            posts.append(post.mass_factor * post_sum / post.initial_count)
 
         run = run_filter(signal, obs, record, n, substream(seed, "comp-rep", r), reduce=reduce)
         if run.extinct:

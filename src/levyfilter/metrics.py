@@ -171,30 +171,35 @@ def _rows(array, width: int | None = None) -> np.ndarray:
     return a
 
 
-def _direct_sum(x: np.ndarray, masses, nodes: np.ndarray) -> np.ndarray:
-    """sum_j masses_j exp(-i theta' x_j) at ``nodes``, over blocks of rows of ``x`` that
-    hold at most ``_DIRECT_TERMS`` terms (all rows for a single node).
+def _unit_terms(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """exp(-i theta' x_j) as a (nodes, atoms) array.  The phases start from +0 and add
+    theta[:, j] * x[:, j] for each j in turn: a matrix product would round by the BLAS."""
+    phase = np.zeros((nodes.shape[0], x.shape[0]))
+    for j in range(x.shape[1]):
+        phase += nodes[:, j, None] * x[:, j]
+    terms = -1j * phase
+    return np.exp(terms, out=terms)
 
-    A block's phases start from +0 and add x[:, j] * theta[:, j] for each coordinate j in
-    turn, with numpy's elementwise products and sums: a matrix product would round by the
-    BLAS build and the block's shape.  numpy sums two or more columns row by row, so
-    carrying the running sum into the next block's first row gives the bits of one
-    ``sum(axis=0)`` over all rows; a single column it sums pairwise, all in one block.
-    """
+
+def _running_total(terms: np.ndarray) -> np.ndarray:
+    """Each node's row summed in atom order, overwriting ``terms``; one node sums pairwise."""
+    if terms.shape[0] == 1 or terms.shape[1] == 0:
+        return terms.sum(axis=1)
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
+
+
+def _direct_sum(x: np.ndarray, masses, nodes: np.ndarray) -> np.ndarray:
+    """sum_j masses_j exp(-i theta' x_j) at ``nodes`` in blocks of at most ``_DIRECT_TERMS``
+    terms (one block for one node), each node's total carried across blocks in atom order."""
     rows = _DIRECT_TERMS // nodes.shape[0] if nodes.shape[0] > 1 else max(1, x.shape[0])
     total = None
     for start in range(0, max(1, x.shape[0]), rows):
-        block = x[start : start + rows]
-        phase = np.zeros((block.shape[0], nodes.shape[0]))
-        for j in range(x.shape[1]):
-            phase += block[:, j, None] * nodes[:, j]
-        terms = np.exp(-1j * phase)
-        del phase
+        terms = _unit_terms(x[start : start + rows], nodes)
         if masses is not None:
-            terms = masses[start : start + rows, None] * terms
+            terms *= masses[start : start + rows]
         if total is not None:
-            terms[0] += total
-        total = terms.sum(axis=0)
+            terms[:, 0] += total
+        total = _running_total(terms)
         del terms  # one block alive at a time
     return total
 
@@ -207,11 +212,11 @@ def fourier(points, masses, nodes) -> np.ndarray:
     is an (n,) array, or None for plain terms.  A node array is summed
     directly: the reference for the other path.  It takes the nodes in
     near-equal chunks of at most 256 and the atoms in blocks of at most 2**17
-    (atom, node) terms, and gives the bits of
+    (atom, node) terms; each node sums its terms in atom order across blocks,
+    and one node pairwise in one block.  This gives the bits of
     ``(masses[:, None] * np.exp(-1j * phase)).sum(axis=0)`` for any node
     count, where ``phase`` is the (n, M) zero array plus
-    ``np.multiply.outer(x[:, j], theta[:, j])`` for each j in turn.  A single
-    node takes its atoms in one block.
+    ``np.multiply.outer(x[:, j], theta[:, j])`` for each j in turn.
     A 1-d ``FrequencyGrid`` takes a type-1 NUFFT (Greengard & Lee, SIAM Rev. 46
     (2004)) in O(n + M log M) that agrees with direct summation within
     1e-12 * sum|masses| plus the roundoff of the phases theta x.

@@ -52,8 +52,8 @@ class GaussianBumpSensor:
         s = np.atleast_1d(np.asarray(self.widths, dtype=float))
         if not (a.shape[0] == c.shape[0] == s.shape[0]):
             raise ValueError("amplitudes, centers and widths must have one entry per output")
-        if np.any(s <= 0.0):
-            raise ValueError("widths must be positive")
+        if np.any(s <= 0.0) or np.any(s**2 == 0.0):
+            raise ValueError("widths must be positive, with a positive square")
         object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "widths", s)

@@ -521,6 +521,7 @@ class TestCli:
         "text",
         [
             "[observation]\nbump_widths = [-1.0]\n",
+            "[observation]\nbump_widths = [1e-300]\n",  # its square underflows to 0
             "[observation]\nbump_centers = [[0.0, 1.0]]\n",
         ],
     )

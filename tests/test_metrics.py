@@ -10,12 +10,16 @@ from hypothesis import strategies as st
 from levyfilter import (
     FrequencyGrid,
     default_gamma,
+    empirical_fourier,
     filter_error,
     rate_fit,
+    run_filter,
+    simulate_scenario,
     slope_confidence,
     sobolev_norm_sq,
 )
-from levyfilter.metrics import _DIRECT_CHUNK, _DIRECT_TERMS, fourier
+from levyfilter.harness import build_observation, build_signal, default_config_text, parse_config
+from levyfilter.metrics import _DIRECT_CHUNK, _DIRECT_TERMS, _running_total, _unit_terms, fourier
 
 
 def atom_transform(grid, sites, masses):
@@ -143,7 +147,7 @@ class TestFourier:
         assert np.array_equal(fourier(sites, masses, grid), fourier(sites, masses, grid.nodes))
 
     @pytest.mark.parametrize("dimension", [1, 2])
-    @pytest.mark.parametrize("node_count", [2, 20, 256, 257, 300])
+    @pytest.mark.parametrize("node_count", [1, 2, 3, 20, 256, 257, 300])
     def test_blocked_direct_sum_is_bit_equal_to_one_shot(self, dimension, node_count):
         rng = np.random.default_rng(node_count + dimension)
         nodes = 4.0 * rng.normal(size=(node_count, dimension))
@@ -174,6 +178,42 @@ class TestFourier:
         # a block's float phases and two complex arrays of at most _DIRECT_TERMS terms,
         # with 8 bytes a term to spare; the (100000, 20) phases alone would be 16 MB
         assert peak < 48 * _DIRECT_TERMS, peak
+
+
+class TestSharedUnitTerms:
+    """The compensator check's jump and post transforms, from one set of unit terms."""
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_jump_and_post_are_fourier_bits(self, dimension):
+        rng = np.random.default_rng(6 + dimension)
+        pre, rho = 3.0 * rng.normal(size=(40_000, dimension)), rng.normal(size=40_000)
+        counts = rng.choice(4, size=40_000, p=[0.1, 0.2, 0.3, 0.4])
+        post = np.repeat(pre, counts, axis=0)
+        assert post.shape[0] > _DIRECT_TERMS // 2  # past one 2-node block
+        thetas = np.array([[0.5] + [0.0] * (dimension - 1), [1.0] + [0.3] * (dimension - 1)])
+        terms = _unit_terms(pre, thetas)
+        assert _running_total(terms * rho).tobytes() == fourier(pre, rho, thetas).tobytes()
+        repeated = _running_total(terms.repeat(counts, axis=1))
+        assert repeated.tobytes() == fourier(post, None, thetas).tobytes()
+
+    def test_every_epoch_of_a_default_run(self):
+        cfg = parse_config(default_config_text())
+        signal, obs = build_signal(cfg), build_observation(cfg)
+        _, record = simulate_scenario(signal, obs, cfg.horizon, np.random.default_rng(9))
+        thetas, epochs = np.array([[0.5], [1.0]]), []
+
+        def reduce(k, pre, rho, counts, control_rows, post):
+            terms = _unit_terms(pre.positions, thetas)
+            jump = pre.mass_factor * _running_total(terms * rho) / pre.initial_count
+            old_jump = pre.mass_factor * fourier(pre.positions, rho, thetas) / pre.initial_count
+            assert jump.tobytes() == old_jump.tobytes(), k
+            post_sum = _running_total(terms.repeat(counts, axis=1))
+            post_values = post.mass_factor * post_sum / post.initial_count
+            assert post_values.tobytes() == empirical_fourier(post, thetas).tobytes(), k
+            epochs.append(k)
+
+        run_filter(signal, obs, record, 300, np.random.default_rng(10), reduce=reduce)
+        assert len(epochs) == record.count
 
 
 class TestSobolevNorm:
