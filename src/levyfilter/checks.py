@@ -15,7 +15,7 @@ import numpy as np
 
 from .branching import _offspring_counts, empirical_fourier, run_baseline, run_filter
 from .experiments import PostMeans
-from .metrics import _running_total, _unit_terms
+from .metrics import running_total, unit_terms
 from .observation import (
     GaussianBumpSensor,
     ObservationModel,
@@ -235,9 +235,9 @@ def check_compensator(
         def reduce(k, pre, rho, counts, control_rows, post):
             if control_rows is not None:
                 raise ValueError("the compensator needs post to be pre's rows repeated by counts")
-            terms = _unit_terms(pre.positions, theta_vecs)  # post's terms are these, repeated
-            jumps.append(pre.mass_factor * _running_total(terms * rho) / pre.initial_count)
-            post_sum = _running_total(terms.repeat(counts, axis=1))
+            terms = unit_terms(pre.positions, theta_vecs)  # post's terms are these, repeated
+            jumps.append(pre.mass_factor * running_total(terms * rho) / pre.initial_count)
+            post_sum = running_total(terms.repeat(counts, axis=1))
             posts.append(post.mass_factor * post_sum / post.initial_count)
 
         run = run_filter(signal, obs, record, n, substream(seed, "comp-rep", r), reduce=reduce)
@@ -411,7 +411,7 @@ def check_oracle_agreement(
     """Particle normalized mean tracks the particle-free reference ``oracle``.
 
     SKIPPED without an oracle.
-    FAIL when the truth or a particle left the oracle's clip region.
+    FAIL when the truth or a weighed particle left the oracle's clip region.
     """
     if oracle is None:
         return CheckResult(
@@ -422,12 +422,12 @@ def check_oracle_agreement(
         signal, obs, horizon, substream(seed, "oracle-record")
     )
     summaries = oracle.summaries(signal, obs, record)  # first: it checks the Kalman sensor
-    posts = PostMeans(oracle, obs.sensor)
+    posts = PostMeans(oracle, obs.sensor, oracle.clip_reach(obs.sensor, truth))
     run = run_filter(signal, obs, record, n_eff, substream(seed, "oracle-run"), reduce=posts)
     if run.extinct:
         return CheckResult("oracle_agreement", "FAIL", "particle system went extinct")
     try:
-        oracle.clip_margin(obs.sensor, [truth], posts.reaches)
+        oracle.clip_margin(obs.sensor, posts.reach)
     except ClipRegionError as exc:
         return CheckResult("oracle_agreement", "FAIL", str(exc))
     particle_means = np.array(posts.means)

@@ -69,12 +69,13 @@ def rate_sweep(
     measured decay in n is the Monte Carlo rate.  ``error_epochs`` is
     ``"final"`` (error at the terminal epoch only) or ``"all"``.  ``control``
     is ``run_filter``'s population control band ``(low_ratio, high_ratio)``,
-    held around each run's n.  Every run must keep to the oracle's clip margin.
+    held around each run's n.  The truth and each weighed particle keep to the clip margin.
     """
     if oracle is None:
         raise ValueError("rate_sweep needs an oracle (grid or kalman)")
     truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
     targets = oracle.summaries(signal, obs, record, metric)
+    truth_reach = oracle.clip_reach(obs.sensor, truth)
     epochs = (
         range(1, record.count + 1) if error_epochs == "all" else (record.count,)
     )
@@ -86,10 +87,11 @@ def rate_sweep(
         final_sq = []
         for rep in range(replications):
             total_runs += 1
-            reaches, errors = [], []
+            reach, errors = truth_reach, []
 
             def reduce(k, pre, rho, counts, control_rows, post):
-                reaches.extend(oracle.clip_reaches(obs.sensor, [post.positions]))
+                nonlocal reach
+                reach = max(reach, oracle.clip_reach(obs.sensor, pre.positions))
                 if k in epochs and post.count:
                     values = ensemble_transform(post, metric)
                     if oracle.normalized:
@@ -100,7 +102,7 @@ def rate_sweep(
                 signal, obs, record, n, substream(seed, "sweep-run", n, rep),
                 control=control, reduce=reduce,
             )
-            oracle.clip_margin(obs.sensor, [truth], reaches)
+            oracle.clip_margin(obs.sensor, reach)
             if run.extinct:
                 extinct_runs += 1
                 continue
@@ -152,7 +154,7 @@ def kalman_crosscheck(
     Pools the squared error over replications and epochs per particle count;
     the tolerance at the reference count is five posterior standard
     deviations over sqrt(n).  After each run, checks that the truth and every
-    particle stayed inside the sensor's linear region (``ClipRegionError``).
+    weighed particle stayed inside the sensor's linear region (``ClipRegionError``).
     """
     truth, record = simulate_scenario(
         signal, obs, horizon, substream(seed, "kalman-record")
@@ -160,13 +162,14 @@ def kalman_crosscheck(
     oracle = Oracle("kalman")
     posterior = oracle.summaries(signal, obs, record)
     posterior_std = float(np.sqrt(np.mean([s.variance.sum() for s in posterior[1:]])))
+    truth_reach = oracle.clip_reach(obs.sensor, truth)
     margin = float("inf")
     per_n_rms = []
     reference_rms = np.nan
     for n in sorted(set(list(ns) + [reference_n])):
         sq = []
         for rep in range(replications):
-            posts = PostMeans(oracle, obs.sensor)
+            posts = PostMeans(oracle, obs.sensor, truth_reach)
             run = run_filter(
                 signal, obs, record, n, substream(seed, "kalman-run", n, rep), reduce=posts
             )
@@ -175,7 +178,7 @@ def kalman_crosscheck(
                     f"kalman cross-check: particle system extinct at observation epoch "
                     f"{run.extinct_epoch} (n {n}, replication {rep})"
                 )
-            margin = min(margin, oracle.clip_margin(obs.sensor, [truth], posts.reaches))
+            margin = min(margin, oracle.clip_margin(obs.sensor, posts.reach))
             for step, mean in zip(run.steps, posts.means):
                 gap = mean - posterior[step.epoch].mean
                 sq.append(float(gap @ gap))
@@ -207,18 +210,19 @@ class BaselineComparison:
 
 class PostMeans:
     """A per-epoch reducer for ``run_filter`` and ``run_baseline``: the mean position of
-    every nonempty ``post`` (``means``) and the ``oracle``'s clip reaches of them under
-    ``sensor`` (``reaches``; none without an oracle)."""
+    every nonempty ``post`` (``means``) and one ``reach``, the largest of the truth's
+    ``reach`` it starts from and the ``oracle``'s ``clip_reach`` of every ``pre``, the
+    points the sensor weighed (unchanged without an oracle)."""
 
-    def __init__(self, oracle: Oracle | None, sensor):
-        self.oracle, self.sensor = oracle, sensor
-        self.means, self.reaches = [], []
+    def __init__(self, oracle: Oracle | None, sensor, reach: float):
+        self.oracle, self.sensor, self.reach = oracle, sensor, reach
+        self.means = []
 
     def __call__(self, k, pre, rho, counts, control_rows, post):
         if post.count:
             self.means.append(post.positions.mean(axis=0))
         if self.oracle is not None:
-            self.reaches += self.oracle.clip_reaches(self.sensor, [post.positions])
+            self.reach = max(self.reach, self.oracle.clip_reach(self.sensor, pre.positions))
 
 
 def baseline_comparison(
@@ -229,14 +233,14 @@ def baseline_comparison(
     seed: int,
     oracle: Oracle | None,
     *,
-    epsilons=(0.1, 0.05, 0.025, 0.0125),
+    epsilons,
 ) -> BaselineComparison:
     """Branching versus multinomial resampling on identical records, per eps; the errors are
     against ``oracle`` (every particle kept to its clip margin), nan without one.
 
     Raises ExtinctionError if a branching run dies out: its fractions and errors would
     cover only the epochs before extinction.  Each run keeps only its per-epoch sizes;
-    ``PostMeans`` reduces it to the means and clip reaches the comparison reads.
+    ``PostMeans`` reduces it to the means and the one clip reach the comparison reads.
     """
     b_fracs, m_fracs, b_errs, m_errs = [], [], [], []
     for eps in epsilons:
@@ -245,7 +249,8 @@ def baseline_comparison(
         truth, record = simulate_scenario(
             signal, obs, horizon, substream(seed, "baseline-record", tag)
         )
-        branch = PostMeans(oracle, sensor)
+        truth_reach = 0.0 if oracle is None else oracle.clip_reach(sensor, truth)
+        branch = PostMeans(oracle, sensor, truth_reach)
         run = run_filter(
             signal, obs, record, n, substream(seed, "baseline-branch", tag), reduce=branch
         )
@@ -255,7 +260,7 @@ def baseline_comparison(
                 f"observation epoch {run.extinct_epoch} of {record.count} (epsilon {eps:g})"
             )
         b_fracs.append(float(np.mean([s.branch_events / s.pre.count for s in run.steps])))
-        multi = PostMeans(oracle, sensor)
+        multi = PostMeans(oracle, sensor, truth_reach)
         steps = run_baseline(
             signal, obs, record, n, substream(seed, "baseline-multi", tag), reduce=multi
         )
@@ -263,7 +268,7 @@ def baseline_comparison(
         oracle_means = np.nan  # no oracle: nan errors
         if oracle is not None:
             summaries = oracle.summaries(signal, obs, record)
-            oracle.clip_margin(sensor, [truth], branch.reaches + multi.reaches)
+            oracle.clip_margin(sensor, max(branch.reach, multi.reach))
             oracle_means = np.array([s.mean for s in summaries[1:]])
         for errs, posts in ((b_errs, branch), (m_errs, multi)):
             errs.append(float(np.mean(np.abs(np.array(posts.means) - oracle_means))))

@@ -171,7 +171,7 @@ def _rows(array, width: int | None = None) -> np.ndarray:
     return a
 
 
-def _unit_terms(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def unit_terms(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """exp(-i theta' x_j) as a (nodes, atoms) array.  The phases start from +0 and add
     theta[:, j] * x[:, j] for each j in turn: a matrix product would round by the BLAS."""
     phase = np.zeros((nodes.shape[0], x.shape[0]))
@@ -181,7 +181,7 @@ def _unit_terms(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.exp(terms, out=terms)
 
 
-def _running_total(terms: np.ndarray) -> np.ndarray:
+def running_total(terms: np.ndarray) -> np.ndarray:
     """Each node's row summed in atom order, overwriting ``terms``; one node sums pairwise."""
     if terms.shape[0] == 1 or terms.shape[1] == 0:
         return terms.sum(axis=1)
@@ -194,12 +194,12 @@ def _direct_sum(x: np.ndarray, masses, nodes: np.ndarray) -> np.ndarray:
     rows = _DIRECT_TERMS // nodes.shape[0] if nodes.shape[0] > 1 else max(1, x.shape[0])
     total = None
     for start in range(0, max(1, x.shape[0]), rows):
-        terms = _unit_terms(x[start : start + rows], nodes)
+        terms = unit_terms(x[start : start + rows], nodes)
         if masses is not None:
             terms *= masses[start : start + rows]
         if total is not None:
             terms[:, 0] += total
-        total = _running_total(terms)
+        total = running_total(terms)
         del terms  # one block alive at a time
     return total
 

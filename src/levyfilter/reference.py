@@ -10,7 +10,8 @@ and clamped-mass diagnostics make the discretization error observable.
 
 For alpha = 2 with an unclipped linear sensor the exact normalized filter is
 Gaussian and ``kalman_reference`` provides it in closed form.  Every command
-reads its reference posterior, of either kind, from one ``Oracle`` value.
+reads its reference posterior, of either kind, and its clip check (``clip_reach``,
+``clip_margin``) from one ``Oracle`` value.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ __all__ = [
     "Oracle",
     "kalman_sensor",
     "ClipRegionError",
-    "clip_reaches",
-    "clip_margin",
     "kalman_reference",
 ]
 
@@ -333,14 +332,24 @@ class Oracle:
             summaries.append(OracleSummary(k, mean, np.diag(cov).copy(), transform))
         return summaries
 
-    def clip_reaches(self, sensor, point_sets) -> list:
-        """``clip_reaches`` under the kalman oracle; none for the grid, which has no region."""
-        return clip_reaches(sensor, point_sets) if self.kind == "kalman" else []
+    def clip_reach(self, sensor, points) -> float:
+        """The largest |Bx| over the rows of ``points`` under the sensor's matrix B, 0.0 for
+        no rows; always 0.0 for the grid, which has no clip region."""
+        if self.kind != "kalman" or not len(points):
+            return 0.0
+        return float(np.abs(points @ sensor.matrix.T).max())
 
-    def clip_margin(self, sensor, point_sets, reaches=()) -> float:
-        """``clip_margin`` under the kalman oracle (ClipRegionError outside the region);
-        inf for the grid, which has no such region."""
-        return clip_margin(sensor, point_sets, reaches) if self.kind == "kalman" else math.inf
+    def clip_margin(self, sensor, reach: float) -> float:
+        """The clip bound minus ``reach``, the largest ``clip_reach`` of a run; ClipRegionError
+        when it is not positive.  inf for the grid, which has no such region."""
+        if self.kind != "kalman":
+            return math.inf
+        if reach >= sensor.clip:
+            raise ClipRegionError(
+                f"observation.linear_clip: clip region violated (|Bx| reached {reach:.2f} "
+                f">= {sensor.clip}); scenario invalid for the kalman oracle"
+            )
+        return sensor.clip - reach
 
 
 def kalman_sensor(signal: SignalModel, obs: ObservationModel) -> ClippedLinearSensor:
@@ -355,25 +364,7 @@ def kalman_sensor(signal: SignalModel, obs: ObservationModel) -> ClippedLinearSe
 
 
 class ClipRegionError(RuntimeError):
-    """The truth or a particle left the sensor's linear region, where Kalman is exact."""
-
-
-def clip_reaches(sensor: ClippedLinearSensor, point_sets) -> list:
-    """The largest |Bx| in each nonempty point set, in order."""
-    return [np.abs(points @ sensor.matrix.T).max() for points in point_sets if len(points)]
-
-
-def clip_margin(sensor: ClippedLinearSensor, point_sets, reaches=()) -> float:
-    """Clip bound minus the largest |Bx| over the point sets (the truth, the particles)
-    and the ``clip_reaches`` of sets no longer held, taken after them; ClipRegionError
-    when it is not positive."""
-    largest = float(max(clip_reaches(sensor, point_sets) + list(reaches), default=0.0))
-    if largest >= sensor.clip:
-        raise ClipRegionError(
-            f"observation.linear_clip: clip region violated (|Bx| reached {largest:.2f} "
-            f">= {sensor.clip}); scenario invalid for the kalman oracle"
-        )
-    return sensor.clip - largest
+    """The truth or a weighed particle left the sensor's linear region, where Kalman is exact."""
 
 
 def kalman_reference(

@@ -7,10 +7,12 @@ import pytest
 
 from levyfilter import (
     ClippedLinearSensor,
+    FilterRun,
     FrequencyGrid,
     GaussianBumpSensor,
     InitialLaw,
     ObservationModel,
+    ParticleEnsemble,
     SignalModel,
     SpectralMeasure,
 )
@@ -123,6 +125,41 @@ class TestRateSweep:
         metric = FrequencyGrid.build(1, alpha=2.0, cutoff=5.0, spacing=0.2)
         with pytest.raises(ClipRegionError, match="observation.linear_clip"):
             rate_sweep(default_signal(), obs, 1.0, [100], 1, 17, metric, Oracle("kalman"))
+
+
+class TestClipReachOverWeighedPoints:
+    """A particle weighed outside the clip region that dies in the same epoch still
+    invalidates the Kalman oracle: the reach is taken over ``pre``, not ``post``."""
+
+    sensor = ClippedLinearSensor([[1.0]], clip=2.0)
+
+    @staticmethod
+    def epoch():
+        """(k, pre, rho, counts, control_rows, post): the particle at 3 leaves no offspring."""
+        pre = ParticleEnsemble(np.array([[0.0], [3.0]]), initial_count=2)
+        post = ParticleEnsemble(np.array([[0.0]]), initial_count=2)
+        return 1, pre, np.array([0.0, -1.0]), np.array([1, 0], dtype=np.int32), None, post
+
+    def test_post_means(self):
+        oracle = Oracle("kalman")
+        posts = experiments.PostMeans(oracle, self.sensor, 0.0)
+        posts(*self.epoch())
+        with pytest.raises(ClipRegionError, match=r"\|Bx\| reached 3.00 >= 2.0"):
+            oracle.clip_margin(self.sensor, posts.reach)
+
+    def test_rate_sweep(self, monkeypatch):
+        def one_epoch(signal, obs, record, n, rng, control=None, reduce=None):
+            k, pre, rho, counts, control_rows, post = self.epoch()
+            reduce(k, pre, rho, counts, control_rows, post)
+            return FilterRun(pre, post, [], extinct_epoch=k)
+
+        monkeypatch.setattr(experiments, "run_filter", one_epoch)
+        # a near-still truth from the origin stays well inside |x| < 2
+        signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.01]), InitialLaw.point([0.0]))
+        obs = ObservationModel(self.sensor, 0.1)
+        metric = FrequencyGrid.build(1, alpha=2.0, cutoff=5.0, spacing=0.2)
+        with pytest.raises(ClipRegionError, match=r"\|Bx\| reached 3.00 >= 2.0"):
+            rate_sweep(signal, obs, 0.2, [2], 1, 5, metric, Oracle("kalman"))
 
 
 class TestKalmanCrosscheck:

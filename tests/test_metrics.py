@@ -19,7 +19,7 @@ from levyfilter import (
     sobolev_norm_sq,
 )
 from levyfilter.harness import build_observation, build_signal, default_config_text, parse_config
-from levyfilter.metrics import _DIRECT_CHUNK, _DIRECT_TERMS, _running_total, _unit_terms, fourier
+from levyfilter.metrics import _DIRECT_CHUNK, _DIRECT_TERMS, fourier, running_total, unit_terms
 
 
 def atom_transform(grid, sites, masses):
@@ -191,9 +191,9 @@ class TestSharedUnitTerms:
         post = np.repeat(pre, counts, axis=0)
         assert post.shape[0] > _DIRECT_TERMS // 2  # past one 2-node block
         thetas = np.array([[0.5] + [0.0] * (dimension - 1), [1.0] + [0.3] * (dimension - 1)])
-        terms = _unit_terms(pre, thetas)
-        assert _running_total(terms * rho).tobytes() == fourier(pre, rho, thetas).tobytes()
-        repeated = _running_total(terms.repeat(counts, axis=1))
+        terms = unit_terms(pre, thetas)
+        assert running_total(terms * rho).tobytes() == fourier(pre, rho, thetas).tobytes()
+        repeated = running_total(terms.repeat(counts, axis=1))
         assert repeated.tobytes() == fourier(post, None, thetas).tobytes()
 
     def test_every_epoch_of_a_default_run(self):
@@ -203,11 +203,11 @@ class TestSharedUnitTerms:
         thetas, epochs = np.array([[0.5], [1.0]]), []
 
         def reduce(k, pre, rho, counts, control_rows, post):
-            terms = _unit_terms(pre.positions, thetas)
-            jump = pre.mass_factor * _running_total(terms * rho) / pre.initial_count
+            terms = unit_terms(pre.positions, thetas)
+            jump = pre.mass_factor * running_total(terms * rho) / pre.initial_count
             old_jump = pre.mass_factor * fourier(pre.positions, rho, thetas) / pre.initial_count
             assert jump.tobytes() == old_jump.tobytes(), k
-            post_sum = _running_total(terms.repeat(counts, axis=1))
+            post_sum = running_total(terms.repeat(counts, axis=1))
             post_values = post.mass_factor * post_sum / post.initial_count
             assert post_values.tobytes() == empirical_fourier(post, thetas).tobytes(), k
             epochs.append(k)

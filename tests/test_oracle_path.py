@@ -5,8 +5,11 @@ or Kalman recursion: the rate sweep's ``_oracle_transforms``, the baseline
 comparison's grid branch, ``check_oracle_agreement``'s two private branches
 and ``kalman_crosscheck``'s own recursion.  The copies below keep them
 verbatim in behaviour, and every number the consumers report must stay
-bit-equal to them.
+bit-equal to them.  One change is made on purpose: their clip checks measure
+every epoch's ``pre``, the points the sensor weighed, not ``post``.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -35,20 +38,22 @@ from levyfilter.experiments import (
     rate_sweep,
 )
 from levyfilter.metrics import filter_error, rate_fit
-from levyfilter.reference import (
-    ClipRegionError,
-    clip_margin,
-    Oracle,
-    kalman_sensor,
-)
+from levyfilter.reference import ClipRegionError, Oracle, kalman_sensor
 from levyfilter.seeding import substream
 
 # ---- frozen reference: each consumer's own oracle code, as it was
 
 
-def keep(posts):
-    """A reducer that appends every epoch's post ensemble to ``posts``."""
-    return lambda k, pre, rho, counts, control_rows, post: posts.append(post)
+def keep(posts, pres=None):
+    """A reducer that appends every epoch's post ensemble to ``posts`` and, given ``pres``,
+    its pre ensemble (the points the sensor weighed) to ``pres``."""
+
+    def reduce(k, pre, rho, counts, control_rows, post):
+        posts.append(post)
+        if pres is not None:
+            pres.append(pre)
+
+    return reduce
 
 
 def ref_kalman_from_law(signal, matrix, record):
@@ -125,14 +130,14 @@ def ref_oracle_agreement(signal, obs, horizon, seed, scale, oracle, n, grid_poin
     """(rms, bound), or the clip-region failure text."""
     n_eff = max(500, int(round(n * scale)))
     truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "oracle-record"))
-    posts = []
-    run_filter(signal, obs, record, n_eff, substream(seed, "oracle-run"), reduce=keep(posts))
+    posts, pres = [], []
+    run_filter(signal, obs, record, n_eff, substream(seed, "oracle-run"), reduce=keep(posts, pres))
     particle_means = np.array([post.positions.mean(axis=0) for post in posts])
     if oracle == "kalman":
         sensor = obs.sensor
         worst = max(
             float(np.abs(truth @ sensor.matrix.T).max()),
-            max(float(np.abs(post.positions @ sensor.matrix.T).max()) for post in posts),
+            max(float(np.abs(pre.positions @ sensor.matrix.T).max()) for pre in pres),
         )
         if worst >= sensor.clip:
             return f"clip region violated (|Bx| reached {worst:.2f} >= {sensor.clip})"
@@ -159,12 +164,13 @@ def ref_kalman_crosscheck(signal, obs, horizon, seed, ns, reference_n, replicati
     for n in sorted(set(list(ns) + [reference_n])):
         sq = []
         for rep in range(replications):
-            posts = []
-            run_filter(signal, obs, record, n, substream(seed, "kalman-run", n, rep), reduce=keep(posts))
-            for epoch, post in enumerate(posts, start=1):
+            posts, pres = [], []
+            rng = substream(seed, "kalman-run", n, rep)
+            run_filter(signal, obs, record, n, rng, reduce=keep(posts, pres))
+            for epoch, (pre, post) in enumerate(zip(pres, posts), start=1):
                 largest_projection = max(
                     largest_projection,
-                    float(np.abs(post.positions @ sensor.matrix.T).max()),
+                    float(np.abs(pre.positions @ sensor.matrix.T).max()),
                 )
                 gap = post.positions.mean(axis=0) - means[epoch - 1]
                 sq.append(float(gap @ gap))
@@ -319,11 +325,17 @@ def test_grid_sizes_must_match_the_oracle_kind(args):
 
 def test_clip_margin():
     sensor = ClippedLinearSensor([[2.0]], clip=5.0)
-    points = [np.array([[1.0], [-2.0]]), np.empty((0, 1)), np.array([[0.5]])]
-    assert clip_margin(sensor, points) == 1.0
-    assert clip_margin(sensor, []) == 5.0
+    points = np.array([[1.0], [-2.0], [0.5]])
+    kalman, grid = Oracle("kalman"), make_oracle("grid", 64)
+    assert kalman.clip_reach(sensor, points) == 4.0
+    assert kalman.clip_reach(sensor, np.empty((0, 1))) == 0.0
+    assert kalman.clip_margin(sensor, kalman.clip_reach(sensor, points)) == 1.0
+    assert kalman.clip_margin(sensor, 0.0) == 5.0
     with pytest.raises(ClipRegionError, match=r"\|Bx\| reached 5.00 >= 5.0"):
-        clip_margin(sensor, [np.array([[2.5]])])
+        kalman.clip_margin(sensor, kalman.clip_reach(sensor, np.array([[2.5]])))
+    # the grid oracle has no clip region
+    assert grid.clip_reach(sensor, points) == 0.0
+    assert grid.clip_margin(sensor, 7.0) == math.inf
 
 
 @pytest.mark.parametrize("kind", ["grid", "kalman"])
