@@ -39,5 +39,5 @@ result = rate_sweep(
 print(f"{'n':>6} {'rms error':>12} {'sqrt(n) * rms':>14}")
 for n, err in result.per_n_error:
     print(f"{n:>6} {err:>12.6f} {(n ** 0.5) * err:>14.4f}")
-slope, lo, hi = result.slope_ci
-print(f"\nlog-log slope {slope:.4f}, 95% CI [{lo:.4f}, {hi:.4f}] (theory: -1/2)")
+fit = result.fit
+print(f"\nlog-log slope {fit.slope:.4f}, 95% CI [{fit.ci_low:.4f}, {fit.ci_high:.4f}] (theory: -1/2)")

@@ -61,7 +61,6 @@ from .metrics import (
     sobolev_norm_sq,
     filter_error,
     rate_fit,
-    slope_confidence,
 )
 
 __version__ = "0.1.0"

@@ -106,13 +106,17 @@ class ParticleEnsemble:
 
     @property
     def total_mass(self) -> float:
-        """<mu, 1> = mass_factor * count / initial_count."""
+        """<mu, 1>."""
         return self.size.total_mass
 
     @property
     def size(self) -> "EnsembleSize":
         """The bookkeeping without the positions."""
         return EnsembleSize(self.count, self.initial_count, self.mass_factor)
+
+    def estimate(self, total):
+        """``EnsembleSize.estimate``."""
+        return self.size.estimate(total)
 
     def _with(self, positions, mass_factor=None) -> "ParticleEnsemble":
         """New rows under the same bookkeeping (cheaper than ``dataclasses.replace``)."""
@@ -162,8 +166,13 @@ class EnsembleSize(NamedTuple):
 
     @property
     def total_mass(self) -> float:
-        """<mu, 1> = mass_factor * count / initial_count."""
-        return self.mass_factor * self.count / self.initial_count
+        """<mu, 1>."""
+        return self.estimate(self.count)
+
+    def estimate(self, total):
+        """<mu, f> from ``total``, f summed over the alive particles (a float, complex or row):
+        the one place that knows a particle's mass, mass_factor / initial_count."""
+        return self.mass_factor * total / self.initial_count
 
 
 class FilterStep(NamedTuple):
@@ -267,7 +276,7 @@ def empirical_fourier(ensemble: ParticleEnsemble, thetas) -> np.ndarray:
     Returns mass_factor * (1/n) * sum_i exp(-i theta' X_i) per node; an empty
     ensemble transforms to zero everywhere.
     """
-    return ensemble.mass_factor * fourier(ensemble.positions, None, thetas) / ensemble.initial_count
+    return ensemble.estimate(fourier(ensemble.positions, None, thetas))
 
 
 def _multinomial_resample(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .branching import _offspring_counts, empirical_fourier, run_baseline, run_filter
 from .experiments import PostMeans
-from .metrics import running_total, unit_terms
+from .metrics import _log_line, running_total, unit_terms
 from .observation import (
     GaussianBumpSensor,
     ObservationModel,
@@ -151,8 +151,7 @@ def check_weight_moment_scaling(seed: int, scale: float = 1.0) -> CheckResult:
             mismatched.append(f"{eps:g}")
         m1.append(np.mean(np.abs(rho)))
         m2.append(np.mean(rho**2))
-    slope1 = float(np.polyfit(np.log(epsilons), np.log(m1), 1)[0])
-    slope2 = float(np.polyfit(np.log(epsilons), np.log(m2), 1)[0])
+    slope1, slope2 = _log_line(epsilons, m1)[0], _log_line(epsilons, m2)[0]
     ok = 0.35 <= slope1 <= 0.65 and 0.85 <= slope2 <= 1.15 and not mismatched
     detail = (
         f"first-moment slope {slope1:.3f} (window [0.35, 0.65]); "
@@ -236,9 +235,8 @@ def check_compensator(
             if control_rows is not None:
                 raise ValueError("the compensator needs post to be pre's rows repeated by counts")
             terms = unit_terms(pre.positions, theta_vecs)  # post's terms are these, repeated
-            jumps.append(pre.mass_factor * running_total(terms * rho) / pre.initial_count)
-            post_sum = running_total(terms.repeat(counts, axis=1))
-            posts.append(post.mass_factor * post_sum / post.initial_count)
+            jumps.append(pre.estimate(running_total(terms * rho)))
+            posts.append(post.estimate(running_total(terms.repeat(counts, axis=1))))
 
         run = run_filter(signal, obs, record, n, substream(seed, "comp-rep", r), reduce=reduce)
         if run.extinct:
@@ -297,16 +295,12 @@ def check_mass_moments(
             run = run_filter(signal, obs, record, n, substream(seed, "mass-rep", r, n))
             masses = [1.0] + [s.post.total_mass for s in run.steps]
             sups[r, j] = max(masses)
-    log_n = np.log(np.asarray(ns, dtype=float))
     boot = substream(seed, "mass-boot")
 
     def moment_slopes(sample_idx):
         m2 = (sups[sample_idx] ** 2).mean(axis=0)
         m4 = (sups[sample_idx] ** 4).mean(axis=0)
-        return (
-            np.polyfit(log_n, np.log(m2), 1)[0],
-            np.polyfit(log_n, np.log(m4), 1)[0],
-        )
+        return _log_line(ns, m2)[0], _log_line(ns, m4)[0]
 
     slope2, slope4 = moment_slopes(np.arange(reps))
     resamples = np.array(
@@ -367,7 +361,7 @@ def check_branch_sparsity(
             )
             vals.extend(s.branch_events / s.pre.count for s in run.steps if s.pre.count)
         fractions.append(float(np.mean(vals)))
-    slope = float(np.polyfit(np.log(epsilons), np.log(fractions), 1)[0])
+    slope = _log_line(epsilons, fractions)[0]
     smallest = fractions[int(np.argmin(epsilons))]
     eps_min = float(min(epsilons))
     obs = ObservationModel(sensor, eps_min)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branching import ExtinctionError, run_baseline, run_filter
-from .metrics import FrequencyGrid, RateFit, filter_error, fourier, rate_fit, slope_confidence
+from .metrics import FrequencyGrid, RateFit, _log_line, filter_error, fourier, rate_fit
 from .observation import ObservationModel, simulate_scenario
 from .reference import Oracle
 from .seeding import substream
@@ -32,7 +32,7 @@ __all__ = [
 
 def ensemble_transform(ensemble, grid: FrequencyGrid) -> np.ndarray:
     """``empirical_fourier`` on a metric grid; a 1-d lattice takes the NUFFT path."""
-    return ensemble.mass_factor * fourier(ensemble.positions, None, grid) / ensemble.initial_count
+    return ensemble.estimate(fourier(ensemble.positions, None, grid))
 
 
 @dataclass
@@ -40,7 +40,6 @@ class RateSweepResult:
     rows: list                 # (n, replication, epoch, error)
     per_n_error: list          # (n, rms error at the final epoch)
     fit: RateFit
-    slope_ci: tuple            # (slope, lo, hi)
     extinct_runs: int
     total_runs: int
 
@@ -112,13 +111,10 @@ def rate_sweep(
                     final_sq.append(err * err)
         if final_sq:
             per_n_error.append((n, float(np.sqrt(np.mean(final_sq)))))
-    fit = rate_fit(per_n_error) if len(per_n_error) >= 3 else None
-    ci = slope_confidence(per_n_error) if len(per_n_error) >= 3 else None
     return RateSweepResult(
         rows=rows,
         per_n_error=per_n_error,
-        fit=fit,
-        slope_ci=ci,
+        fit=rate_fit(per_n_error) if len(per_n_error) >= 3 else None,
         extinct_runs=extinct_runs,
         total_runs=total_runs,
     )
@@ -205,7 +201,7 @@ class BaselineComparison:
     multinomial_fractions: list    # mean per-epoch relocation fraction per eps
     branching_errors: list         # mean |normalized mean - oracle mean| per eps (nan without one)
     multinomial_errors: list
-    slope: float                   # log-log slope of the branching fraction in eps, nan for one eps
+    slope: float                   # log-log slope of the fraction in eps; nan for one eps or a 0
 
 
 class PostMeans:
@@ -274,7 +270,7 @@ def baseline_comparison(
             errs.append(float(np.mean(np.abs(np.array(posts.means) - oracle_means))))
     slope = np.nan  # no line through fewer than two distinct epsilons
     if len(set(epsilons)) > 1:
-        slope = float(np.polyfit(np.log(epsilons), np.log(b_fracs), 1)[0])
+        slope = _log_line(epsilons, b_fracs)[0]
     return BaselineComparison(
         epsilons=list(epsilons),
         branching_fractions=b_fracs,

@@ -467,7 +467,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
 
     def reduce(k, pre, rho, counts, control_rows, post):
         nonlocal root
-        sums.append(post.mass_factor * post.positions.sum(axis=0) / post.initial_count)
+        sums.append(post.estimate(post.positions.sum(axis=0)))
         means.append(post.positions.mean(axis=0) if post.count else np.full(d, np.nan))
         if cfg.dump_particles:
             parents = _parent_rows(counts, control_rows)
@@ -580,9 +580,9 @@ def cmd_rate_sweep(cfg: ExperimentConfig, out_dir) -> int:
         ),
     }
     if result.fit is not None:
-        slope, lo, hi = result.slope_ci
         files[f"{cfg.name}_rate-sweep_fit.csv"] = csv_blocks(
-            ["scenario", "slope", "ci_low", "ci_high"], [[[cfg.name], [slope], [lo], [hi]]]
+            ["scenario", "slope", "ci_low", "ci_high"],
+            [[[cfg.name], [result.fit.slope], [result.fit.ci_low], [result.fit.ci_high]]],
         )
     emit_results(files, out_dir, name=cfg.name, command="rate-sweep", cfg=cfg)
     if result.extinction_fraction > EXTINCTION_LIMIT:
@@ -596,7 +596,7 @@ def cmd_rate_sweep(cfg: ExperimentConfig, out_dir) -> int:
         return 0 if len(cfg.particle_counts) < 3 else 3
     print(
         f"rate fit: slope {result.fit.slope:.4f}, "
-        f"ci [{result.slope_ci[1]:.4f}, {result.slope_ci[2]:.4f}], "
+        f"ci [{result.fit.ci_low:.4f}, {result.fit.ci_high:.4f}], "
         f"extinct {result.extinct_runs}/{result.total_runs}"
     )
     if cfg.assert_slope and not (
@@ -633,8 +633,9 @@ def cmd_compare_baseline(cfg: ExperimentConfig, out_dir) -> int:
     files = {f"{cfg.name}_compare-baseline_comparison.csv": csv_blocks(header, [columns])}
     emit_results(files, out_dir, name=cfg.name, command="compare-baseline", cfg=cfg)
     smallest = comparison.branching_fractions[int(np.argmin(comparison.epsilons))]
+    reason = " (a branching fraction is 0)" if min(comparison.branching_fractions) == 0.0 else ""
     print(
-        f"branch-fraction slope in eps: {comparison.slope:.3f}; "
+        f"branch-fraction slope in eps: {comparison.slope:.3f}{reason}; "
         f"fraction at smallest eps: {smallest:.4f}"
     )
     if smallest >= 0.2:

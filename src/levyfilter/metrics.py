@@ -25,7 +25,6 @@ __all__ = [
     "filter_error",
     "RateFit",
     "rate_fit",
-    "slope_confidence",
 ]
 
 
@@ -262,6 +261,18 @@ class RateFit(NamedTuple):
     slope: float
     intercept: float
     residual: float
+    ci_low: float   # slope -/+ 1.96 OLS standard errors of the slope
+    ci_high: float
+
+
+def _log_line(x, y) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line of log y on log x: the one log-log fit.
+    (nan, nan), without a numpy warning, unless every value is positive."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all(x > 0.0) and np.all(y > 0.0)):
+        return np.nan, np.nan
+    slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
+    return float(slope), float(intercept)
 
 
 def rate_fit(pairs) -> RateFit:
@@ -271,20 +282,10 @@ def rate_fit(pairs) -> RateFit:
         raise ValueError("rate_fit needs at least 3 (n, error) pairs")
     if np.any(arr <= 0.0):
         raise ValueError("rate_fit requires positive sizes and errors")
+    slope, intercept = _log_line(arr[:, 0], arr[:, 1])
     x = np.log(arr[:, 0])
-    y = np.log(arr[:, 1])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    return RateFit(float(slope), float(intercept), float(np.sqrt(np.mean(resid**2))))
-
-
-def slope_confidence(pairs, z: float = 1.96) -> tuple[float, float, float]:
-    """(slope, ci_low, ci_high) from the OLS standard error of the slope."""
-    arr = np.asarray(pairs, dtype=float)
-    fit = rate_fit(arr)
-    x = np.log(arr[:, 0])
-    y = np.log(arr[:, 1])
-    resid = y - (fit.slope * x + fit.intercept)
-    dof = max(1, x.size - 2)
-    se = float(np.sqrt(np.sum(resid**2) / dof / np.sum((x - x.mean()) ** 2)))
-    return fit.slope, fit.slope - z * se, fit.slope + z * se
+    resid = np.log(arr[:, 1]) - (slope * x + intercept)
+    se = float(np.sqrt(np.sum(resid**2) / (x.size - 2) / np.sum((x - x.mean()) ** 2)))
+    return RateFit(
+        slope, intercept, float(np.sqrt(np.mean(resid**2))), slope - 1.96 * se, slope + 1.96 * se
+    )

@@ -99,10 +99,8 @@ class GridFilter:
     @property
     def variance(self) -> np.ndarray:
         """Per-axis variance of the normalized density."""
-        mass = self.density.sum()
         flat = self.density.reshape(-1)
-        mean = (flat @ self.points) / mass
-        return (flat @ (self.points - mean) ** 2) / mass
+        return (flat @ (self.points - self.mean) ** 2) / self.density.sum()
 
     def boundary_mass_fraction(self) -> float:
         total = self.density.sum()
@@ -114,7 +112,12 @@ class GridFilter:
         return float(1.0 - inner.sum() / total)
 
 
-def _initial_density(signal: SignalModel, axes: tuple, cell_volume: float) -> np.ndarray:
+def _mesh(axes) -> np.ndarray:
+    """The (cells, d) rows of the grid spanned by ``axes``, in C order."""
+    return np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+
+
+def _initial_density(signal: SignalModel, axes: tuple, points, cell_volume: float) -> np.ndarray:
     law = signal.initial_law
     shape = tuple(a.size for a in axes)
     edges_lo = np.array([a[0] - 0.5 * (a[1] - a[0]) for a in axes])
@@ -140,8 +143,6 @@ def _initial_density(signal: SignalModel, axes: tuple, cell_volume: float) -> np
         raise GridDomainError(
             f"initial mass outside the domain is {1.0 - coverage:.3e} (> 1e-06); enlarge the grid"
         )
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.column_stack([m.ravel() for m in mesh])
     density = law.pdf(points).reshape(shape)
     density /= density.sum() * cell_volume
     return density
@@ -163,15 +164,12 @@ def build_grid(
     delta = 2.0 * domain_halfwidth / points_per_axis
     axes = tuple(-domain_halfwidth + (np.arange(points_per_axis) + 0.5) * delta for _ in range(d))
     cell_volume = float(delta**d)
-    density = _initial_density(signal, axes, cell_volume)
-    freq_axes = [2.0 * np.pi * np.fft.fftfreq(points_per_axis, d=delta) for _ in range(d)]
-    mesh = np.meshgrid(*freq_axes, indexing="ij")
-    thetas = np.column_stack([m.ravel() for m in mesh])
+    points = _mesh(axes)
+    density = _initial_density(signal, axes, points, cell_volume)
+    thetas = _mesh([2.0 * np.pi * np.fft.fftfreq(points_per_axis, d=delta) for _ in range(d)])
     multiplier = np.exp(
         epsilon * characteristic_exponent(-thetas, signal)
     ).reshape(density.shape)
-    space_mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.column_stack([m.ravel() for m in space_mesh])
     return GridFilter(
         axes=axes,
         density=density,

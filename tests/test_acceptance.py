@@ -99,7 +99,7 @@ def test_c06_empirical_convergence_rate():
     )
     detail = (
         f"slope {result.fit.slope:.4f} in [-0.65, -0.35], "
-        f"ci [{result.slope_ci[1]:.4f}, {result.slope_ci[2]:.4f}], "
+        f"ci [{result.fit.ci_low:.4f}, {result.fit.ci_high:.4f}], "
         f"extinct {result.extinct_runs}/{result.total_runs}"
     )
     report(6, "Sobolev error n-rate", ok, detail)

@@ -31,6 +31,7 @@ from levyfilter import (
 from levyfilter.branching import (
     MAX_GROWTH,
     MAX_RHO,
+    EnsembleSize,
     ParticleEnsemble,
     _inverse_cdf,
     _multinomial_resample,
@@ -272,6 +273,16 @@ class TestEstimates:
         ens = init_ensemble(64, gaussian_signal(), np.random.default_rng(47))
         vals = empirical_fourier(ens, np.array([0.0]))
         assert vals[0] == pytest.approx(ens.total_mass)
+
+    @pytest.mark.parametrize("total", [0.7, 0.7 - 0.3j, np.array([0.7, -0.3, 1e-300])])
+    def test_estimate_is_mass_factor_times_total_over_n(self, total):
+        # bit for bit, in this evaluation order: every caller's <mu, f> goes through it
+        size = EnsembleSize(count=5, initial_count=3, mass_factor=0.1)
+        expected = 0.1 * total / 3
+        assert np.array_equal(size.estimate(total), expected)
+        ens = ParticleEnsemble(np.zeros(5), initial_count=3, mass_factor=0.1)
+        assert np.array_equal(ens.estimate(total), expected)
+        assert size.total_mass == ens.total_mass == 0.1 * 5 / 3
 
 
 class TestRunFilter:

@@ -627,6 +627,23 @@ class TestCli:
         assert rc == 3
         assert "extinct at observation epoch 12 of 20 (epsilon 0.1)" in capsys.readouterr().err
 
+    def test_compare_baseline_zero_sensor_slope_is_a_quiet_nan(self, tmp_path):
+        # a zero sensor never branches, so every fraction is 0 and has no logarithm
+        path = self.write_cfg(tmp_path, QUICK + "\n[observation]\nsensor = zero\n")
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        command = ["compare-baseline", "--config", path, "--out", str(tmp_path / "o")]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "levyfilter.cli", *command],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "slope in eps: nan (a branching fraction is 0);" in proc.stdout
+        assert proc.stderr == ""
+
     def test_kalman_oracle_with_bump_sensor_exit_2(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, QUICK.replace("grid_points = 256", "kind = kalman"))
         rc = cli_main(["rate-sweep", "--config", path, "--out", str(tmp_path / "o")])

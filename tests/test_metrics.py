@@ -1,6 +1,7 @@
 """Frequency grids, Sobolev norms, and rate fitting."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,17 @@ from levyfilter import (
     rate_fit,
     run_filter,
     simulate_scenario,
-    slope_confidence,
     sobolev_norm_sq,
 )
 from levyfilter.harness import build_observation, build_signal, default_config_text, parse_config
-from levyfilter.metrics import _DIRECT_CHUNK, _DIRECT_TERMS, fourier, running_total, unit_terms
+from levyfilter.metrics import (
+    _DIRECT_CHUNK,
+    _DIRECT_TERMS,
+    _log_line,
+    fourier,
+    running_total,
+    unit_terms,
+)
 
 
 def atom_transform(grid, sites, masses):
@@ -318,11 +325,51 @@ class TestRateFit:
         errs = 3.0 * ns**-0.5 * (1.0 + 0.01 * rng.standard_normal(ns.size))
         fit = rate_fit(np.column_stack([ns, errs]))
         assert -0.55 <= fit.slope <= -0.45
-        lo_slope, lo, hi = slope_confidence(np.column_stack([ns, errs]))
-        assert lo <= lo_slope <= hi
+        assert fit.ci_low <= fit.slope <= fit.ci_high
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
             rate_fit([(10.0, 1.0), (20.0, 0.5)])
         with pytest.raises(ValueError):
             rate_fit([(10.0, 1.0), (20.0, 0.5), (30.0, -0.1)])
+
+    @pytest.mark.parametrize("y", [[1.0, 0.0, 2.0], [1.0, -1.0, 2.0]])
+    def test_log_line_nonpositive_is_a_quiet_nan(self, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope, intercept = _log_line([1.0, 2.0, 4.0], y)
+        assert np.isnan(slope) and np.isnan(intercept)
+
+
+def frozen_slope_confidence(pairs, z=1.96):
+    """The retired ``slope_confidence``, its ``rate_fit`` call inlined: (slope, lo, hi)."""
+    arr = np.asarray(pairs, dtype=float)
+    x = np.log(arr[:, 0])
+    y = np.log(arr[:, 1])
+    slope, intercept = (float(v) for v in np.polyfit(x, y, 1))
+    resid = y - (slope * x + intercept)
+    dof = max(1, x.size - 2)
+    se = float(np.sqrt(np.sum(resid**2) / dof / np.sum((x - x.mean()) ** 2)))
+    return slope, slope - z * se, slope + z * se
+
+
+def frozen_polyfit_slope(x, y):
+    """The log-log slope as c03, c08, c09 and ``baseline_comparison`` once wrote it out."""
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
+@given(
+    st.lists(st.integers(1, 10**6), min_size=3, max_size=8, unique=True).flatmap(
+        lambda ns: st.tuples(
+            st.just(ns),
+            st.lists(st.floats(1e-6, 1e3), min_size=len(ns), max_size=len(ns)),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_merged_fit_is_the_old_fit_bit_for_bit(case):
+    ns, errs = (np.array(v, dtype=float) for v in case)
+    pairs = np.column_stack([ns, errs])
+    fit = rate_fit(pairs)
+    assert (fit.slope, fit.ci_low, fit.ci_high) == frozen_slope_confidence(pairs)
+    assert _log_line(ns, errs)[0] == frozen_polyfit_slope(ns, errs)
