@@ -41,7 +41,6 @@ from .branching import (
     FilterRun,
     init_ensemble,
     run_filter,
-    empirical_fourier,
     run_baseline,
     population_control,
 )

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metrics import _rows, fourier
+from .metrics import _rows
 from .observation import ObservationModel, ObservationRecord, _check_record, weight
 from .stable import SignalModel, sample_increment
 
@@ -36,7 +36,6 @@ __all__ = [
     "FilterRun",
     "init_ensemble",
     "run_filter",
-    "empirical_fourier",
     "run_baseline",
     "population_control",
 ]
@@ -268,15 +267,6 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce) -> tuple:
         if ensemble.count == 0:
             break
     return initial, ensemble, steps
-
-
-def empirical_fourier(ensemble: ParticleEnsemble, thetas) -> np.ndarray:
-    """Fourier transform of the empirical measure on a frequency list.
-
-    Returns mass_factor * (1/n) * sum_i exp(-i theta' X_i) per node; an empty
-    ensemble transforms to zero everywhere.
-    """
-    return ensemble.estimate(fourier(ensemble.positions, None, thetas))
 
 
 def _multinomial_resample(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branching import _offspring_counts, empirical_fourier, run_baseline, run_filter
+from .branching import _offspring_counts, run_baseline, run_filter
 from .experiments import PostMeans
 from .metrics import _log_line, running_total, unit_terms
 from .observation import (
@@ -29,7 +29,6 @@ from .stable import (
     InitialLaw,
     SignalModel,
     SpectralMeasure,
-    characteristic_exponent,
     directional_moment,
     empirical_cf,
     increment_cf,
@@ -223,8 +222,7 @@ def check_compensator(
     reps = _count(replications, scale, 40)
     d = signal.dimension
     theta_vecs = np.array([[t] + [0.0] * (d - 1) for t in thetas])
-    ell = characteristic_exponent(-theta_vecs, signal)
-    drift_factor = np.exp(obs.epsilon * ell) - 1.0
+    drift_factor = increment_cf(signal, obs.epsilon, theta_vecs) - 1.0
     _, record = simulate_scenario(signal, obs, horizon, substream(seed, "comp-record"))
     stats = np.empty((reps, len(thetas)), dtype=complex)
     extinct = 0
@@ -243,7 +241,7 @@ def check_compensator(
             extinct += 1
             stats[r] = np.nan
             continue
-        initial = empirical_fourier(run.initial, theta_vecs)
+        initial = run.initial.estimate(running_total(unit_terms(run.initial.positions, theta_vecs)))
         segment_sum = initial * drift_factor  # segment starting at t_0
         jump_sum = np.zeros(len(thetas), dtype=complex)
         for step, jump, post_vals in zip(run.steps, jumps, posts):
@@ -359,7 +357,7 @@ def check_branch_sparsity(
             run = run_filter(
                 signal, obs, record, n_eff, substream(seed, "sparsity-run", r, int(1e6 * eps))
             )
-            vals.extend(s.branch_events / s.pre.count for s in run.steps if s.pre.count)
+            vals.extend(s.branch_events / s.pre.count for s in run.steps)
         fractions.append(float(np.mean(vals)))
     slope = _log_line(epsilons, fractions)[0]
     smallest = fractions[int(np.argmin(epsilons))]

@@ -51,8 +51,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
             cfg.raw["run"]["seed"] = str(args.seed)
-        out_dir = args.out if args.out is not None else cfg.output_directory
-        return run_command(args.command, cfg, out_dir, strict=args.strict)
+        return run_command(args.command, cfg, args.out, strict=args.strict)
     except ConfigError as exc:
         print("config error:", file=sys.stderr)
         for violation in exc.violations:

@@ -30,9 +30,11 @@ __all__ = [
 ]
 
 
-def ensemble_transform(ensemble, grid: FrequencyGrid) -> np.ndarray:
-    """``empirical_fourier`` on a metric grid; a 1-d lattice takes the NUFFT path."""
-    return ensemble.estimate(fourier(ensemble.positions, None, grid))
+def ensemble_transform(ensemble, nodes) -> np.ndarray:
+    """The transform of the particle measure, mass_factor / n * sum_i exp(-i theta' X_i), on
+    a metric grid (a 1-d lattice takes the NUFFT path) or a node array (summed directly);
+    an empty ensemble transforms to zero everywhere."""
+    return ensemble.estimate(fourier(ensemble.positions, None, nodes))
 
 
 @dataclass
@@ -69,9 +71,12 @@ def rate_sweep(
     ``"final"`` (error at the terminal epoch only) or ``"all"``.  ``control``
     is ``run_filter``'s population control band ``(low_ratio, high_ratio)``,
     held around each run's n.  The truth and each weighed particle keep to the clip margin.
+    A repeated n is a ValueError: its runs would share their seeds and repeat a point.
     """
     if oracle is None:
         raise ValueError("rate_sweep needs an oracle (grid or kalman)")
+    if len(set(ns)) < len(ns):
+        raise ValueError(f"rate_sweep needs distinct particle counts, got {list(ns)}")
     truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
     targets = oracle.summaries(signal, obs, record, metric)
     truth_reach = oracle.clip_reach(obs.sensor, truth)

@@ -29,7 +29,7 @@ import numpy as np
 from .branching import PopulationGrowthError, _parent_rows, run_filter
 from .checks import default_validation_suite
 from .experiments import baseline_comparison, rate_sweep
-from .metrics import FrequencyGrid, default_gamma
+from .metrics import FrequencyGrid
 from .observation import (
     ClippedLinearSensor,
     GaussianBumpSensor,
@@ -37,7 +37,7 @@ from .observation import (
     ZeroSensor,
     simulate_scenario,
 )
-from .reference import GridAccuracyWarning, GridDomainError, Oracle, kalman_sensor
+from .reference import MAX_GRID_CELLS, GridAccuracyWarning, GridDomainError, Oracle, kalman_sensor
 from .seeding import substream
 from .stable import InitialLaw, SignalModel, SpectralMeasure
 
@@ -282,6 +282,16 @@ def parse_config(text: str) -> ExperimentConfig:
         and cfg.gamma >= -cfg.dimension / 2.0
     ):
         violations.append("metric.gamma: must be < -dimension/2")
+    if (
+        cfg.oracle == "grid"
+        and cfg.grid_points is not None
+        and cfg.dimension is not None
+        and cfg.grid_points**cfg.dimension > MAX_GRID_CELLS
+    ):
+        violations.append(
+            f"oracle.grid_points: {cfg.grid_points} points per axis in signal.dimension "
+            f"{cfg.dimension} make more than {MAX_GRID_CELLS} grid cells"
+        )
     if cfg.slope_low is not None and cfg.slope_high is not None and cfg.slope_low > cfg.slope_high:
         violations.append("rate.slope_low/slope_high: slope_low must not exceed slope_high")
     if cfg.baseline_epsilons is not None:
@@ -350,10 +360,9 @@ def build_observation(cfg: ExperimentConfig) -> ObservationModel:
 
 
 def build_metric(cfg: ExperimentConfig) -> FrequencyGrid:
-    gamma = cfg.gamma if cfg.gamma is not None else default_gamma(cfg.dimension, cfg.alpha)
     try:
         return FrequencyGrid.build(
-            cfg.dimension, gamma=gamma, cutoff=cfg.cutoff, spacing=cfg.spacing
+            cfg.dimension, alpha=cfg.alpha, gamma=cfg.gamma, cutoff=cfg.cutoff, spacing=cfg.spacing
         )
     except ValueError as exc:
         raise ConfigError([f"metric.cutoff/spacing/gamma, signal.dimension: {exc}"]) from exc
@@ -467,8 +476,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
 
     def reduce(k, pre, rho, counts, control_rows, post):
         nonlocal root
-        sums.append(post.estimate(post.positions.sum(axis=0)))
-        means.append(post.positions.mean(axis=0) if post.count else np.full(d, np.nan))
+        total = post.positions.sum(axis=0)
+        sums.append(post.estimate(total))
+        means.append(total / post.count if post.count else np.full(d, np.nan))
         if cfg.dump_particles:
             parents = _parent_rows(counts, control_rows)
             root = root[parents]
@@ -555,6 +565,10 @@ def cmd_rate_sweep(cfg: ExperimentConfig, out_dir) -> int:
     if cfg.assert_slope and len(cfg.particle_counts) < 3:
         raise ConfigError(
             ["run.particle_counts: at least 3 counts are needed to fit a rate"]
+        )
+    if len(set(cfg.particle_counts)) < len(cfg.particle_counts):
+        raise ConfigError(
+            ["run.particle_counts: a count repeats; its runs would share seeds and repeat a point"]
         )
     signal = build_signal(cfg)
     obs = build_observation(cfg)

@@ -282,6 +282,8 @@ def rate_fit(pairs) -> RateFit:
         raise ValueError("rate_fit needs at least 3 (n, error) pairs")
     if np.any(arr <= 0.0):
         raise ValueError("rate_fit requires positive sizes and errors")
+    if np.all(arr[:, 0] == arr[0, 0]):
+        raise ValueError("rate_fit needs at least two distinct sizes")
     slope, intercept = _log_line(arr[:, 0], arr[:, 1])
     x = np.log(arr[:, 0])
     resid = np.log(arr[:, 1]) - (slope * x + intercept)

@@ -25,12 +25,13 @@ import numpy as np
 from .metrics import fourier
 from .observation import ClippedLinearSensor, ObservationModel, ObservationRecord, weight
 from .observation import _check_record
-from .stable import SignalModel, characteristic_exponent, covariance_rate
+from .stable import SignalModel, covariance_rate, increment_cf
 
 __all__ = [
     "GridAccuracyWarning",
     "GridDomainError",
     "GridFilter",
+    "MAX_GRID_CELLS",
     "build_grid",
     "predict_step",
     "update_step",
@@ -60,6 +61,10 @@ _ACCURACY_TESTS = (
     ("boundary cells hold", 1e-4, "periodic wrap-around may bite; widen oracle.grid_halfwidth"),
 )
 _INITIAL_MASS_OUTSIDE_TOL = 1e-6
+
+# Most cells a grid oracle may hold, checked before anything is allocated: the grid filter
+# keeps about 140 bytes per cell, so 2**22 cells take about 0.6 GB.
+MAX_GRID_CELLS = 2**22
 
 
 def _norm_cdf(x: float) -> float:
@@ -161,15 +166,15 @@ def build_grid(
     if points_per_axis < 64 or points_per_axis & (points_per_axis - 1):
         raise ValueError("points_per_axis must be a power of two, at least 64")
     d = signal.dimension
+    if points_per_axis**d > MAX_GRID_CELLS:
+        raise ValueError(f"{points_per_axis}**{d} grid cells exceed the cap {MAX_GRID_CELLS}")
     delta = 2.0 * domain_halfwidth / points_per_axis
     axes = tuple(-domain_halfwidth + (np.arange(points_per_axis) + 0.5) * delta for _ in range(d))
     cell_volume = float(delta**d)
     points = _mesh(axes)
     density = _initial_density(signal, axes, points, cell_volume)
     thetas = _mesh([2.0 * np.pi * np.fft.fftfreq(points_per_axis, d=delta) for _ in range(d)])
-    multiplier = np.exp(
-        epsilon * characteristic_exponent(-thetas, signal)
-    ).reshape(density.shape)
+    multiplier = increment_cf(signal, epsilon, thetas).reshape(density.shape)
     return GridFilter(
         axes=axes,
         density=density,
@@ -317,8 +322,8 @@ class Oracle:
                 points_per_axis=self.grid_points,
                 theta_grid=metric,
             )[0]
-        law, d = signal.initial_law, signal.dimension
-        cov0 = np.diag(law.scale**2) if law.kind == "gaussian" else np.zeros((d, d))
+        law = signal.initial_law
+        cov0 = np.diag(law.scale**2)  # a point law's scale is zero
         matrix, rate = kalman_sensor(signal, obs).matrix, covariance_rate(signal.spectral)
         means, covs = kalman_reference(record, matrix, law.center, cov0, rate)
         summaries = []

@@ -19,7 +19,6 @@ from levyfilter import (
     PopulationGrowthError,
     WeightOverflowError,
     ZeroSensor,
-    empirical_fourier,
     init_ensemble,
     offspring_parameters,
     population_control,
@@ -38,6 +37,7 @@ from levyfilter.branching import (
     _offspring_counts,
     _parent_rows,
 )
+from levyfilter.experiments import ensemble_transform
 
 
 class LiveSteps(list):
@@ -262,16 +262,16 @@ class TestBranchStep:
 class TestEstimates:
     def test_fourier_trivialities(self):
         ens = init_ensemble(1, point_signal(0.0), np.random.default_rng(43))
-        vals = empirical_fourier(ens, np.array([0.0, 0.5, 2.0]))
+        vals = ensemble_transform(ens, np.array([0.0, 0.5, 2.0]))
         assert np.allclose(vals, 1.0)
         ens.positions = np.empty((0, 1))
         assert np.array_equal(
-            empirical_fourier(ens, np.array([0.0, 1.0])), np.zeros(2, dtype=complex)
+            ensemble_transform(ens, np.array([0.0, 1.0])), np.zeros(2, dtype=complex)
         )
 
     def test_fourier_at_zero_is_mass(self):
         ens = init_ensemble(64, gaussian_signal(), np.random.default_rng(47))
-        vals = empirical_fourier(ens, np.array([0.0]))
+        vals = ensemble_transform(ens, np.array([0.0]))
         assert vals[0] == pytest.approx(ens.total_mass)
 
     @pytest.mark.parametrize("total", [0.7, 0.7 - 0.3j, np.array([0.7, -0.3, 1e-300])])

@@ -17,7 +17,7 @@ from levyfilter import (
     SpectralMeasure,
 )
 from levyfilter import experiments
-from levyfilter.branching import empirical_fourier, init_ensemble
+from levyfilter.branching import init_ensemble
 from levyfilter.experiments import (
     baseline_comparison,
     ensemble_transform,
@@ -42,7 +42,7 @@ class TestEnsembleTransform:
         metric = FrequencyGrid.build(1, alpha=2.0, cutoff=10.0, spacing=0.05)
         ens = init_ensemble(2000, default_signal(), np.random.default_rng(3))
         fast = ensemble_transform(ens, metric)
-        direct = empirical_fourier(ens, metric.nodes)
+        direct = ensemble_transform(ens, metric.nodes)
         assert np.max(np.abs(fast - direct)) < 1e-12
 
     def test_two_dimensional_fallback(self):
@@ -54,7 +54,7 @@ class TestEnsembleTransform:
         metric = FrequencyGrid.build(2, alpha=2.0, cutoff=2.0, spacing=0.5)
         ens = init_ensemble(500, sig, np.random.default_rng(5))
         fast = ensemble_transform(ens, metric)
-        direct = empirical_fourier(ens, metric.nodes)
+        direct = ensemble_transform(ens, metric.nodes)
         assert np.max(np.abs(fast - direct)) == 0.0
 
 
@@ -102,6 +102,15 @@ class TestRateSweep:
         with pytest.raises(ValueError):
             rate_sweep(
                 default_signal(), bump_obs(), 1.0, [100], 1, 1, metric, None
+            )
+
+    def test_repeated_count_rejected(self):
+        # replications of one n share their seeds, so a repeated n repeats its runs
+        metric = FrequencyGrid.build(1, alpha=2.0, cutoff=5.0, spacing=0.2)
+        with pytest.raises(ValueError, match="distinct particle counts"):
+            rate_sweep(
+                default_signal(), bump_obs(0.25), 1.0, [100, 100, 200], 1, 13, metric,
+                Oracle("grid", 128, 10.0),
             )
 
     def test_kalman_oracle_route(self):

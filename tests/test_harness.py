@@ -31,6 +31,12 @@ from levyfilter.harness import (
 
 ROOT = Path(__file__).resolve().parents[1]
 
+THREE_D = (
+    '\n[signal]\ndimension = 3\natoms = [{"direction": [1.0, 0.0, 0.0], "weight": 0.5}]\n'
+    "initial_center = [0.0, 0.0, 0.0]\ninitial_scale = [1.0, 1.0, 1.0]\n"
+    "\n[observation]\nbump_centers = [[0.0, 0.0, 0.0]]\n"
+)
+
 QUICK = """
 [scenario]
 name = quick
@@ -113,6 +119,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("[run]\nparticle_counts = [true, 4000]\n[rate]\nassert_slope = off\n")
         assert err.value.violations == ["run.particle_counts: needs integers >= 1"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[oracle]\ngrid_points = 8388608\n", "[oracle]\ngrid_points = 512\n" + THREE_D],
+        ids=["1d", "3d"],
+    )
+    def test_grid_oracle_above_the_cell_bound(self, text):
+        # parsed only: nothing of the grid is allocated
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        (violation,) = [v for v in err.value.violations if v.startswith("oracle.grid_points: ")]
+        assert "signal.dimension" in violation and str(reference.MAX_GRID_CELLS) in violation
+
+    def test_cell_bound_only_binds_the_grid_oracle(self):
+        parse_config("[oracle]\nkind = none\ngrid_points = 8388608\n")
 
     @pytest.mark.parametrize(
         "epsilons, violation",
@@ -596,6 +617,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert "signal.dimension" in err and "dimensions 1 and 2 only" in err
+
+    @pytest.mark.parametrize(
+        "points, extra", [("8388608", ""), ("512", THREE_D)], ids=["1d", "3d"]
+    )
+    def test_grid_oracle_above_the_cell_bound_exit_2(
+        self, tmp_path, capsys, monkeypatch, points, extra
+    ):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid oracle was built")
+
+        monkeypatch.setattr(reference, "build_grid", no_grid)
+        text = QUICK.replace("grid_points = 256", f"grid_points = {points}") + extra
+        path = self.write_cfg(tmp_path, text)
+        rc = cli_main(["compare-baseline", "--config", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "oracle.grid_points: " in err and "signal.dimension" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_repeated_count_exit_2(self, tmp_path, capsys):
+        # replications of one n share their seeds: a repeated count would add copies of one point
+        text = QUICK.replace("particle_counts = [300]", "particle_counts = [250, 250, 250]")
+        path = self.write_cfg(tmp_path, text + "\n[rate]\nslope_low = -0.3\nslope_high = -0.1\n")
+        rc = cli_main(["rate-sweep", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "run.particle_counts: a count repeats" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_reversed_slope_window_exit_2(self, tmp_path, capsys):
         text = QUICK.replace("particle_counts = [300]", "particle_counts = [300, 600, 1200]")

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from levyfilter import (
     FrequencyGrid,
     default_gamma,
-    empirical_fourier,
     filter_error,
     rate_fit,
     run_filter,
     simulate_scenario,
     sobolev_norm_sq,
 )
+from levyfilter.experiments import ensemble_transform
 from levyfilter.harness import build_observation, build_signal, default_config_text, parse_config
 from levyfilter.metrics import (
     _DIRECT_CHUNK,
@@ -216,7 +216,7 @@ class TestSharedUnitTerms:
             assert jump.tobytes() == old_jump.tobytes(), k
             post_sum = running_total(terms.repeat(counts, axis=1))
             post_values = post.mass_factor * post_sum / post.initial_count
-            assert post_values.tobytes() == empirical_fourier(post, thetas).tobytes(), k
+            assert post_values.tobytes() == ensemble_transform(post, thetas).tobytes(), k
             epochs.append(k)
 
         run_filter(signal, obs, record, 300, np.random.default_rng(10), reduce=reduce)
@@ -332,6 +332,12 @@ class TestRateFit:
             rate_fit([(10.0, 1.0), (20.0, 0.5)])
         with pytest.raises(ValueError):
             rate_fit([(10.0, 1.0), (20.0, 0.5), (30.0, -0.1)])
+
+    @pytest.mark.parametrize("errors", [[0.1, 0.1, 0.1], [0.1, 0.2, 0.3]])
+    def test_equal_sizes_rejected(self, errors):
+        # one size fixes no slope: a fit would report one with an infinite interval
+        with pytest.raises(ValueError, match="two distinct sizes"):
+            rate_fit([(250.0, e) for e in errors])
 
     @pytest.mark.parametrize("y", [[1.0, 0.0, 2.0], [1.0, -1.0, 2.0]])
     def test_log_line_nonpositive_is_a_quiet_nan(self, y):

@@ -21,7 +21,8 @@ from levyfilter import (
     update_step,
     weight,
 )
-from levyfilter.reference import GridAccuracyWarning, GridDomainError
+from levyfilter import reference
+from levyfilter.reference import MAX_GRID_CELLS, GridAccuracyWarning, GridDomainError
 
 
 def signal(alpha=2.0, w=0.5, law=None):
@@ -37,6 +38,19 @@ def nearest_center(grid, x):
 
 
 class TestBuildGrid:
+    @pytest.mark.parametrize("dimension, points", [(1, 2 * MAX_GRID_CELLS), (3, 512)])
+    def test_cell_bound_checked_before_allocating(self, monkeypatch, dimension, points):
+        def no_mesh(axes):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(reference, "_mesh", no_mesh)
+        sig = SignalModel(
+            2.0, SpectralMeasure([[1.0] + [0.0] * (dimension - 1)], [0.5]),
+            InitialLaw.gaussian([0.0] * dimension, [1.0] * dimension),
+        )
+        with pytest.raises(ValueError, match="grid cells exceed the cap"):
+            build_grid(sig, 0.1, 10.0, points)
+
     def test_point_mass_single_cell(self):
         grid = build_grid(signal(law=InitialLaw.point([0.12])), 0.1, 10.0, 512)
         assert np.count_nonzero(grid.density) == 1
