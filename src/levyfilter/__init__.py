@@ -7,7 +7,7 @@ Library layout:
 - ``branching``: the branching particle system and the multinomial baseline
 - ``reference``: particle-free grid and Kalman reference filters
 - ``metrics``: Sobolev error metrics on frequency grids and rate fitting
-- ``checks``: the statistical validation suite
+- ``checks``: the statistical validation suite and the Kalman cross-check
 - ``harness``: experiment configuration, commands, and CSV artifacts
 """
 

@@ -1,4 +1,4 @@
-"""Statistical validation suite.
+"""Statistical validation suite, and the Kalman cross-check that ``validate`` leaves out.
 
 Each check returns a CheckResult carrying PASS/FAIL (or SKIPPED), a one-line
 detail, and the numbers behind the verdict.  Monte Carlo assertions run at
@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branching import _offspring_counts, run_baseline, run_filter
+from .branching import ExtinctionError, _offspring_counts, run_baseline, run_filter
 from .experiments import PostMeans
-from .metrics import _log_line, running_total, unit_terms
+from .metrics import RateFit, _log_line, rate_fit, running_total, unit_terms
 from .observation import (
     GaussianBumpSensor,
     ObservationModel,
@@ -46,6 +46,7 @@ __all__ = [
     "check_mass_moments",
     "check_branch_sparsity",
     "check_oracle_agreement",
+    "check_kalman_crosscheck",
     "default_validation_suite",
 ]
 
@@ -208,7 +209,6 @@ def check_compensator(
     scale: float = 1.0,
     n: int = 1000,
     replications: int = 200,
-    thetas=(0.5, 1.0),
 ) -> CheckResult:
     """The compensated transform estimate has mean zero across replications.
 
@@ -220,7 +220,7 @@ def check_compensator(
     Each epoch's jump and post transforms come from one set of unit terms.
     """
     reps = _count(replications, scale, 40)
-    d = signal.dimension
+    thetas, d = (0.5, 1.0), signal.dimension
     theta_vecs = np.array([[t] + [0.0] * (d - 1) for t in thetas])
     drift_factor = increment_cf(signal, obs.epsilon, theta_vecs) - 1.0
     _, record = simulate_scenario(signal, obs, horizon, substream(seed, "comp-record"))
@@ -274,14 +274,13 @@ def check_mass_moments(
     scale: float = 1.0,
     ns=(500, 2000, 8000),
     replications: int = 200,
-    xi_threshold: float = 1.0,
 ) -> CheckResult:
     """Second and fourth moments of the running-sup total mass do not grow with n."""
-    if np.sqrt(obs.epsilon) * min(ns) < xi_threshold:
+    if np.sqrt(obs.epsilon) * min(ns) < 1.0:
         return CheckResult(
             "mass_moment_stability",
             "FAIL",
-            f"hypothesis sqrt(eps)*n >= {xi_threshold} violated for n={min(ns)}",
+            f"hypothesis sqrt(eps)*n >= 1.0 violated for n={min(ns)}",
         )
     reps = _count(replications, scale, 40)
     sups = np.empty((reps, len(ns)))
@@ -333,8 +332,6 @@ def check_branch_sparsity(
     scale: float = 1.0,
     epsilons=(0.1, 0.05, 0.025, 0.0125),
     n: int = 2000,
-    horizon: float = 2.0,
-    replications: int = 6,
 ) -> CheckResult:
     """Branch/death fraction scales like sqrt(eps); the multinomial baseline does not.
 
@@ -344,7 +341,7 @@ def check_branch_sparsity(
     and is small at the smallest eps, while multinomial resampling relocates
     nearly every particle regardless of eps.
     """
-    reps = _count(replications, scale, 2)
+    reps, horizon = _count(6, scale, 2), 2.0
     n_eff = _count(n, scale, 500)
     fractions = []
     for eps in epsilons:
@@ -391,6 +388,24 @@ def check_branch_sparsity(
     )
 
 
+def _mean_agreement(signal, obs, record, truth, oracle, summaries, n, rngs):
+    """(rms, spread, margin) of ``n``-particle runs on ``record``, one per generator in
+    ``rngs``: the rms over runs and epochs of the gap between the particle normalized mean
+    and the oracle's mean, the oracle's posterior spread sqrt(mean trace), and the clip
+    margin of the truth and every weighed particle.  Raises ExtinctionError when a run dies
+    out and ClipRegionError, after the run, when it left the clip region."""
+    posts = PostMeans(oracle, obs.sensor, oracle.clip_reach(obs.sensor, truth))
+    for rep, rng in enumerate(rngs):
+        run = run_filter(signal, obs, record, n, rng, reduce=posts)
+        if run.extinct:
+            where = f"observation epoch {run.extinct_epoch} (n {n}, replication {rep})"
+            raise ExtinctionError(f"particle system extinct at {where}")
+        margin = oracle.clip_margin(obs.sensor, posts.reach)
+    gaps = np.array(posts.means) - np.tile([s.mean for s in summaries[1:]], (len(rngs), 1))
+    spread = float(np.sqrt(np.mean([s.variance.sum() for s in summaries[1:]])))
+    return float(np.sqrt(np.mean(np.sum(gaps**2, axis=1)))), spread, margin
+
+
 def check_oracle_agreement(
     signal: SignalModel,
     obs: ObservationModel,
@@ -398,42 +413,81 @@ def check_oracle_agreement(
     seed: int,
     oracle: Oracle | None,
     scale: float = 1.0,
-    n: int = 2000,
 ) -> CheckResult:
     """Particle normalized mean tracks the particle-free reference ``oracle``.
 
     SKIPPED without an oracle.
-    FAIL when the truth or a weighed particle left the oracle's clip region.
+    FAIL when the particle system died out, or the truth or a weighed particle left the
+    oracle's clip region.
     """
     if oracle is None:
         return CheckResult(
             "oracle_agreement", "SKIPPED", "no oracle configured; nothing to compare"
         )
-    n_eff = _count(n, scale, 500)
-    truth, record = simulate_scenario(
-        signal, obs, horizon, substream(seed, "oracle-record")
-    )
+    n_eff = _count(2000, scale, 500)
+    truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "oracle-record"))
     summaries = oracle.summaries(signal, obs, record)  # first: it checks the Kalman sensor
-    posts = PostMeans(oracle, obs.sensor, oracle.clip_reach(obs.sensor, truth))
-    run = run_filter(signal, obs, record, n_eff, substream(seed, "oracle-run"), reduce=posts)
-    if run.extinct:
-        return CheckResult("oracle_agreement", "FAIL", "particle system went extinct")
     try:
-        oracle.clip_margin(obs.sensor, posts.reach)
-    except ClipRegionError as exc:
+        rms, spread, _ = _mean_agreement(
+            signal, obs, record, truth, oracle, summaries, n_eff, [substream(seed, "oracle-run")]
+        )
+    except (ExtinctionError, ClipRegionError) as exc:
         return CheckResult("oracle_agreement", "FAIL", str(exc))
-    particle_means = np.array(posts.means)
-    means = np.array([s.mean for s in summaries[1:]])
-    spread = float(np.sqrt(np.mean([s.variance.sum() for s in summaries[1:]])))
-    rms = float(np.sqrt(np.mean(np.sum((particle_means - means) ** 2, axis=1))))
     bound = 8.0 * spread / np.sqrt(n_eff)
-    ok = rms < bound
     detail = f"normalized-mean RMS {rms:.4f} vs bound {bound:.4f} ({oracle.kind} oracle, n={n_eff})"
+    status = "PASS" if rms < bound else "FAIL"
+    return CheckResult("oracle_agreement", status, detail, {"rms": rms, "bound": bound})
+
+
+def check_kalman_crosscheck(
+    signal: SignalModel,
+    obs: ObservationModel,
+    horizon: float,
+    seed: int,
+    *,
+    ns=(1000, 4000, 16000),
+    reference_n: int = 10_000,
+    replications: int = 24,
+) -> CheckResult:
+    """Particle normalized mean against the exact Gaussian posterior mean (criterion c07).
+
+    Pools the squared error over replications and epochs per particle count.  PASS when
+    the rms at ``reference_n`` is below five posterior standard deviations over
+    sqrt(reference_n) and the n-slope over ``ns`` (nan for fewer than three) lies in
+    [-0.65, -0.35].  Raises ClipRegionError when the truth or a weighed particle left the
+    sensor's linear region, and ExtinctionError when a run dies out.
+    """
+    oracle = Oracle("kalman")
+    truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "kalman-record"))
+    summaries = oracle.summaries(signal, obs, record)
+    rms, margin = {}, np.inf
+    for n in sorted(set(ns) | {reference_n}):
+        rngs = [substream(seed, "kalman-run", n, rep) for rep in range(replications)]
+        rms[n], spread, run_margin = _mean_agreement(
+            signal, obs, record, truth, oracle, summaries, n, rngs
+        )
+        margin = min(margin, run_margin)
+    per_n_rms = [(n, rms[n]) for n in sorted(set(ns))]
+    fit = rate_fit(per_n_rms) if len(per_n_rms) >= 3 else RateFit(*[np.nan] * 5)
+    tolerance = float(5.0 * spread / np.sqrt(reference_n))
+    ok = rms[reference_n] < tolerance and -0.65 <= fit.slope <= -0.35
+    detail = (
+        f"rms at n={reference_n} {rms[reference_n]:.5f} vs tolerance {tolerance:.5f}; "
+        f"slope {fit.slope:.4f} (window [-0.65, -0.35]); clip margin {margin:.1f}"
+    )
     return CheckResult(
-        "oracle_agreement",
+        "kalman_crosscheck",
         "PASS" if ok else "FAIL",
         detail,
-        {"rms": rms, "bound": bound},
+        {
+            **{f"rms_n_{n}": r for n, r in per_n_rms},
+            "reference_n": reference_n,
+            "reference_rms": rms[reference_n],
+            "tolerance": tolerance,
+            **{f"fit_{k}": v for k, v in fit._asdict().items()},
+            "posterior_std": spread,
+            "clip_margin": margin,
+        },
     )
 
 

@@ -1,7 +1,7 @@
-"""Rate sweeps, the Kalman cross-check, and the baseline comparison.
+"""Rate sweeps and the baseline comparison.
 
 These compose the particle filter, the reference filters, and the spectral
-metrics into the experiments the harness exposes.  Every experiment derives
+metrics into the experiments the command line runs.  Every experiment derives
 all randomness from (master seed, tags), so repeated runs are bit-identical.
 """
 
@@ -22,8 +22,6 @@ __all__ = [
     "ensemble_transform",
     "RateSweepResult",
     "rate_sweep",
-    "KalmanCrosscheckResult",
-    "kalman_crosscheck",
     "BaselineComparison",
     "baseline_comparison",
     "PostMeans",
@@ -122,80 +120,6 @@ def rate_sweep(
         fit=rate_fit(per_n_error) if len(per_n_error) >= 3 else None,
         extinct_runs=extinct_runs,
         total_runs=total_runs,
-    )
-
-
-@dataclass
-class KalmanCrosscheckResult:
-    per_n_rms: list            # (n, pooled rms of the normalized-mean error)
-    reference_n: int
-    reference_rms: float
-    tolerance: float
-    fit: RateFit
-    posterior_std: float
-    clip_margin: float         # clip bound minus the largest |Bx| seen
-
-    @property
-    def within_tolerance(self) -> bool:
-        return self.reference_rms < self.tolerance
-
-
-def kalman_crosscheck(
-    signal: SignalModel,
-    obs: ObservationModel,
-    horizon: float,
-    seed: int,
-    *,
-    ns=(1000, 4000, 16000),
-    reference_n: int = 10_000,
-    replications: int = 24,
-) -> KalmanCrosscheckResult:
-    """Particle normalized mean against the exact Gaussian posterior mean.
-
-    Pools the squared error over replications and epochs per particle count;
-    the tolerance at the reference count is five posterior standard
-    deviations over sqrt(n).  After each run, checks that the truth and every
-    weighed particle stayed inside the sensor's linear region (``ClipRegionError``).
-    """
-    truth, record = simulate_scenario(
-        signal, obs, horizon, substream(seed, "kalman-record")
-    )
-    oracle = Oracle("kalman")
-    posterior = oracle.summaries(signal, obs, record)
-    posterior_std = float(np.sqrt(np.mean([s.variance.sum() for s in posterior[1:]])))
-    truth_reach = oracle.clip_reach(obs.sensor, truth)
-    margin = float("inf")
-    per_n_rms = []
-    reference_rms = np.nan
-    for n in sorted(set(list(ns) + [reference_n])):
-        sq = []
-        for rep in range(replications):
-            posts = PostMeans(oracle, obs.sensor, truth_reach)
-            run = run_filter(
-                signal, obs, record, n, substream(seed, "kalman-run", n, rep), reduce=posts
-            )
-            if run.extinct:
-                raise ExtinctionError(
-                    f"kalman cross-check: particle system extinct at observation epoch "
-                    f"{run.extinct_epoch} (n {n}, replication {rep})"
-                )
-            margin = min(margin, oracle.clip_margin(obs.sensor, posts.reach))
-            for step, mean in zip(run.steps, posts.means):
-                gap = mean - posterior[step.epoch].mean
-                sq.append(float(gap @ gap))
-        rms = float(np.sqrt(np.mean(sq)))
-        if n == reference_n:
-            reference_rms = rms
-        if n in ns:
-            per_n_rms.append((n, rms))
-    return KalmanCrosscheckResult(
-        per_n_rms=per_n_rms,
-        reference_n=reference_n,
-        reference_rms=reference_rms,
-        tolerance=5.0 * posterior_std / np.sqrt(reference_n),
-        fit=rate_fit(per_n_rms) if len(per_n_rms) >= 3 else None,
-        posterior_std=posterior_std,
-        clip_margin=margin,
     )
 
 

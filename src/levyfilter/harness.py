@@ -625,6 +625,10 @@ def cmd_rate_sweep(cfg: ExperimentConfig, out_dir) -> int:
 
 
 def cmd_compare_baseline(cfg: ExperimentConfig, out_dir) -> int:
+    if max(cfg.baseline_epsilons) > cfg.horizon:  # each epsilon's record needs one epoch
+        raise ConfigError(
+            [f"baseline.epsilons: every entry must be at most scenario.horizon ({cfg.horizon:g})"]
+        )
     signal = build_signal(cfg)
     obs = build_observation(cfg)
     comparison = baseline_comparison(

@@ -233,17 +233,17 @@ def fourier(points, masses, nodes) -> np.ndarray:
     return np.concatenate([_direct_sum(x, masses, chunk) for chunk in chunks])
 
 
-def sobolev_norm_sq(values, grid: FrequencyGrid, hermitian_tol: float = 1e-8) -> float:
+def sobolev_norm_sq(values, grid: FrequencyGrid) -> float:
     """Quadrature of |values|^2 against the Sobolev weight.
 
     ``values`` are transform samples on ``grid.nodes`` and must satisfy
-    value(-theta) = conj(value(theta)) within ``hermitian_tol``.
+    value(-theta) = conj(value(theta)) within 1e-8 of their largest modulus (at least 1).
     """
     v = np.asarray(values, dtype=complex)
     if v.shape != (grid.node_count,):
         raise ValueError("transform values must match the grid nodes")
     defect = float(np.max(np.abs(v[::-1] - np.conj(v)))) if v.size else 0.0
-    if defect > hermitian_tol * max(1.0, float(np.max(np.abs(v)))):
+    if defect > 1e-8 * max(1.0, float(np.max(np.abs(v)))):
         raise ValueError(f"transform is not Hermitian within tolerance ({defect:.3e})")
     return float(np.sum(grid.sobolev_weights * np.abs(v) ** 2))
 

@@ -103,8 +103,12 @@ class ClippedLinearSensor:
     def signal_dim(self) -> int:
         return self.matrix.shape[1]
 
+    def linear(self, x) -> np.ndarray:
+        """The unclipped map B x, one row per row of ``x``."""
+        return _rows(x, self.signal_dim) @ self.matrix.T
+
     def __call__(self, x) -> np.ndarray:
-        return np.clip(_rows(x, self.signal_dim) @ self.matrix.T, -self.clip, self.clip)
+        return np.clip(self.linear(x), -self.clip, self.clip)
 
 
 @dataclass(frozen=True)

@@ -336,11 +336,11 @@ class Oracle:
         return summaries
 
     def clip_reach(self, sensor, points) -> float:
-        """The largest |Bx| over the rows of ``points`` under the sensor's matrix B, 0.0 for
+        """The largest |Bx| over the rows of ``points``, the map the sensor clips, 0.0 for
         no rows; always 0.0 for the grid, which has no clip region."""
         if self.kind != "kalman" or not len(points):
             return 0.0
-        return float(np.abs(points @ sensor.matrix.T).max())
+        return float(np.abs(sensor.linear(points)).max())
 
     def clip_margin(self, sensor, reach: float) -> float:
         """The clip bound minus ``reach``, the largest ``clip_reach`` of a run; ClipRegionError

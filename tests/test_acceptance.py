@@ -14,12 +14,13 @@ from levyfilter.checks import (
     check_branch_sparsity,
     check_characteristic_function,
     check_compensator,
+    check_kalman_crosscheck,
     check_mass_moments,
     check_offspring_unbiasedness,
     check_quadratic_variation,
     check_weight_moment_scaling,
 )
-from levyfilter.experiments import kalman_crosscheck, rate_sweep
+from levyfilter.experiments import rate_sweep
 from levyfilter.harness import (
     build_metric,
     build_observation,
@@ -107,9 +108,9 @@ def test_c06_empirical_convergence_rate():
 
 
 def test_c07_kalman_crosscheck():
-    # unclipped linear channel: error below 5 sigma/sqrt(n) and n-slope near -1/2
+    # unclipped linear channel: error below 5 sigma/sqrt(n) and n-slope in [-0.65, -0.35]
     obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=20.0), CONFIG.epsilon)
-    result = kalman_crosscheck(
+    result = check_kalman_crosscheck(
         SIGNAL,
         obs,
         CONFIG.horizon,
@@ -118,14 +119,11 @@ def test_c07_kalman_crosscheck():
         reference_n=10_000,
         replications=24,
     )
-    ok = result.within_tolerance and -0.65 <= result.fit.slope <= -0.35
-    detail = (
-        f"rms at n=1e4 {result.reference_rms:.5f} vs tolerance "
-        f"{result.tolerance:.5f}; slope {result.fit.slope:.4f}; "
-        f"clip margin {result.clip_margin:.1f}"
-    )
-    report(7, "kalman posterior cross-check", ok, detail)
-    assert ok, detail
+    values = result.values
+    ok = values["reference_rms"] < values["tolerance"] and -0.65 <= values["fit_slope"] <= -0.35
+    report(7, "kalman posterior cross-check", result.passed, result.detail)
+    assert ok == result.passed, result.detail
+    assert result.passed, result.detail
 
 
 def test_c08_branch_sparsity_vs_baseline():

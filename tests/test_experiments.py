@@ -1,5 +1,6 @@
 """Rate sweep, Kalman cross-check, baseline comparison (small sizes)."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,12 +19,8 @@ from levyfilter import (
 )
 from levyfilter import experiments
 from levyfilter.branching import init_ensemble
-from levyfilter.experiments import (
-    baseline_comparison,
-    ensemble_transform,
-    kalman_crosscheck,
-    rate_sweep,
-)
+from levyfilter.checks import check_kalman_crosscheck
+from levyfilter.experiments import baseline_comparison, ensemble_transform, rate_sweep
 from levyfilter.reference import ClipRegionError, Oracle
 
 
@@ -172,41 +169,92 @@ class TestClipReachOverWeighedPoints:
 
 
 class TestKalmanCrosscheck:
+    obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=20.0), 0.1)
+
+    def check(self):
+        return check_kalman_crosscheck(
+            default_signal(), self.obs, 1.0, 19, ns=(300, 1200, 4800), reference_n=1200, replications=4
+        )
+
+    @staticmethod
+    def distort(monkeypatch, mean_shift=0.0, variance_scale=1.0):
+        """Every Kalman posterior summary from here on, its mean shifted and its variance scaled."""
+        summaries = Oracle.summaries
+
+        def distorted(self, *args):
+            return [
+                dataclasses.replace(s, mean=s.mean + mean_shift, variance=s.variance * variance_scale)
+                for s in summaries(self, *args)
+            ]
+
+        monkeypatch.setattr(Oracle, "summaries", distorted)
+
     def test_small_run(self):
-        obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=20.0), 0.1)
-        res = kalman_crosscheck(
+        res = check_kalman_crosscheck(
             default_signal(),
-            obs,
+            self.obs,
             1.0,
             19,
             ns=(300, 1200),
             reference_n=1200,
             replications=4,
         )
-        assert res.clip_margin > 0.0
-        assert res.reference_rms < res.tolerance
-        assert res.per_n_rms[0][1] > res.per_n_rms[-1][1]
+        assert res.values["clip_margin"] > 0.0
+        assert res.values["reference_rms"] < res.values["tolerance"]
+        assert res.values["rms_n_300"] > res.values["rms_n_1200"]
+        # two counts fit no slope, so the check cannot pass
+        assert np.isnan(res.values["fit_slope"]) and res.status == "FAIL"
+
+    def test_passes_at_small_sizes(self):
+        res = self.check()
+        assert res.status == "PASS", res.detail
+        assert set(res.values) == {
+            "rms_n_300", "rms_n_1200", "rms_n_4800", "reference_n", "reference_rms", "tolerance",
+            "fit_slope", "fit_intercept", "fit_residual", "fit_ci_low", "fit_ci_high",
+            "posterior_std", "clip_margin",
+        }
+        assert res.values["reference_rms"] == res.values["rms_n_1200"]
+
+    def test_fails_above_the_tolerance(self, monkeypatch):
+        # a posterior spread 100 times too small shrinks the tolerance; the slope is untouched
+        slope = self.check().values["fit_slope"]
+        self.distort(monkeypatch, variance_scale=1e-4)
+        res = self.check()
+        assert res.status == "FAIL"
+        assert res.values["reference_rms"] > res.values["tolerance"]
+        assert res.values["fit_slope"] == slope and -0.65 <= slope <= -0.35
+
+    def test_fails_outside_the_slope_window(self, monkeypatch):
+        # a posterior mean off by 0.1 adds a bias that does not fall with n
+        self.distort(monkeypatch, mean_shift=0.1)
+        res = self.check()
+        assert res.status == "FAIL"
+        assert res.values["reference_rms"] < res.values["tolerance"]
+        assert res.values["fit_slope"] > -0.35
+
+    def test_outside_clip_region_raises(self):
+        obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=0.5), 0.1)
+        with pytest.raises(ClipRegionError, match="observation.linear_clip"):
+            check_kalman_crosscheck(default_signal(), obs, 1.0, 19, ns=(300,), reference_n=300)
 
     def test_rejects_wrong_sensor(self):
         with pytest.raises(ValueError):
-            kalman_crosscheck(default_signal(), bump_obs(), 1.0, 19)
+            check_kalman_crosscheck(default_signal(), bump_obs(), 1.0, 19)
 
     def test_rejects_non_gaussian_signal(self):
         sig = SignalModel(
             1.5, SpectralMeasure([[1.0]], [0.5]), InitialLaw.gaussian([0.0], [1.0])
         )
-        obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=20.0), 0.1)
         with pytest.raises(ValueError):
-            kalman_crosscheck(sig, obs, 1.0, 19)
+            check_kalman_crosscheck(sig, self.obs, 1.0, 19)
 
     def test_rejects_uniform_initial_law(self):
         # a point-mass prior in its place would give a wrong posterior
         sig = SignalModel(
             2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw("uniform", [0.0], [1.0])
         )
-        obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=20.0), 0.1)
         with pytest.raises(ValueError, match="point or gaussian"):
-            kalman_crosscheck(sig, obs, 1.0, 19, ns=(300,), reference_n=300, replications=1)
+            check_kalman_crosscheck(sig, self.obs, 1.0, 19, ns=(300,), reference_n=300, replications=1)
 
 
 class TestBaselineComparison:

@@ -592,6 +592,15 @@ class TestCli:
         assert "baseline.epsilons" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_baseline_epsilon_above_the_horizon_exit_2(self, tmp_path, capsys):
+        # 0.1 > 0.08: that epsilon's record would hold no observation; the other commands run
+        text = QUICK.replace("horizon = 1.0", "horizon = 0.08") + "\n[observation]\nepsilon = 0.05\n"
+        path = self.write_cfg(tmp_path, text)
+        rc = cli_main(["compare-baseline", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "baseline.epsilons: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_initial_law_outside_grid_exit_2(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, QUICK + "\n[signal]\ninitial_center = [15.0]\n")
         rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])

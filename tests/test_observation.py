@@ -45,6 +45,14 @@ class TestSensors:
         assert sensor(np.array([10.0]))[0] == pytest.approx(3.0)
         assert sensor(np.array([-10.0]))[0] == pytest.approx(-3.0)
 
+    def test_clipped_linear_clips_its_linear_map(self):
+        # the Kalman oracle's clip check reads ``linear``: it must be the B x the sensor clips
+        sensor = ClippedLinearSensor([[0.8, 0.3], [-0.2, 1.1]], clip=1.0)
+        pts = np.random.default_rng(5).normal(size=(50, 2))
+        assert np.array_equal(sensor.linear(pts), pts @ sensor.matrix.T)
+        assert np.abs(sensor.linear(pts)).max() > 1.0
+        assert np.array_equal(sensor(pts), np.clip(sensor.linear(pts), -1.0, 1.0))
+
     def test_zero_sensor(self):
         sensor = ZeroSensor(d2=2, d1=1)
         assert np.array_equal(sensor(np.zeros((5, 1))), np.zeros((5, 2)))

@@ -3,7 +3,7 @@
 Before the one ``reference.Oracle`` every consumer ran its own grid filter
 or Kalman recursion: the rate sweep's ``_oracle_transforms``, the baseline
 comparison's grid branch, ``check_oracle_agreement``'s two private branches
-and ``kalman_crosscheck``'s own recursion.  The copies below keep them
+and the Kalman cross-check's own recursion.  The copies below keep them
 verbatim in behaviour, and every number the consumers report must stay
 bit-equal to them.  One change is made on purpose: their clip checks measure
 every epoch's ``pre``, the points the sensor weighed, not ``post``.
@@ -30,13 +30,8 @@ from levyfilter import (
     run_reference,
     simulate_scenario,
 )
-from levyfilter.checks import check_oracle_agreement
-from levyfilter.experiments import (
-    baseline_comparison,
-    ensemble_transform,
-    kalman_crosscheck,
-    rate_sweep,
-)
+from levyfilter.checks import check_kalman_crosscheck, check_oracle_agreement
+from levyfilter.experiments import baseline_comparison, ensemble_transform, rate_sweep
 from levyfilter.metrics import filter_error, rate_fit
 from levyfilter.reference import ClipRegionError, Oracle, kalman_sensor
 from levyfilter.seeding import substream
@@ -281,14 +276,19 @@ def test_oracle_agreement_clip_failure_unchanged():
 
 def test_kalman_crosscheck_bit_equal():
     signal, obs = gaussian_signal(), linear_obs()
-    result = kalman_crosscheck(signal, obs, 0.8, 19, ns=(200, 400, 800), reference_n=400, replications=3)
+    result = check_kalman_crosscheck(
+        signal, obs, 0.8, 19, ns=(200, 400, 800), reference_n=400, replications=3
+    )
     expected = ref_kalman_crosscheck(signal, obs, 0.8, 19, (200, 400, 800), 400, 3)
-    assert result.per_n_rms == expected["per_n_rms"]
-    assert result.reference_rms == expected["reference_rms"]
-    assert result.tolerance == expected["tolerance"]
-    assert result.fit == expected["fit"]
-    assert result.posterior_std == expected["posterior_std"]
-    assert result.clip_margin == expected["clip_margin"]
+    assert result.values == {
+        **{f"rms_n_{n}": rms for n, rms in expected["per_n_rms"]},
+        "reference_n": 400,
+        "reference_rms": expected["reference_rms"],
+        "tolerance": expected["tolerance"],
+        **{f"fit_{k}": v for k, v in expected["fit"]._asdict().items()},
+        "posterior_std": expected["posterior_std"],
+        "clip_margin": expected["clip_margin"],
+    }
 
 
 # ---- the shared checks
