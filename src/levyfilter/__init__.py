@@ -31,11 +31,13 @@ from .observation import (
     ObservationRecord,
     simulate_scenario,
     weight,
+    weight_bounds,
     offspring_parameters,
 )
 from .branching import (
     ExtinctionError,
     WeightOverflowError,
+    WeightBoundError,
     PopulationGrowthError,
     ParticleEnsemble,
     FilterRun,

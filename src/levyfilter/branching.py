@@ -21,12 +21,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .metrics import _rows
-from .observation import ObservationModel, ObservationRecord, _check_record, weight
-from .stable import SignalModel, sample_increment
+from .observation import (
+    ObservationModel,
+    ObservationRecord,
+    _check_record,
+    weight,
+    weight_bounds,
+)
+from .stable import SignalModel, lag_scales, sample_increment
 
 __all__ = [
     "ExtinctionError",
     "WeightOverflowError",
+    "WeightBoundError",
     "PopulationGrowthError",
     "MAX_RHO",
     "MAX_GROWTH",
@@ -176,13 +183,17 @@ class EnsembleSize(NamedTuple):
 
 class FilterStep(NamedTuple):
     """What a branching run keeps of one observation epoch (at t = epoch * epsilon): the
-    sizes just before and just after branching (and population control), and the deaths
-    plus branches, the rows of ``pre`` that left a count other than 1."""
+    sizes just before and just after branching (and population control; ``pre`` is the
+    whole population, moved or not), the deaths plus branches (the rows of ``pre`` that left
+    a count other than 1), and the rows the epoch moved (increment draws) and weighed
+    (weight evaluations)."""
 
     epoch: int
     pre: EnsembleSize
     post: EnsembleSize
     branch_events: int
+    moved: int
+    weighed: int
 
 
 @dataclass
@@ -199,6 +210,19 @@ class FilterRun:
         return self.extinct_epoch is not None
 
 
+class WeightBoundError(RuntimeError):
+    """A weighed particle's |rho| exceeded the epoch's bound, which thinning relies on."""
+
+    def __init__(self, epoch: int, max_abs_rho: float, bound: float):
+        super().__init__(
+            f"branching weight outside its bound at observation epoch {epoch}: "
+            f"max |rho| {max_abs_rho:g} > bound {bound:g}"
+        )
+        self.epoch = epoch
+        self.max_abs_rho = max_abs_rho
+        self.bound = bound
+
+
 def run_filter(
     signal: SignalModel,
     obs: ObservationModel,
@@ -208,6 +232,7 @@ def run_filter(
     *,
     control: tuple | None = None,
     reduce=None,
+    reads=None,
 ) -> FilterRun:
     """Alternate evolve and branch over the record; keep one ``FilterStep`` per epoch.
 
@@ -215,70 +240,173 @@ def run_filter(
     ``population_control`` around n after each branching.  ``reduce`` is the
     per-epoch reducer of ``_run_epochs``; ``counts`` are the int32 offspring counts
     of the rows of ``pre`` and ``control_rows`` the mask or index that population control
-    applied to the offspring, or None.  Terminates early with an extinction report
-    if every particle dies; raises WeightOverflowError if a branching weight is NaN or
-    exceeds MAX_RHO, and PopulationGrowthError if the population exceeds MAX_GROWTH * n.
+    applied to the offspring, or None.  ``reads``, the epochs ``reduce`` reads (every epoch
+    by default; the final one, ``final``, always), lets the other epochs thin.
+    Terminates early with an extinction report if every particle dies; raises
+    WeightOverflowError if a branching weight is NaN or exceeds MAX_RHO, WeightBoundError
+    if one exceeds its thinning bound, and PopulationGrowthError if the population exceeds
+    MAX_GROWTH * n.
     """
 
-    def branch(k, pre, rho):
-        counts = _offspring_counts(rho, rng.random(pre.count))
-        post, rows = pre._with(np.repeat(pre.positions, counts, axis=0)), None
-        if control is not None:
-            post, rows = population_control(post, n, control, rng)
-        events = int(np.count_nonzero(counts != 1))
-        return post, counts, rows, FilterStep(k, pre.size, post.size, events)
+    def branch(k, pre, rho, u):
+        counts = _offspring_counts(rho, u)
+        post = pre._with(np.repeat(pre.positions, counts, axis=0))
+        return post, counts, int(np.count_nonzero(counts != 1))
 
-    initial, final, steps = _run_epochs(signal, obs, record, n, rng, branch, reduce)
+    if reads is not None:
+        epochs = range(1, record.count + 1)
+        if not set(reads) <= set(epochs):
+            raise ValueError(f"reads must be epochs of 1..{record.count}, got {sorted(reads)}")
+        reads = {*reads, *epochs[-1:]}
+    initial, final, steps = _run_epochs(
+        signal, obs, record, n, rng, branch, reduce, reads=reads, control=control
+    )
+    steps = [FilterStep(*step) for step in steps]
     extinct = steps[-1].epoch if final.count == 0 else None
     return FilterRun(initial, final, steps, extinct)
 
 
-def _run_epochs(signal, obs, record, n, rng, resample, reduce) -> tuple:
+def _run_epochs(signal, obs, record, n, rng, resample, reduce, reads=None, control=None) -> tuple:
     """The epoch loop of both filters: evolve by the epsilon that the record and ``obs``
-    share (ValueError if they differ, or if their observation widths do), weigh, then
-    ``resample(k, pre, rho)``, which returns ``(post, counts, control_rows, step)``; ``post``
-    enters the next interval and ``step`` is the epoch's record.  Stops at extinction;
-    raises PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
-    Every epoch's weights are checked: exp() may overflow silently, and WeightOverflowError
-    reports any weight above MAX_RHO or NaN before it reaches ``resample``.
+    share (ValueError if they differ, or if their observation widths do), weigh, draw one
+    uniform per row, then ``resample(k, pre, rho, u)``, which returns ``(post, counts,
+    tally)``: the offspring, the int32 offspring count of each row of ``pre`` (or None) and
+    the epoch's branch or relocation count.  ``control`` applies ``population_control`` to
+    ``post``, which enters the next interval.  Stops at extinction; raises
+    PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
 
-    A ``reduce`` callable, when given, is called once per epoch as
-    ``reduce(k, pre, rho, counts, control_rows, post)`` with the live arrays, after resampling:
-    it must not change them and should keep only what it needs, because nothing else
-    of them outlives the epoch.  Returns (initial ensemble, final ensemble, records).
+    With ``reads`` None every epoch is eager: every row moves, is weighed and draws its
+    uniform.  Otherwise an epoch outside ``reads`` thins with the branching uniform (Lewis &
+    Shedler 1979) unless its bound p_k (``observation.weight_bounds``) reaches 1.  It draws
+    every row's u first, and only the candidates, the rows with u < p_k, move to epoch k (by
+    one exact draw over the epochs since they last moved), are weighed and branch by
+    ``_offspring_counts``.  Any other row has u >= p_k >= |rho|, so that rule would leave
+    it exactly one copy wherever it is.  The offspring replace the dead rows in place (row
+    order is not kept), and every row moves before population control doubles, so copies
+    share their past.  Every epoch's weights are checked: exp() may overflow silently, and
+    WeightOverflowError reports any weight above MAX_RHO or NaN, or WeightBoundError one
+    outside p_k, before it reaches the branching rule.
+
+    A ``reduce`` callable, when given, is called at every epoch of ``reads`` as
+    ``reduce(k, pre, rho, counts, control_rows, post)`` with the live arrays, after
+    resampling: it must not change them and should keep only what it needs, because nothing
+    else of them outlives the epoch.  Returns (initial ensemble, final ensemble, records),
+    one record ``(k, pre size, post size, tally, moved, weighed)`` per epoch.
     """
     eps = _check_record(obs, record)
     initial = ensemble = init_ensemble(n, signal, rng)
+    bounds = [1.0] * record.count
+    if reads is not None:
+        bounds = weight_bounds(obs, record).tolist()
+        bounds = [1.0 if k in reads else p for k, p in enumerate(bounds, 1)]
+    table = lag_scales(signal, eps, record.count if min(bounds, default=1.0) < 1.0 else 1)
+    last = None  # each row's last-move epoch, while some row lags behind
+    owned = False  # whether only the loop holds ensemble.positions, so it may write them
     steps = []
-    for k in range(1, record.count + 1):
-        moved = sample_increment(signal, eps, rng, size=ensemble.count)
-        moved += ensemble.positions
-        pre = ensemble._with(moved)
-        with np.errstate(over="ignore"):
-            rho = weight(pre.positions, record.increments[k - 1], obs)
-        if not float(np.max(rho)) <= MAX_RHO:  # also true for NaN
-            raise WeightOverflowError(k, float(np.max(rho)))
-        ensemble, counts, control_rows, step = resample(k, pre, rho)
-        if ensemble.count > MAX_GROWTH * n:
-            raise PopulationGrowthError(k, ensemble.count, MAX_GROWTH * n)
-        if reduce is not None:
-            reduce(k, pre, rho, counts, control_rows, ensemble)
-        steps.append(step)
-        if ensemble.count == 0:
-            break
+
+    def catch_up(x, rows, k):
+        """Move the ``rows`` of x from their last epoch to epoch k, in place; return them."""
+        x = _flat(x)
+        moved = x[rows]
+        moved += _flat(sample_increment(signal, eps, rng, rows.size, k - last[rows], table))
+        x[rows] = moved
+        last[rows] = k
+        return moved
+
+    with np.errstate(over="ignore"):
+        for k in range(1, record.count + 1):
+            bound, dy, count = bounds[k - 1], record.increments[k - 1], ensemble.count
+            counts = control_rows = None
+            if bound < 1.0:
+                u = rng.random(count)
+                rows = (u < bound).nonzero()[0]
+                if last is None:
+                    last = np.full(count, k - 1, dtype=np.int32)
+                if not owned:
+                    ensemble = ensemble._with(ensemble.positions.copy())
+                pre = ensemble
+                rho = weight(catch_up(pre.positions, rows, k), dy, obs)
+                if rows.size and not (rho.max() <= bound and -rho.min() <= bound):  # NaN too
+                    raise WeightBoundError(k, float(np.abs(rho).max()), bound)
+                offspring = _offspring_counts(rho, u[rows])
+                events = (offspring != 1).nonzero()[0]  # deaths and branches
+                slots = rows[events]
+                x, last = _refill(pre.positions, last, slots, slots.repeat(offspring[events]))
+                ensemble, tally = pre._with(x), events.size
+                moved = weighed = rows.size
+            else:
+                lags = None if last is None else k - last
+                x = sample_increment(signal, eps, rng, count, lags, table)
+                x += ensemble.positions
+                pre = ensemble._with(x)
+                rho = weight(x, dy, obs)
+                if not rho.max() <= MAX_RHO:  # also true for NaN
+                    raise WeightOverflowError(k, float(rho.max()))
+                ensemble, counts, tally = resample(k, pre, rho, rng.random(count))
+                moved = weighed = count
+                last = None
+            if control is not None:
+                if last is not None and ensemble.count < control[0] * n:  # about to double
+                    stale = (last < k).nonzero()[0]
+                    catch_up(ensemble.positions, stale, k)
+                    moved += stale.size
+                    last = None
+                ensemble, control_rows = population_control(ensemble, n, control, rng)
+                if last is not None and control_rows is not None:
+                    last = last[control_rows]
+            owned = True
+            if ensemble.count > MAX_GROWTH * n:
+                raise PopulationGrowthError(k, ensemble.count, MAX_GROWTH * n)
+            if reduce is not None and (reads is None or k in reads):
+                reduce(k, pre, rho, counts, control_rows, ensemble)
+                owned = False
+            steps.append((k, pre.size, ensemble.size, tally, moved, weighed))
+            if ensemble.count == 0:
+                break
     return initial, ensemble, steps
 
 
+def _flat(x):
+    """x, or for one column the column as a view: 1-d gathers and scatters are ~2.5x faster."""
+    return x[:, 0] if x.shape[1] == 1 else x
+
+
+def _refill(x, last, slots, sources):
+    """Overwrite x and ``last`` so that the rows at ``slots`` are replaced by copies of the
+    rows ``sources`` (read before any write), in place where it can: the first copies take
+    the slots, the rest are appended, and slots left over take the last rows, which the
+    arrays then drop.  Row order is not kept.  Returns the new (x, last)."""
+    flat = _flat(x)
+    values, ages = flat[sources], last[sources]
+    filled = min(slots.size, sources.size)
+    flat[slots[:filled]] = values[:filled]
+    last[slots[:filled]] = ages[:filled]
+    if sources.size > filled:
+        extra = values[filled:].reshape(-1, x.shape[1])
+        return np.concatenate((x, extra)), np.concatenate((last, ages[filled:]))
+    holes = slots[filled:]
+    if not holes.size:
+        return x, last
+    keep = x.shape[0] - holes.size
+    alive = np.ones(holes.size, dtype=bool)  # rows keep.. of x
+    alive[holes[holes >= keep] - keep] = False
+    movers, fill = keep + alive.nonzero()[0], holes[holes < keep]
+    flat[fill] = flat[movers]
+    last[fill] = last[movers]
+    return x[:keep], last[:keep]
+
+
 def _multinomial_resample(
-    ensemble: ParticleEnsemble, rho: np.ndarray, rng: np.random.Generator
+    ensemble: ParticleEnsemble, rho: np.ndarray, u: np.ndarray
 ) -> tuple[ParticleEnsemble, int]:
     """Constant-population multinomial resampling with weights 1 + rho.
 
     Every particle independently picks a parent site with probability
     proportional to the parent weight.  Returns the new ensemble and the
     relocation count (particles whose site differs from their own old one).
-    The draw is ``Generator.choice(count, size=count, p=w / w.sum())`` bit for bit:
-    the same cdf, inverted at the same uniforms.  Non-finite or negative
+    With ``u`` = ``rng.random(count)`` the draw is
+    ``rng.choice(count, size=count, p=w / w.sum())`` bit for bit: the same cdf, inverted at
+    the same uniforms.  Non-finite or negative
     weights, or a zero total, raise ValueError as ``choice`` does.
     """
     w = 1.0 + rho
@@ -290,7 +418,7 @@ def _multinomial_resample(
         )
     cdf = (w / total).cumsum()
     cdf /= cdf[-1]
-    parents = _inverse_cdf(cdf, rng.random(ensemble.count))
+    parents = _inverse_cdf(cdf, u)
     relocations = int(np.count_nonzero(parents != np.arange(ensemble.count)))
     return ensemble._with(ensemble.positions[parents]), relocations
 
@@ -349,11 +477,12 @@ def run_baseline(
     Raises WeightOverflowError if a weight is NaN or exceeds MAX_RHO.
     """
 
-    def resample(k, pre, rho):
-        post, relocations = _multinomial_resample(pre, rho, rng)
-        return post, None, None, BaselineStep(k, post.size, relocations)
+    def resample(k, pre, rho, u):
+        post, relocations = _multinomial_resample(pre, rho, u)
+        return post, None, relocations
 
-    return _run_epochs(signal, obs, record, n, rng, resample, reduce)[2]
+    steps = _run_epochs(signal, obs, record, n, rng, resample, reduce)[2]
+    return [BaselineStep(k, post, relocations) for k, _, post, relocations, _, _ in steps]
 
 
 def population_control(

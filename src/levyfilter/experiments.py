@@ -42,6 +42,9 @@ class RateSweepResult:
     fit: RateFit
     extinct_runs: int
     total_runs: int
+    particle_epochs: int       # summed over the runs' epochs: population, moves, weighings
+    moves: int
+    weighings: int
 
     @property
     def extinction_fraction(self) -> float:
@@ -70,6 +73,8 @@ def rate_sweep(
     is ``run_filter``'s population control band ``(low_ratio, high_ratio)``,
     held around each run's n.  The truth and each weighed particle keep to the clip margin.
     A repeated n is a ValueError: its runs would share their seeds and repeat a point.
+    Under the grid oracle a run reads only the error epochs, so the others thin; the Kalman
+    oracle's clip reach reads every particle at every epoch.
     """
     if oracle is None:
         raise ValueError("rate_sweep needs an oracle (grid or kalman)")
@@ -81,10 +86,12 @@ def rate_sweep(
     epochs = (
         range(1, record.count + 1) if error_epochs == "all" else (record.count,)
     )
+    reads = None if oracle.kind == "kalman" else epochs
     rows = []
     per_n_error = []
     extinct_runs = 0
     total_runs = 0
+    particle_epochs = moves = weighings = 0
     for n in ns:
         final_sq = []
         for rep in range(replications):
@@ -102,8 +109,11 @@ def rate_sweep(
 
             run = run_filter(
                 signal, obs, record, n, substream(seed, "sweep-run", n, rep),
-                control=control, reduce=reduce,
+                control=control, reduce=reduce, reads=reads,
             )
+            particle_epochs += sum(s.pre.count for s in run.steps)
+            moves += sum(s.moved for s in run.steps)
+            weighings += sum(s.weighed for s in run.steps)
             oracle.clip_margin(obs.sensor, reach)
             if run.extinct:
                 extinct_runs += 1
@@ -120,6 +130,9 @@ def rate_sweep(
         fit=rate_fit(per_n_error) if len(per_n_error) >= 3 else None,
         extinct_runs=extinct_runs,
         total_runs=total_runs,
+        particle_epochs=particle_epochs,
+        moves=moves,
+        weighings=weighings,
     )
 
 
@@ -150,6 +163,11 @@ class PostMeans:
             self.reach = max(self.reach, self.oracle.clip_reach(self.sensor, pre.positions))
 
 
+def _epsilon_tag(eps) -> int:
+    """The seed tag of one epsilon's records and runs: epsilons closer than 5e-7 share one."""
+    return int(round(1e6 * eps))
+
+
 def baseline_comparison(
     signal: SignalModel,
     sensor,
@@ -170,7 +188,7 @@ def baseline_comparison(
     b_fracs, m_fracs, b_errs, m_errs = [], [], [], []
     for eps in epsilons:
         obs = ObservationModel(sensor, eps)
-        tag = int(round(1e6 * eps))
+        tag = _epsilon_tag(eps)
         truth, record = simulate_scenario(
             signal, obs, horizon, substream(seed, "baseline-record", tag)
         )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .branching import PopulationGrowthError, _parent_rows, run_filter
 from .checks import default_validation_suite
-from .experiments import baseline_comparison, rate_sweep
+from .experiments import _epsilon_tag, baseline_comparison, rate_sweep
 from .metrics import FrequencyGrid
 from .observation import (
     ClippedLinearSensor,
@@ -300,6 +300,11 @@ def parse_config(text: str) -> ExperimentConfig:
         elif len(set(cfg.baseline_epsilons)) < 2:
             violations.append(
                 "baseline.epsilons: needs at least two distinct values to fit the slope in eps"
+            )
+        elif len(set(map(_epsilon_tag, cfg.baseline_epsilons))) < len(cfg.baseline_epsilons):
+            violations.append(
+                "baseline.epsilons: two entries share a seed tag round(1e6 * eps); a repeated "
+                "epsilon would repeat a point of the slope fit"
             )
     if not violations:
         violations = _model_violations(cfg)
@@ -599,6 +604,12 @@ def cmd_rate_sweep(cfg: ExperimentConfig, out_dir) -> int:
             [[[cfg.name], [result.fit.slope], [result.fit.ci_low], [result.fit.ci_high]]],
         )
     emit_results(files, out_dir, name=cfg.name, command="rate-sweep", cfg=cfg)
+    pe = result.particle_epochs
+    print(
+        f"work: {result.moves} increment draws ({result.moves / pe:.3f}) and "
+        f"{result.weighings} weight evaluations ({result.weighings / pe:.3f}) "
+        f"per {pe} particle-epochs"
+    )
     if result.extinction_fraction > EXTINCTION_LIMIT:
         print(
             f"extinction fraction {result.extinction_fraction:.2f} exceeds "

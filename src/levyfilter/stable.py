@@ -36,6 +36,7 @@ __all__ = [
     "characteristic_exponent",
     "increment_cf",
     "sample_standard_stable_1d",
+    "lag_scales",
     "sample_increment",
     "empirical_cf",
     "directional_moment",
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 _UNIT_NORM_TOL = 1e-12
+_SQRT2 = float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,10 @@ def sample_standard_stable_1d(alpha: float, rng: np.random.Generator, size=None)
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
-    if alpha == 2.0:
-        return rng.normal(scale=np.sqrt(2.0), size=size)
+    if alpha == 2.0:  # rng.normal(scale=sqrt(2)) bit for bit, without its argument handling
+        out = rng.standard_normal(size)
+        out *= _SQRT2
+        return out
     shape = () if size is None else size
     v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=shape)
     w = rng.standard_exponential(size=shape)
@@ -229,26 +233,48 @@ def sample_standard_stable_1d(alpha: float, rng: np.random.Generator, size=None)
     )
 
 
-def sample_increment(model: SignalModel, dt: float, rng: np.random.Generator, size: int):
-    """``size`` exact increment draws over duration dt > 0, as (size, d) rows.
+def lag_scales(model: SignalModel, dt: float, max_lag: int = 1) -> tuple:
+    """(scales, drift) for increments over m * dt, m = 0..max_lag: row m of ``scales``
+    holds the per-atom scales c_j(m dt), and of ``drift`` (None unless alpha = 1) the
+    deterministic logarithmic drift that the scaling of the alpha = 1 law requires.  Row 0,
+    no time at all, is zero.
 
-    Decomposes the increment as sum_j c_j(dt) W_j z_j over the atoms, with the
-    per-atom scales chosen so the characteristic function is exp(dt*l(theta));
-    alpha = 1 carries the deterministic per-atom logarithmic drift correction
-    that the scaling of the alpha = 1 law requires.
-    """
+    Row 1 is the same arithmetic as for one interval alone, and the drift is one vector
+    product per row, so a lag of 1 rounds as a single-interval table does."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     alpha = model.alpha
-    weights = model.spectral.weights
+    scales = (dt * np.arange(max_lag + 1))[:, None] * model.spectral.weights
+    if alpha != 1.0:
+        return scales ** (1.0 / alpha), None
     directions = model.spectral.directions
-    scales = dt * weights if alpha == 1.0 else (dt * weights) ** (1.0 / alpha)
-    draws = sample_standard_stable_1d(alpha, rng, size=(int(size), weights.shape[0]))
-    draws *= scales
+    drift = np.zeros((max_lag + 1, directions.shape[1]))
+    for m in range(1, max_lag + 1):
+        drift[m] = (2.0 / np.pi) * (scales[m] * np.log(scales[m])) @ directions
+    return scales, drift
+
+
+def sample_increment(
+    model: SignalModel, dt: float, rng: np.random.Generator, size: int, lags=None, table=None
+):
+    """``size`` exact increment draws over duration dt > 0, as (size, d) rows; with ``lags``
+    (one integer per row) row i lasts ``lags[i] * dt``.
+
+    Decomposes the increment as sum_j c_j W_j z_j over the atoms, with the per-atom scales
+    c_j chosen so the characteristic function is exp(duration * l(theta)); alpha = 1 adds the
+    drift of ``lag_scales``.  ``table``, that function's result for (model, dt) up to the
+    largest lag, saves building it again on every call.
+    """
+    scales, drift = table if table is not None else lag_scales(
+        model, dt, 1 if lags is None else int(np.max(lags, initial=1))
+    )
+    directions = model.spectral.directions
+    draws = sample_standard_stable_1d(model.alpha, rng, size=(int(size), directions.shape[0]))
+    draws *= scales[1] if lags is None else scales.take(lags, axis=0)
     # one atom: a product, bit-equal to the matmul and ~7x faster on (count, 1) arrays
-    out = draws * directions if weights.shape[0] == 1 else draws @ directions
-    if alpha == 1.0:
-        out += (2.0 / np.pi) * (scales * np.log(scales)) @ directions
+    out = draws * directions if directions.shape[0] == 1 else draws @ directions
+    if drift is not None:
+        out += drift[1] if lags is None else drift.take(lags, axis=0)
     return out
 
 

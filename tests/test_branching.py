@@ -460,7 +460,7 @@ class TestMultinomialBaseline:
     def test_single_particle_never_relocates(self):
         ens = init_ensemble(1, point_signal(0.7), np.random.default_rng(73))
         rho = weight(ens.positions, np.array([0.1]), linear_obs())
-        out, moved = _multinomial_resample(ens, rho, np.random.default_rng(74))
+        out, moved = _multinomial_resample(ens, rho, np.random.default_rng(74).random(1))
         assert out.count == 1 and moved == 0
         assert out.positions[0, 0] == 0.7
 
@@ -472,7 +472,7 @@ class TestMultinomialBaseline:
         fracs = np.empty(reps)
         rng = np.random.default_rng(80)
         for r in range(reps):
-            _, moved = _multinomial_resample(ens, np.zeros(n), rng)
+            _, moved = _multinomial_resample(ens, np.zeros(n), rng.random(n))
             fracs[r] = moved / n
         target = 1.0 - 1.0 / n
         se = fracs.std(ddof=1) / np.sqrt(reps)
@@ -488,7 +488,7 @@ class TestMultinomialBaseline:
         reps = 5000
         vals = np.empty(reps)
         for r in range(reps):
-            out, _ = _multinomial_resample(ens, rho, rng)
+            out, _ = _multinomial_resample(ens, rho, rng.random(ens.count))
             assert out.count == ens.count
             vals[r] = out.positions[:, 0].mean()
         se = vals.std(ddof=1) / np.sqrt(reps)
@@ -511,7 +511,7 @@ class TestMultinomialBaseline:
     def test_rejects_the_weights_choice_rejects(self, rho):
         ens = ParticleEnsemble(np.zeros(3), initial_count=3)
         with pytest.raises(ValueError, match="multinomial weights must be finite"):
-            _multinomial_resample(ens, np.array(rho), np.random.default_rng(0))
+            _multinomial_resample(ens, np.array(rho), np.random.default_rng(0).random(3))
 
 
 def spiky_rho(count, sigma, zero_share, seed):
@@ -550,7 +550,7 @@ def test_inverse_cdf_is_searchsorted_right(count, sigma, zero_share, seed):
 def test_multinomial_resample_is_generator_choice(count, sigma, zero_share, seed):
     rho = spiky_rho(count, sigma, zero_share, seed)
     ens = ParticleEnsemble(np.arange(count, dtype=float), initial_count=count)
-    out, moved = _multinomial_resample(ens, rho, np.random.default_rng(seed))
+    out, moved = _multinomial_resample(ens, rho, np.random.default_rng(seed).random(count))
     w = 1.0 + rho
     parents = np.random.default_rng(seed).choice(count, size=count, p=w / w.sum())
     assert np.array_equal(out.positions[:, 0], parents)

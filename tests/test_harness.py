@@ -135,6 +135,11 @@ class TestParseConfig:
     def test_cell_bound_only_binds_the_grid_oracle(self):
         parse_config("[oracle]\nkind = none\ngrid_points = 8388608\n")
 
+    SHARED_TAG = (
+        "two entries share a seed tag round(1e6 * eps); a repeated epsilon would repeat a "
+        "point of the slope fit"
+    )
+
     @pytest.mark.parametrize(
         "epsilons, violation",
         [
@@ -144,8 +149,10 @@ class TestParseConfig:
             ('["a", 0.1]', "every entry must be a number in (0, 1]"),
             ("[[0.1], 0.05]", "every entry must be a number in (0, 1]"),
             ("[true, 0.05]", "every entry must be a number in (0, 1]"),
+            ("[0.1, 0.1, 0.05]", SHARED_TAG),
+            ("[0.1, 0.1000004, 0.05]", SHARED_TAG),
         ],
-        ids=["one", "repeated", "none", "string", "list", "bool"],
+        ids=["one", "repeated", "none", "string", "list", "bool", "repeat-of-three", "one-tag"],
     )
     def test_baseline_epsilons_are_two_distinct_numbers(self, epsilons, violation):
         with pytest.raises(ConfigError) as err:
@@ -336,7 +343,10 @@ VALID_VALUES = {
     ("rate", "slope_high"): _float_text(-0.35, 5.0),
     ("rate", "error_epochs"): st.sampled_from(["final", "all"]),
     ("baseline", "epsilons"): st.lists(
-        st.floats(min_value=1e-4, max_value=1.0), min_size=2, max_size=6, unique=True
+        st.floats(min_value=1e-4, max_value=1.0),
+        min_size=2,
+        max_size=6,
+        unique_by=lambda eps: round(1e6 * eps),
     ).map(json.dumps),
     ("validate", "scale"): _float_text(0.01, 10.0),
     ("output", "directory"): st.text(alphabet="abcXYZ019_-./%", min_size=1, max_size=12),
@@ -652,6 +662,14 @@ class TestCli:
         rc = cli_main(["rate-sweep", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "run.particle_counts: a count repeats" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_baseline_repeated_epsilon_exit_2(self, tmp_path, capsys):
+        # a repeated epsilon used to write two identical rows, fitted as two points
+        path = self.write_cfg(tmp_path, QUICK + "\n[baseline]\nepsilons = [0.1, 0.1, 0.05]\n")
+        rc = cli_main(["compare-baseline", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "baseline.epsilons: two entries share a seed tag" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_reversed_slope_window_exit_2(self, tmp_path, capsys):

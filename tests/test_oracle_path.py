@@ -88,9 +88,14 @@ def ref_rate_sweep_rows(signal, obs, horizon, ns, replications, seed, metric, or
     _, record = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
     targets = ref_oracle_transforms(signal, obs, record, metric, oracle, 256, 10.0)
     rows = []
+    # the sweep reads the final epoch alone under the grid oracle, and every epoch under the
+    # Kalman oracle, whose clip reach covers every weighed particle
+    reads = None if oracle == "kalman" else (record.count,)
     for n in ns:
         for rep in range(replications):
-            run = run_filter(signal, obs, record, n, substream(seed, "sweep-run", n, rep))
+            run = run_filter(
+                signal, obs, record, n, substream(seed, "sweep-run", n, rep), reads=reads
+            )
             if run.extinct:
                 continue
             ensemble = run.final
