@@ -37,7 +37,6 @@ from .observation import (
 from .branching import (
     ExtinctionError,
     WeightOverflowError,
-    WeightBoundError,
     PopulationGrowthError,
     ParticleEnsemble,
     FilterRun,

@@ -33,7 +33,6 @@ from .stable import SignalModel, lag_scales, sample_increment
 __all__ = [
     "ExtinctionError",
     "WeightOverflowError",
-    "WeightBoundError",
     "PopulationGrowthError",
     "MAX_RHO",
     "MAX_GROWTH",
@@ -58,15 +57,24 @@ MAX_RHO = float(2**20)
 
 
 class WeightOverflowError(RuntimeError):
-    """A branching weight was non-finite or above MAX_RHO."""
+    """A branching weight was NaN or outside its epoch's bound: MAX_RHO at an eager epoch,
+    the thinning bound p_k at a thinned one."""
 
-    def __init__(self, epoch: int, max_rho: float):
+    def __init__(self, epoch: int, max_rho: float, bound: float = MAX_RHO):
         super().__init__(
             f"branching weight overflow at observation epoch {epoch}: "
-            f"max rho {max_rho:g} (cap {MAX_RHO:g})"
+            f"max |rho| {max_rho:g} not within the bound {bound:g}"
         )
         self.epoch = epoch
         self.max_rho = max_rho
+        self.bound = bound
+
+
+def _check_weights(k: int, rho: np.ndarray, bound: float) -> None:
+    """Raise WeightOverflowError unless every |rho| is at most ``bound`` (NaN included):
+    exp() may overflow silently, and the branching rule must never see such a weight."""
+    if rho.size and not (rho.max() <= bound and -rho.min() <= bound):
+        raise WeightOverflowError(k, float(np.abs(rho).max()), bound)
 
 
 # Largest population, as a multiple of the initial count n, that a run accepts.
@@ -210,19 +218,6 @@ class FilterRun:
         return self.extinct_epoch is not None
 
 
-class WeightBoundError(RuntimeError):
-    """A weighed particle's |rho| exceeded the epoch's bound, which thinning relies on."""
-
-    def __init__(self, epoch: int, max_abs_rho: float, bound: float):
-        super().__init__(
-            f"branching weight outside its bound at observation epoch {epoch}: "
-            f"max |rho| {max_abs_rho:g} > bound {bound:g}"
-        )
-        self.epoch = epoch
-        self.max_abs_rho = max_abs_rho
-        self.bound = bound
-
-
 def run_filter(
     signal: SignalModel,
     obs: ObservationModel,
@@ -232,7 +227,6 @@ def run_filter(
     *,
     control: tuple | None = None,
     reduce=None,
-    reads=None,
 ) -> FilterRun:
     """Alternate evolve and branch over the record; keep one ``FilterStep`` per epoch.
 
@@ -240,11 +234,11 @@ def run_filter(
     ``population_control`` around n after each branching.  ``reduce`` is the
     per-epoch reducer of ``_run_epochs``; ``counts`` are the int32 offspring counts
     of the rows of ``pre`` and ``control_rows`` the mask or index that population control
-    applied to the offspring, or None.  ``reads``, the epochs ``reduce`` reads (every epoch
-    by default; the final one, ``final``, always), lets the other epochs thin.
+    applied to the offspring, or None.  A run with a reducer is eager at every epoch; a
+    run without one reads only its sizes and ``final``, so every epoch but the last thins.
     Terminates early with an extinction report if every particle dies; raises
-    WeightOverflowError if a branching weight is NaN or exceeds MAX_RHO, WeightBoundError
-    if one exceeds its thinning bound, and PopulationGrowthError if the population exceeds
+    WeightOverflowError if a branching weight is NaN or outside its epoch's bound (MAX_RHO,
+    or the thinning bound), and PopulationGrowthError if the population exceeds
     MAX_GROWTH * n.
     """
 
@@ -253,20 +247,15 @@ def run_filter(
         post = pre._with(np.repeat(pre.positions, counts, axis=0))
         return post, counts, int(np.count_nonzero(counts != 1))
 
-    if reads is not None:
-        epochs = range(1, record.count + 1)
-        if not set(reads) <= set(epochs):
-            raise ValueError(f"reads must be epochs of 1..{record.count}, got {sorted(reads)}")
-        reads = {*reads, *epochs[-1:]}
     initial, final, steps = _run_epochs(
-        signal, obs, record, n, rng, branch, reduce, reads=reads, control=control
+        signal, obs, record, n, rng, branch, reduce, control=control, thin=reduce is None
     )
     steps = [FilterStep(*step) for step in steps]
     extinct = steps[-1].epoch if final.count == 0 else None
     return FilterRun(initial, final, steps, extinct)
 
 
-def _run_epochs(signal, obs, record, n, rng, resample, reduce, reads=None, control=None) -> tuple:
+def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thin=False) -> tuple:
     """The epoch loop of both filters: evolve by the epsilon that the record and ``obs``
     share (ValueError if they differ, or if their observation widths do), weigh, draw one
     uniform per row, then ``resample(k, pre, rho, u)``, which returns ``(post, counts,
@@ -275,19 +264,19 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, reads=None, contr
     ``post``, which enters the next interval.  Stops at extinction; raises
     PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
 
-    With ``reads`` None every epoch is eager: every row moves, is weighed and draws its
-    uniform.  Otherwise an epoch outside ``reads`` thins with the branching uniform (Lewis &
+    Without ``thin`` every epoch is eager: every row moves, is weighed and draws its
+    uniform.  With it (for a run without a reducer) every epoch but the last thins with the branching uniform (Lewis &
     Shedler 1979) unless its bound p_k (``observation.weight_bounds``) reaches 1.  It draws
     every row's u first, and only the candidates, the rows with u < p_k, move to epoch k (by
     one exact draw over the epochs since they last moved), are weighed and branch by
     ``_offspring_counts``.  Any other row has u >= p_k >= |rho|, so that rule would leave
     it exactly one copy wherever it is.  The offspring replace the dead rows in place (row
     order is not kept), and every row moves before population control doubles, so copies
-    share their past.  Every epoch's weights are checked: exp() may overflow silently, and
-    WeightOverflowError reports any weight above MAX_RHO or NaN, or WeightBoundError one
-    outside p_k, before it reaches the branching rule.
+    share their past.  Every epoch's weights are checked by ``_check_weights`` against
+    MAX_RHO, or p_k at a thinned epoch.  A thinning run writes its rows in place, so it
+    starts from a copy of the initial ensemble, which the caller keeps.
 
-    A ``reduce`` callable, when given, is called at every epoch of ``reads`` as
+    A ``reduce`` callable, when given, is called at every epoch as
     ``reduce(k, pre, rho, counts, control_rows, post)`` with the live arrays, after
     resampling: it must not change them and should keep only what it needs, because nothing
     else of them outlives the epoch.  Returns (initial ensemble, final ensemble, records),
@@ -296,12 +285,11 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, reads=None, contr
     eps = _check_record(obs, record)
     initial = ensemble = init_ensemble(n, signal, rng)
     bounds = [1.0] * record.count
-    if reads is not None:
-        bounds = weight_bounds(obs, record).tolist()
-        bounds = [1.0 if k in reads else p for k, p in enumerate(bounds, 1)]
+    if thin:
+        bounds[:-1] = weight_bounds(obs, record)[:-1].tolist()
+        ensemble = initial._with(initial.positions.copy())
     table = lag_scales(signal, eps, record.count if min(bounds, default=1.0) < 1.0 else 1)
     last = None  # each row's last-move epoch, while some row lags behind
-    owned = False  # whether only the loop holds ensemble.positions, so it may write them
     steps = []
 
     def catch_up(x, rows, k):
@@ -313,38 +301,40 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, reads=None, contr
         last[rows] = k
         return moved
 
+    def thinned(k, pre, bound, dy):
+        """Epoch k of ``pre`` by thinning; returns (post, tally, candidates).  Its arrays die
+        with the call, before the next epoch makes its own."""
+        nonlocal last
+        u = rng.random(pre.count)
+        rows = (u < bound).nonzero()[0]
+        if last is None:
+            last = np.full(pre.count, k - 1, dtype=np.int32)
+        rho = weight(catch_up(pre.positions, rows, k), dy, obs)
+        _check_weights(k, rho, bound)
+        offspring = _offspring_counts(rho, u[rows])
+        events = (offspring != 1).nonzero()[0]  # deaths and branches
+        slots = rows[events]
+        x, last = _refill(pre.positions, last, slots, slots.repeat(offspring[events]))
+        return pre._with(x), events.size, rows.size
+
     with np.errstate(over="ignore"):
         for k in range(1, record.count + 1):
             bound, dy, count = bounds[k - 1], record.increments[k - 1], ensemble.count
             counts = control_rows = None
             if bound < 1.0:
-                u = rng.random(count)
-                rows = (u < bound).nonzero()[0]
-                if last is None:
-                    last = np.full(count, k - 1, dtype=np.int32)
-                if not owned:
-                    ensemble = ensemble._with(ensemble.positions.copy())
                 pre = ensemble
-                rho = weight(catch_up(pre.positions, rows, k), dy, obs)
-                if rows.size and not (rho.max() <= bound and -rho.min() <= bound):  # NaN too
-                    raise WeightBoundError(k, float(np.abs(rho).max()), bound)
-                offspring = _offspring_counts(rho, u[rows])
-                events = (offspring != 1).nonzero()[0]  # deaths and branches
-                slots = rows[events]
-                x, last = _refill(pre.positions, last, slots, slots.repeat(offspring[events]))
-                ensemble, tally = pre._with(x), events.size
-                moved = weighed = rows.size
+                ensemble, tally, moved = thinned(k, pre, bound, dy)
+                weighed = moved
             else:
                 lags = None if last is None else k - last
                 x = sample_increment(signal, eps, rng, count, lags, table)
+                last = lags = None  # freed before the epoch's largest arrays are made
                 x += ensemble.positions
                 pre = ensemble._with(x)
                 rho = weight(x, dy, obs)
-                if not rho.max() <= MAX_RHO:  # also true for NaN
-                    raise WeightOverflowError(k, float(rho.max()))
+                _check_weights(k, rho, MAX_RHO)
                 ensemble, counts, tally = resample(k, pre, rho, rng.random(count))
                 moved = weighed = count
-                last = None
             if control is not None:
                 if last is not None and ensemble.count < control[0] * n:  # about to double
                     stale = (last < k).nonzero()[0]
@@ -354,12 +344,10 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, reads=None, contr
                 ensemble, control_rows = population_control(ensemble, n, control, rng)
                 if last is not None and control_rows is not None:
                     last = last[control_rows]
-            owned = True
             if ensemble.count > MAX_GROWTH * n:
                 raise PopulationGrowthError(k, ensemble.count, MAX_GROWTH * n)
-            if reduce is not None and (reads is None or k in reads):
+            if reduce is not None:
                 reduce(k, pre, rho, counts, control_rows, ensemble)
-                owned = False
             steps.append((k, pre.size, ensemble.size, tally, moved, weighed))
             if ensemble.count == 0:
                 break

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .branching import ExtinctionError, _offspring_counts, run_baseline, run_filter
-from .experiments import PostMeans
+from .experiments import PostMeans, _epsilon_tag
 from .metrics import RateFit, _log_line, rate_fit, running_total, unit_terms
 from .observation import (
     GaussianBumpSensor,
@@ -345,15 +345,13 @@ def check_branch_sparsity(
     n_eff = _count(n, scale, 500)
     fractions = []
     for eps in epsilons:
-        obs = ObservationModel(sensor, eps)
+        obs, tag = ObservationModel(sensor, eps), _epsilon_tag(eps)
         vals = []
         for r in range(reps):
             _, record = simulate_scenario(
-                signal, obs, horizon, substream(seed, "sparsity-record", r, int(1e6 * eps))
+                signal, obs, horizon, substream(seed, "sparsity-record", r, tag)
             )
-            run = run_filter(
-                signal, obs, record, n_eff, substream(seed, "sparsity-run", r, int(1e6 * eps))
-            )
+            run = run_filter(signal, obs, record, n_eff, substream(seed, "sparsity-run", r, tag))
             vals.extend(s.branch_events / s.pre.count for s in run.steps)
         fractions.append(float(np.mean(vals)))
     slope = _log_line(epsilons, fractions)[0]

@@ -73,8 +73,9 @@ def rate_sweep(
     is ``run_filter``'s population control band ``(low_ratio, high_ratio)``,
     held around each run's n.  The truth and each weighed particle keep to the clip margin.
     A repeated n is a ValueError: its runs would share their seeds and repeat a point.
-    Under the grid oracle a run reads only the error epochs, so the others thin; the Kalman
-    oracle's clip reach reads every particle at every epoch.
+    The final error comes from ``run.final``.  A run passes a reducer, and so runs eager,
+    only to read the earlier epochs: their errors under ``"all"``, or the Kalman oracle's
+    clip reach over every weighed particle.  Any other run thins.
     """
     if oracle is None:
         raise ValueError("rate_sweep needs an oracle (grid or kalman)")
@@ -83,10 +84,14 @@ def rate_sweep(
     truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
     targets = oracle.summaries(signal, obs, record, metric)
     truth_reach = oracle.clip_reach(obs.sensor, truth)
-    epochs = (
-        range(1, record.count + 1) if error_epochs == "all" else (record.count,)
-    )
-    reads = None if oracle.kind == "kalman" else epochs
+    every_epoch = oracle.kind == "kalman" or error_epochs == "all"
+
+    def error(k, post):
+        values = ensemble_transform(post, metric)
+        if oracle.normalized:
+            values = values / post.total_mass
+        return filter_error(values, targets[k].transform, metric)
+
     rows = []
     per_n_error = []
     extinct_runs = 0
@@ -101,15 +106,12 @@ def rate_sweep(
             def reduce(k, pre, rho, counts, control_rows, post):
                 nonlocal reach
                 reach = max(reach, oracle.clip_reach(obs.sensor, pre.positions))
-                if k in epochs and post.count:
-                    values = ensemble_transform(post, metric)
-                    if oracle.normalized:
-                        values = values / post.total_mass
-                    errors.append((k, filter_error(values, targets[k].transform, metric)))
+                if error_epochs == "all" and k < record.count and post.count:
+                    errors.append((k, error(k, post)))
 
             run = run_filter(
                 signal, obs, record, n, substream(seed, "sweep-run", n, rep),
-                control=control, reduce=reduce, reads=reads,
+                control=control, reduce=reduce if every_epoch else None,
             )
             particle_epochs += sum(s.pre.count for s in run.steps)
             moves += sum(s.moved for s in run.steps)
@@ -118,10 +120,9 @@ def rate_sweep(
             if run.extinct:
                 extinct_runs += 1
                 continue
-            for k, err in errors:
-                rows.append((n, rep, k, err))
-                if k == record.count:
-                    final_sq.append(err * err)
+            err = error(record.count, run.final)
+            rows.extend((n, rep, k, e) for k, e in [*errors, (record.count, err)])
+            final_sq.append(err * err)
         if final_sq:
             per_n_error.append((n, float(np.sqrt(np.mean(final_sq)))))
     return RateSweepResult(

@@ -154,8 +154,8 @@ class TestClipReachOverWeighedPoints:
             oracle.clip_margin(self.sensor, posts.reach)
 
     def test_rate_sweep(self, monkeypatch):
-        def one_epoch(signal, obs, record, n, rng, control=None, reduce=None, reads=None):
-            assert reads is None  # the Kalman oracle's reach reads every epoch
+        def one_epoch(signal, obs, record, n, rng, control=None, reduce=None):
+            assert reduce is not None  # the Kalman oracle's reach reads every epoch
             k, pre, rho, counts, control_rows, post = self.epoch()
             reduce(k, pre, rho, counts, control_rows, post)
             return FilterRun(pre, post, [], extinct_epoch=k)

@@ -88,13 +88,13 @@ def ref_rate_sweep_rows(signal, obs, horizon, ns, replications, seed, metric, or
     _, record = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
     targets = ref_oracle_transforms(signal, obs, record, metric, oracle, 256, 10.0)
     rows = []
-    # the sweep reads the final epoch alone under the grid oracle, and every epoch under the
-    # Kalman oracle, whose clip reach covers every weighed particle
-    reads = None if oracle == "kalman" else (record.count,)
+    # under the grid oracle the sweep passes no reducer, so its runs thin; under the Kalman
+    # oracle its reducer, the clip reach over every weighed particle, makes them eager
+    reduce = None if oracle == "grid" else (lambda *epoch: None)
     for n in ns:
         for rep in range(replications):
             run = run_filter(
-                signal, obs, record, n, substream(seed, "sweep-run", n, rep), reads=reads
+                signal, obs, record, n, substream(seed, "sweep-run", n, rep), reduce=reduce
             )
             if run.extinct:
                 continue

@@ -1,6 +1,7 @@
-"""Lazy evolution by exact thinning: a run that reads only some epochs moves and weighs only
-the candidates of the others, the rows whose branching uniform falls below the epoch's
-weight bound, and keeps the law of the particle system."""
+"""Lazy evolution by exact thinning: a run without a reducer reads only its sizes and its
+final ensemble, so at every other epoch it moves and weighs only the candidates, the rows
+whose branching uniform falls below the epoch's weight bound, and keeps the law of the
+particle system."""
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from levyfilter import (
     simulate_scenario,
     weight,
 )
-from levyfilter import branching
-from levyfilter.branching import WeightBoundError, _refill
+from levyfilter import branching, checks
+from levyfilter.branching import WeightOverflowError, _refill
 from levyfilter.cli import main as cli_main
 from levyfilter.experiments import ensemble_transform
 from levyfilter.harness import (
@@ -51,8 +52,8 @@ def default_record(epsilon=None):
     return obs, record
 
 
-def final_only(record):
-    return (record.count,)
+def noop(*epoch):
+    """A reducer that reads nothing: it makes a run eager at every epoch."""
 
 
 class TestWeightBounds:
@@ -153,25 +154,17 @@ class TestRefill:
 
 
 class TestThinnedRuns:
-    def test_every_read_epoch_is_the_eager_run(self):
+    def test_a_run_thins_iff_it_has_no_reducer(self):
         obs, record = default_record()
-        every = tuple(range(1, record.count + 1))
-        a = run_filter(SIGNAL, obs, record, 500, np.random.default_rng(5))
-        b = run_filter(SIGNAL, obs, record, 500, np.random.default_rng(5), reads=every)
-        assert a.steps == b.steps
-        assert np.array_equal(a.final.positions, b.final.positions)
-
-    def test_reads_are_epochs_of_the_record(self):
-        obs, record = default_record()
-        for reads in ((0,), (record.count + 1,)):
-            with pytest.raises(ValueError, match="reads must be epochs of 1..20"):
-                run_filter(SIGNAL, obs, record, 10, np.random.default_rng(2), reads=reads)
+        assert record.epsilon == 0.1
+        bare = run_filter(SIGNAL, obs, record, 1000, np.random.default_rng(4))
+        read = run_filter(SIGNAL, obs, record, 1000, np.random.default_rng(4), reduce=noop)
+        assert sum(s.moved for s in bare.steps) < sum(s.pre.count for s in bare.steps)
+        assert sum(s.moved for s in read.steps) == sum(s.pre.count for s in read.steps)
 
     def test_population_epochs_are_counted_whole(self):
         obs, record = default_record()
-        run = run_filter(
-            SIGNAL, obs, record, 1000, np.random.default_rng(6), reads=final_only(record)
-        )
+        run = run_filter(SIGNAL, obs, record, 1000, np.random.default_rng(6))
         for step, nxt in zip(run.steps, run.steps[1:]):
             assert nxt.pre == step.post
         assert run.steps[-1].moved == run.steps[-1].weighed == run.steps[-1].pre.count
@@ -184,11 +177,11 @@ class TestThinnedRuns:
         metric, oracle = build_metric(CONFIG), build_oracle(CONFIG)
         target = oracle.summaries(SIGNAL, obs, record, metric)[record.count].transform
         out = {}
-        for mode, reads in (("every", None), ("final", final_only(record))):
+        for mode, reduce in (("every", noop), ("final", None)):
             mass, err2 = [], []
             for rep in range(400):
                 run = run_filter(
-                    SIGNAL, obs, record, 2000, substream(11, "law", mode, rep), reads=reads
+                    SIGNAL, obs, record, 2000, substream(11, "law", mode, rep), reduce=reduce
                 )
                 mass.append(run.final.total_mass)
                 err = filter_error(ensemble_transform(run.final, metric), target, metric)
@@ -214,12 +207,12 @@ class TestThinnedRuns:
         _, record = simulate_scenario(signal, obs, 1.0, np.random.default_rng(5))
         theta = np.array([[0.7, 0.0], [0.0, 0.7]])
         out = {}
-        for mode, reads in (("every", None), ("final", final_only(record))):
+        for mode, reduce in (("every", noop), ("final", None)):
             stats = []
             for rep in range(300):
                 run = run_filter(
                     signal, obs, record, 400, substream(3, "law2d", alpha, mode, rep),
-                    control=(0.8, 1.25), reads=reads,
+                    control=(0.8, 1.25), reduce=reduce,
                 )
                 transform = ensemble_transform(run.final, theta)
                 stats.append([run.final.total_mass, *transform.real, *transform.imag])
@@ -243,7 +236,7 @@ class TestThinnedRuns:
 
         monkeypatch.setattr(branching, "sample_increment", counting)
         n = 20000
-        run = run_filter(SIGNAL, obs, record, n, np.random.default_rng(8), reads=final_only(record))
+        run = run_filter(SIGNAL, obs, record, n, np.random.default_rng(8))
         assert sum(drawn) == max(drawn) == n
         assert [s.moved for s in run.steps] == [0] * 19 + [n]
         x = run.final.positions[:, 0]
@@ -254,10 +247,8 @@ class TestThinnedRuns:
         # at epsilon 0.0125 the bound averages about 0.09
         obs, record = default_record(0.0125)
         assert record.count == 160
-        every = run_filter(SIGNAL, obs, record, 2000, np.random.default_rng(12))
-        final = run_filter(
-            SIGNAL, obs, record, 2000, np.random.default_rng(12), reads=final_only(record)
-        )
+        every = run_filter(SIGNAL, obs, record, 2000, np.random.default_rng(12), reduce=noop)
+        final = run_filter(SIGNAL, obs, record, 2000, np.random.default_rng(12))
         assert np.mean(weight_bounds(obs, record)) < 0.12
         moves = [sum(s.moved for s in run.steps) for run in (every, final)]
         assert moves[0] == sum(s.pre.count for s in every.steps)
@@ -275,12 +266,48 @@ class TestThinnedRuns:
         monkeypatch.setattr(branching, "sample_increment", recording)
         obs, record = default_record()
         run = run_filter(
-            SIGNAL, obs, record, 400, np.random.default_rng(13), control=(0.999, 4.0),
-            reads=final_only(record),
+            SIGNAL, obs, record, 400, np.random.default_rng(13), control=(0.999, 4.0)
         )
         doubled = [s for s in run.steps[:-1] if s.post.mass_factor < s.pre.mass_factor]
         assert doubled and all(s.moved > s.weighed for s in doubled)
         assert lags[-1].max() <= record.count - doubled[-1].epoch
+
+
+class TestSizeOnlyChecks:
+    """c08 and c09 read only a run's sizes, so their runs thin."""
+
+    def test_mass_moments_move_fewer_rows_than_particle_epochs(self, monkeypatch):
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(run_filter(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(checks, "run_filter", recording)
+        obs = build_observation(CONFIG)
+        checks.check_mass_moments(SIGNAL, obs, CONFIG.horizon, CONFIG.seed, scale=0.2)
+        steps = [s for run in runs for s in run.steps]
+        assert runs and sum(s.moved for s in steps) < sum(s.pre.count for s in steps)
+
+    def test_branch_sparsity_seeds_take_the_epsilon_tag(self, monkeypatch):
+        # 1e6 * 0.00397 is 3969.9999999999995 in floating point: truncation would tag 3969
+        class Stop(Exception):
+            pass
+
+        tags = []
+
+        def recording(seed, *path):
+            tags.append(path)
+            if path[0] == "sparsity-run":
+                raise Stop
+            return substream(seed, *path)
+
+        monkeypatch.setattr(checks, "substream", recording)
+        with pytest.raises(Stop):
+            checks.check_branch_sparsity(
+                SIGNAL, build_observation(CONFIG).sensor, CONFIG.seed, epsilons=(0.00397,)
+            )
+        assert tags == [("sparsity-record", 0, 3970), ("sparsity-run", 0, 3970)]
 
 
 def scaled_bounds(obs, record):
@@ -294,8 +321,8 @@ class TestMutants:
     def test_a_bound_scaled_down_raises(self, monkeypatch):
         monkeypatch.setattr(branching, "weight_bounds", scaled_bounds)
         obs, record = default_record()
-        with pytest.raises(WeightBoundError, match=r"observation epoch \d+"):
-            run_filter(SIGNAL, obs, record, 1000, np.random.default_rng(3), reads=(record.count,))
+        with pytest.raises(WeightOverflowError, match=r"observation epoch \d+"):
+            run_filter(SIGNAL, obs, record, 1000, np.random.default_rng(3))
 
     def test_a_nan_weight_at_a_thinned_epoch_raises(self, monkeypatch):
         def nan_weight(x, dy, obs):
@@ -305,9 +332,10 @@ class TestMutants:
 
         monkeypatch.setattr(branching, "weight", nan_weight)
         obs, record = default_record()
-        with pytest.raises(WeightBoundError, match="observation epoch 1:") as err:
-            run_filter(SIGNAL, obs, record, 100, np.random.default_rng(1), reads=final_only(record))
-        assert np.isnan(err.value.max_abs_rho)
+        with pytest.raises(WeightOverflowError, match="observation epoch 1:") as err:
+            run_filter(SIGNAL, obs, record, 100, np.random.default_rng(1))
+        assert np.isnan(err.value.max_rho)
+        assert err.value.bound == weight_bounds(obs, record)[0] < 1.0
 
     @pytest.mark.parametrize("mutant", ["bound", "nan"])
     def test_cli_exits_3_naming_the_epoch(self, mutant, monkeypatch, tmp_path, capsys):
@@ -324,4 +352,4 @@ class TestMutants:
         rc = cli_main(["rate-sweep", "--config", str(path), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == 3
-        assert "branching weight outside its bound at observation epoch " in err
+        assert "branching weight overflow at observation epoch " in err
