@@ -41,7 +41,7 @@ truth, record = simulate_scenario(signal, obs, horizon=2.0, rng=rng)
 particle_hs = []
 run = run_filter(
     signal, obs, record, n=4000, rng=rng,
-    reduce=lambda k, pre, rho, counts, control_rows, post: particle_hs.append(
+    reduce=lambda k, pre, rho, parents, post: particle_hs.append(
         sensor(post.positions)[:, 0].mean()
     ),
 )

@@ -164,11 +164,12 @@ def _offspring_counts(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _parent_rows(counts: np.ndarray, control_rows: np.ndarray | None = None) -> np.ndarray:
-    """Row i of an epoch's ``post`` descends from row ``parents[i]`` of its ``pre``
-    (non-decreasing), given the offspring ``counts`` and population control's rows."""
-    rows = np.repeat(np.arange(counts.shape[0]), counts)
-    return rows if control_rows is None else rows[control_rows]
+def _branch(rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int]:
+    """The branching rule as a parent map: row i of the offspring is a copy of row
+    ``parents[i]`` (non-decreasing, each parent's copies contiguous), with the deaths plus
+    branches, the rows whose count is not 1."""
+    counts = _offspring_counts(rho, u)
+    return np.repeat(np.arange(counts.shape[0]), counts), int(np.count_nonzero(counts != 1))
 
 
 class EnsembleSize(NamedTuple):
@@ -232,23 +233,16 @@ def run_filter(
 
     ``control``, a band ``(low_ratio, high_ratio)``, switches on
     ``population_control`` around n after each branching.  ``reduce`` is the
-    per-epoch reducer of ``_run_epochs``; ``counts`` are the int32 offspring counts
-    of the rows of ``pre`` and ``control_rows`` the mask or index that population control
-    applied to the offspring, or None.  A run with a reducer is eager at every epoch; a
-    run without one reads only its sizes and ``final``, so every epoch but the last thins.
+    per-epoch reducer of ``_run_epochs``; its ``parents`` are non-decreasing unless
+    population control halved the offspring.  A run with a reducer is eager at every epoch;
+    a run without one reads only its sizes and ``final``, so every epoch but the last thins.
     Terminates early with an extinction report if every particle dies; raises
     WeightOverflowError if a branching weight is NaN or outside its epoch's bound (MAX_RHO,
     or the thinning bound), and PopulationGrowthError if the population exceeds
     MAX_GROWTH * n.
     """
-
-    def branch(k, pre, rho, u):
-        counts = _offspring_counts(rho, u)
-        post = pre._with(np.repeat(pre.positions, counts, axis=0))
-        return post, counts, int(np.count_nonzero(counts != 1))
-
     initial, final, steps = _run_epochs(
-        signal, obs, record, n, rng, branch, reduce, control=control, thin=reduce is None
+        signal, obs, record, n, rng, _branch, reduce, control=control, thin=reduce is None
     )
     steps = [FilterStep(*step) for step in steps]
     extinct = steps[-1].epoch if final.count == 0 else None
@@ -258,10 +252,11 @@ def run_filter(
 def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thin=False) -> tuple:
     """The epoch loop of both filters: evolve by the epsilon that the record and ``obs``
     share (ValueError if they differ, or if their observation widths do), weigh, draw one
-    uniform per row, then ``resample(k, pre, rho, u)``, which returns ``(post, counts,
-    tally)``: the offspring, the int32 offspring count of each row of ``pre`` (or None) and
-    the epoch's branch or relocation count.  ``control`` applies ``population_control`` to
-    ``post``, which enters the next interval.  Stops at extinction; raises
+    uniform per row, then ``resample(rho, u)``, a resampling rule that returns ``(parents,
+    tally)``: row i of ``post`` is row ``parents[i]`` of ``pre``, gathered once, and the
+    tally is the epoch's branch or relocation count.  ``control`` applies
+    ``population_control`` to ``post``, which enters the next interval, and composes its
+    rows into ``parents``.  Stops at extinction; raises
     PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
 
     Without ``thin`` every epoch is eager: every row moves, is weighed and draws its
@@ -277,10 +272,11 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
     starts from a copy of the initial ensemble, which the caller keeps.
 
     A ``reduce`` callable, when given, is called at every epoch as
-    ``reduce(k, pre, rho, counts, control_rows, post)`` with the live arrays, after
-    resampling: it must not change them and should keep only what it needs, because nothing
-    else of them outlives the epoch.  Returns (initial ensemble, final ensemble, records),
-    one record ``(k, pre size, post size, tally, moved, weighed)`` per epoch.
+    ``reduce(k, pre, rho, parents, post)`` with the live arrays, after resampling and
+    population control: it must not change them and should keep only what it needs,
+    because nothing else of them outlives the epoch.  Returns (initial ensemble, final
+    ensemble, records), one record ``(k, pre size, post size, tally, moved, weighed)`` per
+    epoch.
     """
     eps = _check_record(obs, record)
     initial = ensemble = init_ensemble(n, signal, rng)
@@ -320,7 +316,7 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
     with np.errstate(over="ignore"):
         for k in range(1, record.count + 1):
             bound, dy, count = bounds[k - 1], record.increments[k - 1], ensemble.count
-            counts = control_rows = None
+            parents = None
             if bound < 1.0:
                 pre = ensemble
                 ensemble, tally, moved = thinned(k, pre, bound, dy)
@@ -330,10 +326,11 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
                 x = sample_increment(signal, eps, rng, count, lags, table)
                 last = lags = None  # freed before the epoch's largest arrays are made
                 x += ensemble.positions
-                pre = ensemble._with(x)
+                pre = ensemble = ensemble._with(x)  # drops the last post before rho, u, parents
                 rho = weight(x, dy, obs)
                 _check_weights(k, rho, MAX_RHO)
-                ensemble, counts, tally = resample(k, pre, rho, rng.random(count))
+                parents, tally = resample(rho, rng.random(count))
+                ensemble = pre._with(_flat(x)[parents])
                 moved = weighed = count
             if control is not None:
                 if last is not None and ensemble.count < control[0] * n:  # about to double
@@ -341,13 +338,15 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
                     catch_up(ensemble.positions, stale, k)
                     moved += stale.size
                     last = None
-                ensemble, control_rows = population_control(ensemble, n, control, rng)
-                if last is not None and control_rows is not None:
-                    last = last[control_rows]
+                ensemble, rows = population_control(ensemble, n, control, rng)
+                if rows is not None and last is not None:
+                    last = last[rows]
+                if rows is not None and parents is not None:
+                    parents = parents[rows]
             if ensemble.count > MAX_GROWTH * n:
                 raise PopulationGrowthError(k, ensemble.count, MAX_GROWTH * n)
             if reduce is not None:
-                reduce(k, pre, rho, counts, control_rows, ensemble)
+                reduce(k, pre, rho, parents, ensemble)
             steps.append((k, pre.size, ensemble.size, tally, moved, weighed))
             if ensemble.count == 0:
                 break
@@ -384,15 +383,13 @@ def _refill(x, last, slots, sources):
     return x[:keep], last[:keep]
 
 
-def _multinomial_resample(
-    ensemble: ParticleEnsemble, rho: np.ndarray, u: np.ndarray
-) -> tuple[ParticleEnsemble, int]:
-    """Constant-population multinomial resampling with weights 1 + rho.
+def _multinomial_resample(rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int]:
+    """Constant-population multinomial resampling with weights 1 + rho, as a parent map.
 
-    Every particle independently picks a parent site with probability
-    proportional to the parent weight.  Returns the new ensemble and the
-    relocation count (particles whose site differs from their own old one).
-    With ``u`` = ``rng.random(count)`` the draw is
+    Every particle independently picks a parent row with probability
+    proportional to the parent weight.  Returns the parents and the
+    relocation count (particles whose parent is not their own old row).
+    With ``u`` = ``rng.random(count)`` the parents are
     ``rng.choice(count, size=count, p=w / w.sum())`` bit for bit: the same cdf, inverted at
     the same uniforms.  Non-finite or negative
     weights, or a zero total, raise ValueError as ``choice`` does.
@@ -407,8 +404,7 @@ def _multinomial_resample(
     cdf = (w / total).cumsum()
     cdf /= cdf[-1]
     parents = _inverse_cdf(cdf, u)
-    relocations = int(np.count_nonzero(parents != np.arange(ensemble.count)))
-    return ensemble._with(ensemble.positions[parents]), relocations
+    return parents, int(np.count_nonzero(parents != np.arange(parents.shape[0])))
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -458,18 +454,13 @@ def run_baseline(
     *,
     reduce=None,
 ) -> list:
-    """Multinomial-resampling filter on the same record; population stays n.  Returns one
-    ``BaselineStep`` per epoch; ``reduce`` is the per-epoch reducer of ``_run_epochs``,
-    called with ``counts`` and ``control_rows`` None.
+    """Multinomial-resampling filter (``_multinomial_resample``) on the same record;
+    population stays n.  Returns one ``BaselineStep`` per epoch; ``reduce`` is the per-epoch
+    reducer of ``_run_epochs``, whose ``parents`` are the rows each particle resampled.
 
     Raises WeightOverflowError if a weight is NaN or exceeds MAX_RHO.
     """
-
-    def resample(k, pre, rho, u):
-        post, relocations = _multinomial_resample(pre, rho, u)
-        return post, None, relocations
-
-    steps = _run_epochs(signal, obs, record, n, rng, resample, reduce)[2]
+    steps = _run_epochs(signal, obs, record, n, rng, _multinomial_resample, reduce)[2]
     return [BaselineStep(k, post, relocations) for k, _, post, relocations, _, _ in steps]
 
 
@@ -485,8 +476,7 @@ def population_control(
     and the mass factor doubles; below low_ratio * n_target every particle is
     duplicated and the mass factor halves.  Conditional expectations of all
     estimates are unchanged.  An empty ensemble is left alone.  Also returns the
-    index (a mask when halving) that picks each output row's input row, or None
-    when nothing changed.
+    index array that picks each output row's input row, or None when nothing changed.
     """
     lo_ratio, hi_ratio = bounds
     if not 0.0 < lo_ratio < 1.0 < hi_ratio:
@@ -496,8 +486,8 @@ def population_control(
         )
     count = ensemble.count
     if count > hi_ratio * n_target:
-        keep = rng.random(count) < 0.5
-        return ensemble._with(ensemble.positions[keep], ensemble.mass_factor * 2.0), keep
+        rows = (rng.random(count) < 0.5).nonzero()[0]
+        return ensemble._with(ensemble.positions[rows], ensemble.mass_factor * 2.0), rows
     if count < lo_ratio * n_target and count > 0:
         rows = np.repeat(np.arange(count), 2)
         return ensemble._with(ensemble.positions[rows], ensemble.mass_factor * 0.5), rows

@@ -229,12 +229,10 @@ def check_compensator(
     for r in range(reps):
         jumps, posts = [], []  # per epoch: the branching jump and the post transform
 
-        def reduce(k, pre, rho, counts, control_rows, post):
-            if control_rows is not None:
-                raise ValueError("the compensator needs post to be pre's rows repeated by counts")
-            terms = unit_terms(pre.positions, theta_vecs)  # post's terms are these, repeated
+        def reduce(k, pre, rho, parents, post):
+            terms = unit_terms(pre.positions, theta_vecs)  # post's terms are these, gathered
             jumps.append(pre.estimate(running_total(terms * rho)))
-            posts.append(post.estimate(running_total(terms.repeat(counts, axis=1))))
+            posts.append(post.estimate(running_total(terms[:, parents])))
 
         run = run_filter(signal, obs, record, n, substream(seed, "comp-rep", r), reduce=reduce)
         if run.extinct:

@@ -103,7 +103,7 @@ def rate_sweep(
             total_runs += 1
             reach, errors = truth_reach, []
 
-            def reduce(k, pre, rho, counts, control_rows, post):
+            def reduce(k, pre, rho, parents, post):
                 nonlocal reach
                 reach = max(reach, oracle.clip_reach(obs.sensor, pre.positions))
                 if error_epochs == "all" and k < record.count and post.count:
@@ -148,16 +148,17 @@ class BaselineComparison:
 
 
 class PostMeans:
-    """A per-epoch reducer for ``run_filter`` and ``run_baseline``: the mean position of
-    every nonempty ``post`` (``means``) and one ``reach``, the largest of the truth's
-    ``reach`` it starts from and the ``oracle``'s ``clip_reach`` of every ``pre``, the
-    points the sensor weighed (unchanged without an oracle)."""
+    """A per-epoch reducer ``(k, pre, rho, parents, post)`` for ``run_filter`` and
+    ``run_baseline`` that reads no ``parents``: the mean position of every nonempty
+    ``post`` (``means``) and one ``reach``, the largest of the truth's ``reach`` it starts
+    from and the ``oracle``'s ``clip_reach`` of every ``pre``, the points the sensor
+    weighed (unchanged without an oracle)."""
 
     def __init__(self, oracle: Oracle | None, sensor, reach: float):
         self.oracle, self.sensor, self.reach = oracle, sensor, reach
         self.means = []
 
-    def __call__(self, k, pre, rho, counts, control_rows, post):
+    def __call__(self, k, pre, rho, parents, post):
         if post.count:
             self.means.append(post.positions.mean(axis=0))
         if self.oracle is not None:

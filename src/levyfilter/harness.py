@@ -26,7 +26,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .branching import PopulationGrowthError, _parent_rows, run_filter
+from .branching import PopulationGrowthError, run_filter
 from .checks import default_validation_suite
 from .experiments import _epsilon_tag, baseline_comparison, rate_sweep
 from .metrics import FrequencyGrid
@@ -254,9 +254,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if cfg.horizon is not None and cfg.epsilon is not None and cfg.horizon < cfg.epsilon:
         violations.append("scenario.horizon: must be at least observation.epsilon")
     counts = cfg.particle_counts
-    if counts is not None:
-        if not counts or any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in counts):
-            violations.append("run.particle_counts: needs integers >= 1")
+    if counts is not None and not (counts and all(type(n) is int and n >= 1 for n in counts)):
+        violations.append("run.particle_counts: needs integers >= 1")
+        counts = None  # the rate gate below reads only counts that pass
     if (
         counts
         and cfg.epsilon is not None
@@ -453,6 +453,9 @@ def _rows_to_columns(rows, width: int) -> list:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
+    oracle = build_oracle(cfg)
+    grid = oracle is not None and not oracle.normalized  # writes the grid filter's summaries
+    metric = build_metric(cfg) if grid else None  # a bad metric exits 2 before any work
     signal = build_signal(cfg)
     obs = build_observation(cfg)
     path, record = simulate_scenario(
@@ -479,13 +482,12 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
     sums, means, dump = [], [], []  # dump: one block of particle rows per epoch
     root = np.arange(n)  # each row's epoch-0 ancestor
 
-    def reduce(k, pre, rho, counts, control_rows, post):
+    def reduce(k, pre, rho, parents, post):
         nonlocal root
         total = post.positions.sum(axis=0)
         sums.append(post.estimate(total))
         means.append(total / post.count if post.count else np.full(d, np.nan))
         if cfg.dump_particles:
-            parents = _parent_rows(counts, control_rows)
             root = root[parents]
             dump.append([np.full(post.count, k), parents, root, *post.positions.T])
 
@@ -509,9 +511,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
         files[f"{cfg.name}_simulate_particles.csv"] = csv_blocks(
             ["epoch", "parent_row", "root_ancestor"] + xs, dump
         )
-    oracle = build_oracle(cfg)
-    if oracle is not None and not oracle.normalized:  # the grid filter's mass and diagnostics
-        metric = build_metric(cfg)
+    if grid:
         summaries = oracle.summaries(signal, obs, record, metric)
         files[f"{cfg.name}_simulate_oracle.csv"] = csv_blocks(
             ["epoch", "t", "total_mass"]

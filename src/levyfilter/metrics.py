@@ -170,6 +170,15 @@ def _rows(array, width: int | None = None) -> np.ndarray:
     return a
 
 
+def _model_array(values, ndim: int, name: str) -> np.ndarray:
+    """A model parameter as a float array of ``ndim`` (1 or 2) dimensions, fewer promoted as
+    ``np.atleast_1d`` or ``np.atleast_2d`` do; more is a ValueError naming ``name``."""
+    a = (np.atleast_1d, np.atleast_2d)[ndim - 1](np.asarray(values, dtype=float))
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-d, got an array of shape {a.shape}")
+    return a
+
+
 def unit_terms(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """exp(-i theta' x_j) as a (nodes, atoms) array.  The phases start from +0 and add
     theta[:, j] * x[:, j] for each j in turn: a matrix product would round by the BLAS."""

@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .metrics import _rows
+from .metrics import _model_array, _rows
 from .stable import SignalModel, sample_increment
 
 __all__ = [
@@ -49,9 +49,9 @@ class GaussianBumpSensor:
     widths: np.ndarray      # (d2,)
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.amplitudes, dtype=float))
-        c = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        s = np.atleast_1d(np.asarray(self.widths, dtype=float))
+        a = _model_array(self.amplitudes, 1, "amplitudes")
+        c = _model_array(self.centers, 2, "centers")
+        s = _model_array(self.widths, 1, "widths")
         if not (a.shape[0] == c.shape[0] == s.shape[0]):
             raise ValueError("amplitudes, centers and widths must have one entry per output")
         if np.any(s <= 0.0) or np.any(s**2 == 0.0):
@@ -96,7 +96,7 @@ class ClippedLinearSensor:
     clip: float
 
     def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        m = _model_array(self.matrix, 2, "matrix")
         if self.clip <= 0.0:
             raise ValueError("clip bound must be positive")
         object.__setattr__(self, "matrix", m)

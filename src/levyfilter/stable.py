@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import _rows, fourier
+from .metrics import _model_array, _rows, fourier
 
 __all__ = [
     "SpectralMeasure",
@@ -56,8 +56,8 @@ class SpectralMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        directions = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        directions = _model_array(self.directions, 2, "directions")
+        weights = _model_array(self.weights, 1, "weights")
         if directions.shape[0] != weights.shape[0]:
             raise ValueError("number of directions and weights must match")
         if weights.shape[0] == 0:

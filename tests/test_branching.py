@@ -32,20 +32,18 @@ from levyfilter.branching import (
     MAX_RHO,
     EnsembleSize,
     ParticleEnsemble,
+    _branch,
     _inverse_cdf,
     _multinomial_resample,
     _offspring_counts,
-    _parent_rows,
 )
 from levyfilter.experiments import ensemble_transform
 
 
 class LiveSteps(list):
-    """A reducer that keeps every epoch as the run saw it, with the parent rows rebuilt
-    from its offspring counts and population control's rows."""
+    """A reducer that keeps every epoch as the run saw it, parent rows included."""
 
-    def __call__(self, k, pre, rho, counts, control_rows, post):
-        parents = None if counts is None else _parent_rows(counts, control_rows)
+    def __call__(self, k, pre, rho, parents, post):
         self.append(SimpleNamespace(epoch=k, pre=pre, rho=rho, post=post, parents=parents))
 
 
@@ -65,11 +63,13 @@ class FixedUniform:
 
 
 class RecordingRng:
-    """A real Generator that also keeps every ``uniform`` and ``random`` draw, in call order."""
+    """A real Generator that also keeps every ``uniform`` and ``random`` draw, in call order,
+    and the generator's state before each ``random`` draw."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.uniforms = []
+        self.states = []
 
     def uniform(self, *args, **kwargs):
         out = self.rng.uniform(*args, **kwargs)
@@ -77,6 +77,7 @@ class RecordingRng:
         return out
 
     def random(self, *args, **kwargs):
+        self.states.append(self.rng.bit_generator.state)
         out = self.rng.random(*args, **kwargs)
         self.uniforms.append(out)
         return out
@@ -85,10 +86,15 @@ class RecordingRng:
         return getattr(self.rng, name)
 
 
-def assert_parent_rows(step):
-    """post is pre gathered at parents, with each parent's offspring contiguous."""
+def assert_gathered(step):
+    """post is pre gathered at parents, bit for bit."""
     assert step.parents.shape == (step.post.count,)
     assert np.array_equal(step.post.positions, step.pre.positions[step.parents])
+
+
+def assert_parent_rows(step):
+    """post is pre gathered at parents, with each parent's offspring contiguous."""
+    assert_gathered(step)
     assert np.all(np.diff(step.parents) >= 0)
 
 
@@ -218,16 +224,19 @@ class TestBranchStep:
 
     def test_offspring_rows_follow_counts(self):
         ens = init_ensemble(6, gaussian_signal(), np.random.default_rng(3))
-        counts = np.array([0, 3, 1, 0, 2, 1])
-        post = ens._with(np.repeat(ens.positions, counts, axis=0))
-        parents = _parent_rows(counts)
-        assert np.array_equal(parents, [1, 1, 1, 2, 4, 4, 5])
+        rho = np.array([-0.5, 2.0, 0.0, -0.5, 1.0, 0.0])
+        u = np.array([0.25, 0.5, 0.5, 0.25, 0.5, 0.5])
+        counts = _offspring_counts(rho, u)
+        assert counts.tolist() == [0, 3, 1, 0, 2, 1]
+        parents, events = _branch(rho, u)
+        assert np.array_equal(parents, [1, 1, 1, 2, 4, 4, 5]) and events == 4
         assert np.array_equal(np.bincount(parents, minlength=ens.count), counts)
+        post = ens._with(np.repeat(ens.positions, counts, axis=0))
         assert np.array_equal(post.positions, ens.positions[parents])
-        none = np.zeros(6, dtype=np.int64)
-        empty = ens._with(np.repeat(ens.positions, none, axis=0))
-        assert empty.count == 0 and _parent_rows(none).size == 0
-        assert empty.positions.shape == (0, 1)
+        none, events = _branch(np.full(6, -1.0), u)
+        assert none.size == 0 and events == 6
+        empty = ens._with(ens.positions[none])
+        assert empty.count == 0 and empty.positions.shape == (0, 1)
 
     def test_positions_preserved(self):
         record = ObservationRecord(increments=np.array([[0.8]]), epsilon=0.5)
@@ -460,7 +469,8 @@ class TestMultinomialBaseline:
     def test_single_particle_never_relocates(self):
         ens = init_ensemble(1, point_signal(0.7), np.random.default_rng(73))
         rho = weight(ens.positions, np.array([0.1]), linear_obs())
-        out, moved = _multinomial_resample(ens, rho, np.random.default_rng(74).random(1))
+        parents, moved = _multinomial_resample(rho, np.random.default_rng(74).random(1))
+        out = ens._with(ens.positions[parents])
         assert out.count == 1 and moved == 0
         assert out.positions[0, 0] == 0.7
 
@@ -472,7 +482,7 @@ class TestMultinomialBaseline:
         fracs = np.empty(reps)
         rng = np.random.default_rng(80)
         for r in range(reps):
-            _, moved = _multinomial_resample(ens, np.zeros(n), rng.random(n))
+            _, moved = _multinomial_resample(np.zeros(n), rng.random(n))
             fracs[r] = moved / n
         target = 1.0 - 1.0 / n
         se = fracs.std(ddof=1) / np.sqrt(reps)
@@ -488,7 +498,8 @@ class TestMultinomialBaseline:
         reps = 5000
         vals = np.empty(reps)
         for r in range(reps):
-            out, _ = _multinomial_resample(ens, rho, rng.random(ens.count))
+            parents, _ = _multinomial_resample(rho, rng.random(ens.count))
+            out = ens._with(ens.positions[parents])
             assert out.count == ens.count
             vals[r] = out.positions[:, 0].mean()
         se = vals.std(ddof=1) / np.sqrt(reps)
@@ -503,15 +514,27 @@ class TestMultinomialBaseline:
         )
         assert [s.post.count for s in steps] == [100] * 4
 
+    def test_run_baseline_parents_are_generator_choice(self):
+        obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.1)
+        _, record = simulate_scenario(gaussian_signal(), obs, 0.5, np.random.default_rng(117))
+        rng, steps = RecordingRng(119), LiveSteps()  # alpha = 2: resampling alone calls random
+        run_baseline(gaussian_signal(), obs, record, 300, rng, reduce=steps)
+        assert len(rng.states) == len(steps) == record.count
+        for step, state in zip(steps, rng.states):
+            assert_gathered(step)
+            w = 1.0 + step.rho
+            choice = np.random.default_rng(0)
+            choice.bit_generator.state = state
+            assert np.array_equal(step.parents, choice.choice(300, size=300, p=w / w.sum()))
+
     @pytest.mark.parametrize(
         "rho",
         [[-1.0, -1.0, -1.0], [0.0, np.nan, 0.0], [0.0, np.inf, 0.0], [0.0, -1.5, 0.5]],
         ids=["zero-total", "nan", "inf", "negative"],
     )
     def test_rejects_the_weights_choice_rejects(self, rho):
-        ens = ParticleEnsemble(np.zeros(3), initial_count=3)
         with pytest.raises(ValueError, match="multinomial weights must be finite"):
-            _multinomial_resample(ens, np.array(rho), np.random.default_rng(0).random(3))
+            _multinomial_resample(np.array(rho), np.random.default_rng(0).random(3))
 
 
 def spiky_rho(count, sigma, zero_share, seed):
@@ -549,12 +572,12 @@ def test_inverse_cdf_is_searchsorted_right(count, sigma, zero_share, seed):
 @given(**WEIGHT_CASES)
 def test_multinomial_resample_is_generator_choice(count, sigma, zero_share, seed):
     rho = spiky_rho(count, sigma, zero_share, seed)
-    ens = ParticleEnsemble(np.arange(count, dtype=float), initial_count=count)
-    out, moved = _multinomial_resample(ens, rho, np.random.default_rng(seed).random(count))
+    parents, moved = _multinomial_resample(rho, np.random.default_rng(seed).random(count))
     w = 1.0 + rho
-    parents = np.random.default_rng(seed).choice(count, size=count, p=w / w.sum())
-    assert np.array_equal(out.positions[:, 0], parents)
-    assert moved == np.count_nonzero(parents != np.arange(count))
+    chosen = np.random.default_rng(seed).choice(count, size=count, p=w / w.sum())
+    assert parents.dtype == chosen.dtype
+    assert np.array_equal(parents, chosen)
+    assert moved == np.count_nonzero(chosen != np.arange(count))
 
 
 class TestPopulationControl:
@@ -622,6 +645,13 @@ class TestPopulationControl:
         assert 2.0 in factors and 0.5 in factors
         for step in steps:
             assert_parent_rows(step)
+
+    def test_halving_returns_an_index(self):
+        ens = init_ensemble(300, gaussian_signal(), np.random.default_rng(105))
+        out, rows = population_control(ens, 100, (0.5, 2.0), np.random.default_rng(106))
+        assert rows.dtype.kind == "i" and np.all(np.diff(rows) > 0)
+        assert np.array_equal(out.positions, ens.positions[rows])
+        assert out.mass_factor == 2.0
 
     def test_run_filter_rejects_band_outside_one(self):
         record = ObservationRecord(increments=np.zeros((2, 1)), epsilon=0.1)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyfilter.branching import _parent_rows, run_filter
+from levyfilter.branching import run_filter
 from levyfilter.harness import (
     build_metric,
     build_observation,
@@ -72,8 +72,8 @@ def simulate_files(cfg) -> dict:
     control = (cfg.control_low, cfg.control_high) if cfg.population_control else None
     steps = []  # every epoch's post ensemble and the parent row of each of its rows
 
-    def keep(k, pre, rho, counts, control_rows, post):
-        steps.append(SimpleNamespace(epoch=k, post=post, parents=_parent_rows(counts, control_rows)))
+    def keep(k, pre, rho, parents, post):
+        steps.append(SimpleNamespace(epoch=k, post=post, parents=parents))
 
     run = run_filter(
         signal, obs, record, n, substream(cfg.seed, "filter", n, 0), control=control, reduce=keep

@@ -29,7 +29,7 @@ from levyfilter import (
     simulate_scenario,
     weight,
 )
-from levyfilter.branching import MAX_RHO, WeightOverflowError, _parent_rows
+from levyfilter.branching import MAX_RHO, WeightOverflowError
 from levyfilter.stable import sample_standard_stable_1d
 
 # ---- frozen reference: the loops and kernels as they were before the shared loop
@@ -144,7 +144,7 @@ def ref_run_filter(signal, obs, record, n, rng, control=None):
 
 
 def ref_run_baseline(signal, obs, record, n, rng):
-    """Per epoch (post, relocations)."""
+    """Per epoch (post, parents, relocations)."""
     ensemble = init_ensemble(n, signal, rng)
     steps = []
     risky = ref_risky_epochs(record, obs)
@@ -155,7 +155,7 @@ def ref_run_baseline(signal, obs, record, n, rng):
         parents = rng.choice(ensemble.count, size=ensemble.count, p=w / w.sum())
         moved = int(np.sum(parents != np.arange(ensemble.count)))
         ensemble = replace(ensemble, positions=ensemble.positions[parents])
-        steps.append((ensemble, moved))
+        steps.append((ensemble, parents, moved))
     return steps
 
 
@@ -163,11 +163,9 @@ def ref_run_baseline(signal, obs, record, n, rng):
 
 
 class LiveSteps(list):
-    """A reducer that keeps every epoch as the run saw it, with the parent rows rebuilt
-    from its offspring counts and population control's rows."""
+    """A reducer that keeps every epoch as the run saw it, parent rows included."""
 
-    def __call__(self, k, pre, rho, counts, control_rows, post):
-        parents = None if counts is None else _parent_rows(counts, control_rows)
+    def __call__(self, k, pre, rho, parents, post):
         self.append(SimpleNamespace(epoch=k, pre=pre, post=post, parents=parents))
 
 
@@ -207,8 +205,10 @@ def assert_baseline_bit_equal(signal, obs, record, n, seed):
     steps = run_baseline(signal, obs, record, n, np.random.default_rng(seed), reduce=live)
     ref = ref_run_baseline(signal, obs, record, n, np.random.default_rng(seed))
     assert len(steps) == len(live) == len(ref)
-    for kept, step, (post, moved) in zip(steps, live, ref):
+    for kept, step, (post, parents, moved) in zip(steps, live, ref):
         assert_same_ensemble(step.post, post)
+        assert step.parents.dtype == parents.dtype
+        assert np.array_equal(step.parents, parents)
         assert kept.relocations == moved
 
 

@@ -141,10 +141,10 @@ class TestClipReachOverWeighedPoints:
 
     @staticmethod
     def epoch():
-        """(k, pre, rho, counts, control_rows, post): the particle at 3 leaves no offspring."""
+        """(k, pre, rho, parents, post): the particle at 3 leaves no offspring."""
         pre = ParticleEnsemble(np.array([[0.0], [3.0]]), initial_count=2)
         post = ParticleEnsemble(np.array([[0.0]]), initial_count=2)
-        return 1, pre, np.array([0.0, -1.0]), np.array([1, 0], dtype=np.int32), None, post
+        return 1, pre, np.array([0.0, -1.0]), np.array([0]), post
 
     def test_post_means(self):
         oracle = Oracle("kalman")
@@ -156,8 +156,8 @@ class TestClipReachOverWeighedPoints:
     def test_rate_sweep(self, monkeypatch):
         def one_epoch(signal, obs, record, n, rng, control=None, reduce=None):
             assert reduce is not None  # the Kalman oracle's reach reads every epoch
-            k, pre, rho, counts, control_rows, post = self.epoch()
-            reduce(k, pre, rho, counts, control_rows, post)
+            k, pre, rho, parents, post = self.epoch()
+            reduce(k, pre, rho, parents, post)
             return FilterRun(pre, post, [], extinct_epoch=k)
 
         monkeypatch.setattr(experiments, "run_filter", one_epoch)
@@ -330,13 +330,15 @@ class TestBaselineComparison:
         signal, sensor = default_signal(), GaussianBumpSensor([1.0], [[0.0]], [1.0])
         # first-call allocations (caches, lazily built objects) are not what is measured
         baseline_comparison(signal, sensor, 0.5, 100, 23, None, epsilons=(0.1, 0.05))
-        epoch_bytes = []  # per branching epoch: its pre and post positions and its counts
+        # per branching epoch: its pre and post positions and the int32 offspring counts
+        # (4 bytes a row of pre) that the branching rule makes
+        epoch_bytes = []
         run_filter = experiments.run_filter
 
         def recording_run_filter(*args, reduce, **kwargs):
-            def recording(k, pre, rho, counts, control_rows, post):
-                epoch_bytes.append(pre.positions.nbytes + post.positions.nbytes + counts.nbytes)
-                reduce(k, pre, rho, counts, control_rows, post)
+            def recording(k, pre, rho, parents, post):
+                epoch_bytes.append(pre.positions.nbytes + post.positions.nbytes + 4 * pre.count)
+                reduce(k, pre, rho, parents, post)
 
             return run_filter(*args, reduce=recording, **kwargs)
 

@@ -269,6 +269,11 @@ OUT_OF_BOUND = [
     ("observation", "bump_widths", "[Infinity]"),
     ("observation", "linear_matrix", "[[false]]"),
     ("observation", "linear_matrix", "[[NaN]]"),
+    # the rate gate reads only counts that pass the integer rule
+    ("run", "particle_counts", '["a"]'),
+    ("run", "particle_counts", "[null]"),
+    ("run", "particle_counts", '[{"a": 1}]'),
+    ("run", "particle_counts", '[1, "a"]'),
 ]
 
 
@@ -561,6 +566,52 @@ class TestCli:
         rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "bump_" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, violation",
+        [
+            (
+                QUICK + '[signal]\natoms = [{"direction": [[1.0]], "weight": 0.5}]\n',
+                "signal.atoms: directions must be 2-d",
+            ),
+            (
+                QUICK + "[observation]\nbump_amplitudes = [[[1.0]]]\n",
+                "observation.bump_amplitudes/bump_centers/bump_widths: amplitudes must be 1-d",
+            ),
+            (
+                QUICK + "[observation]\nbump_centers = [[[0.0]]]\n",
+                "observation.bump_amplitudes/bump_centers/bump_widths: centers must be 2-d",
+            ),
+            (
+                QUICK + "[observation]\nbump_widths = [[[1.0]]]\n",
+                "observation.bump_amplitudes/bump_centers/bump_widths: widths must be 1-d",
+            ),
+            (
+                (ROOT / "configs" / "kalman.ini")
+                .read_text()
+                .replace("linear_matrix = [[1.0]]", "linear_matrix = [[[1.0]]]"),
+                "observation.linear_matrix: matrix must be 2-d",
+            ),
+        ],
+        ids=["direction", "amplitudes", "centers", "widths", "matrix"],
+    )
+    def test_model_arrays_of_the_wrong_rank_exit_2(self, tmp_path, capsys, text, violation):
+        path = self.write_cfg(tmp_path, text)
+        rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"  - {violation}, got an array of shape (1, 1, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_metric_error_exits_2_before_the_filter(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the filter ran")
+
+        monkeypatch.setattr(harness, "run_filter", never)
+        path = self.write_cfg(tmp_path, QUICK + "\n[metric]\ncutoff = 0.01\n")
+        rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "metric.cutoff/spacing/gamma" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_nan_initial_scale_exit_2(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, QUICK + "\n[signal]\ninitial_scale = [NaN]\n")

@@ -195,13 +195,14 @@ class TestSharedUnitTerms:
         rng = np.random.default_rng(6 + dimension)
         pre, rho = 3.0 * rng.normal(size=(40_000, dimension)), rng.normal(size=40_000)
         counts = rng.choice(4, size=40_000, p=[0.1, 0.2, 0.3, 0.4])
-        post = np.repeat(pre, counts, axis=0)
+        parents = np.repeat(np.arange(40_000), counts)
+        post = pre[parents]
         assert post.shape[0] > _DIRECT_TERMS // 2  # past one 2-node block
         thetas = np.array([[0.5] + [0.0] * (dimension - 1), [1.0] + [0.3] * (dimension - 1)])
         terms = unit_terms(pre, thetas)
         assert running_total(terms * rho).tobytes() == fourier(pre, rho, thetas).tobytes()
-        repeated = running_total(terms.repeat(counts, axis=1))
-        assert repeated.tobytes() == fourier(post, None, thetas).tobytes()
+        gathered = running_total(terms[:, parents])
+        assert gathered.tobytes() == fourier(post, None, thetas).tobytes()
 
     def test_every_epoch_of_a_default_run(self):
         cfg = parse_config(default_config_text())
@@ -209,12 +210,12 @@ class TestSharedUnitTerms:
         _, record = simulate_scenario(signal, obs, cfg.horizon, np.random.default_rng(9))
         thetas, epochs = np.array([[0.5], [1.0]]), []
 
-        def reduce(k, pre, rho, counts, control_rows, post):
+        def reduce(k, pre, rho, parents, post):
             terms = unit_terms(pre.positions, thetas)
             jump = pre.mass_factor * running_total(terms * rho) / pre.initial_count
             old_jump = pre.mass_factor * fourier(pre.positions, rho, thetas) / pre.initial_count
             assert jump.tobytes() == old_jump.tobytes(), k
-            post_sum = running_total(terms.repeat(counts, axis=1))
+            post_sum = running_total(terms[:, parents])
             post_values = post.mass_factor * post_sum / post.initial_count
             assert post_values.tobytes() == ensemble_transform(post, thetas).tobytes(), k
             epochs.append(k)

@@ -43,7 +43,7 @@ def keep(posts, pres=None):
     """A reducer that appends every epoch's post ensemble to ``posts`` and, given ``pres``,
     its pre ensemble (the points the sensor weighed) to ``pres``."""
 
-    def reduce(k, pre, rho, counts, control_rows, post):
+    def reduce(k, pre, rho, parents, post):
         posts.append(post)
         if pres is not None:
             pres.append(pre)
