@@ -260,12 +260,14 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
     PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
 
     Without ``thin`` every epoch is eager: every row moves, is weighed and draws its
-    uniform.  With it (for a run without a reducer) every epoch but the last thins with the branching uniform (Lewis &
-    Shedler 1979) unless its bound p_k (``observation.weight_bounds``) reaches 1.  It draws
-    every row's u first, and only the candidates, the rows with u < p_k, move to epoch k (by
-    one exact draw over the epochs since they last moved), are weighed and branch by
-    ``_offspring_counts``.  Any other row has u >= p_k >= |rho|, so that rule would leave
-    it exactly one copy wherever it is.  The offspring replace the dead rows in place (row
+    uniform.  With it (for a run without a reducer) every epoch but the last thins with the
+    branching uniform (Lewis & Shedler 1979) unless its bound p_k
+    (``observation.weight_bounds``) reaches 1.  It draws every row's u first, and only the
+    candidates, the rows with u < p_k, move to epoch k (by one exact draw over the epochs
+    since they last moved), are weighed and branch.  Any other row has u >= p_k >= |rho|, so
+    ``_offspring_counts`` would leave it exactly one copy wherever it is.  A candidate has
+    |rho| <= p_k < 1, where that rule is the sign rule: it splits iff u < rho, dies iff
+    u < -rho, and stays otherwise.  Each split's second copy takes a dead row's place (row
     order is not kept), and every row moves before population control doubles, so copies
     share their past.  Every epoch's weights are checked by ``_check_weights`` against
     MAX_RHO, or p_k at a thinned epoch.  A thinning run writes its rows in place, so it
@@ -307,11 +309,10 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
             last = np.full(pre.count, k - 1, dtype=np.int32)
         rho = weight(catch_up(pre.positions, rows, k), dy, obs)
         _check_weights(k, rho, bound)
-        offspring = _offspring_counts(rho, u[rows])
-        events = (offspring != 1).nonzero()[0]  # deaths and branches
-        slots = rows[events]
-        x, last = _refill(pre.positions, last, slots, slots.repeat(offspring[events]))
-        return pre._with(x), events.size, rows.size
+        u = u[rows]
+        born, dead = rows[u < rho], rows[u < -rho]  # |rho| < 1: split, die or stay
+        x, last = _refill(pre.positions, last, dead, born)
+        return pre._with(x), born.size + dead.size, rows.size
 
     with np.errstate(over="ignore"):
         for k in range(1, record.count + 1):

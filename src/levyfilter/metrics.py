@@ -99,7 +99,8 @@ class FrequencyGrid:
 
 
 # Type-1 NUFFT: spread with the "exponential of semicircle" kernel of Barnett, Magland &
-# af Klinteberg, SISC 41 (2019), 16 points wide on a grid of twice the node count.
+# af Klinteberg, SISC 41 (2019), 16 points wide on a grid of half the node spacing and four
+# times the node count, twice the span of the node frequencies.
 _SPREAD_WIDTH = 16
 _SPREAD_BETA = 2.3 * _SPREAD_WIDTH
 _KERNEL_SHIFTS = (np.arange(_SPREAD_WIDTH) - (_SPREAD_WIDTH // 2 - 1)) * (2.0 / _SPREAD_WIDTH)
@@ -114,42 +115,60 @@ def _spread_kernel(z):
 
 @functools.lru_cache(maxsize=16)
 def _deconvolution(count: int) -> tuple:
-    """(FFT bins, factors): node m = count//2 + k is bin k mod 2*count of the spread grid's
-    FFT divided by the kernel's Fourier transform over the grid step (a 100-point midpoint
-    rule: the kernel and its derivatives are ~exp(-beta) at the ends of [-1, 1])."""
-    step = np.pi / count
+    """(rfft bins, flips, factors): node m, k = 2m - count + 1 half-steps from the centre, is
+    bin |k| of the spread grid's rfft, conjugated where k < 0 (``flips``), divided by the
+    kernel's Fourier transform over the grid step (a 100-point midpoint rule: the kernel and
+    its derivatives are ~exp(-beta) at the ends of [-1, 1])."""
+    step = 0.5 * np.pi / count
     half_width = 0.5 * _SPREAD_WIDTH * step
-    k = np.arange(count) - count // 2
+    k = 2 * np.arange(count) - (count - 1)
+    bins = np.abs(k)
     z = (np.arange(100) + 0.5) / 50.0 - 1.0
-    kernel_hat = half_width / 50.0 * (np.cos(np.outer(k * half_width, z)) @ _spread_kernel(z))
-    bins, factors = k % (2 * count), step / kernel_hat
-    bins.flags.writeable = factors.flags.writeable = False
-    return bins, factors
+    terms = np.cos(np.outer(bins * half_width, z))
+    terms *= _spread_kernel(z)
+    # row sums, not a matrix product, which may round equal rows apart
+    kernel_hat = half_width / 50.0 * terms.sum(axis=1)
+    flips, factors = k < 0, step / kernel_hat
+    bins.flags.writeable = flips.flags.writeable = factors.flags.writeable = False
+    return bins, flips, factors
 
 
 def _lattice_sum(x: np.ndarray, masses, grid: FrequencyGrid) -> np.ndarray:
-    """Type-1 NUFFT of the atoms ``x`` onto the 1-d lattice theta_m = theta_0 + m s."""
-    count, size = grid.node_count, 2 * grid.node_count
+    """Type-1 NUFFT of the atoms ``x`` onto the 1-d lattice theta_m = theta_c + (2m - M + 1) s/2,
+    spread at step s/2 onto 4M points.  On a centred lattice (theta_c = 0: every
+    ``FrequencyGrid.build`` grid) real masses spread as one real array without a phase, and
+    one ``rfft`` gives every node, k < 0 as the conjugate of bin |k|: the values are exactly
+    Hermitian.  Off centre, the real and imaginary parts of masses * exp(-i theta_c x) spread
+    the same way, one array each."""
+    count, size = grid.node_count, 4 * grid.node_count
+    centre = 0.5 * (grid.nodes[0, 0] + grid.nodes[-1, 0])
     # spread at unit scale: a power-of-two rescale is exact and keeps subnormal masses accurate
     exponent = 0 if masses is None else int(np.frexp(np.max(np.abs(masses), initial=0.0))[1])
-    # exp(-i theta_m x) = exp(-i theta_c x) exp(-i k u) with u = s x mod 2 pi
-    weights = np.exp(-1j * grid.nodes[count // 2, 0] * x)
-    if masses is not None:
-        weights *= np.ldexp(masses, -exponent)
-    u = np.mod(grid.spacing * x, 2.0 * np.pi) * (size / (2.0 * np.pi))
+    parts = [None if masses is None else np.ldexp(masses, -exponent)]
+    if centre != 0.0:
+        # exp(-i theta_m x) = exp(-i theta_c x) exp(-i k s x / 2)
+        phased = np.exp(-1j * centre * x) * (1.0 if parts[0] is None else parts[0])
+        parts = [phased.real, phased.imag]
+    # s x / 2 in grid steps, reduced mod the 4M-point period only once it is an integer:
+    # reducing s x / 2 mod 2 pi first would cost up to (M - 1) ulp(2 pi) / 2 of phase
+    u = x * (grid.spacing * count / np.pi)
     base = np.floor(u)
-    first = (base.astype(np.int64) - (_SPREAD_WIDTH // 2 - 1)) % size
+    first = np.mod(base - (_SPREAD_WIDTH // 2 - 1), size).astype(np.int64)
     shift = (u - base) * (2.0 / _SPREAD_WIDTH)
-    spread = np.zeros(size * -(-(size + _SPREAD_WIDTH - 1) // size), dtype=complex)  # whole periods
+    spread = np.zeros((len(parts), size * -(-(size + _SPREAD_WIDTH - 1) // size)))  # whole periods
     for part in (slice(lo, lo + _SPREAD_BLOCK) for lo in range(0, x.size, _SPREAD_BLOCK)):
         # atom j reaches grid points base_j + 1 - w/2 .. base_j + w/2, kernel abscissae in [-1, 1]
         kernel = _spread_kernel(shift[part, None] - _KERNEL_SHIFTS)
         cells = (first[part, None] + np.arange(_SPREAD_WIDTH)).ravel()
-        spread += np.bincount(cells, (weights.real[part, None] * kernel).ravel(), spread.size)
-        spread += 1j * np.bincount(cells, (weights.imag[part, None] * kernel).ravel(), spread.size)
-    bins, factors = _deconvolution(count)
-    out = np.fft.fft(spread.reshape(-1, size).sum(axis=0))[bins] * factors
-    out.real, out.imag = np.ldexp(out.real, exponent), np.ldexp(out.imag, exponent)
+        for row, w in zip(spread, parts):
+            values = kernel if w is None else w[part, None] * kernel
+            row += np.bincount(cells, values.ravel(), row.size)
+    bins, flips, factors = _deconvolution(count)
+    half = np.fft.rfft(spread.reshape(len(parts), -1, size).sum(axis=1))[:, bins] * factors
+    np.negative(half.imag, out=half.imag, where=flips)
+    out = half[0] if len(parts) == 1 else half[0] + 1j * half[1]
+    if exponent:
+        out.real, out.imag = np.ldexp(out.real, exponent), np.ldexp(out.imag, exponent)
     return out
 
 

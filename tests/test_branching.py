@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyfilter import (
@@ -463,6 +463,32 @@ def test_offspring_count_has_mean_one_plus_rho(rho, u):
     # a branch event (rho >= 1 or U below the fractional part) or a death
     # (U below |rho|) is exactly a count other than 1
     assert (counts[0] != 1) == ((rho >= 1.0) or (u < extra + kill))
+
+
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
+SUBNORMAL = 5e-324
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rho=st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+@example(rho=0.0, u=0.0)
+@example(rho=-0.0, u=0.0)
+@example(rho=BELOW_ONE, u=BELOW_ONE)
+@example(rho=-BELOW_ONE, u=BELOW_ONE)
+@example(rho=SUBNORMAL, u=0.0)
+@example(rho=-SUBNORMAL, u=0.0)
+@example(rho=SUBNORMAL, u=BELOW_ONE)
+@example(rho=0.375, u=0.125)
+@example(rho=-0.375, u=0.125)
+def test_sign_rule_is_the_offspring_rule_below_one(rho, u):
+    # a thinned epoch's rule for |rho| < 1: split iff U < rho, die iff U < -rho; each draw is
+    # also tried at U = |rho|, where both comparisons must stay strict
+    for draw in (u, abs(rho)):
+        counts = _offspring_counts(np.array([rho]), np.array([draw]))
+        assert counts[0] == 1 + (draw < rho) - (draw < -rho), draw
 
 
 class TestMultinomialBaseline:

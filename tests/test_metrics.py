@@ -104,6 +104,21 @@ def test_lattice_fourier_matches_direct_summation(atoms, theta0, spacing, count)
     assert np.max(gap) <= fourier_bound(grid, sites, masses)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(atoms=atoms, spacing=st.floats(0.01, 2.0), count=st.integers(1, 1600))
+@example(atoms=[(-0.001, 1.0)], spacing=0.05, count=1600)
+@example(atoms=[(99.97, 1.0), (-99.97, -2.5)], spacing=0.05, count=1599)
+@example(atoms=[(-3.3, 2.0), (7.1, -0.5)], spacing=0.25, count=1)
+def test_centred_lattice_fourier_matches_direct_summation_and_is_hermitian(atoms, spacing, count):
+    sites = np.array([[x] for x, _ in atoms]).reshape(-1, 1)
+    masses = np.array([m for _, m in atoms])
+    grid = lattice(-(count - 1) * spacing / 2, spacing, count)
+    values = fourier(sites, masses, grid)
+    gap = np.abs(values - atom_transform(grid, sites, masses))
+    assert np.max(gap) <= fourier_bound(grid, sites, masses)
+    assert np.array_equal(values[::-1], np.conj(values))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     atoms=atoms.filter(len),

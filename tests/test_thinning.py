@@ -56,6 +56,20 @@ def noop(*epoch):
     """A reducer that reads nothing: it makes a run eager at every epoch."""
 
 
+class StillRng:
+    """A Generator for alpha = 2 runs whose normal draws are zero, so particles stand still,
+    and whose ``random`` calls hand out the given uniforms, one value per call."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def standard_normal(self, size=None):
+        return np.zeros(size)
+
+    def random(self, size=None):
+        return np.full(size, self.uniforms.pop(0))
+
+
 class TestWeightBounds:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -136,19 +150,23 @@ class TestRefill:
         width=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**31),
         share=st.sampled_from([0.1, 0.5, 1.0]),
+        thinned=st.booleans(),
     )
-    def test_population_is_the_repeat_up_to_order(self, count, width, seed, share):
+    def test_population_is_the_repeat_up_to_order(self, count, width, seed, share, thinned):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((count, width))
         last = rng.integers(0, 9, count).astype(np.int32)
         rows = np.flatnonzero(rng.random(count) < share)
-        counts = rng.integers(0, 4, rows.size).astype(np.int32)
+        counts = rng.integers(0, 3 if thinned else 4, rows.size).astype(np.int32)
         full = np.ones(count, dtype=np.int64)
         full[rows] = counts
         expected = sorted(zip(map(tuple, np.repeat(x, full, axis=0)), np.repeat(last, full)))
-        changed = counts != 1
-        slots = rows[changed]
-        new_x, new_last = _refill(x.copy(), last.copy(), slots, slots.repeat(counts[changed]))
+        if thinned:  # a thinned epoch's call: the dead rows are the holes, each split a source
+            slots, sources = rows[counts == 0], rows[counts == 2]
+        else:
+            slots = rows[counts != 1]
+            sources = slots.repeat(counts[counts != 1])
+        new_x, new_last = _refill(x.copy(), last.copy(), slots, sources)
         assert new_x.shape == (full.sum(), width) and new_last.shape == (full.sum(),)
         assert sorted(zip(map(tuple, new_x), new_last)) == expected
 
@@ -253,6 +271,18 @@ class TestThinnedRuns:
         moves = [sum(s.moved for s in run.steps) for run in (every, final)]
         assert moves[0] == sum(s.pre.count for s in every.steps)
         assert moves[1] < 0.25 * moves[0], moves
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_candidate_whose_uniform_is_its_weight_stays(self, sign):
+        # one still particle at x = 1 (h = 1) whose uniform at a thinned epoch is exactly
+        # |rho|: the half-open rule neither splits it (rho > 0) nor kills it (rho < 0)
+        obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=2.0), 0.1)
+        signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.point([1.0]))
+        record = ObservationRecord(np.array([[np.log1p(0.3 * sign) + 0.05], [0.0]]), 0.1)
+        rho = weight(np.array([1.0]), record.increments[0], obs)[0]
+        assert weight_bounds(obs, record)[0] < 1.0 and rho == pytest.approx(0.3 * sign)
+        run = run_filter(signal, obs, record, 1, StillRng([abs(rho), 0.5]))
+        assert run.steps[0].weighed == 1 and run.steps[0].post.count == 1
 
     def test_doubling_first_moves_every_stale_row(self, monkeypatch):
         # a band just under n doubles at the first death, at a thinned epoch: every row must
