@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import ConfigError, parse_config, run_command
+from .harness import ConfigError, parse_config, run_command, serialize_config
 
 COMMANDS = ("simulate", "validate", "rate-sweep", "compare-baseline")
 
@@ -48,9 +48,9 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = parse_config(text)
-        if args.seed is not None:
-            cfg.seed = args.seed
+        if args.seed is not None:  # through the schema, so the seed's bound holds here too
             cfg.raw["run"]["seed"] = str(args.seed)
+            cfg = parse_config(serialize_config(cfg))
         return run_command(args.command, cfg, args.out, strict=args.strict)
     except ConfigError as exc:
         print("config error:", file=sys.stderr)

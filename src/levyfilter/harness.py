@@ -155,7 +155,7 @@ _SCHEMA = (
     _Key("observation", "linear_clip", "20.0", _finite, lambda v: v > 0, "clip > 0"),
     _Key("run", "particle_counts", "[250, 500, 1000, 2000, 4000, 8000, 16000]", _json_list),
     _Key("run", "replications", "100", int, lambda v: v >= 1, "replications >= 1"),
-    _Key("run", "seed", "20050415", int),
+    _Key("run", "seed", "20050415", int, lambda v: 0 <= v < 2**32, "0 <= seed < 2**32"),
     _Key("run", "population_control", "off", _on_off),
     _Key("run", "control_low", "0.5", _finite, lambda v: 0 < v < 1, "bound (0, 1)"),
     _Key("run", "control_high", "2.0", _finite, lambda v: v > 1, "bound (1, inf)"),

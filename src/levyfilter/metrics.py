@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "MAX_METRIC_NODES",
     "FrequencyGrid",
     "fourier",
     "default_gamma",
@@ -33,20 +34,15 @@ def default_gamma(dimension: int, alpha: float) -> float:
     return -(dimension / 2.0 + 2.0 * alpha) - 0.5
 
 
-def _symmetric_axis(cutoff: float, spacing: float) -> np.ndarray:
-    """Midpoint nodes on [-cutoff, cutoff], exactly symmetric under negation."""
-    half = int(round(cutoff / spacing))
-    if half < 1:
-        raise ValueError("cutoff must exceed spacing")
-    positive = (np.arange(half) + 0.5) * spacing
-    return np.concatenate([-positive[::-1], positive])
+# Nodes of a metric grid, at most: the bound MAX_GRID_CELLS puts on the grid oracle
+MAX_METRIC_NODES = 2**22
 
 
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Midpoint quadrature nodes on |theta| <= cutoff with the Sobolev weight baked in.
 
-    Every quadrature weight is ``spacing**d``, and ``nodes[::-1] == -nodes``.
+    Every quadrature weight is ``spacing**d``, and ``nodes[::-1] == -nodes`` (else a ValueError).
     """
 
     nodes: np.ndarray            # (M, d)
@@ -54,6 +50,10 @@ class FrequencyGrid:
     cutoff: float
     spacing: float
     sobolev_weights: np.ndarray  # (M,) quad weight times (1+|theta|^2)^gamma
+
+    def __post_init__(self):
+        if not np.array_equal(self.nodes[::-1], -self.nodes):
+            raise ValueError("frequency nodes must reverse to their negation")
 
     @classmethod
     def build(
@@ -73,7 +73,15 @@ class FrequencyGrid:
             raise ValueError("gamma must be < -d/2 for an integrable weight")
         if dimension not in (1, 2):
             raise ValueError("metric grids support dimensions 1 and 2 only")
-        axis = _symmetric_axis(cutoff, spacing)
+        ratio = cutoff / spacing
+        half = round(min(ratio, MAX_METRIC_NODES))  # an infinite ratio does not round
+        if half < 1:
+            raise ValueError("cutoff must exceed spacing")
+        if (2 * half) ** dimension > MAX_METRIC_NODES:
+            raise ValueError(f"cutoff/spacing = {ratio:g} gives over {MAX_METRIC_NODES} nodes")
+        # midpoints on [-cutoff, cutoff], exactly symmetric under negation
+        positive = (np.arange(half) + 0.5) * spacing
+        axis = np.concatenate([-positive[::-1], positive])
         if dimension == 1:
             nodes = axis.reshape(-1, 1)
         else:
@@ -115,58 +123,47 @@ def _spread_kernel(z):
 
 @functools.lru_cache(maxsize=16)
 def _deconvolution(count: int) -> tuple:
-    """(rfft bins, flips, factors): node m, k = 2m - count + 1 half-steps from the centre, is
-    bin |k| of the spread grid's rfft, conjugated where k < 0 (``flips``), divided by the
-    kernel's Fourier transform over the grid step (a 100-point midpoint rule: the kernel and
-    its derivatives are ~exp(-beta) at the ends of [-1, 1])."""
+    """(rfft bins, factors) of the nodes k = 2m - count + 1 >= 0 half-steps from 0:
+    bin k of the spread grid's rfft divided by the kernel's Fourier transform over the grid
+    step (a 100-point midpoint rule: the kernel and its derivatives are ~exp(-beta) at the
+    ends of [-1, 1])."""
     step = 0.5 * np.pi / count
     half_width = 0.5 * _SPREAD_WIDTH * step
-    k = 2 * np.arange(count) - (count - 1)
-    bins = np.abs(k)
+    bins = np.arange(1 - count % 2, count, 2)
     z = (np.arange(100) + 0.5) / 50.0 - 1.0
     terms = np.cos(np.outer(bins * half_width, z))
     terms *= _spread_kernel(z)
-    # row sums, not a matrix product, which may round equal rows apart
-    kernel_hat = half_width / 50.0 * terms.sum(axis=1)
-    flips, factors = k < 0, step / kernel_hat
-    bins.flags.writeable = flips.flags.writeable = factors.flags.writeable = False
-    return bins, flips, factors
+    # row sums, not a matrix product, whose rounding depends on the BLAS
+    factors = step / (half_width / 50.0 * terms.sum(axis=1))
+    bins.flags.writeable = factors.flags.writeable = False
+    return bins, factors
 
 
 def _lattice_sum(x: np.ndarray, masses, grid: FrequencyGrid) -> np.ndarray:
-    """Type-1 NUFFT of the atoms ``x`` onto the 1-d lattice theta_m = theta_c + (2m - M + 1) s/2,
-    spread at step s/2 onto 4M points.  On a centred lattice (theta_c = 0: every
-    ``FrequencyGrid.build`` grid) real masses spread as one real array without a phase, and
-    one ``rfft`` gives every node, k < 0 as the conjugate of bin |k|: the values are exactly
-    Hermitian.  Off centre, the real and imaginary parts of masses * exp(-i theta_c x) spread
-    the same way, one array each."""
+    """Type-1 NUFFT of the atoms ``x`` onto the 1-d lattice theta_m = k s/2,
+    k = 2m - M + 1, spread at step s/2 onto 4M points.  The real masses spread as one real
+    array, one ``rfft`` gives the nodes with k >= 0, and the node at -k is the conjugate of
+    the one at k: the values are exactly Hermitian."""
     count, size = grid.node_count, 4 * grid.node_count
-    centre = 0.5 * (grid.nodes[0, 0] + grid.nodes[-1, 0])
     # spread at unit scale: a power-of-two rescale is exact and keeps subnormal masses accurate
     exponent = 0 if masses is None else int(np.frexp(np.max(np.abs(masses), initial=0.0))[1])
-    parts = [None if masses is None else np.ldexp(masses, -exponent)]
-    if centre != 0.0:
-        # exp(-i theta_m x) = exp(-i theta_c x) exp(-i k s x / 2)
-        phased = np.exp(-1j * centre * x) * (1.0 if parts[0] is None else parts[0])
-        parts = [phased.real, phased.imag]
+    weights = None if masses is None else np.ldexp(masses, -exponent)
     # s x / 2 in grid steps, reduced mod the 4M-point period only once it is an integer:
     # reducing s x / 2 mod 2 pi first would cost up to (M - 1) ulp(2 pi) / 2 of phase
     u = x * (grid.spacing * count / np.pi)
     base = np.floor(u)
     first = np.mod(base - (_SPREAD_WIDTH // 2 - 1), size).astype(np.int64)
     shift = (u - base) * (2.0 / _SPREAD_WIDTH)
-    spread = np.zeros((len(parts), size * -(-(size + _SPREAD_WIDTH - 1) // size)))  # whole periods
+    spread = np.zeros(size * -(-(size + _SPREAD_WIDTH - 1) // size))  # whole periods
     for part in (slice(lo, lo + _SPREAD_BLOCK) for lo in range(0, x.size, _SPREAD_BLOCK)):
         # atom j reaches grid points base_j + 1 - w/2 .. base_j + w/2, kernel abscissae in [-1, 1]
         kernel = _spread_kernel(shift[part, None] - _KERNEL_SHIFTS)
         cells = (first[part, None] + np.arange(_SPREAD_WIDTH)).ravel()
-        for row, w in zip(spread, parts):
-            values = kernel if w is None else w[part, None] * kernel
-            row += np.bincount(cells, values.ravel(), row.size)
-    bins, flips, factors = _deconvolution(count)
-    half = np.fft.rfft(spread.reshape(len(parts), -1, size).sum(axis=1))[:, bins] * factors
-    np.negative(half.imag, out=half.imag, where=flips)
-    out = half[0] if len(parts) == 1 else half[0] + 1j * half[1]
+        values = kernel if weights is None else weights[part, None] * kernel
+        spread += np.bincount(cells, values.ravel(), spread.size)
+    bins, factors = _deconvolution(count)
+    upper = np.fft.rfft(spread.reshape(-1, size).sum(axis=0))[bins] * factors
+    out = np.concatenate([np.conj(upper[count % 2 :][::-1]), upper])
     if exponent:
         out.real, out.imag = np.ldexp(out.real, exponent), np.ldexp(out.imag, exponent)
     return out

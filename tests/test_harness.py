@@ -230,6 +230,8 @@ OUT_OF_BOUND = [
     ("run", "control_low", "1.0"),
     ("run", "control_high", "1.0"),
     ("run", "xi_threshold", "0"),
+    ("run", "seed", "4294967296"),  # the streams key on 32 bits: 2**32 would repeat seed 0
+    ("run", "seed", "-1"),
     ("metric", "gamma", "-0.25"),
     ("metric", "cutoff", "0"),
     ("metric", "spacing", "-0.05"),
@@ -331,7 +333,7 @@ VALID_VALUES = {
     ("observation", "epsilon"): _float_text(0.01, 1.0),
     ("run", "particle_counts"): _json_text(st.integers(100, 10**6)),
     ("run", "replications"): st.integers(1, 10**4).map(str),
-    ("run", "seed"): st.integers(-(2**40), 2**40).map(str),
+    ("run", "seed"): st.integers(0, 2**32 - 1).map(str),
     ("run", "population_control"): st.sampled_from(["on", "off"]),
     ("run", "control_low"): _float_text(0.01, 0.99),
     ("run", "control_high"): _float_text(1.01, 10.0),
@@ -373,6 +375,16 @@ def test_serialize_parse_round_trip(values):
 
 
 class TestBuilders:
+    def test_metric_above_the_node_cap_parses_then_exits_2_at_build(self):
+        cfg = parse_config("[metric]\ncutoff = 1e9\n")  # the per-key bound holds
+        with pytest.raises(ConfigError) as err:
+            build_metric(cfg)
+        (violation,) = err.value.violations
+        assert violation == (
+            "metric.cutoff/spacing/gamma, signal.dimension: "
+            "cutoff/spacing = 2e+10 gives over 4194304 nodes"
+        )
+
     def test_default_scenario_objects(self):
         cfg = parse_config(default_config_text())
         signal = build_signal(cfg)
@@ -675,6 +687,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert "metric.cutoff" in err and "cutoff must exceed spacing" in err
+
+    @pytest.mark.parametrize("seed", ["4294967296", "-1"])
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    def test_seed_out_of_range_exits_2_naming_it(self, tmp_path, capsys, route, seed):
+        if route == "config":
+            path, flag = self.write_cfg(tmp_path, QUICK.replace("seed = 7", f"seed = {seed}")), []
+        else:
+            path, flag = self.write_cfg(tmp_path), ["--seed", seed]
+        rc = cli_main(["simulate", "--config", path, *flag, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"run.seed: value {seed} violates 0 <= seed < 2**32" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_three_dimensional_metric_exit_2(self, tmp_path, capsys):
         text = QUICK.replace("grid_points = 256", "grid_points = 64") + (
