@@ -37,7 +37,8 @@ from .observation import (
     ZeroSensor,
     simulate_scenario,
 )
-from .reference import MAX_GRID_CELLS, GridAccuracyWarning, GridDomainError, Oracle, kalman_sensor
+from .reference import MAX_GRID_CELLS, GridAccuracyWarning, Oracle, kalman_sensor
+from .reference import _check_domain, _grid_axes
 from .seeding import substream
 from .stable import InitialLaw, SignalModel, SpectralMeasure
 
@@ -322,7 +323,8 @@ _SENSOR_KEYS = {
 
 def _model_violations(cfg: ExperimentConfig) -> list:
     """Build the signal and observation models and check that a kalman oracle can solve
-    them; one violation naming the keys per rejection."""
+    them, or that a grid oracle's domain holds the initial law; one violation naming the
+    keys per rejection."""
     violations, models = [], []
     for keys, build in (
         ("signal.initial_center/initial_scale", build_signal),
@@ -337,6 +339,12 @@ def _model_violations(cfg: ExperimentConfig) -> list:
             kalman_sensor(*models)
         except ValueError as exc:
             violations.append(f"oracle.kind: {exc}")
+    if cfg.oracle == "grid" and not violations:
+        axes = _grid_axes(cfg.grid_halfwidth, cfg.grid_points, cfg.dimension)
+        try:
+            _check_domain(models[0].initial_law, axes)
+        except ValueError as exc:
+            violations.append(f"oracle.grid_halfwidth/signal.initial_center: {exc}")
     return violations
 
 
@@ -707,8 +715,6 @@ def run_command(command: str, cfg: ExperimentConfig, out_dir=None, strict: bool 
             return handlers[command](cfg, out)
         except (AlphaNearOneWarning, GridAccuracyWarning) as exc:  # raised under ``strict``
             raise RuntimeError(str(exc)) from exc
-        except GridDomainError as exc:
-            raise ConfigError([f"oracle.grid_halfwidth/signal.initial_center: {exc}"]) from exc
         except PopulationGrowthError as exc:
             if command in ("simulate", "rate-sweep"):  # the commands that honour the key
                 raise RuntimeError(f"run.population_control: {exc}") from exc

@@ -115,6 +115,7 @@ _KERNEL_SHIFTS = (np.arange(_SPREAD_WIDTH) - (_SPREAD_WIDTH // 2 - 1)) * (2.0 / 
 _SPREAD_BLOCK = 1024  # atoms per block, bounding the (atoms, width) temporaries
 _DIRECT_CHUNK = 256  # nodes per chunk, at most: keeps a huge node set's blocks to _DIRECT_TERMS
 _DIRECT_TERMS = 2**17  # (atom, node) terms per block of the direct sum, at most
+_DECONVOLUTION_BLOCK = 4096  # rows per block of the deconvolution's (bins, 100) cosine table
 
 
 def _spread_kernel(z):
@@ -131,10 +132,14 @@ def _deconvolution(count: int) -> tuple:
     half_width = 0.5 * _SPREAD_WIDTH * step
     bins = np.arange(1 - count % 2, count, 2)
     z = (np.arange(100) + 0.5) / 50.0 - 1.0
-    terms = np.cos(np.outer(bins * half_width, z))
-    terms *= _spread_kernel(z)
-    # row sums, not a matrix product, whose rounding depends on the BLAS
-    factors = step / (half_width / 50.0 * terms.sum(axis=1))
+    kernel = _spread_kernel(z)
+    factors = np.empty(bins.size)
+    for lo in range(0, bins.size, _DECONVOLUTION_BLOCK):
+        part = slice(lo, lo + _DECONVOLUTION_BLOCK)
+        terms = np.cos(np.outer(bins[part] * half_width, z))
+        terms *= kernel
+        # row sums, not a matrix product, whose rounding depends on the BLAS
+        factors[part] = step / (half_width / 50.0 * terms.sum(axis=1))
     bins.flags.writeable = factors.flags.writeable = False
     return bins, factors
 

@@ -25,7 +25,7 @@ import numpy as np
 from .metrics import fourier
 from .observation import ClippedLinearSensor, ObservationModel, ObservationRecord, weight
 from .observation import _check_record
-from .stable import SignalModel, covariance_rate, increment_cf
+from .stable import InitialLaw, SignalModel, covariance_rate, increment_cf
 
 __all__ = [
     "GridAccuracyWarning",
@@ -122,32 +122,42 @@ def _mesh(axes) -> np.ndarray:
     return np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
 
 
-def _initial_density(signal: SignalModel, axes: tuple, points, cell_volume: float) -> np.ndarray:
-    law = signal.initial_law
-    shape = tuple(a.size for a in axes)
+def _grid_axes(domain_halfwidth: float, points_per_axis: int, d: int) -> tuple:
+    """The cell centres of each axis of the grid on [-domain_halfwidth, domain_halfwidth]^d."""
+    delta = 2.0 * domain_halfwidth / points_per_axis
+    return tuple(-domain_halfwidth + (np.arange(points_per_axis) + 0.5) * delta for _ in range(d))
+
+
+def _check_domain(law: InitialLaw, axes: tuple) -> None:
+    """GridDomainError unless the grid spanned by ``axes`` holds the initial law: a point
+    mass inside the domain, or all but 1e-6 of a density's mass."""
     edges_lo = np.array([a[0] - 0.5 * (a[1] - a[0]) for a in axes])
     edges_hi = np.array([a[-1] + 0.5 * (a[1] - a[0]) for a in axes])
     if law.kind == "point":
-        x0 = law.center
-        if np.any(x0 < edges_lo) or np.any(x0 > edges_hi):
+        if np.any(law.center < edges_lo) or np.any(law.center > edges_hi):
             raise GridDomainError("point mass lies outside the grid domain")
-        density = np.zeros(shape)
-        idx = tuple(int(np.argmin(np.abs(a - c))) for a, c in zip(axes, x0))
-        density[idx] = 1.0 / cell_volume
-        return density
-    if law.kind == "gaussian":
-        coverage = 1.0
-        for lo, hi, mu, sd in zip(edges_lo, edges_hi, law.center, law.scale):
-            coverage *= _norm_cdf((hi - mu) / sd) - _norm_cdf((lo - mu) / sd)
-    else:  # uniform
-        coverage = 1.0
-        for lo, hi, mu, hw in zip(edges_lo, edges_hi, law.center, law.scale):
-            overlap = max(0.0, min(hi, mu + hw) - max(lo, mu - hw))
-            coverage *= overlap / (2.0 * hw)
+        return
+    coverage = 1.0
+    for lo, hi, mu, scale in zip(edges_lo, edges_hi, law.center, law.scale):
+        if law.kind == "gaussian":
+            coverage *= _norm_cdf((hi - mu) / scale) - _norm_cdf((lo - mu) / scale)
+        else:  # uniform, of halfwidth ``scale``
+            coverage *= max(0.0, min(hi, mu + scale) - max(lo, mu - scale)) / (2.0 * scale)
     if 1.0 - coverage > _INITIAL_MASS_OUTSIDE_TOL:
         raise GridDomainError(
             f"initial mass outside the domain is {1.0 - coverage:.3e} (> 1e-06); enlarge the grid"
         )
+
+
+def _initial_density(signal: SignalModel, axes: tuple, points, cell_volume: float) -> np.ndarray:
+    law = signal.initial_law
+    _check_domain(law, axes)
+    shape = tuple(a.size for a in axes)
+    if law.kind == "point":
+        density = np.zeros(shape)
+        idx = tuple(int(np.argmin(np.abs(a - c))) for a, c in zip(axes, law.center))
+        density[idx] = 1.0 / cell_volume
+        return density
     density = law.pdf(points).reshape(shape)
     density /= density.sum() * cell_volume
     return density
@@ -169,7 +179,7 @@ def build_grid(
     if points_per_axis**d > MAX_GRID_CELLS:
         raise ValueError(f"{points_per_axis}**{d} grid cells exceed the cap {MAX_GRID_CELLS}")
     delta = 2.0 * domain_halfwidth / points_per_axis
-    axes = tuple(-domain_halfwidth + (np.arange(points_per_axis) + 0.5) * delta for _ in range(d))
+    axes = _grid_axes(domain_halfwidth, points_per_axis, d)
     cell_volume = float(delta**d)
     points = _mesh(axes)
     density = _initial_density(signal, axes, points, cell_volume)

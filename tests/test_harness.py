@@ -207,6 +207,18 @@ class TestParseConfig:
             parse_config("[oracle]\nkind = kalman\n" + text)
         assert any(v.startswith("oracle.kind: kalman needs") for v in err.value.violations)
 
+    @pytest.mark.parametrize(
+        "law, outside",
+        [("gaussian", "3.085e-01"), ("uniform", "2.500e-01")],  # N(9.5, 1), U[8.5, 10.5]
+    )
+    def test_grid_domain_checked_at_parse(self, law, outside):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[signal]\ninitial_law = {law}\ninitial_center = [9.5]\n")
+        assert err.value.violations == [
+            f"oracle.grid_halfwidth/signal.initial_center: initial mass outside the domain "
+            f"is {outside} (> 1e-06); enlarge the grid"
+        ]
+
     def test_shipped_kalman_config_parses(self):
         cfg = parse_config((ROOT / "configs" / "kalman.ini").read_text())
         assert cfg.oracle == "kalman" and cfg.sensor == "clipped_linear"
@@ -343,7 +355,8 @@ VALID_VALUES = {
     ("metric", "spacing"): _float_text(0.001, 1.0),
     ("oracle", "kind"): st.sampled_from(["grid", "none"]),
     ("oracle", "grid_points"): st.sampled_from(["64", "128", "1024"]),
-    ("oracle", "grid_halfwidth"): _float_text(0.1, 100.0),
+    # from 5: the default N(0, 1) law leaves 2 Phi(-5) = 5.7e-7 < 1e-6 of its mass outside
+    ("oracle", "grid_halfwidth"): _float_text(5.0, 100.0),
     ("rate", "assert_slope"): st.sampled_from(["on", "off"]),
     # either drawn or default (-0.65, -0.35), slope_low stays <= slope_high
     ("rate", "slope_low"): _float_text(-5.0, -0.65),
@@ -635,7 +648,8 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_weight_overflow_exit_3_not_extinction(self, tmp_path, capsys):
-        text = QUICK + (
+        # no oracle: a law centred at 15 lies outside the grid's domain, which exits 2 at parse
+        text = QUICK.replace("grid_points = 256", "kind = none") + (
             "\n[signal]\nalpha = 1.2\ninitial_center = [15.0]\n"
             "\n[observation]\nsensor = clipped_linear\nepsilon = 0.5\n"
         )
@@ -645,6 +659,23 @@ class TestCli:
         assert rc == 3
         assert "weight overflow at observation epoch 1" in captured.err
         assert "extinction" not in captured.out + captured.err
+
+    def test_simulate_extinction_exit_3_after_writing_artifacts(self, tmp_path, capsys):
+        # the one particle of seed 9 dies out at epoch 5 of 10
+        text = QUICK.replace("particle_counts = [300]", "particle_counts = [1]")
+        text = text.replace("seed = 7", "seed = 9") + "\n[rate]\nassert_slope = off\n"
+        out = tmp_path / "o"
+        rc = cli_main(["simulate", "--config", self.write_cfg(tmp_path, text), "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().out == "extinction at epoch 5\n"
+        manifest = json.loads((out / "quick_simulate_manifest.json").read_text())
+        assert {f["name"] for f in manifest["files"]} == {
+            f"quick_simulate_{kind}.csv"
+            for kind in ("truth", "observations", "estimates", "oracle", "oracle_transform")
+        }
+        rows = (out / "quick_simulate_estimates.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4", "5"]
+        assert rows[-1].split(",")[2:4] == ["0", "0"]  # count, mass
 
     def test_rate_sweep_requires_oracle(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, QUICK + "\n[oracle]\nkind = none\n")
@@ -674,12 +705,32 @@ class TestCli:
         assert "baseline.epsilons: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_initial_law_outside_grid_exit_2(self, tmp_path, capsys):
-        path = self.write_cfg(tmp_path, QUICK + "\n[signal]\ninitial_center = [15.0]\n")
-        rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, work",
+        [
+            ("simulate", "run_filter"),
+            ("validate", "default_validation_suite"),
+            ("rate-sweep", "rate_sweep"),
+            ("compare-baseline", "baseline_comparison"),
+        ],
+    )
+    def test_initial_law_outside_grid_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, work
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(harness, work, never)
+        path = self.write_cfg(tmp_path, QUICK + "\n[signal]\ninitial_center = [9.5]\n")
+        rc = cli_main([command, "--config", path, "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
         assert rc == 2
-        assert "oracle.grid_halfwidth" in err and "signal.initial_center" in err
+        assert (
+            "  - oracle.grid_halfwidth/signal.initial_center: initial mass outside the domain "
+            "is 3.085e-01 (> 1e-06); enlarge the grid\n"
+        ) in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
 
     def test_cutoff_below_spacing_exit_2(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, QUICK + "\n[metric]\ncutoff = 0.01\n")

@@ -22,8 +22,11 @@ from levyfilter.harness import build_observation, build_signal, default_config_t
 from levyfilter.metrics import (
     _DIRECT_CHUNK,
     _DIRECT_TERMS,
+    _SPREAD_WIDTH,
     MAX_METRIC_NODES,
+    _deconvolution,
     _log_line,
+    _spread_kernel,
     fourier,
     running_total,
     unit_terms,
@@ -149,6 +152,37 @@ def test_lattice_fourier_is_hermitian_for_a_subnormal_mass():
     grid = FrequencyGrid.build(1, gamma=-1.0, cutoff=41.375, spacing=0.03125)
     values = fourier(sites, masses, grid)
     assert np.max(np.abs(values[::-1] - np.conj(values))) <= fourier_bound(grid, sites, masses)
+
+
+def one_table_deconvolution(count):
+    """The deconvolution factors from one (ceil(count / 2), 100) cosine table."""
+    step = 0.5 * np.pi / count
+    half_width = 0.5 * _SPREAD_WIDTH * step
+    bins = np.arange(1 - count % 2, count, 2)
+    z = (np.arange(100) + 0.5) / 50.0 - 1.0
+    terms = np.cos(np.outer(bins * half_width, z))
+    terms *= _spread_kernel(z)
+    return bins, step / (half_width / 50.0 * terms.sum(axis=1))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 1600, 1601, 2**13 + 1, 2**16, 2**16 + 1])
+def test_deconvolution_in_blocks_is_the_one_table_bit_for_bit(count):
+    bins, factors = _deconvolution(count)
+    expected_bins, expected = one_table_deconvolution(count)
+    assert np.array_equal(bins, expected_bins)
+    assert np.array_equal(factors, expected)
+
+
+def test_deconvolution_memory_is_bounded_by_its_blocks():
+    # one table of 2**15 rows would peak near 50 MB
+    _deconvolution.cache_clear()
+    tracemalloc.start()
+    try:
+        _deconvolution(2**16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6
 
 
 class TestFourier:

@@ -69,6 +69,18 @@ class TestBuildGrid:
             build_grid(signal(law=InitialLaw.gaussian([0.0], [5.0])), 0.1, 6.0, 64)
         with pytest.raises(GridDomainError):
             build_grid(signal(law=InitialLaw.point([20.0])), 0.1, 10.0, 64)
+        # a quarter of the uniform support [8.5, 10.5] lies beyond the edge at 10
+        with pytest.raises(GridDomainError, match=r"outside the domain is 2\.500e-01 "):
+            build_grid(signal(law=InitialLaw.uniform([9.5], [1.0])), 0.1, 10.0, 64)
+
+    def test_uniform_law_density(self):
+        # support [1.25, 3.75] on cell edges of the 512-cell grid on [-10, 10] (step 2**-5 * 1.25)
+        grid = build_grid(signal(law=InitialLaw.uniform([2.5], [1.25])), 0.1, 10.0, 512)
+        inside = np.abs(grid.axes[0] - 2.5) < 1.25
+        assert np.count_nonzero(inside) == 64
+        assert grid.density[inside] == pytest.approx(1.0 / 2.5, rel=1e-12)
+        assert not grid.density[~inside].any()
+        assert grid.total_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_points_must_be_power_of_two(self):
         with pytest.raises(ValueError):
