@@ -191,11 +191,11 @@ class EnsembleSize(NamedTuple):
 
 
 class FilterStep(NamedTuple):
-    """What a branching run keeps of one observation epoch (at t = epoch * epsilon): the
-    sizes just before and just after branching (and population control; ``pre`` is the
-    whole population, moved or not), the deaths plus branches (the rows of ``pre`` that left
-    a count other than 1), and the rows the epoch moved (increment draws) and weighed
-    (weight evaluations)."""
+    """What a run keeps of one observation epoch (at t = epoch * epsilon): the sizes just
+    before and just after resampling and population control (``pre`` is the whole
+    population, moved or not), the rule's own tally (branching: the deaths plus branches,
+    the rows whose count is not 1; multinomial: the relocations), and the rows the epoch
+    moved (increment draws) and weighed (weight evaluations)."""
 
     epoch: int
     pre: EnsembleSize
@@ -241,23 +241,20 @@ def run_filter(
     or the thinning bound), and PopulationGrowthError if the population exceeds
     MAX_GROWTH * n.
     """
-    initial, final, steps = _run_epochs(
+    return _run_epochs(
         signal, obs, record, n, rng, _branch, reduce, control=control, thin=reduce is None
     )
-    steps = [FilterStep(*step) for step in steps]
-    extinct = steps[-1].epoch if final.count == 0 else None
-    return FilterRun(initial, final, steps, extinct)
 
 
-def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thin=False) -> tuple:
+def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thin=False):
     """The epoch loop of both filters: evolve by the epsilon that the record and ``obs``
     share (ValueError if they differ, or if their observation widths do), weigh, draw one
     uniform per row, then ``resample(rho, u)``, a resampling rule that returns ``(parents,
     tally)``: row i of ``post`` is row ``parents[i]`` of ``pre``, gathered once, and the
-    tally is the epoch's branch or relocation count.  ``control`` applies
-    ``population_control`` to ``post``, which enters the next interval, and composes its
-    rows into ``parents``.  Stops at extinction; raises
-    PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
+    tally is the rule's own count (branch events, or relocations).  ``control`` applies
+    ``population_control``, the third parent-map rule, to ``post``, which enters the next
+    interval: its rows gather ``post`` and compose into ``parents``.  Stops at extinction;
+    raises PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
 
     Without ``thin`` every epoch is eager: every row moves, is weighed and draws its
     uniform.  With it (for a run without a reducer) every epoch but the last thins with the
@@ -276,9 +273,8 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
     A ``reduce`` callable, when given, is called at every epoch as
     ``reduce(k, pre, rho, parents, post)`` with the live arrays, after resampling and
     population control: it must not change them and should keep only what it needs,
-    because nothing else of them outlives the epoch.  Returns (initial ensemble, final
-    ensemble, records), one record ``(k, pre size, post size, tally, moved, weighed)`` per
-    epoch.
+    because nothing else of them outlives the epoch.  Returns the ``FilterRun``, one
+    ``FilterStep(k, pre size, post size, tally, moved, weighed)`` per epoch.
     """
     eps = _check_record(obs, record)
     initial = ensemble = init_ensemble(n, signal, rng)
@@ -333,25 +329,24 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
                 parents, tally = resample(rho, rng.random(count))
                 ensemble = pre._with(_flat(x)[parents])
                 moved = weighed = count
-            if control is not None:
-                if last is not None and ensemble.count < control[0] * n:  # about to double
-                    stale = (last < k).nonzero()[0]
-                    catch_up(ensemble.positions, stale, k)
-                    moved += stale.size
+            kept = None if control is None else population_control(ensemble.count, n, control, rng)
+            if kept is not None:
+                rows, factor = kept
+                if last is not None and factor == 0.5:  # a doubling: copies share their past
+                    moved += len(catch_up(ensemble.positions, (last < k).nonzero()[0], k))
                     last = None
-                ensemble, rows = population_control(ensemble, n, control, rng)
-                if rows is not None and last is not None:
-                    last = last[rows]
-                if rows is not None and parents is not None:
-                    parents = parents[rows]
+                x = _flat(ensemble.positions)[rows]
+                ensemble = ensemble._with(x, ensemble.mass_factor * factor)
+                last = None if last is None else last[rows]
+                parents = None if parents is None else parents[rows]
             if ensemble.count > MAX_GROWTH * n:
                 raise PopulationGrowthError(k, ensemble.count, MAX_GROWTH * n)
             if reduce is not None:
                 reduce(k, pre, rho, parents, ensemble)
-            steps.append((k, pre.size, ensemble.size, tally, moved, weighed))
+            steps.append(FilterStep(k, pre.size, ensemble.size, tally, moved, weighed))
             if ensemble.count == 0:
-                break
-    return initial, ensemble, steps
+                return FilterRun(initial, ensemble, steps, k)
+    return FilterRun(initial, ensemble, steps)
 
 
 def _flat(x):
@@ -461,23 +456,19 @@ def run_baseline(
 
     Raises WeightOverflowError if a weight is NaN or exceeds MAX_RHO.
     """
-    steps = _run_epochs(signal, obs, record, n, rng, _multinomial_resample, reduce)[2]
-    return [BaselineStep(k, post, relocations) for k, _, post, relocations, _, _ in steps]
+    run = _run_epochs(signal, obs, record, n, rng, _multinomial_resample, reduce)
+    return [BaselineStep(step.epoch, step.post, step.branch_events) for step in run.steps]
 
 
 def population_control(
-    ensemble: ParticleEnsemble,
-    n_target: int,
-    bounds: tuple,
-    rng: np.random.Generator,
-) -> tuple[ParticleEnsemble, np.ndarray | None]:
-    """Halve or double the population outside the band, preserving estimates exactly.
-
-    Above high_ratio * n_target each particle survives with probability 1/2
-    and the mass factor doubles; below low_ratio * n_target every particle is
-    duplicated and the mass factor halves.  Conditional expectations of all
-    estimates are unchanged.  An empty ensemble is left alone.  Also returns the
-    index array that picks each output row's input row, or None when nothing changed.
+    count: int, n_target: int, bounds: tuple, rng: np.random.Generator
+) -> tuple[np.ndarray, float] | None:
+    """The loop's third parent-map rule, and the one place that decides when a run halves
+    or doubles: ``(rows, factor)``, output row i being input row ``rows[i]`` with its mass
+    times ``factor``, or None inside the band (no draw).  Above high_ratio * n_target each
+    row survives iff its uniform is below 1/2 (factor 2); below low_ratio * n_target a
+    non-empty population repeats every row twice (factor 1/2).  Every estimate keeps its
+    conditional expectation exactly.
     """
     lo_ratio, hi_ratio = bounds
     if not 0.0 < lo_ratio < 1.0 < hi_ratio:
@@ -485,11 +476,8 @@ def population_control(
             f"population control bounds ({lo_ratio:g}, {hi_ratio:g}) "
             "must satisfy 0 < low_ratio < 1 < high_ratio"
         )
-    count = ensemble.count
     if count > hi_ratio * n_target:
-        rows = (rng.random(count) < 0.5).nonzero()[0]
-        return ensemble._with(ensemble.positions[rows], ensemble.mass_factor * 2.0), rows
-    if count < lo_ratio * n_target and count > 0:
-        rows = np.repeat(np.arange(count), 2)
-        return ensemble._with(ensemble.positions[rows], ensemble.mass_factor * 0.5), rows
-    return ensemble, None
+        return (rng.random(count) < 0.5).nonzero()[0], 2.0
+    if 0 < count < lo_ratio * n_target:
+        return np.repeat(np.arange(count), 2), 0.5
+    return None

@@ -608,18 +608,20 @@ def test_multinomial_resample_is_generator_choice(count, sigma, zero_share, seed
 
 class TestPopulationControl:
     def test_identity_inside_band(self):
-        ens = init_ensemble(100, gaussian_signal(), np.random.default_rng(97))
-        out, rows = population_control(ens, 100, (0.5, 2.0), np.random.default_rng(98))
-        assert out is ens and rows is None
+        for count in (100, 0):  # an empty population is left alone too
+            rng = np.random.default_rng(98)
+            state = rng.bit_generator.state
+            assert population_control(count, 100, (0.5, 2.0), rng) is None
+            assert rng.bit_generator.state == state  # nothing drawn
 
     def test_duplication_preserves_estimates_exactly(self):
         ens = init_ensemble(20, gaussian_signal(), np.random.default_rng(101))
         before = ens.mass_factor * np.sum(ens.positions[:, 0] ** 2) / ens.initial_count
-        out, rows = population_control(ens, 100, (0.5, 2.0), np.random.default_rng(102))
-        assert out.count == 40
+        rows, factor = population_control(ens.count, 100, (0.5, 2.0), np.random.default_rng(102))
+        assert rows.size == 40
         assert np.array_equal(rows, np.repeat(np.arange(20), 2))
-        assert out.mass_factor == 0.5
-        after = out.mass_factor * np.sum(out.positions[:, 0] ** 2) / out.initial_count
+        assert factor == 0.5
+        after = ens.mass_factor * factor * np.sum(ens.positions[rows, 0] ** 2) / ens.initial_count
         assert after == pytest.approx(before, rel=1e-15)
 
     def test_thinning_unbiased_mass(self):
@@ -628,8 +630,8 @@ class TestPopulationControl:
         reps = 10_000
         masses = np.empty(reps)
         for r in range(reps):
-            out, _ = population_control(ens, 100, (0.5, 2.0), rng)
-            masses[r] = out.total_mass
+            rows, factor = population_control(ens.count, 100, (0.5, 2.0), rng)
+            masses[r] = ens.estimate(factor * rows.size)  # the kept rows' total mass
         se = masses.std(ddof=1) / np.sqrt(reps)
         assert abs(masses.mean() - ens.total_mass) < 5.0 * se
 
@@ -673,11 +675,11 @@ class TestPopulationControl:
             assert_parent_rows(step)
 
     def test_halving_returns_an_index(self):
-        ens = init_ensemble(300, gaussian_signal(), np.random.default_rng(105))
-        out, rows = population_control(ens, 100, (0.5, 2.0), np.random.default_rng(106))
+        rows, factor = population_control(300, 100, (0.5, 2.0), np.random.default_rng(106))
         assert rows.dtype.kind == "i" and np.all(np.diff(rows) > 0)
-        assert np.array_equal(out.positions, ens.positions[rows])
-        assert out.mass_factor == 2.0
+        keep = np.random.default_rng(106).random(300) < 0.5
+        assert np.array_equal(rows, keep.nonzero()[0])
+        assert factor == 2.0
 
     def test_run_filter_rejects_band_outside_one(self):
         record = ObservationRecord(increments=np.zeros((2, 1)), epsilon=0.1)

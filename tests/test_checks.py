@@ -1,4 +1,4 @@
-"""Validation checks that must FAIL when a filter run dies out."""
+"""Validation checks that must FAIL: when a filter run dies out, or when a hypothesis fails."""
 
 import dataclasses
 
@@ -43,3 +43,14 @@ def test_oracle_agreement_fails_on_an_extinct_run(monkeypatch):
     )
     assert result.status == "FAIL"
     assert result.detail == "particle system extinct at observation epoch 7 (n 500, replication 0)"
+
+
+def test_mass_moments_fail_on_their_hypothesis_before_any_run(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a filter ran")
+
+    monkeypatch.setattr(checks, "run_filter", never)
+    assert OBS.epsilon == 0.1  # sqrt(0.1) * 3 = 0.95 < 1
+    result = checks.check_mass_moments(SIGNAL, OBS, CONFIG.horizon, CONFIG.seed, ns=(3, 6, 12))
+    assert result.status == "FAIL"
+    assert result.detail == "hypothesis sqrt(eps)*n >= 1.0 violated for n=3"

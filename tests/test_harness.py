@@ -994,3 +994,35 @@ grid_points = 64
         rc = cli_main(["rate-sweep", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "extinction fraction" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, text, gate, files",
+        [
+            (
+                "rate-sweep",
+                QUICK.replace("particle_counts = [300]", "particle_counts = [300, 600, 1200]")
+                + "\n[rate]\nslope_low = 5.0\nslope_high = 6.0\n",
+                "slope 0.2219 outside [5.0, 6.0]",
+                ["errors", "rms", "fit"],
+            ),
+            (
+                "compare-baseline",
+                QUICK
+                + "\n[observation]\nbump_amplitudes = [4.0]\n[baseline]\nepsilons = [1.0, 0.5]\n",
+                "branching relocation fraction unexpectedly large (>= 0.2)",
+                ["comparison"],
+            ),
+        ],
+        ids=["slope", "fraction"],
+    )
+    def test_gate_exits_1_after_writing_every_artifact(
+        self, tmp_path, capsys, command, text, gate, files
+    ):
+        out = tmp_path / "o"
+        rc = cli_main([command, "--config", self.write_cfg(tmp_path, text), "--out", str(out)])
+        assert rc == 1
+        assert gate in capsys.readouterr().out.splitlines()
+        manifest = json.loads((out / f"quick_{command}_manifest.json").read_text())
+        names = [f"quick_{command}_{name}.csv" for name in files]
+        assert sorted(entry["name"] for entry in manifest["files"]) == sorted(names)
+        assert all((out / name).is_file() for name in names)
