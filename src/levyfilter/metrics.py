@@ -295,14 +295,17 @@ class RateFit(NamedTuple):
     ci_high: float
 
 
-def _log_line(x, y) -> tuple[float, float]:
+def _log_line(x, y):
     """(slope, intercept) of the least-squares line of log y on log x: the one log-log fit.
-    (nan, nan), without a numpy warning, unless every value is positive."""
+    A 2-d ``y`` holds one series per column and gives one array of slopes and one of
+    intercepts, from one solve; at up to 7 points each column's fit is the 1-d fit bit
+    for bit (tests/test_metrics.py), at 8 or more the BLAS may round the two apart.
+    nan, without a numpy warning, unless every value is positive."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if not (np.all(x > 0.0) and np.all(y > 0.0)):
-        return np.nan, np.nan
+        return (np.nan, np.nan) if y.ndim == 1 else np.full((2, y.shape[1]), np.nan)
     slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
-    return float(slope), float(intercept)
+    return (float(slope), float(intercept)) if y.ndim == 1 else (slope, intercept)
 
 
 def rate_fit(pairs) -> RateFit:

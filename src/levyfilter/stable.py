@@ -74,16 +74,6 @@ class SpectralMeasure:
     def dimension(self) -> int:
         return self.directions.shape[1]
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-    def to_records(self) -> list[dict]:
-        return [
-            {"direction": list(map(float, z)), "weight": float(w)}
-            for z, w in zip(self.directions, self.weights)
-        ]
-
     @classmethod
     def from_records(cls, records) -> "SpectralMeasure":
         directions = np.array([r["direction"] for r in records], dtype=float)

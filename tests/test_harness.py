@@ -100,6 +100,24 @@ class TestParseConfig:
                 parse_config(text)
             assert "unknown section [DEFAULT]" in err.value.violations
 
+    @pytest.mark.parametrize(
+        "text, violation",
+        [
+            ("[run]\nparticle_counts = [300\n", "run.particle_counts: not valid JSON ('[300')"),
+            ("[run]\nparticle_counts = 300\n", "run.particle_counts: expected a JSON list"),
+            (
+                "[scenario]\nhorizon = 0.05\n",
+                "scenario.horizon: must be at least observation.epsilon",
+            ),
+            ("[bogus]\nseed = 5\n", "unknown section [bogus]"),
+        ],
+        ids=["json", "list", "horizon", "section"],
+    )
+    def test_violation_text(self, text, violation):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert violation in err.value.violations
+
     def test_counts_round_trip(self):
         text = "[run]\nparticle_counts = [500, 2000, 8000]\nreplications = 3\n"
         cfg = parse_config(text)
@@ -404,7 +422,7 @@ class TestBuilders:
         obs = build_observation(cfg)
         metric = build_metric(cfg)
         assert signal.alpha == 2.0
-        assert signal.spectral.total_mass == pytest.approx(0.5)
+        assert signal.spectral.weights.tolist() == [0.5]
         assert obs.epsilon == 0.1
         assert isinstance(obs.sensor, GaussianBumpSensor)
         assert obs.sensor.amplitudes.tolist() == [1.0]
@@ -677,11 +695,32 @@ class TestCli:
         assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4", "5"]
         assert rows[-1].split(",")[2:4] == ["0", "0"]  # count, mass
 
-    def test_rate_sweep_requires_oracle(self, tmp_path, capsys):
-        path = self.write_cfg(tmp_path, QUICK + "\n[oracle]\nkind = none\n")
-        rc = cli_main(["rate-sweep", "--config", path, "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize(
+        "text, violation",
+        [
+            (
+                QUICK.replace("grid_points = 256", "kind = none"),
+                "oracle.kind: rate-sweep needs an oracle (grid or kalman)",
+            ),
+            (
+                QUICK.replace("[300]", "[300, 600]") + "\n[rate]\nassert_slope = on\n",
+                "run.particle_counts: at least 3 counts are needed to fit a rate",
+            ),
+        ],
+        ids=["oracle", "counts"],
+    )
+    def test_rate_sweep_gates_exit_2(self, tmp_path, capsys, text, violation):
+        rc = cli_main(["rate-sweep", "--config", self.write_cfg(tmp_path, text),
+                       "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "oracle" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error:\n  - {violation}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_command(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            harness.run_command("sweep", parse_config(QUICK), tmp_path / "o")
+        assert err.value.violations == ["unknown command 'sweep'"]
+        assert not (tmp_path / "o").exists()
 
     def test_observation_dim_mismatch_exit_2(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, QUICK + "\n[observation]\nobservation_dim = 3\n")

@@ -407,6 +407,43 @@ class TestRateFit:
             slope, intercept = _log_line([1.0, 2.0, 4.0], y)
         assert np.isnan(slope) and np.isnan(intercept)
 
+    @pytest.mark.parametrize(
+        "x, bad", [([1.0, 2.0, 4.0], (1, 3)), ([1.0, 0.0, 4.0], None)], ids=["y", "x"]
+    )
+    def test_log_line_columns_nonpositive_are_quiet_nans(self, x, bad):
+        y = np.ones((3, 5))
+        if bad is not None:
+            y[bad] = -1.0  # one entry of one column spoils every column
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slopes, intercepts = _log_line(x, y)
+        assert slopes.shape == intercepts.shape == (5,)
+        assert np.all(np.isnan(slopes)) and np.all(np.isnan(intercepts))
+
+
+@given(
+    st.lists(st.integers(1, 10**6), min_size=2, max_size=7, unique=True).flatmap(
+        lambda x: st.tuples(
+            st.just(x),
+            st.lists(
+                st.lists(st.floats(1e-6, 1e3), min_size=len(x), max_size=len(x)),
+                min_size=1,
+                max_size=4,
+            ),
+        )
+    ),
+    st.integers(0, 1000),
+)
+@settings(max_examples=200, deadline=None)
+def test_log_line_columns_are_the_one_column_fits_bit_for_bit(case, copies):
+    # c03 fits 5 points and c09 3, c09 in 1,001 columns: tile the columns up to that width
+    x, columns = case
+    y = np.tile(np.array(columns, dtype=float).T, (1, 1 + copies))
+    slopes, intercepts = _log_line(x, y)
+    assert slopes.shape == intercepts.shape == (y.shape[1],)
+    for j in range(y.shape[1]):
+        assert (slopes[j], intercepts[j]) == _log_line(x, y[:, j])
+
 
 def frozen_slope_confidence(pairs, z=1.96):
     """The retired ``slope_confidence``, its ``rate_fit`` call inlined: (slope, lo, hi)."""

@@ -43,12 +43,12 @@ class TestSpectralMeasure:
         with pytest.raises(ValueError):
             SpectralMeasure([[1.0]], [0.0])
 
-    def test_records_round_trip(self):
-        gamma = SpectralMeasure([[0.6, 0.8], [0.0, -1.0]], [0.25, 1.5])
-        back = SpectralMeasure.from_records(gamma.to_records())
-        assert np.array_equal(back.directions, gamma.directions)
-        assert np.array_equal(back.weights, gamma.weights)
-        assert back.total_mass == pytest.approx(1.75)
+    def test_from_records(self):
+        gamma = SpectralMeasure.from_records(
+            [{"direction": [0.6, 0.8], "weight": 0.25}, {"direction": [0.0, -1.0], "weight": 1.5}]
+        )
+        assert gamma.directions.tolist() == [[0.6, 0.8], [0.0, -1.0]]
+        assert gamma.weights.tolist() == [0.25, 1.5]
 
 
 class TestCharacteristicExponent:
