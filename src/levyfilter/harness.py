@@ -395,6 +395,8 @@ _CSV_BLOCK_ROWS = 4096  # rows per `%`: bounds the size of the value tuple and t
 def csv_blocks(header, blocks):
     """CSV text in pieces: the header line, then the rows of each block of equal-length
     columns.  Floats are written as %.17g (lossless), integers in decimal, anything else as str.
+    A list whose first item is a str is a text column: its items are written as they are,
+    with no round trip through numpy.
 
     Rows are formatted at most ``_CSV_BLOCK_ROWS`` at a time, by one ``%`` on a
     template of the chunk's rows with the values interleaved row by row into one
@@ -402,16 +404,46 @@ def csv_blocks(header, blocks):
     """
     yield ",".join(header) + "\n"
     for columns in blocks:
-        columns = [np.asarray(c) for c in columns]
-        row = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%s") for c in columns) + "\n"
+        columns = [
+            c if isinstance(c, list) and c and isinstance(c[0], str) else np.asarray(c)
+            for c in columns
+        ]
+        row = ",".join(
+            "%s" if isinstance(c, list) else _CSV_FORMATS.get(c.dtype.kind, "%s") for c in columns
+        ) + "\n"
         width = len(columns)
         rows = len(columns[0]) if columns else 0
         for start in range(0, rows, _CSV_BLOCK_ROWS):
             stop = min(start + _CSV_BLOCK_ROWS, rows)
             values = [None] * ((stop - start) * width)
             for j, column in enumerate(columns):
-                values[j::width] = column[start:stop].tolist()
+                part = column[start:stop]
+                values[j::width] = part if isinstance(part, list) else part.tolist()
             yield row * (stop - start) % tuple(values)
+
+
+_CONJUGATE_BITS = np.array([0, 1 << 63], dtype=np.uint64)  # xor flips the sign of im
+
+
+def _conjugate_columns(values):
+    """The re and im columns of a transform for ``csv_blocks``, each conjugate pair
+    formatted once.
+
+    When ``values`` has even length and no nan, and row i is the conjugate of row -1-i
+    bit for bit (so -0.0 pairs only with +0.0), the upper half is formatted as %.17g text
+    and the lower half reuses it in reverse order, its im text negated by dropping or
+    adding a leading '-'.  Otherwise the float columns themselves are returned.  The
+    written text is the same either way.
+    """
+    values = np.ascontiguousarray(values, dtype=complex)
+    pairs = values.view(np.uint64).reshape(-1, 2)  # the (re, im) bits of each row
+    conjugates = pairs[::-1] ^ _CONJUGATE_BITS
+    if values.size % 2 or np.isnan(values).any() or not np.array_equal(pairs, conjugates):
+        return values.real, values.imag
+    upper = values[values.size // 2 :].view(float).tolist()  # re and im interleaved
+    text = ("%.17g\n" * len(upper) % tuple(upper)).split("\n")  # one `%`, as csv_blocks
+    re, im = text[:-1:2], text[1::2]
+    return re[::-1] + re, [t[1:] if t[0] == "-" else "-" + t for t in im[::-1]] + im
 
 
 def emit_results(files: dict, out_dir, *, name: str, command: str, cfg: ExperimentConfig) -> Path:
@@ -538,7 +570,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
         files[f"{cfg.name}_simulate_oracle_transform.csv"] = csv_blocks(
             ["epoch"] + [f"theta{i}" for i in range(d)] + ["re", "im"],
             (
-                [np.full(metric.node_count, s.epoch), *nodes, s.transform.real, s.transform.imag]
+                [[str(s.epoch)] * metric.node_count, *nodes, *_conjugate_columns(s.transform)]
                 for s in summaries
             ),
         )

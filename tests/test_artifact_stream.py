@@ -12,12 +12,17 @@ from levyfilter.harness import _CSV_BLOCK_ROWS, csv_blocks, emit_results, parse_
 
 
 def columns_of(rows: int, seed: int) -> list:
-    """A float column over all bit patterns (nan and inf included), an int column and a str column."""
+    """A float column over all bit patterns (nan and inf included), an int column, a str
+    column and a text column (a list of str, written as it is)."""
     rng = np.random.default_rng(seed)
     floats = rng.integers(0, 2**64, size=rows, dtype=np.uint64).view(np.float64)
     ints = rng.integers(-(2**62), 2**62, size=rows)
     words = np.array([f"w{v}" for v in rng.integers(0, 1000, size=rows)], dtype=str)
-    return [ints, floats, words]
+    texts = [f"-%{v}" for v in rng.integers(0, 1000, size=rows).tolist()]
+    return [ints, floats, words, texts]
+
+
+HEADER = ["i", "x", "w", "t"]  # the names of the columns_of columns
 
 
 def emit(tmp_path, files):
@@ -33,14 +38,13 @@ class TestBlocks:
         cuts = sorted(data.draw(st.lists(st.integers(0, rows), max_size=6)))
         bounds = [0, *cuts, rows]
         blocks = [[c[a:b] for c in columns] for a, b in zip(bounds, bounds[1:])]
-        header = ["i", "x", "w"]
-        assert "".join(csv_blocks(header, blocks)) == "".join(csv_blocks(header, [columns]))
+        assert "".join(csv_blocks(HEADER, blocks)) == "".join(csv_blocks(HEADER, [columns]))
 
     def test_no_blocks_is_the_header(self):
         assert list(csv_blocks(["a", "b"], [])) == ["a,b\n"]
 
     def test_chunks_hold_at_most_the_block_rows(self):
-        pieces = list(csv_blocks(["i", "x", "w"], [columns_of(2 * _CSV_BLOCK_ROWS + 1, 3)]))
+        pieces = list(csv_blocks(HEADER, [columns_of(2 * _CSV_BLOCK_ROWS + 1, 3)]))
         assert [piece.count("\n") for piece in pieces] == [1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS, 1]
 
 
@@ -50,14 +54,14 @@ class TestEmit:
         text = "epsilon,0.5\n"
         entries = emit(
             tmp_path,
-            {"big.csv": csv_blocks(["i", "x", "w"], [columns]), "small.csv": [text]},
+            {"big.csv": csv_blocks(HEADER, [columns]), "small.csv": [text]},
         )
         assert [e["name"] for e in entries] == ["big.csv", "small.csv"]
         for entry in entries:
             data = (tmp_path / entry["name"]).read_bytes()
             assert entry["sha256"] == hashlib.sha256(data).hexdigest()
             assert entry["bytes"] == len(data)
-        assert (tmp_path / "big.csv").read_text() == "".join(csv_blocks(["i", "x", "w"], [columns]))
+        assert (tmp_path / "big.csv").read_text() == "".join(csv_blocks(HEADER, [columns]))
         assert (tmp_path / "small.csv").read_text() == text
 
     def test_memory_stays_a_fraction_of_the_artifact(self, tmp_path):

@@ -13,8 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyfilter import harness
 from levyfilter.branching import run_filter
 from levyfilter.harness import (
+    _CSV_BLOCK_ROWS,
+    _conjugate_columns,
     build_metric,
     build_observation,
     build_signal,
@@ -189,6 +192,59 @@ class TestValues:
         assert csv_text(["a", "b"], [[], []]) == "a,b\n" == _csv_text(["a", "b"], [])
 
 
+def complex_of(re, im) -> np.ndarray:
+    """The complex vector with these parts, bit for bit (``re + 1j * im`` turns inf into nan)."""
+    values = np.empty(len(re), dtype=complex)
+    values.real, values.imag = re, im
+    return values
+
+
+def mirrored(upper) -> np.ndarray:
+    """``upper`` preceded by its conjugates in reverse order: row i pairs with row -1-i."""
+    return np.concatenate([np.conj(upper[::-1]), upper])
+
+
+def pair_text(values) -> str:
+    """The re,im rows of ``values`` as the frozen row writer formats them."""
+    return _csv_text(["re", "im"], zip(values.real.tolist(), values.imag.tolist()))
+
+
+finite_or_inf = st.one_of(
+    float64_bits.filter(lambda v: v == v), st.sampled_from([v for v in SPECIAL if v == v])
+)
+
+
+class TestConjugateColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(finite_or_inf, finite_or_inf), max_size=40))
+    def test_conjugate_pairs_are_formatted_once_as_the_row_writer(self, parts):
+        values = mirrored(complex_of([r for r, _ in parts], [i for _, i in parts]))
+        re, im = _conjugate_columns(values)
+        assert isinstance(re, list) and isinstance(im, list)
+        assert re == ["%.17g" % v for v in values.real.tolist()]
+        assert im == ["%.17g" % v for v in values.imag.tolist()]
+        assert csv_text(["re", "im"], [re, im]) == pair_text(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            complex_of([1.0, 2.5, 1.0], [-3.0, 0.0, 3.0]),  # odd length
+            mirrored(complex_of([1.0, 2.0], [0.5, float("nan")])),  # '%.17g' % -nan is 'nan'
+            mirrored(complex_of([float("nan"), 2.0], [0.5, 1.0])),
+            complex_of([1.0, 1.0], [0.0, 0.0]),  # conjugate but for the sign of a zero
+            complex_of([-0.0, 0.0], [1.0, -1.0]),
+            complex_of([1.0, 1.0], [2.0, 2.0]),  # not conjugate
+            complex_of([1.0, 1.0 + 2.0**-52, 1.0, 1.0], [2.0, 5.0, -5.0, -2.0]),
+        ],
+        ids=["odd", "nan-im", "nan-re", "zero-im", "zero-re", "equal", "one-ulp"],
+    )
+    def test_other_vectors_are_formatted_in_full(self, values):
+        re, im = _conjugate_columns(values)
+        assert not isinstance(re, list) and not isinstance(im, list)
+        assert re.tobytes() == values.real.tobytes() and im.tobytes() == values.imag.tobytes()
+        assert csv_text(["re", "im"], [re, im]) == pair_text(values)
+
+
 # --- artifacts -------------------------------------------------------------
 
 LINE = """
@@ -230,7 +286,20 @@ grid_halfwidth = 8.0
 
 
 class TestArtifacts:
-    def check(self, tmp_path, text):
+    @pytest.fixture(autouse=True)
+    def mirrored_epochs(self, monkeypatch):
+        """Whether each epoch's transform took the path that formats conjugate pairs once."""
+        taken = []
+
+        def spy(values):
+            columns = _conjugate_columns(values)
+            taken.append(isinstance(columns[0], list))
+            return columns
+
+        monkeypatch.setattr(harness, "_conjugate_columns", spy)
+        return taken
+
+    def check(self, tmp_path, text, mirrored_epochs):
         cfg = parse_config(text)
         assert cmd_simulate(cfg, tmp_path) == 0
         expected = simulate_files(cfg)
@@ -238,21 +307,27 @@ class TestArtifacts:
         assert written == sorted(expected)
         for name, content in expected.items():
             assert (tmp_path / name).read_bytes() == content.encode(), name
+        assert mirrored_epochs and all(mirrored_epochs)
 
-    def test_line(self, tmp_path):
-        self.check(tmp_path, LINE)
+    def test_line(self, tmp_path, mirrored_epochs):
+        self.check(tmp_path, LINE, mirrored_epochs)
 
-    def test_line_particles_under_population_control(self, tmp_path):
+    def test_line_transform_over_several_chunks(self, tmp_path, mirrored_epochs):
+        wide = LINE.replace("spacing = 0.1\n", "spacing = 0.002\n")
+        assert build_metric(parse_config(wide)).node_count == 10_000 > 2 * _CSV_BLOCK_ROWS
+        self.check(tmp_path, wide, mirrored_epochs)
+
+    def test_line_particles_under_population_control(self, tmp_path, mirrored_epochs):
         controlled = LINE.replace(
             "[run]\n", "[run]\npopulation_control = on\ncontrol_low = 0.95\ncontrol_high = 1.05\n"
         )
-        self.check(tmp_path, controlled + "[output]\ndump_particles = on\n")
+        self.check(tmp_path, controlled + "[output]\ndump_particles = on\n", mirrored_epochs)
 
     # the 64-point oracle on half-width 8 leaves 4.3e-4 of the mass in its boundary cells
-    def test_plane(self, tmp_path):
+    def test_plane(self, tmp_path, mirrored_epochs):
         with pytest.warns(GridAccuracyWarning, match="boundary cells"):
-            self.check(tmp_path, PLANE)
+            self.check(tmp_path, PLANE, mirrored_epochs)
 
-    def test_plane_particles(self, tmp_path):
+    def test_plane_particles(self, tmp_path, mirrored_epochs):
         with pytest.warns(GridAccuracyWarning, match="boundary cells"):
-            self.check(tmp_path, PLANE + "[output]\ndump_particles = on\n")
+            self.check(tmp_path, PLANE + "[output]\ndump_particles = on\n", mirrored_epochs)

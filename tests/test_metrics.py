@@ -154,6 +154,61 @@ def test_lattice_fourier_is_hermitian_for_a_subnormal_mass():
     assert np.max(np.abs(values[::-1] - np.conj(values))) <= fourier_bound(grid, sites, masses)
 
 
+def conjugate_mismatch(values):
+    """Rows whose (re, im) bits are not those of the mirrored row's conjugate: -0.0 is not 0.0."""
+    pairs = np.ascontiguousarray(values).view(np.uint64).reshape(-1, 2)
+    return np.any(pairs != pairs[::-1] ^ np.array([0, 1 << 63], dtype=np.uint64), axis=1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(atoms=atoms, cutoff=st.floats(1.0, 50.0), spacing=st.floats(0.02, 0.5), plain=st.booleans())
+@example(atoms=[(0.0, 1.0)], cutoff=2.0, spacing=0.5, plain=False)
+@example(atoms=[(1.0, 0.0), (-1.0, -0.0)], cutoff=2.0, spacing=0.5, plain=False)
+@example(atoms=[], cutoff=2.0, spacing=0.5, plain=True)
+def test_lattice_fourier_is_conjugate_symmetric_bit_for_bit(atoms, cutoff, spacing, plain):
+    sites = np.array([[x] for x, _ in atoms]).reshape(-1, 1)
+    masses = None if plain else np.array([m for _, m in atoms])
+    grid = FrequencyGrid.build(1, gamma=-1.0, cutoff=cutoff, spacing=spacing)
+    assert not conjugate_mismatch(fourier(sites, masses, grid)).any()
+
+
+# The direct sum negates each phase exactly at -theta, so every partial sum of re is equal
+# and every partial sum of im is negated, or both are zeros: a node is exact unless a part is 0.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    atoms=st.lists(
+        st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.floats(-10.0, 10.0)),
+        max_size=20,
+    ),
+    cutoff=st.floats(0.5, 10.0),
+    spacing=st.floats(0.2, 1.0),
+)
+@example(atoms=[(0.0, 0.0, 1.0)], cutoff=2.0, spacing=0.5)
+@example(atoms=[(1.0, -1.0, 1.0), (3.0, 2.0, 0.5)], cutoff=2.0, spacing=0.5)
+@example(atoms=[(1.5, 2.5, 1.0), (-1.5, -2.5, 1.0)], cutoff=2.0, spacing=0.5)
+def test_plane_fourier_is_conjugate_symmetric_bit_for_bit_where_nonzero(atoms, cutoff, spacing):
+    sites = np.array([[x, y] for x, y, _ in atoms]).reshape(-1, 2)
+    masses = np.array([m for _, _, m in atoms])
+    grid = FrequencyGrid.build(2, gamma=-2.0, cutoff=cutoff, spacing=spacing)
+    values = fourier(sites, masses, grid)
+    zero_part = (values.real == 0) | (values.imag == 0)
+    assert not (conjugate_mismatch(values) & ~zero_part).any()
+    assert np.array_equal(values[::-1], np.conj(values))
+
+
+@pytest.mark.parametrize(
+    "dimension, cutoff, spacing", [(1, 40.0, 0.05), (2, 2.0, 0.5), (2, 10.0, 0.5)]
+)
+def test_fourier_of_a_spread_measure_is_conjugate_symmetric_bit_for_bit(dimension, cutoff, spacing):
+    rng = np.random.default_rng(dimension * 100 + int(cutoff))
+    grid = FrequencyGrid.build(dimension, gamma=-2.0, cutoff=cutoff, spacing=spacing)
+    for _ in range(20):
+        count = int(rng.integers(1, 200))
+        sites = rng.uniform(-10.0, 10.0, size=(count, dimension))
+        masses = rng.uniform(size=count)
+        assert not conjugate_mismatch(fourier(sites, masses, grid)).any()
+
+
 def one_table_deconvolution(count):
     """The deconvolution factors from one (ceil(count / 2), 100) cosine table."""
     step = 0.5 * np.pi / count
