@@ -99,14 +99,18 @@ class PopulationGrowthError(RuntimeError):
 
 @dataclass
 class ParticleEnsemble:
-    """Alive particles: positions (count, d) and mass factor."""
+    """Alive particles: positions (count, d), mass factor, and each row's eve, the int32
+    index of the initial row it descends from (a fresh ensemble is its own eves)."""
 
     positions: np.ndarray
     initial_count: int
     mass_factor: float = 1.0
+    eve: np.ndarray | None = None
 
     def __post_init__(self):
         self.positions = _rows(self.positions)
+        if self.eve is None:
+            self.eve = np.arange(self.count, dtype=np.int32)
         if self.mass_factor <= 0.0:
             raise ValueError("mass_factor must be positive")
 
@@ -132,10 +136,10 @@ class ParticleEnsemble:
         """``EnsembleSize.estimate``."""
         return self.size.estimate(total)
 
-    def _with(self, positions, mass_factor=None) -> "ParticleEnsemble":
-        """New rows under the same bookkeeping (cheaper than ``dataclasses.replace``)."""
+    def _with(self, positions, eve, mass_factor=None) -> "ParticleEnsemble":
+        """New rows and eves under the same bookkeeping (cheaper than ``dataclasses.replace``)."""
         factor = self.mass_factor if mass_factor is None else mass_factor
-        return ParticleEnsemble(positions, self.initial_count, factor)
+        return ParticleEnsemble(positions, self.initial_count, factor, eve)
 
 
 def init_ensemble(n: int, signal: SignalModel, rng: np.random.Generator) -> ParticleEnsemble:
@@ -207,7 +211,8 @@ class FilterStep(NamedTuple):
 
 @dataclass
 class FilterRun:
-    """A run's per-epoch records, its first and last ensembles, and the extinction epoch."""
+    """A run's per-epoch records, its first and last ensembles (``final.eve`` holds each
+    final row's initial row, thinned or eager), and the extinction epoch."""
 
     initial: ParticleEnsemble
     final: ParticleEnsemble
@@ -255,6 +260,9 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
     ``population_control``, the third parent-map rule, to ``post``, which enters the next
     interval: its rows gather ``post`` and compose into ``parents``.  Stops at extinction;
     raises PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
+    Every path that moves rows (the gather by ``parents``, ``_refill``, control's ``rows``)
+    moves each row's per-row columns together: its position, its ``eve`` and, while some row
+    lags behind, ``last``, the epoch it last moved to.
 
     Without ``thin`` every epoch is eager: every row moves, is weighed and draws its
     uniform.  With it (for a run without a reducer) every epoch but the last thins with the
@@ -281,7 +289,7 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
     bounds = [1.0] * record.count
     if thin:
         bounds[:-1] = weight_bounds(obs, record)[:-1].tolist()
-        ensemble = initial._with(initial.positions.copy())
+        ensemble = initial._with(initial.positions.copy(), initial.eve.copy())
     table = lag_scales(signal, eps, record.count if min(bounds, default=1.0) < 1.0 else 1)
     last = None  # each row's last-move epoch, while some row lags behind
     steps = []
@@ -307,8 +315,8 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
         _check_weights(k, rho, bound)
         u = u[rows]
         born, dead = rows[u < rho], rows[u < -rho]  # |rho| < 1: split, die or stay
-        x, last = _refill(pre.positions, last, dead, born)
-        return pre._with(x), born.size + dead.size, rows.size
+        x, last, eve = _refill([_flat(pre.positions), last, pre.eve], dead, born)
+        return pre._with(x, eve), born.size + dead.size, rows.size
 
     with np.errstate(over="ignore"):
         for k in range(1, record.count + 1):
@@ -323,11 +331,12 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
                 x = sample_increment(signal, eps, rng, count, lags, table)
                 last = lags = None  # freed before the epoch's largest arrays are made
                 x += ensemble.positions
-                pre = ensemble = ensemble._with(x)  # drops the last post before rho, u, parents
+                # drops the last post before rho, u, parents
+                pre = ensemble = ensemble._with(x, ensemble.eve)
                 rho = weight(x, dy, obs)
                 _check_weights(k, rho, MAX_RHO)
                 parents, tally = resample(rho, rng.random(count))
-                ensemble = pre._with(_flat(x)[parents])
+                ensemble = pre._with(_flat(x)[parents], pre.eve[parents])
                 moved = weighed = count
             kept = None if control is None else population_control(ensemble.count, n, control, rng)
             if kept is not None:
@@ -336,7 +345,7 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
                     moved += len(catch_up(ensemble.positions, (last < k).nonzero()[0], k))
                     last = None
                 x = _flat(ensemble.positions)[rows]
-                ensemble = ensemble._with(x, ensemble.mass_factor * factor)
+                ensemble = ensemble._with(x, ensemble.eve[rows], ensemble.mass_factor * factor)
                 last = None if last is None else last[rows]
                 parents = None if parents is None else parents[rows]
             if ensemble.count > MAX_GROWTH * n:
@@ -354,29 +363,29 @@ def _flat(x):
     return x[:, 0] if x.shape[1] == 1 else x
 
 
-def _refill(x, last, slots, sources):
-    """Overwrite x and ``last`` so that the rows at ``slots`` are replaced by copies of the
-    rows ``sources`` (read before any write), in place where it can: the first copies take
-    the slots, the rest are appended, and slots left over take the last rows, which the
-    arrays then drop.  Row order is not kept.  Returns the new (x, last)."""
-    flat = _flat(x)
-    values, ages = flat[sources], last[sources]
+def _refill(columns, slots, sources):
+    """Overwrite the per-row ``columns`` (arrays of one length) so that the rows at ``slots``
+    are replaced by copies of the rows ``sources`` (read before any write), in place where it
+    can: the first copies take the slots, the rest are appended, and slots left over take the
+    last rows, which the columns then drop.  Row order is not kept.  Returns the new columns."""
     filled = min(slots.size, sources.size)
-    flat[slots[:filled]] = values[:filled]
-    last[slots[:filled]] = ages[:filled]
-    if sources.size > filled:
-        extra = values[filled:].reshape(-1, x.shape[1])
-        return np.concatenate((x, extra)), np.concatenate((last, ages[filled:]))
-    holes = slots[filled:]
-    if not holes.size:
-        return x, last
-    keep = x.shape[0] - holes.size
-    alive = np.ones(holes.size, dtype=bool)  # rows keep.. of x
-    alive[holes[holes >= keep] - keep] = False
-    movers, fill = keep + alive.nonzero()[0], holes[holes < keep]
-    flat[fill] = flat[movers]
-    last[fill] = last[movers]
-    return x[:keep], last[:keep]
+    head, holes = slots[:filled], slots[filled:]
+    keep = len(columns[0]) - holes.size
+    if holes.size:
+        alive = np.ones(holes.size, dtype=bool)  # rows keep.. of each column
+        alive[holes[holes >= keep] - keep] = False
+        movers, fill = keep + alive.nonzero()[0], holes[holes < keep]
+    out = []
+    for column in columns:
+        copies = column[sources]
+        column[head] = copies[:filled]
+        if sources.size > filled:
+            column = np.concatenate((column, copies[filled:]))
+        elif holes.size:
+            column[fill] = column[movers]
+            column = column[:keep]
+        out.append(column)
+    return out
 
 
 def _multinomial_resample(rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int]:

@@ -520,16 +520,13 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
     n = cfg.particle_counts[0]
     control = (cfg.control_low, cfg.control_high) if cfg.population_control else None
     sums, means, dump = [], [], []  # dump: one block of particle rows per epoch
-    root = np.arange(n)  # each row's epoch-0 ancestor
 
     def reduce(k, pre, rho, parents, post):
-        nonlocal root
         total = post.positions.sum(axis=0)
         sums.append(post.estimate(total))
         means.append(total / post.count if post.count else np.full(d, np.nan))
         if cfg.dump_particles:
-            root = root[parents]
-            dump.append([np.full(post.count, k), parents, root, *post.positions.T])
+            dump.append([np.full(post.count, k), parents, post.eve, *post.positions.T])
 
     run = run_filter(
         signal, obs, record, n, substream(cfg.seed, "filter", n, 0), control=control, reduce=reduce

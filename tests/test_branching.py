@@ -231,11 +231,11 @@ class TestBranchStep:
         parents, events = _branch(rho, u)
         assert np.array_equal(parents, [1, 1, 1, 2, 4, 4, 5]) and events == 4
         assert np.array_equal(np.bincount(parents, minlength=ens.count), counts)
-        post = ens._with(np.repeat(ens.positions, counts, axis=0))
+        post = ens._with(np.repeat(ens.positions, counts, axis=0), np.repeat(ens.eve, counts))
         assert np.array_equal(post.positions, ens.positions[parents])
         none, events = _branch(np.full(6, -1.0), u)
         assert none.size == 0 and events == 6
-        empty = ens._with(ens.positions[none])
+        empty = ens._with(ens.positions[none], ens.eve[none])
         assert empty.count == 0 and empty.positions.shape == (0, 1)
 
     def test_positions_preserved(self):
@@ -496,7 +496,7 @@ class TestMultinomialBaseline:
         ens = init_ensemble(1, point_signal(0.7), np.random.default_rng(73))
         rho = weight(ens.positions, np.array([0.1]), linear_obs())
         parents, moved = _multinomial_resample(rho, np.random.default_rng(74).random(1))
-        out = ens._with(ens.positions[parents])
+        out = ens._with(ens.positions[parents], ens.eve[parents])
         assert out.count == 1 and moved == 0
         assert out.positions[0, 0] == 0.7
 
@@ -525,7 +525,7 @@ class TestMultinomialBaseline:
         vals = np.empty(reps)
         for r in range(reps):
             parents, _ = _multinomial_resample(rho, rng.random(ens.count))
-            out = ens._with(ens.positions[parents])
+            out = ens._with(ens.positions[parents], ens.eve[parents])
             assert out.count == ens.count
             vals[r] = out.positions[:, 0].mean()
         se = vals.std(ddof=1) / np.sqrt(reps)

@@ -488,20 +488,30 @@ class TestArtifacts:
         assert hashes_a != hashes_b
 
     def test_particle_dump_genealogy(self, tmp_path):
-        cfg = parse_config(QUICK + "\n[output]\ndump_particles = on\n")
-        cmd_simulate(cfg, tmp_path)
-        lines = (tmp_path / "quick_simulate_particles.csv").read_text().splitlines()
-        assert lines[0] == "epoch,parent_row,root_ancestor,x0"
-        rows = [line.split(",") for line in lines[1:]]
-        epochs = np.array([int(r[0]) for r in rows])
-        parent = np.array([int(r[1]) for r in rows])
-        root = np.array([int(r[2]) for r in rows])
-        first = epochs == 1
-        assert np.array_equal(parent[first], root[first])
-        assert root.min() >= 0 and root.max() < 300
-        for k in range(2, epochs.max() + 1):
-            # a particle's root is its parent's root one epoch earlier
-            assert np.array_equal(root[epochs == k], root[epochs == k - 1][parent[epochs == k]])
+        # without control, and under a narrow band that halves and doubles
+        band = self.controlled("on").replace("0.95", "0.95\ncontrol_high = 1.05")
+        for label, text in (("plain", QUICK), ("band", band)):
+            out = tmp_path / label
+            cmd_simulate(parse_config(text + "\n[output]\ndump_particles = on\n"), out)
+            lines = (out / "quick_simulate_particles.csv").read_text().splitlines()
+            assert lines[0] == "epoch,parent_row,root_ancestor,x0"
+            rows = [line.split(",") for line in lines[1:]]
+            epochs = np.array([int(r[0]) for r in rows])
+            parent = np.array([int(r[1]) for r in rows])
+            root = np.array([int(r[2]) for r in rows])
+            first = epochs == 1
+            assert np.array_equal(parent[first], root[first])
+            assert root.min() >= 0 and root.max() < 300
+            for k in range(2, epochs.max() + 1):
+                # a particle's root is its parent's root one epoch earlier
+                assert np.array_equal(
+                    root[epochs == k], root[epochs == k - 1][parent[epochs == k]]
+                )
+            estimates = (out / "quick_simulate_estimates.csv").read_text().splitlines()[1:]
+            # mass = mass_factor * count / n: under the band the factor both halves and doubles
+            factors = [float(r[3]) * 300 / int(r[2]) for r in (e.split(",") for e in estimates)]
+            moves = set(np.diff(np.log2(factors).round(), prepend=0.0))
+            assert (moves >= {-1.0, 1.0}) if label == "band" else (moves == {0.0})
 
     @staticmethod
     def controlled(switch):

@@ -22,7 +22,7 @@ from levyfilter import (
     weight,
 )
 from levyfilter import branching, checks
-from levyfilter.branching import WeightOverflowError, _refill
+from levyfilter.branching import WeightOverflowError, _flat, _refill
 from levyfilter.cli import main as cli_main
 from levyfilter.experiments import ensemble_transform
 from levyfilter.harness import (
@@ -68,6 +68,26 @@ class StillRng:
 
     def random(self, size=None):
         return np.full(size, self.uniforms.pop(0))
+
+
+class StillPaths:
+    """A real Generator whose normal draws are zero, so alpha = 2 particles stand still, while
+    the initial, branching and control uniforms are real."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def standard_normal(self, size=None):
+        return np.zeros(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def eve_statistics(run):
+    """The share of the n eves with a survivor, and the sum of squared cluster sizes over n."""
+    sizes = np.bincount(run.final.eve, minlength=run.initial.count)
+    return np.count_nonzero(sizes) / sizes.size, (sizes * sizes).sum() / sizes.size
 
 
 class TestWeightBounds:
@@ -156,19 +176,25 @@ class TestRefill:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((count, width))
         last = rng.integers(0, 9, count).astype(np.int32)
+        eve = rng.permutation(count).astype(np.int32)
         rows = np.flatnonzero(rng.random(count) < share)
         counts = rng.integers(0, 3 if thinned else 4, rows.size).astype(np.int32)
         full = np.ones(count, dtype=np.int64)
         full[rows] = counts
-        expected = sorted(zip(map(tuple, np.repeat(x, full, axis=0)), np.repeat(last, full)))
+        repeat = np.repeat(x, full, axis=0), np.repeat(last, full), np.repeat(eve, full)
+        expected = sorted(zip(map(tuple, repeat[0]), *repeat[1:]))
         if thinned:  # a thinned epoch's call: the dead rows are the holes, each split a source
             slots, sources = rows[counts == 0], rows[counts == 2]
         else:
             slots = rows[counts != 1]
             sources = slots.repeat(counts[counts != 1])
-        new_x, new_last = _refill(x.copy(), last.copy(), slots, sources)
-        assert new_x.shape == (full.sum(), width) and new_last.shape == (full.sum(),)
-        assert sorted(zip(map(tuple, new_x), new_last)) == expected
+        # the loop's columns: x's flat view (a 1-d column at width 1), last and eve
+        columns = [_flat(x.copy()), last.copy(), eve.copy()]
+        new_x, new_last, new_eve = _refill(columns, slots, sources)
+        new_x = new_x.reshape(-1, width)
+        assert new_x.shape == (full.sum(), width)
+        assert new_last.shape == new_eve.shape == (full.sum(),)
+        assert sorted(zip(map(tuple, new_x), new_last, new_eve)) == expected
 
 
 class TestThinnedRuns:
@@ -189,14 +215,15 @@ class TestThinnedRuns:
         assert sum(s.moved for s in run.steps[:-1]) < 0.5 * sum(s.pre.count for s in run.steps)
 
     def test_law_of_final_read_runs_matches_every_epoch_runs(self):
-        # n = 2000 on the default record: mean final mass and mean squared error at the
-        # final epoch agree within 3 standard errors of the difference, over 400 runs each
+        # n = 2000 on the default record: mean final mass, mean squared error at the final
+        # epoch and the two eve statistics agree within 3 standard errors of the
+        # difference, over 400 runs each
         obs, record = default_record()
         metric, oracle = build_metric(CONFIG), build_oracle(CONFIG)
         target = oracle.summaries(SIGNAL, obs, record, metric)[record.count].transform
         out = {}
         for mode, reduce in (("every", noop), ("final", None)):
-            mass, err2 = [], []
+            mass, err2, eves = [], [], []
             for rep in range(400):
                 run = run_filter(
                     SIGNAL, obs, record, 2000, substream(11, "law", mode, rep), reduce=reduce
@@ -204,8 +231,9 @@ class TestThinnedRuns:
                 mass.append(run.final.total_mass)
                 err = filter_error(ensemble_transform(run.final, metric), target, metric)
                 err2.append(err * err)
-            out[mode] = (np.array(mass), np.array(err2))
-        for i in (0, 1):
+                eves.append(eve_statistics(run))
+            out[mode] = (np.array(mass), np.array(err2), *np.array(eves).T)
+        for i in range(4):
             a, b = out["every"][i], out["final"][i]
             se = np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
             assert abs(a.mean() - b.mean()) < 3.0 * se, (i, a.mean(), b.mean(), se)
@@ -213,8 +241,9 @@ class TestThinnedRuns:
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_law_in_two_dimensions_under_population_control(self, alpha):
         # two atoms, a two-output sensor and a control band that halves and doubles with
-        # stale rows: mean mass and the transform at two frequencies, a bounded stand-in for
-        # the heavy-tailed positions, agree within 3 standard errors over 300 runs each
+        # stale rows: mean mass, the transform at two frequencies (a bounded stand-in for
+        # the heavy-tailed positions) and the two eve statistics agree within 3 standard
+        # errors over 300 runs each
         signal = SignalModel(
             alpha,
             SpectralMeasure([[1.0, 0.0], [0.6, 0.8]], [0.5, 0.3]),
@@ -233,7 +262,9 @@ class TestThinnedRuns:
                     control=(0.8, 1.25), reduce=reduce,
                 )
                 transform = ensemble_transform(run.final, theta)
-                stats.append([run.final.total_mass, *transform.real, *transform.imag])
+                stats.append(
+                    [run.final.total_mass, *transform.real, *transform.imag, *eve_statistics(run)]
+                )
             out[mode] = np.array(stats)
         a, b = out["every"], out["final"]
         se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
@@ -301,6 +332,40 @@ class TestThinnedRuns:
         doubled = [s for s in run.steps[:-1] if s.post.mass_factor < s.pre.mass_factor]
         assert doubled and all(s.moved > s.weighed for s in doubled)
         assert lags[-1].max() <= record.count - doubled[-1].epoch
+
+
+class TestGenealogy:
+    """Particles that stand still keep their initial sites, so a row's site names its eve:
+    ``eve`` is exact iff every row sits where its eve started."""
+
+    SIGNAL = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.uniform([0.0], [3.0]))
+    OBS = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.1)
+
+    @pytest.mark.parametrize("control", [None, (0.9, 1.1)], ids=["uncontrolled", "band"])
+    @pytest.mark.parametrize("thin", [True, False], ids=["thinned", "eager"])
+    def test_every_row_sits_where_its_eve_started(self, thin, control):
+        _, record = simulate_scenario(self.SIGNAL, self.OBS, 2.0, np.random.default_rng(5))
+        seen = []
+
+        def reduce(k, pre, rho, parents, post):
+            seen.append((post.positions.copy(), post.eve.copy()))
+
+        run = run_filter(
+            self.SIGNAL, self.OBS, record, 500, StillPaths(3), control=control,
+            reduce=None if thin else reduce,
+        )
+        x0 = run.initial.positions
+        assert np.unique(x0).size == 500 and np.array_equal(run.initial.eve, np.arange(500))
+        assert run.final.eve.dtype == np.int32
+        assert np.array_equal(run.final.positions, x0[run.final.eve])
+        assert len(seen) == (0 if thin else record.count)
+        for x, eve in seen:
+            assert np.array_equal(x, x0[eve])
+        # not vacuous: eves die and split, the thinned run thins, the band halves and doubles
+        assert 0 < np.unique(run.final.eve).size < min(500, run.final.count)
+        assert thin == (sum(s.moved for s in run.steps) < sum(s.pre.count for s in run.steps))
+        factors = {s.post.mass_factor / s.pre.mass_factor for s in run.steps}
+        assert factors == ({0.5, 1.0, 2.0} if control else {1.0})
 
 
 class TestSizeOnlyChecks:
