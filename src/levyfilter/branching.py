@@ -99,13 +99,16 @@ class PopulationGrowthError(RuntimeError):
 
 @dataclass
 class ParticleEnsemble:
-    """Alive particles: positions (count, d), mass factor, and each row's eve, the int32
-    index of the initial row it descends from (a fresh ensemble is its own eves)."""
+    """Alive particles and their mass factor.  Three columns are per-row: ``positions``
+    (count, d); ``eve``, the int32 index of the initial row each row descends from (a fresh
+    ensemble is its own eves); and ``last``, the int32 epoch each row last moved to, None
+    while every row is current.  ``take`` and ``_refill`` move them together."""
 
     positions: np.ndarray
     initial_count: int
     mass_factor: float = 1.0
     eve: np.ndarray | None = None
+    last: np.ndarray | None = None
 
     def __post_init__(self):
         self.positions = _rows(self.positions)
@@ -136,10 +139,15 @@ class ParticleEnsemble:
         """``EnsembleSize.estimate``."""
         return self.size.estimate(total)
 
-    def _with(self, positions, eve, mass_factor=None) -> "ParticleEnsemble":
-        """New rows and eves under the same bookkeeping (cheaper than ``dataclasses.replace``)."""
-        factor = self.mass_factor if mass_factor is None else mass_factor
-        return ParticleEnsemble(positions, self.initial_count, factor, eve)
+    def take(self, rows, factor=1.0) -> "ParticleEnsemble":
+        """Every per-row column gathered by ``rows``; the mass factor times ``factor``."""
+        return self._map(lambda column: column[rows], factor)
+
+    def _map(self, move, factor=1.0) -> "ParticleEnsemble":
+        """``move`` applied to each per-row column (positions ``_flat``; None stays None)."""
+        x, eve = move(_flat(self.positions)), move(self.eve)
+        last = None if self.last is None else move(self.last)
+        return ParticleEnsemble(x, self.initial_count, self.mass_factor * factor, eve, last)
 
 
 def init_ensemble(n: int, signal: SignalModel, rng: np.random.Generator) -> ParticleEnsemble:
@@ -260,9 +268,6 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
     ``population_control``, the third parent-map rule, to ``post``, which enters the next
     interval: its rows gather ``post`` and compose into ``parents``.  Stops at extinction;
     raises PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
-    Every path that moves rows (the gather by ``parents``, ``_refill``, control's ``rows``)
-    moves each row's per-row columns together: its position, its ``eve`` and, while some row
-    lags behind, ``last``, the epoch it last moved to.
 
     Without ``thin`` every epoch is eager: every row moves, is weighed and draws its
     uniform.  With it (for a run without a reducer) every epoch but the last thins with the
@@ -289,34 +294,31 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
     bounds = [1.0] * record.count
     if thin:
         bounds[:-1] = weight_bounds(obs, record)[:-1].tolist()
-        ensemble = initial._with(initial.positions.copy(), initial.eve.copy())
+        ensemble = initial._map(np.copy)
     table = lag_scales(signal, eps, record.count if min(bounds, default=1.0) < 1.0 else 1)
-    last = None  # each row's last-move epoch, while some row lags behind
     steps = []
 
-    def catch_up(x, rows, k):
-        """Move the ``rows`` of x from their last epoch to epoch k, in place; return them."""
-        x = _flat(x)
+    def catch_up(ens, rows, k):
+        """Move the ``rows`` of ``ens`` from their last epoch to epoch k, in place; return them."""
+        x = _flat(ens.positions)
         moved = x[rows]
-        moved += _flat(sample_increment(signal, eps, rng, rows.size, k - last[rows], table))
+        moved += _flat(sample_increment(signal, eps, rng, rows.size, k - ens.last[rows], table))
         x[rows] = moved
-        last[rows] = k
+        ens.last[rows] = k
         return moved
 
     def thinned(k, pre, bound, dy):
         """Epoch k of ``pre`` by thinning; returns (post, tally, candidates).  Its arrays die
         with the call, before the next epoch makes its own."""
-        nonlocal last
         u = rng.random(pre.count)
         rows = (u < bound).nonzero()[0]
-        if last is None:
-            last = np.full(pre.count, k - 1, dtype=np.int32)
-        rho = weight(catch_up(pre.positions, rows, k), dy, obs)
+        if pre.last is None:
+            pre.last = np.full(pre.count, k - 1, dtype=np.int32)
+        rho = weight(catch_up(pre, rows, k), dy, obs)
         _check_weights(k, rho, bound)
         u = u[rows]
         born, dead = rows[u < rho], rows[u < -rho]  # |rho| < 1: split, die or stay
-        x, last, eve = _refill([_flat(pre.positions), last, pre.eve], dead, born)
-        return pre._with(x, eve), born.size + dead.size, rows.size
+        return _refill(pre, dead, born), born.size + dead.size, rows.size
 
     with np.errstate(over="ignore"):
         for k in range(1, record.count + 1):
@@ -327,26 +329,24 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
                 ensemble, tally, moved = thinned(k, pre, bound, dy)
                 weighed = moved
             else:
-                lags = None if last is None else k - last
+                lags = None if ensemble.last is None else k - ensemble.last
                 x = sample_increment(signal, eps, rng, count, lags, table)
-                last = lags = None  # freed before the epoch's largest arrays are made
+                lags = None  # freed before the epoch's largest arrays are made
                 x += ensemble.positions
-                # drops the last post before rho, u, parents
-                pre = ensemble = ensemble._with(x, ensemble.eve)
+                # drops the last post, its lags too, before rho, u, parents
+                pre = ensemble = ParticleEnsemble(x, n, ensemble.mass_factor, ensemble.eve)
                 rho = weight(x, dy, obs)
                 _check_weights(k, rho, MAX_RHO)
                 parents, tally = resample(rho, rng.random(count))
-                ensemble = pre._with(_flat(x)[parents], pre.eve[parents])
+                ensemble = pre.take(parents)
                 moved = weighed = count
             kept = None if control is None else population_control(ensemble.count, n, control, rng)
             if kept is not None:
                 rows, factor = kept
-                if last is not None and factor == 0.5:  # a doubling: copies share their past
-                    moved += len(catch_up(ensemble.positions, (last < k).nonzero()[0], k))
-                    last = None
-                x = _flat(ensemble.positions)[rows]
-                ensemble = ensemble._with(x, ensemble.eve[rows], ensemble.mass_factor * factor)
-                last = None if last is None else last[rows]
+                if ensemble.last is not None and factor == 0.5:  # copies share their past
+                    moved += len(catch_up(ensemble, (ensemble.last < k).nonzero()[0], k))
+                    ensemble.last = None
+                ensemble = ensemble.take(rows, factor)
                 parents = None if parents is None else parents[rows]
             if ensemble.count > MAX_GROWTH * n:
                 raise PopulationGrowthError(k, ensemble.count, MAX_GROWTH * n)
@@ -363,29 +363,28 @@ def _flat(x):
     return x[:, 0] if x.shape[1] == 1 else x
 
 
-def _refill(columns, slots, sources):
-    """Overwrite the per-row ``columns`` (arrays of one length) so that the rows at ``slots``
-    are replaced by copies of the rows ``sources`` (read before any write), in place where it
-    can: the first copies take the slots, the rest are appended, and slots left over take the
-    last rows, which the columns then drop.  Row order is not kept.  Returns the new columns."""
+def _refill(ensemble, slots, sources):
+    """``ensemble`` with the rows at ``slots`` replaced by copies of the rows ``sources`` (read
+    before any write), in place where it can: the first copies take the slots, the rest are
+    appended, and slots left over take the last rows, which are dropped.  Row order is lost."""
     filled = min(slots.size, sources.size)
     head, holes = slots[:filled], slots[filled:]
-    keep = len(columns[0]) - holes.size
+    keep = ensemble.count - holes.size
     if holes.size:
         alive = np.ones(holes.size, dtype=bool)  # rows keep.. of each column
         alive[holes[holes >= keep] - keep] = False
         movers, fill = keep + alive.nonzero()[0], holes[holes < keep]
-    out = []
-    for column in columns:
+
+    def move(column):
         copies = column[sources]
         column[head] = copies[:filled]
         if sources.size > filled:
-            column = np.concatenate((column, copies[filled:]))
-        elif holes.size:
+            return np.concatenate((column, copies[filled:]))
+        if holes.size:
             column[fill] = column[movers]
-            column = column[:keep]
-        out.append(column)
-    return out
+        return column[:keep]
+
+    return ensemble._map(move)
 
 
 def _multinomial_resample(rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int]:

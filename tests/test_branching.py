@@ -231,11 +231,12 @@ class TestBranchStep:
         parents, events = _branch(rho, u)
         assert np.array_equal(parents, [1, 1, 1, 2, 4, 4, 5]) and events == 4
         assert np.array_equal(np.bincount(parents, minlength=ens.count), counts)
-        post = ens._with(np.repeat(ens.positions, counts, axis=0), np.repeat(ens.eve, counts))
-        assert np.array_equal(post.positions, ens.positions[parents])
+        post = ens.take(parents)
+        assert np.array_equal(post.positions, np.repeat(ens.positions, counts, axis=0))
+        assert np.array_equal(post.eve, np.repeat(ens.eve, counts))
         none, events = _branch(np.full(6, -1.0), u)
         assert none.size == 0 and events == 6
-        empty = ens._with(ens.positions[none], ens.eve[none])
+        empty = ens.take(none)
         assert empty.count == 0 and empty.positions.shape == (0, 1)
 
     def test_positions_preserved(self):
@@ -292,6 +293,20 @@ class TestEstimates:
         ens = ParticleEnsemble(np.zeros(5), initial_count=3, mass_factor=0.1)
         assert np.array_equal(ens.estimate(total), expected)
         assert size.total_mass == ens.total_mass == 0.1 * 5 / 3
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_take_gathers_every_per_row_column(self, width):
+        x = np.arange(5.0 * width).reshape(5, width)
+        eve, last = np.array([4, 3, 2, 1, 0], dtype=np.int32), np.arange(5, dtype=np.int32)
+        ens = ParticleEnsemble(x, initial_count=3, mass_factor=0.25, eve=eve, last=last)
+        rows = np.array([3, 3, 0, 4])
+        out = ens.take(rows, 0.5)
+        assert np.array_equal(out.positions, x[rows]) and out.positions.shape == (4, width)
+        assert np.array_equal(out.eve, eve[rows]) and np.array_equal(out.last, last[rows])
+        assert out.mass_factor == 0.125 and out.initial_count == 3
+        assert ens.take(rows).mass_factor == 0.25  # the factor defaults to 1
+        ens.last = None  # every row current: no lags to gather
+        assert ens.take(rows).last is None
 
 
 class TestRunFilter:
@@ -496,7 +511,7 @@ class TestMultinomialBaseline:
         ens = init_ensemble(1, point_signal(0.7), np.random.default_rng(73))
         rho = weight(ens.positions, np.array([0.1]), linear_obs())
         parents, moved = _multinomial_resample(rho, np.random.default_rng(74).random(1))
-        out = ens._with(ens.positions[parents], ens.eve[parents])
+        out = ens.take(parents)
         assert out.count == 1 and moved == 0
         assert out.positions[0, 0] == 0.7
 
@@ -525,7 +540,7 @@ class TestMultinomialBaseline:
         vals = np.empty(reps)
         for r in range(reps):
             parents, _ = _multinomial_resample(rho, rng.random(ens.count))
-            out = ens._with(ens.positions[parents], ens.eve[parents])
+            out = ens.take(parents)
             assert out.count == ens.count
             vals[r] = out.positions[:, 0].mean()
         se = vals.std(ddof=1) / np.sqrt(reps)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyfilter import GaussianBumpSensor, ZeroSensor, harness, reference
+from levyfilter import GaussianBumpSensor, ZeroSensor, branching, harness, reference
 from levyfilter.cli import main as cli_main
 from levyfilter.harness import (
     _SCHEMA,
@@ -942,6 +942,35 @@ assert_slope = off
         err = capsys.readouterr().err
         assert "run.population_control: population growth" in err
         assert "cap 2048" in err
+
+    def test_compare_baseline_growth_is_not_blamed_on_population_control(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # only simulate and rate-sweep honour run.population_control, so the cap's
+        # message reaches compare-baseline's stderr as the filter raised it
+        monkeypatch.setattr(branching, "MAX_GROWTH", 1)
+        path = self.write_cfg(tmp_path)
+        rc = cli_main(["compare-baseline", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: population growth at observation epoch ")
+        assert "run.population_control" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (QUICK + "\n[run]\nseed = 8\n", "section 'run' already exists"),
+            ("name = x\n" + QUICK, "File contains no section headers."),
+        ],
+    )
+    def test_malformed_config_exit_2_before_any_work(self, tmp_path, capsys, text, reason):
+        path = self.write_cfg(tmp_path, text)
+        rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "  - malformed config: " in err and reason in err
+        assert not (tmp_path / "o").exists()
 
     def test_seed_override_changes_artifacts(self, tmp_path):
         path = self.write_cfg(tmp_path)

@@ -22,7 +22,7 @@ from levyfilter import (
     weight,
 )
 from levyfilter import branching, checks
-from levyfilter.branching import WeightOverflowError, _flat, _refill
+from levyfilter.branching import ParticleEnsemble, WeightOverflowError, _refill
 from levyfilter.cli import main as cli_main
 from levyfilter.experiments import ensemble_transform
 from levyfilter.harness import (
@@ -188,13 +188,12 @@ class TestRefill:
         else:
             slots = rows[counts != 1]
             sources = slots.repeat(counts[counts != 1])
-        # the loop's columns: x's flat view (a 1-d column at width 1), last and eve
-        columns = [_flat(x.copy()), last.copy(), eve.copy()]
-        new_x, new_last, new_eve = _refill(columns, slots, sources)
-        new_x = new_x.reshape(-1, width)
-        assert new_x.shape == (full.sum(), width)
-        assert new_last.shape == new_eve.shape == (full.sum(),)
-        assert sorted(zip(map(tuple, new_x), new_last, new_eve)) == expected
+        ens = ParticleEnsemble(x.copy(), count, 0.5, eve.copy(), last.copy())
+        out = _refill(ens, slots, sources)
+        assert out.positions.shape == (full.sum(), width)
+        assert out.last.shape == out.eve.shape == (full.sum(),)
+        assert (out.initial_count, out.mass_factor) == (count, 0.5)
+        assert sorted(zip(map(tuple, out.positions), out.last, out.eve)) == expected
 
 
 class TestThinnedRuns:
