@@ -36,11 +36,11 @@ signal = SignalModel(
 sensor = GaussianBumpSensor([1.0], [[0.0]], [1.0])
 obs = ObservationModel(sensor, 0.1)
 
-truth, record = simulate_scenario(signal, obs, horizon=2.0, rng=rng)
+scenario = simulate_scenario(signal, obs, horizon=2.0, rng=rng)  # the truth and its record
 # a run keeps each epoch's sizes, not its particles: read them through a reducer
 particle_hs = []
 run = run_filter(
-    signal, obs, record, n=4000, rng=rng,
+    scenario, n=4000, rng=rng,
     reduce=lambda k, pre, rho, parents, post: particle_hs.append(
         sensor(post.positions)[:, 0].mean()
     ),
@@ -55,10 +55,10 @@ worst_boundary = 0.0  # predict_step does not warn; a direct caller reads its di
 for step, particle_h in zip(run.steps, particle_hs):
     grid = predict_step(grid)
     worst_boundary = max(worst_boundary, grid.boundary_mass_fraction())
-    grid = update_step(grid, record.increments[step.epoch - 1], obs)
+    grid = update_step(grid, scenario.record.increments[step.epoch - 1], obs)
     weights = grid.density.reshape(-1)
     grid_h = float(weights @ grid_h_values / weights.sum())
-    true_h = sensor(truth[step.epoch])[0, 0]
+    true_h = sensor(scenario.truth[step.epoch])[0, 0]
     print(
         f"{step.epoch:>5} {true_h:>9.3f} {particle_h:>13.3f} {grid_h:>9.3f} "
         f"{step.post.count:>6} {step.post.total_mass:>7.3f} "

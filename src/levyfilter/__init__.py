@@ -29,6 +29,7 @@ from .observation import (
     ZeroSensor,
     ObservationModel,
     ObservationRecord,
+    Scenario,
     simulate_scenario,
     weight,
     weight_bounds,

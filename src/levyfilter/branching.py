@@ -21,14 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .metrics import _rows
-from .observation import (
-    ObservationModel,
-    ObservationRecord,
-    _check_record,
-    weight,
-    weight_bounds,
-)
-from .stable import SignalModel, lag_scales, sample_increment
+from .observation import Scenario, weight
+from .stable import SignalModel, sample_increment
 
 __all__ = [
     "ExtinctionError",
@@ -233,16 +227,14 @@ class FilterRun:
 
 
 def run_filter(
-    signal: SignalModel,
-    obs: ObservationModel,
-    record: ObservationRecord,
+    scenario: Scenario,
     n: int,
     rng: np.random.Generator,
     *,
     control: tuple | None = None,
     reduce=None,
 ) -> FilterRun:
-    """Alternate evolve and branch over the record; keep one ``FilterStep`` per epoch.
+    """Alternate evolve and branch over the scenario's record; keep one ``FilterStep`` per epoch.
 
     ``control``, a band ``(low_ratio, high_ratio)``, switches on
     ``population_control`` around n after each branching.  ``reduce`` is the
@@ -254,27 +246,25 @@ def run_filter(
     or the thinning bound), and PopulationGrowthError if the population exceeds
     MAX_GROWTH * n.
     """
-    return _run_epochs(
-        signal, obs, record, n, rng, _branch, reduce, control=control, thin=reduce is None
-    )
+    return _run_epochs(scenario, n, rng, _branch, reduce, control=control, thin=reduce is None)
 
 
-def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thin=False):
-    """The epoch loop of both filters: evolve by the epsilon that the record and ``obs``
-    share (ValueError if they differ, or if their observation widths do), weigh, draw one
-    uniform per row, then ``resample(rho, u)``, a resampling rule that returns ``(parents,
-    tally)``: row i of ``post`` is row ``parents[i]`` of ``pre``, gathered once, and the
-    tally is the rule's own count (branch events, or relocations).  ``control`` applies
-    ``population_control``, the third parent-map rule, to ``post``, which enters the next
-    interval: its rows gather ``post`` and compose into ``parents``.  Stops at extinction;
-    raises PopulationGrowthError when ``post`` holds more than MAX_GROWTH * n particles.
+def _run_epochs(scenario, n, rng, resample, reduce, control=None, thin=False):
+    """The epoch loop of both filters over the scenario's record: evolve by its epsilon,
+    weigh, draw one uniform per row, then ``resample(rho, u)``, a resampling rule that
+    returns ``(parents, tally)``: row i of ``post`` is row ``parents[i]`` of ``pre``,
+    gathered once, and the tally is the rule's own count (branch events, or relocations).
+    ``control`` applies ``population_control``, the third parent-map rule, to ``post``,
+    which enters the next interval: its rows gather ``post`` and compose into ``parents``.
+    Stops at extinction; raises PopulationGrowthError when ``post`` holds more than
+    MAX_GROWTH * n particles.
 
     Without ``thin`` every epoch is eager: every row moves, is weighed and draws its
     uniform.  With it (for a run without a reducer) every epoch but the last thins with the
-    branching uniform (Lewis & Shedler 1979) unless its bound p_k
-    (``observation.weight_bounds``) reaches 1.  It draws every row's u first, and only the
-    candidates, the rows with u < p_k, move to epoch k (by one exact draw over the epochs
-    since they last moved), are weighed and branch.  Any other row has u >= p_k >= |rho|, so
+    branching uniform (Lewis & Shedler 1979) unless its bound p_k (``Scenario.bounds``)
+    reaches 1.  It draws every row's u first, and only the candidates, the rows with
+    u < p_k, move to epoch k (by one exact draw over the epochs since they last moved), are
+    weighed and branch.  Any other row has u >= p_k >= |rho|, so
     ``_offspring_counts`` would leave it exactly one copy wherever it is.  A candidate has
     |rho| <= p_k < 1, where that rule is the sign rule: it splits iff u < rho, dies iff
     u < -rho, and stays otherwise.  Each split's second copy takes a dead row's place (row
@@ -289,13 +279,13 @@ def _run_epochs(signal, obs, record, n, rng, resample, reduce, control=None, thi
     because nothing else of them outlives the epoch.  Returns the ``FilterRun``, one
     ``FilterStep(k, pre size, post size, tally, moved, weighed)`` per epoch.
     """
-    eps = _check_record(obs, record)
+    signal, obs, record, table = scenario.signal, scenario.obs, scenario.record, scenario.table
+    eps = obs.epsilon
     initial = ensemble = init_ensemble(n, signal, rng)
     bounds = [1.0] * record.count
     if thin:
-        bounds[:-1] = weight_bounds(obs, record)[:-1].tolist()
+        bounds[:-1] = scenario.bounds[:-1].tolist()
         ensemble = initial._map(np.copy)
-    table = lag_scales(signal, eps, record.count if min(bounds, default=1.0) < 1.0 else 1)
     steps = []
 
     def catch_up(ens, rows, k):
@@ -450,21 +440,19 @@ class BaselineStep(NamedTuple):
 
 
 def run_baseline(
-    signal: SignalModel,
-    obs: ObservationModel,
-    record: ObservationRecord,
+    scenario: Scenario,
     n: int,
     rng: np.random.Generator,
     *,
     reduce=None,
 ) -> list:
-    """Multinomial-resampling filter (``_multinomial_resample``) on the same record;
+    """Multinomial-resampling filter (``_multinomial_resample``) on the scenario's record;
     population stays n.  Returns one ``BaselineStep`` per epoch; ``reduce`` is the per-epoch
     reducer of ``_run_epochs``, whose ``parents`` are the rows each particle resampled.
 
     Raises WeightOverflowError if a weight is NaN or exceeds MAX_RHO.
     """
-    run = _run_epochs(signal, obs, record, n, rng, _multinomial_resample, reduce)
+    run = _run_epochs(scenario, n, rng, _multinomial_resample, reduce)
     return [BaselineStep(step.epoch, step.post, step.branch_events) for step in run.steps]
 
 

@@ -207,7 +207,7 @@ def check_compensator(
     thetas, d = (0.5, 1.0), signal.dimension
     theta_vecs = np.array([[t] + [0.0] * (d - 1) for t in thetas])
     drift_factor = increment_cf(signal, obs.epsilon, theta_vecs) - 1.0
-    _, record = simulate_scenario(signal, obs, horizon, substream(seed, "comp-record"))
+    scenario = simulate_scenario(signal, obs, horizon, substream(seed, "comp-record"))
     stats = np.empty((reps, len(thetas)), dtype=complex)
     extinct = 0
     for r in range(reps):
@@ -218,7 +218,7 @@ def check_compensator(
             jumps.append(pre.estimate(running_total(terms * rho)))
             posts.append(post.estimate(running_total(terms[:, parents])))
 
-        run = run_filter(signal, obs, record, n, substream(seed, "comp-rep", r), reduce=reduce)
+        run = run_filter(scenario, n, substream(seed, "comp-rep", r), reduce=reduce)
         if run.extinct:
             extinct += 1
             stats[r] = np.nan
@@ -228,7 +228,7 @@ def check_compensator(
         jump_sum = np.zeros(len(thetas), dtype=complex)
         for step, jump, post_vals in zip(run.steps, jumps, posts):
             jump_sum += jump
-            if step.epoch < record.count:
+            if step.epoch < scenario.record.count:
                 segment_sum += post_vals * drift_factor
         stats[r] = posts[-1] - initial - segment_sum - jump_sum
     valid = stats[~np.isnan(stats[:, 0].real)]
@@ -264,11 +264,9 @@ def check_mass_moments(
     reps = _count(replications, scale, 40)
     sups = np.empty((reps, len(ns)))
     for r in range(reps):
-        _, record = simulate_scenario(
-            signal, obs, horizon, substream(seed, "mass-record", r)
-        )
+        scenario = simulate_scenario(signal, obs, horizon, substream(seed, "mass-record", r))
         for j, n in enumerate(ns):
-            run = run_filter(signal, obs, record, n, substream(seed, "mass-rep", r, n))
+            run = run_filter(scenario, n, substream(seed, "mass-rep", r, n))
             masses = [1.0] + [s.post.total_mass for s in run.steps]
             sups[r, j] = max(masses)
     boot = substream(seed, "mass-boot")
@@ -311,22 +309,18 @@ def check_branch_sparsity(
         obs, tag = ObservationModel(sensor, eps), _epsilon_tag(eps)
         vals = []
         for r in range(reps):
-            _, record = simulate_scenario(
+            scenario = simulate_scenario(
                 signal, obs, horizon, substream(seed, "sparsity-record", r, tag)
             )
-            run = run_filter(signal, obs, record, n_eff, substream(seed, "sparsity-run", r, tag))
+            run = run_filter(scenario, n_eff, substream(seed, "sparsity-run", r, tag))
             vals.extend(s.branch_events / s.pre.count for s in run.steps)
         fractions.append(float(np.mean(vals)))
     slope = _log_line(epsilons, fractions)[0]
     smallest = fractions[int(np.argmin(epsilons))]
     eps_min = float(min(epsilons))
     obs = ObservationModel(sensor, eps_min)
-    _, record = simulate_scenario(
-        signal, obs, horizon, substream(seed, "sparsity-base-record")
-    )
-    baseline_steps = run_baseline(
-        signal, obs, record, n_eff, substream(seed, "sparsity-baseline")
-    )
+    scenario = simulate_scenario(signal, obs, horizon, substream(seed, "sparsity-base-record"))
+    baseline_steps = run_baseline(scenario, n_eff, substream(seed, "sparsity-baseline"))
     baseline_fraction = float(
         np.mean([s.relocations / n_eff for s in baseline_steps])
     )
@@ -339,19 +333,20 @@ def check_branch_sparsity(
     return CheckResult("branch_sparsity", "PASS" if ok else "FAIL", detail)
 
 
-def _mean_agreement(signal, obs, record, truth, oracle, summaries, n, rngs):
-    """(rms, spread, margin) of ``n``-particle runs on ``record``, one per generator in
+def _mean_agreement(scenario, oracle, summaries, n, rngs):
+    """(rms, spread, margin) of ``n``-particle runs on ``scenario``, one per generator in
     ``rngs``: the rms over runs and epochs of the gap between the particle normalized mean
     and the oracle's mean, the oracle's posterior spread sqrt(mean trace), and the clip
     margin of the truth and every weighed particle.  Raises ExtinctionError when a run dies
     out and ClipRegionError, after the run, when it left the clip region."""
-    posts = PostMeans(oracle, obs.sensor, oracle.clip_reach(obs.sensor, truth))
+    sensor = scenario.obs.sensor
+    posts = PostMeans(oracle, sensor, oracle.clip_reach(sensor, scenario.truth))
     for rep, rng in enumerate(rngs):
-        run = run_filter(signal, obs, record, n, rng, reduce=posts)
+        run = run_filter(scenario, n, rng, reduce=posts)
         if run.extinct:
             where = f"observation epoch {run.extinct_epoch} (n {n}, replication {rep})"
             raise ExtinctionError(f"particle system extinct at {where}")
-        margin = oracle.clip_margin(obs.sensor, posts.reach)
+        margin = oracle.clip_margin(sensor, posts.reach)
     gaps = np.array(posts.means) - np.tile([s.mean for s in summaries[1:]], (len(rngs), 1))
     spread = float(np.sqrt(np.mean([s.variance.sum() for s in summaries[1:]])))
     return float(np.sqrt(np.mean(np.sum(gaps**2, axis=1)))), spread, margin
@@ -376,11 +371,11 @@ def check_oracle_agreement(
             "oracle_agreement", "SKIPPED", "no oracle configured; nothing to compare"
         )
     n_eff = _count(2000, scale, 500)
-    truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "oracle-record"))
-    summaries = oracle.summaries(signal, obs, record)  # first: it checks the Kalman sensor
+    scenario = simulate_scenario(signal, obs, horizon, substream(seed, "oracle-record"))
+    summaries = oracle.summaries(scenario)  # first: it checks the Kalman sensor
     try:
         rms, spread, _ = _mean_agreement(
-            signal, obs, record, truth, oracle, summaries, n_eff, [substream(seed, "oracle-run")]
+            scenario, oracle, summaries, n_eff, [substream(seed, "oracle-run")]
         )
     except (ExtinctionError, ClipRegionError) as exc:
         return CheckResult("oracle_agreement", "FAIL", str(exc))
@@ -409,14 +404,12 @@ def check_kalman_crosscheck(
     sensor's linear region, and ExtinctionError when a run dies out.
     """
     oracle = Oracle("kalman")
-    truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "kalman-record"))
-    summaries = oracle.summaries(signal, obs, record)
+    scenario = simulate_scenario(signal, obs, horizon, substream(seed, "kalman-record"))
+    summaries = oracle.summaries(scenario)
     rms, margin = {}, np.inf
     for n in sorted(set(ns) | {reference_n}):
         rngs = [substream(seed, "kalman-run", n, rep) for rep in range(replications)]
-        rms[n], spread, run_margin = _mean_agreement(
-            signal, obs, record, truth, oracle, summaries, n, rngs
-        )
+        rms[n], spread, run_margin = _mean_agreement(scenario, oracle, summaries, n, rngs)
         margin = min(margin, run_margin)
     per_n_rms = [(n, rms[n]) for n in sorted(set(ns))]
     fit = rate_fit(per_n_rms) if len(per_n_rms) >= 3 else RateFit(*[np.nan] * 5)

@@ -81,9 +81,10 @@ def rate_sweep(
         raise ValueError("rate_sweep needs an oracle (grid or kalman)")
     if len(set(ns)) < len(ns):
         raise ValueError(f"rate_sweep needs distinct particle counts, got {list(ns)}")
-    truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
-    targets = oracle.summaries(signal, obs, record, metric)
-    truth_reach = oracle.clip_reach(obs.sensor, truth)
+    scenario = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
+    K = scenario.record.count
+    targets = oracle.summaries(scenario, metric)
+    truth_reach = oracle.clip_reach(obs.sensor, scenario.truth)
     every_epoch = oracle.kind == "kalman" or error_epochs == "all"
 
     def error(k, post):
@@ -106,11 +107,11 @@ def rate_sweep(
             def reduce(k, pre, rho, parents, post):
                 nonlocal reach
                 reach = max(reach, oracle.clip_reach(obs.sensor, pre.positions))
-                if error_epochs == "all" and k < record.count and post.count:
+                if error_epochs == "all" and k < K and post.count:
                     errors.append((k, error(k, post)))
 
             run = run_filter(
-                signal, obs, record, n, substream(seed, "sweep-run", n, rep),
+                scenario, n, substream(seed, "sweep-run", n, rep),
                 control=control, reduce=reduce if every_epoch else None,
             )
             particle_epochs += sum(s.pre.count for s in run.steps)
@@ -120,8 +121,8 @@ def rate_sweep(
             if run.extinct:
                 extinct_runs += 1
                 continue
-            err = error(record.count, run.final)
-            rows.extend((n, rep, k, e) for k, e in [*errors, (record.count, err)])
+            err = error(K, run.final)
+            rows.extend((n, rep, k, e) for k, e in [*errors, (K, err)])
             final_sq.append(err * err)
         if final_sq:
             per_n_error.append((n, float(np.sqrt(np.mean(final_sq)))))
@@ -191,28 +192,22 @@ def baseline_comparison(
     for eps in epsilons:
         obs = ObservationModel(sensor, eps)
         tag = _epsilon_tag(eps)
-        truth, record = simulate_scenario(
-            signal, obs, horizon, substream(seed, "baseline-record", tag)
-        )
-        truth_reach = 0.0 if oracle is None else oracle.clip_reach(sensor, truth)
+        scenario = simulate_scenario(signal, obs, horizon, substream(seed, "baseline-record", tag))
+        truth_reach = 0.0 if oracle is None else oracle.clip_reach(sensor, scenario.truth)
         branch = PostMeans(oracle, sensor, truth_reach)
-        run = run_filter(
-            signal, obs, record, n, substream(seed, "baseline-branch", tag), reduce=branch
-        )
+        run = run_filter(scenario, n, substream(seed, "baseline-branch", tag), reduce=branch)
         if run.extinct:
             raise ExtinctionError(
-                f"compare-baseline: branching particle system of {n} extinct at "
-                f"observation epoch {run.extinct_epoch} of {record.count} (epsilon {eps:g})"
+                f"compare-baseline: branching particle system of {n} extinct at observation "
+                f"epoch {run.extinct_epoch} of {scenario.record.count} (epsilon {eps:g})"
             )
         b_fracs.append(float(np.mean([s.branch_events / s.pre.count for s in run.steps])))
         multi = PostMeans(oracle, sensor, truth_reach)
-        steps = run_baseline(
-            signal, obs, record, n, substream(seed, "baseline-multi", tag), reduce=multi
-        )
+        steps = run_baseline(scenario, n, substream(seed, "baseline-multi", tag), reduce=multi)
         m_fracs.append(float(np.mean([s.relocations / n for s in steps])))
         oracle_means = np.nan  # no oracle: nan errors
         if oracle is not None:
-            summaries = oracle.summaries(signal, obs, record)
+            summaries = oracle.summaries(scenario)
             oracle.clip_margin(sensor, max(branch.reach, multi.reach))
             oracle_means = np.array([s.mean for s in summaries[1:]])
         for errs, posts in ((b_errs, branch), (m_errs, multi)):

@@ -498,9 +498,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
     metric = build_metric(cfg) if grid else None  # a bad metric exits 2 before any work
     signal = build_signal(cfg)
     obs = build_observation(cfg)
-    path, record = simulate_scenario(
-        signal, obs, cfg.horizon, substream(cfg.seed, "scenario")
-    )
+    scenario = simulate_scenario(signal, obs, cfg.horizon, substream(cfg.seed, "scenario"))
+    path, record = scenario.truth, scenario.record
     d = signal.dimension
     xs = [f"x{i}" for i in range(d)]
     epochs = np.arange(len(path))  # 0..K, observed at t_k = k * epsilon
@@ -529,7 +528,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
             dump.append([np.full(post.count, k), parents, post.eve, *post.positions.T])
 
     run = run_filter(
-        signal, obs, record, n, substream(cfg.seed, "filter", n, 0), control=control, reduce=reduce
+        scenario, n, substream(cfg.seed, "filter", n, 0), control=control, reduce=reduce
     )
     files[f"{cfg.name}_simulate_estimates.csv"] = csv_blocks(
         ["epoch", "t", "count", "mass"]
@@ -549,7 +548,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
             ["epoch", "parent_row", "root_ancestor"] + xs, dump
         )
     if grid:
-        summaries = oracle.summaries(signal, obs, record, metric)
+        summaries = oracle.summaries(scenario, metric)
         files[f"{cfg.name}_simulate_oracle.csv"] = csv_blocks(
             ["epoch", "t", "total_mass"]
             + [f"mean_x{i}" for i in range(d)]

@@ -17,13 +17,13 @@ particle with rho < 0 is killed with probability |rho|.  Expected offspring is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .metrics import _model_array, _rows
-from .stable import SignalModel, sample_increment
+from .stable import SignalModel, lag_scales, sample_increment
 
 __all__ = [
     "GaussianBumpSensor",
@@ -32,6 +32,7 @@ __all__ = [
     "Sensor",
     "ObservationModel",
     "ObservationRecord",
+    "Scenario",
     "simulate_scenario",
     "weight",
     "weight_bounds",
@@ -190,20 +191,34 @@ class ObservationRecord:
         return self.increments.shape[1]
 
 
-def _check_record(obs: ObservationModel, record: ObservationRecord) -> float:
-    """The interval epsilon that the model and the record must share; ValueError if the
-    epsilons differ or the record's increments are not as wide as the sensor's output."""
-    if record.epsilon != obs.epsilon:
-        raise ValueError(
-            f"the record's epsilon {record.epsilon!r} differs from the observation model's "
-            f"epsilon {obs.epsilon!r}"
-        )
-    if record.observation_dim != obs.observation_dim:
-        raise ValueError(
-            f"the record's increments have width {record.observation_dim} but the sensor "
-            f"gives {obs.observation_dim}-d observations"
-        )
-    return obs.epsilon
+@dataclass(frozen=True)
+class Scenario:
+    """One observation record with the models it was observed through, and the ``truth``
+    path (K+1 rows, the initial state first) when it was simulated.
+
+    The one place that ties a record to its models: ValueError unless the sensor takes the
+    signal's points and the record shares the model's epsilon and observation width.  It
+    holds what every run on the record reads, built once: ``bounds``, each epoch's thinning
+    bound (``weight_bounds``), and ``table``, the increment ``lag_scales`` up to lag K when
+    a bound of epochs 1..K-1 is below 1 (a run without a reducer thins there), else up to
+    lag 1.
+    """
+
+    signal: SignalModel
+    obs: ObservationModel
+    record: ObservationRecord
+    truth: np.ndarray | None = None
+    bounds: np.ndarray = field(init=False, repr=False)
+    table: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        takes, dimension = self.obs.sensor.signal_dim, self.signal.dimension
+        if takes != dimension:
+            raise ValueError(f"sensor takes {takes}-d points but the signal is {dimension}-d")
+        bounds = weight_bounds(self.obs, self.record)  # checks the record against obs
+        lags = self.record.count if np.any(bounds[:-1] < 1.0) else 1
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "table", lag_scales(self.signal, self.obs.epsilon, lags))
 
 
 def epoch_count(horizon: float, epsilon: float) -> int:
@@ -216,11 +231,11 @@ def simulate_scenario(
     obs: ObservationModel,
     horizon: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, ObservationRecord]:
+) -> Scenario:
     """Sample a truth path at the observation epochs and its observation record.
 
-    Returns (path, record): path has K+1 rows, the initial state first and then
-    the states at t_1..t_K; record holds the K increments observed along it.
+    Returns their ``Scenario``: ``truth`` has K+1 rows, the initial state first and then
+    the states at t_1..t_K; ``record`` holds the K increments observed along it.
     """
     eps = obs.epsilon
     if horizon < eps:
@@ -231,7 +246,7 @@ def simulate_scenario(
     path = np.vstack([x0, x0 + np.cumsum(steps, axis=0)])
     noise = np.sqrt(eps) * rng.standard_normal((K, obs.observation_dim))
     increments = obs.sensor(path[1:]) * eps + noise
-    return path, ObservationRecord(increments=increments, epsilon=eps)
+    return Scenario(signal, obs, ObservationRecord(increments, eps), truth=path)
 
 
 def weight(x, dy, obs: ObservationModel):
@@ -273,8 +288,18 @@ def weight_bounds(obs: ObservationModel, record: ObservationRecord) -> np.ndarra
     The exponent dY'h - eps h'h / 2 is concave and separable in h, so over the box its
     largest value G+ is at h_i = clamp(dY_i / eps) and its smallest G- at a corner, per
     coordinate.  p_k = s + WEIGHT_BOUND_MARGIN * (1 + s) for s = max(e^G+ - 1, 1 - e^G-) > 0,
-    which covers ``weight``'s rounding; s = 0 (a box of zero width) gives 0."""
-    _check_record(obs, record)
+    which covers ``weight``'s rounding; s = 0 (a box of zero width) gives 0.  ValueError
+    unless the record shares ``obs``'s epsilon and observation width."""
+    if record.epsilon != obs.epsilon:
+        raise ValueError(
+            f"the record's epsilon {record.epsilon!r} differs from the observation model's "
+            f"epsilon {obs.epsilon!r}"
+        )
+    if record.observation_dim != obs.observation_dim:
+        raise ValueError(
+            f"the record's increments have width {record.observation_dim} but the sensor "
+            f"gives {obs.observation_dim}-d observations"
+        )
     low, high = obs.sensor.output_box
     dy, eps = record.increments, obs.epsilon
 

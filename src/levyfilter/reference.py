@@ -23,8 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import fourier
-from .observation import ClippedLinearSensor, ObservationModel, ObservationRecord, weight
-from .observation import _check_record
+from .observation import ClippedLinearSensor, ObservationModel, ObservationRecord, Scenario, weight
 from .stable import InitialLaw, SignalModel, covariance_rate, increment_cf
 
 __all__ = [
@@ -314,15 +313,12 @@ class Oracle:
         """Whether the posterior is a probability (kalman) rather than the filter's mass."""
         return self.kind == "kalman"
 
-    def summaries(
-        self, signal: SignalModel, obs: ObservationModel, record: ObservationRecord, metric=None
-    ) -> list:
-        """One summary per epoch 0..K; with ``metric`` each carries the transform on its nodes.
-
-        The kalman posterior needs a scenario ``kalman_sensor`` accepts.  The record and
-        ``obs`` must share epsilon and observation width (ValueError otherwise).
+    def summaries(self, scenario: Scenario, metric=None) -> list:
+        """One summary per epoch 0..K of the scenario's record; with ``metric`` each carries
+        the transform on its nodes.  The kalman posterior needs a scenario ``kalman_sensor``
+        accepts.
         """
-        _check_record(obs, record)
+        signal, obs, record = scenario.signal, scenario.obs, scenario.record
         if self.kind == "grid":
             return run_reference(
                 signal,

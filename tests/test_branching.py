@@ -14,6 +14,7 @@ from levyfilter import (
     InitialLaw,
     ObservationModel,
     ObservationRecord,
+    Scenario,
     SignalModel,
     SpectralMeasure,
     PopulationGrowthError,
@@ -143,7 +144,7 @@ class TestEvolve:
     def evolve(self, signal, n, eps, epochs, rng):
         record = ObservationRecord(increments=np.zeros((epochs, 1)), epsilon=eps)
         obs = ObservationModel(ZeroSensor(1, 1), eps)
-        return run_filter(signal, obs, record, n, rng).final
+        return run_filter(Scenario(signal, obs, record), n, rng).final
 
     def test_counts_and_mass_factor(self):
         # population control halves and doubles around the moves: each epoch's evolved
@@ -152,7 +153,7 @@ class TestEvolve:
         obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.25)
         steps = LiveSteps()
         run = run_filter(
-            gaussian_signal(), obs, record, 100, np.random.default_rng(5),
+            Scenario(gaussian_signal(), obs, record), 100, np.random.default_rng(5),
             control=(0.9, 1.1), reduce=steps,
         )
         entering = [run.initial] + [step.post for step in steps[:-1]]
@@ -190,14 +191,16 @@ class TestBranchStep:
         obs = linear_obs()
         record = ObservationRecord(increments=np.atleast_2d(dy_for_rho(rho, 1.0, obs)), epsilon=0.1)
         steps = LiveSteps()
-        run_filter(point_signal(1.0, w=1e-12), obs, record, 1, FixedUniform([u]), reduce=steps)
+        scenario = Scenario(point_signal(1.0, w=1e-12), obs, record)
+        run_filter(scenario, 1, FixedUniform([u]), reduce=steps)
         return steps[0]
 
     def test_zero_weights_relabel_only(self):
         record = ObservationRecord(increments=np.array([[0.3]]), epsilon=0.1)
         obs = ObservationModel(ZeroSensor(1, 1), 0.1)
         steps = LiveSteps()
-        run_filter(gaussian_signal(), obs, record, 50, np.random.default_rng(13), reduce=steps)
+        scenario = Scenario(gaussian_signal(), obs, record)
+        run_filter(scenario, 50, np.random.default_rng(13), reduce=steps)
         step = steps[0]
         assert step.post.count == step.pre.count
         assert np.array_equal(step.post.positions, step.pre.positions)
@@ -242,9 +245,8 @@ class TestBranchStep:
     def test_positions_preserved(self):
         record = ObservationRecord(increments=np.array([[0.8]]), epsilon=0.5)
         steps = LiveSteps()
-        run_filter(
-            gaussian_signal(), linear_obs(0.5), record, 200, np.random.default_rng(23), reduce=steps
-        )
+        scenario = Scenario(gaussian_signal(), linear_obs(0.5), record)
+        run_filter(scenario, 200, np.random.default_rng(23), reduce=steps)
         step = steps[0]
         assert_parent_rows(step)
         parents = {float(x) for x in step.pre.positions[:, 0]}
@@ -321,35 +323,26 @@ class TestRunFilter:
     def test_record_and_model_must_share_epsilon(self):
         record = self.make_record(K=20, eps=0.05)
         obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.1)
-        rng = np.random.default_rng(50)
-        for run in (run_filter, run_baseline):
-            with pytest.raises(ValueError, match=r"epsilon 0\.05 .* epsilon 0\.1"):
-                run(gaussian_signal(), obs, record, 100, rng)
+        with pytest.raises(ValueError, match=r"epsilon 0\.05 .* epsilon 0\.1"):
+            Scenario(gaussian_signal(), obs, record)
 
     def test_record_and_model_must_share_observation_width(self):
         record = ObservationRecord(increments=np.zeros((5, 2)), epsilon=0.1)
         obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.1)
-        rng = np.random.default_rng(51)
-        for run in (run_filter, run_baseline):
-            with pytest.raises(ValueError, match=r"width 2 but the sensor gives 1-d"):
-                run(gaussian_signal(), obs, record, 100, rng)
+        with pytest.raises(ValueError, match=r"width 2 but the sensor gives 1-d"):
+            Scenario(gaussian_signal(), obs, record)
 
     def test_empty_record(self):
         record = ObservationRecord(increments=np.empty((0, 1)), epsilon=0.1)
-        run = run_filter(
-            gaussian_signal(),
-            linear_obs(),
-            record,
-            50,
-            np.random.default_rng(53),
-        )
+        scenario = Scenario(gaussian_signal(), linear_obs(), record)
+        run = run_filter(scenario, 50, np.random.default_rng(53))
         assert run.steps == [] and not run.extinct
         assert run.final.count == 50
 
     def test_zero_sensor_keeps_mass_one(self):
         record = self.make_record(h_zero=True, K=8)
         obs = ObservationModel(ZeroSensor(1, 1), 0.1)
-        run = run_filter(gaussian_signal(), obs, record, 40, np.random.default_rng(59))
+        run = run_filter(Scenario(gaussian_signal(), obs, record), 40, np.random.default_rng(59))
         for step in run.steps:
             assert step.post.total_mass == 1.0
             assert step.branch_events == 0
@@ -361,7 +354,7 @@ class TestRunFilter:
         record = ObservationRecord(
             increments=np.full((30, 1), -5.0), epsilon=eps
         )
-        run = run_filter(point_signal(1.0), obs, record, 1, np.random.default_rng(61))
+        run = run_filter(Scenario(point_signal(1.0), obs, record), 1, np.random.default_rng(61))
         assert run.extinct
         assert run.steps[-1].post.count == 0
         assert run.extinct_epoch == run.steps[-1].epoch
@@ -370,11 +363,12 @@ class TestRunFilter:
     def test_a_run_keeps_its_end_ensembles_and_o_k_bytes(self, runner):
         obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.0125)
         record = self.make_record(K=160, eps=0.0125)
-        runner(gaussian_signal(), obs, record, 50, np.random.default_rng(78))  # first-call caches
+        scenario = Scenario(gaussian_signal(), obs, record)
+        runner(scenario, 50, np.random.default_rng(78))  # first-call caches
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            result = runner(gaussian_signal(), obs, record, 2000, np.random.default_rng(79))
+            result = runner(scenario, 2000, np.random.default_rng(79))
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -391,7 +385,7 @@ class TestRunFilter:
         for _ in range(2):
             rng = np.random.default_rng(67)
             runs.append(LiveSteps())
-            run_filter(gaussian_signal(), linear_obs(), record, 300, rng, reduce=runs[-1])
+            run_filter(Scenario(gaussian_signal(), linear_obs(), record), 300, rng, reduce=runs[-1])
         a, b = runs
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.post.positions, sb.post.positions)
@@ -403,7 +397,7 @@ class TestRunFilter:
         obs = linear_obs()
         rng = RecordingRng(71)  # alpha = 2: the branching rule is the only uniform draw
         steps = LiveSteps()
-        run_filter(gaussian_signal(), obs, record, 500, rng, reduce=steps)
+        run_filter(Scenario(gaussian_signal(), obs, record), 500, rng, reduce=steps)
         assert len(rng.uniforms) == len(steps) == 10
         for step, u in zip(steps, rng.uniforms):
             assert_parent_rows(step)
@@ -417,19 +411,21 @@ class TestRunFilter:
         obs = linear_obs(0.5, clip=20.0)
         record = ObservationRecord(increments=np.full((3, 1), 100.0), epsilon=0.5)
         signal = point_signal(25.0, w=1e-12)
+        scenario = Scenario(signal, obs, record)
         with pytest.raises(WeightOverflowError) as err:
-            run_filter(signal, obs, record, 10, np.random.default_rng(72))
+            run_filter(scenario, 10, np.random.default_rng(72))
         assert err.value.epoch == 1 and err.value.max_rho == np.inf
         with pytest.raises(WeightOverflowError):
-            run_baseline(signal, obs, record, 10, np.random.default_rng(72))
+            run_baseline(scenario, 10, np.random.default_rng(72))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_weight_above_cap_rejected(self):
         obs = linear_obs(0.1)
         dy = dy_for_rho(100.0 * MAX_RHO, 1.0, obs)
         record = ObservationRecord(increments=np.vstack([dy, dy]), epsilon=0.1)
+        scenario = Scenario(point_signal(1.0, w=1e-12), obs, record)
         with pytest.raises(WeightOverflowError) as err:
-            run_filter(point_signal(1.0, w=1e-12), obs, record, 3, np.random.default_rng(75))
+            run_filter(scenario, 3, np.random.default_rng(75))
         assert err.value.epoch == 1
         assert MAX_RHO < err.value.max_rho < np.inf
         assert "epoch 1" in str(err.value)
@@ -438,15 +434,16 @@ class TestRunFilter:
     def test_nan_weight_is_an_overflow_error(self):
         # a NaN initial scale puts every particle at NaN, so every weight is NaN
         obs = linear_obs(0.1)
-        _, record = simulate_scenario(gaussian_signal(), obs, 0.5, np.random.default_rng(78))
+        record = simulate_scenario(gaussian_signal(), obs, 0.5, np.random.default_rng(78)).record
         signal = SignalModel(
             2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.gaussian([0.0], [np.nan])
         )
+        scenario = Scenario(signal, obs, record)
         with pytest.raises(WeightOverflowError) as err:
-            run_filter(signal, obs, record, 10, np.random.default_rng(79))
+            run_filter(scenario, 10, np.random.default_rng(79))
         assert err.value.epoch == 1 and np.isnan(err.value.max_rho)
         with pytest.raises(WeightOverflowError) as err:
-            run_baseline(signal, obs, record, 10, np.random.default_rng(79))
+            run_baseline(scenario, 10, np.random.default_rng(79))
         assert err.value.epoch == 1 and np.isnan(err.value.max_rho)
 
     def test_population_growth_is_capped(self):
@@ -456,8 +453,9 @@ class TestRunFilter:
         record = ObservationRecord(
             increments=np.vstack([dy_for_rho(2.5, 1.0, obs)] * 10), epsilon=0.1
         )
+        scenario = Scenario(point_signal(1.0, w=1e-12), obs, record)
         with pytest.raises(PopulationGrowthError) as err:
-            run_filter(point_signal(1.0, w=1e-12), obs, record, 1, np.random.default_rng(77))
+            run_filter(scenario, 1, np.random.default_rng(77))
         assert 5 <= err.value.epoch <= 7
         assert err.value.cap == MAX_GROWTH < err.value.count <= 4 * MAX_GROWTH
         assert f"epoch {err.value.epoch}" in str(err.value)
@@ -551,16 +549,16 @@ class TestMultinomialBaseline:
             increments=0.1 * np.ones((4, 1)), epsilon=0.1
         )
         steps = run_baseline(
-            gaussian_signal(), linear_obs(), record, 100, np.random.default_rng(89)
+            Scenario(gaussian_signal(), linear_obs(), record), 100, np.random.default_rng(89)
         )
         assert [s.post.count for s in steps] == [100] * 4
 
     def test_run_baseline_parents_are_generator_choice(self):
         obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.1)
-        _, record = simulate_scenario(gaussian_signal(), obs, 0.5, np.random.default_rng(117))
+        scenario = simulate_scenario(gaussian_signal(), obs, 0.5, np.random.default_rng(117))
         rng, steps = RecordingRng(119), LiveSteps()  # alpha = 2: resampling alone calls random
-        run_baseline(gaussian_signal(), obs, record, 300, rng, reduce=steps)
-        assert len(rng.states) == len(steps) == record.count
+        run_baseline(scenario, 300, rng, reduce=steps)
+        assert len(rng.states) == len(steps) == scenario.record.count
         for step, state in zip(steps, rng.states):
             assert_gathered(step)
             w = 1.0 + step.rho
@@ -656,9 +654,7 @@ class TestPopulationControl:
         )
         obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.25)
         run = run_filter(
-            gaussian_signal(),
-            obs,
-            record,
+            Scenario(gaussian_signal(), obs, record),
             100,
             np.random.default_rng(107),
             control=(0.5, 1.5),
@@ -676,9 +672,7 @@ class TestPopulationControl:
         )
         steps = LiveSteps()
         run = run_filter(
-            point_signal(1.0, w=1e-12),
-            obs,
-            record,
+            Scenario(point_signal(1.0, w=1e-12), obs, record),
             100,
             np.random.default_rng(109),
             control=(0.5, 2.0),
@@ -700,9 +694,7 @@ class TestPopulationControl:
         record = ObservationRecord(increments=np.zeros((2, 1)), epsilon=0.1)
         with pytest.raises(ValueError, match=r"bounds \(1\.5, 2\) must satisfy"):
             run_filter(
-                gaussian_signal(),
-                linear_obs(0.1),
-                record,
+                Scenario(gaussian_signal(), linear_obs(0.1), record),
                 50,
                 np.random.default_rng(113),
                 control=(1.5, 2.0),

@@ -63,7 +63,8 @@ def simulate_files(cfg) -> dict:
     """The artifacts of ``simulate`` as the row-at-a-time writer built them."""
     signal = build_signal(cfg)
     obs = build_observation(cfg)
-    path, record = simulate_scenario(signal, obs, cfg.horizon, substream(cfg.seed, "scenario"))
+    scenario = simulate_scenario(signal, obs, cfg.horizon, substream(cfg.seed, "scenario"))
+    path, record = scenario.truth, scenario.record
     d = signal.dimension
     files = {}
     truth_rows = [[k, k * cfg.epsilon] + list(x) for k, x in enumerate(path)]
@@ -79,7 +80,7 @@ def simulate_files(cfg) -> dict:
         steps.append(SimpleNamespace(epoch=k, post=post, parents=parents))
 
     run = run_filter(
-        signal, obs, record, n, substream(cfg.seed, "filter", n, 0), control=control, reduce=keep
+        scenario, n, substream(cfg.seed, "filter", n, 0), control=control, reduce=keep
     )
     rows = []
     for step in steps:

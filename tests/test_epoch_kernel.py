@@ -21,6 +21,7 @@ from levyfilter import (
     InitialLaw,
     ObservationModel,
     ObservationRecord,
+    Scenario,
     SignalModel,
     SpectralMeasure,
     init_ensemble,
@@ -176,11 +177,10 @@ def assert_same_ensemble(new, old):
     assert new.initial_count == old.initial_count
 
 
-def assert_filter_bit_equal(signal, obs, record, n, seed, control=None):
+def assert_filter_bit_equal(scenario, n, seed, control=None):
+    signal, obs, record = scenario.signal, scenario.obs, scenario.record
     live = LiveSteps()
-    run = run_filter(
-        signal, obs, record, n, np.random.default_rng(seed), control=control, reduce=live
-    )
+    run = run_filter(scenario, n, np.random.default_rng(seed), control=control, reduce=live)
     steps, extinct_epoch = ref_run_filter(
         signal, obs, record, n, np.random.default_rng(seed), control
     )
@@ -200,10 +200,12 @@ def assert_filter_bit_equal(signal, obs, record, n, seed, control=None):
     return run
 
 
-def assert_baseline_bit_equal(signal, obs, record, n, seed):
+def assert_baseline_bit_equal(scenario, n, seed):
     live = LiveSteps()
-    steps = run_baseline(signal, obs, record, n, np.random.default_rng(seed), reduce=live)
-    ref = ref_run_baseline(signal, obs, record, n, np.random.default_rng(seed))
+    steps = run_baseline(scenario, n, np.random.default_rng(seed), reduce=live)
+    ref = ref_run_baseline(
+        scenario.signal, scenario.obs, scenario.record, n, np.random.default_rng(seed)
+    )
     assert len(steps) == len(live) == len(ref)
     for kept, step, (post, parents, moved) in zip(steps, live, ref):
         assert_same_ensemble(step.post, post)
@@ -244,18 +246,18 @@ def make_obs(sensor, d, eps=0.1):
 def test_filter_and_baseline_bit_equal(alpha, d, atoms, sensor):
     signal = make_signal(alpha, d, atoms)
     obs = make_obs(sensor, d)
-    _, record = simulate_scenario(signal, obs, 0.8, np.random.default_rng(17))
-    assert_filter_bit_equal(signal, obs, record, 120, seed=23)
-    assert_baseline_bit_equal(signal, obs, record, 120, seed=29)
+    scenario = simulate_scenario(signal, obs, 0.8, np.random.default_rng(17))
+    assert_filter_bit_equal(scenario, 120, seed=23)
+    assert_baseline_bit_equal(scenario, 120, seed=29)
 
 
 def test_baseline_bit_equal_at_the_benchmark_size():
     # the count and epsilon of the compare-baseline workload: a cdf of 16000 rows
     signal = make_signal(1.5, 1, 1)
     obs = make_obs("bump", 1, eps=0.0125)
-    _, record = simulate_scenario(signal, obs, 0.05, np.random.default_rng(19))
-    assert record.count == 4
-    assert_baseline_bit_equal(signal, obs, record, 16000, seed=47)
+    scenario = simulate_scenario(signal, obs, 0.05, np.random.default_rng(19))
+    assert scenario.record.count == 4
+    assert_baseline_bit_equal(scenario, 16000, seed=47)
 
 
 def test_population_control_bit_equal():
@@ -266,7 +268,7 @@ def test_population_control_bit_equal():
         increments=np.array([[1.5]] * 4 + [[-1.5]] * 6), epsilon=0.1
     )
     control = (0.5, 1.5)
-    run = assert_filter_bit_equal(signal, obs, record, 100, seed=31, control=control)
+    run = assert_filter_bit_equal(Scenario(signal, obs, record), 100, seed=31, control=control)
     factors = {step.post.mass_factor / step.pre.mass_factor for step in run.steps}
     assert {2.0, 0.5} <= factors
 
@@ -279,13 +281,14 @@ def test_risky_epoch_bit_equal():
     obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=20.0), 0.1)
     record = ObservationRecord(increments=np.array([[1.0], [0.1], [-1.0]]), epsilon=0.1)
     assert ref_risky_epochs(record, obs).tolist() == [True, False, True]
-    assert_filter_bit_equal(signal, obs, record, 80, seed=37)
-    assert_baseline_bit_equal(signal, obs, record, 80, seed=41)
+    scenario = Scenario(signal, obs, record)
+    assert_filter_bit_equal(scenario, 80, seed=37)
+    assert_baseline_bit_equal(scenario, 80, seed=41)
 
 
 def test_extinct_run_bit_equal():
     signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.point([1.0]))
     obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=50.0), 0.9)
     record = ObservationRecord(increments=np.full((30, 1), -5.0), epsilon=0.9)
-    run = assert_filter_bit_equal(signal, obs, record, 3, seed=43)
+    run = assert_filter_bit_equal(Scenario(signal, obs, record), 3, seed=43)
     assert run.extinct and run.extinct_epoch < record.count

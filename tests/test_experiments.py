@@ -154,7 +154,7 @@ class TestClipReachOverWeighedPoints:
             oracle.clip_margin(self.sensor, posts.reach)
 
     def test_rate_sweep(self, monkeypatch):
-        def one_epoch(signal, obs, record, n, rng, control=None, reduce=None):
+        def one_epoch(scenario, n, rng, control=None, reduce=None):
             assert reduce is not None  # the Kalman oracle's reach reads every epoch
             k, pre, rho, parents, post = self.epoch()
             reduce(k, pre, rho, parents, post)

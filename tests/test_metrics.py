@@ -322,7 +322,7 @@ class TestSharedUnitTerms:
     def test_every_epoch_of_a_default_run(self):
         cfg = parse_config(default_config_text())
         signal, obs = build_signal(cfg), build_observation(cfg)
-        _, record = simulate_scenario(signal, obs, cfg.horizon, np.random.default_rng(9))
+        scenario = simulate_scenario(signal, obs, cfg.horizon, np.random.default_rng(9))
         thetas, epochs = np.array([[0.5], [1.0]]), []
 
         def reduce(k, pre, rho, parents, post):
@@ -335,8 +335,8 @@ class TestSharedUnitTerms:
             assert post_values.tobytes() == ensemble_transform(post, thetas).tobytes(), k
             epochs.append(k)
 
-        run_filter(signal, obs, record, 300, np.random.default_rng(10), reduce=reduce)
-        assert len(epochs) == record.count
+        run_filter(scenario, 300, np.random.default_rng(10), reduce=reduce)
+        assert len(epochs) == scenario.record.count
 
 
 class TestSobolevNorm:

@@ -1,5 +1,8 @@
 """Observation channel, weights, residuals, offspring rule, records."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from levyfilter import (
     InitialLaw,
     ObservationModel,
     ObservationRecord,
+    Scenario,
     SignalModel,
     SpectralMeasure,
     ZeroSensor,
@@ -17,7 +21,16 @@ from levyfilter import (
     simulate_scenario,
     weight,
 )
-from levyfilter import checks
+from levyfilter import checks, observation, stable
+from levyfilter.experiments import rate_sweep
+from levyfilter.harness import (
+    build_metric,
+    build_observation,
+    build_oracle,
+    build_signal,
+    default_config_text,
+    parse_config,
+)
 
 
 def bump_obs(epsilon=0.1):
@@ -226,7 +239,7 @@ class TestShapeRule:
         record = ObservationRecord(increments=np.array([0.1, 0.2, 0.3]), epsilon=0.1)
         assert (record.count, record.observation_dim) == (3, 1)
         signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.point([0.0]))
-        run = run_filter(signal, bump_obs(), record, 20, np.random.default_rng(5))
+        run = run_filter(Scenario(signal, bump_obs(), record), 20, np.random.default_rng(5))
         assert [step.epoch for step in run.steps] == [1, 2, 3]
 
     def test_line_sensor_on_a_planar_signal_is_rejected(self):
@@ -238,9 +251,14 @@ class TestShapeRule:
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="width 1"):
             simulate_scenario(planar, bump_obs(), 1.0, rng)
+        # a record built by hand stops at its Scenario, before any run draws
         record = ObservationRecord(increments=np.zeros((20, 1)), epsilon=0.1)
-        with pytest.raises(ValueError, match="width 1"):
-            run_filter(planar, bump_obs(), record, 50, rng)
+        with pytest.raises(ValueError, match="sensor takes 1-d points but the signal is 2-d"):
+            Scenario(planar, bump_obs(), record)
+        line = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.point([0.0]))
+        plane_obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0, 0.0]], [1.0]), 0.1)
+        with pytest.raises(ValueError, match="sensor takes 2-d points but the signal is 1-d"):
+            Scenario(line, plane_obs, record)
 
 
 class TestScenario:
@@ -252,7 +270,7 @@ class TestScenario:
     def test_pure_noise_channel(self):
         rng = np.random.default_rng(67)
         obs = ObservationModel(ZeroSensor(1, 1), 0.1)
-        _, record = simulate_scenario(self.signal(), obs, horizon=1000.0, rng=rng)
+        record = simulate_scenario(self.signal(), obs, horizon=1000.0, rng=rng).record
         z = record.increments[:, 0] / np.sqrt(obs.epsilon)
         n = z.size
         assert n == 10_000
@@ -261,12 +279,12 @@ class TestScenario:
 
     def test_single_epoch_horizon(self):
         rng = np.random.default_rng(71)
-        _, record = simulate_scenario(self.signal(), bump_obs(0.25), 0.25, rng)
+        record = simulate_scenario(self.signal(), bump_obs(0.25), 0.25, rng).record
         assert record.count == 1
 
     def test_exact_multiple_horizon(self):
         rng = np.random.default_rng(72)
-        _, record = simulate_scenario(self.signal(), bump_obs(0.1), 2.0, rng)
+        record = simulate_scenario(self.signal(), bump_obs(0.1), 2.0, rng).record
         assert record.count == 20
 
     def test_channel_mean_tracks_sensor(self):
@@ -276,13 +294,57 @@ class TestScenario:
             2.0, SpectralMeasure([[1.0]], [1e-12]), InitialLaw.point([1.5])
         )
         obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=10.0), 0.1)
-        _, record = simulate_scenario(signal, obs, horizon=1000.0, rng=rng)
+        record = simulate_scenario(signal, obs, horizon=1000.0, rng=rng).record
         ratio = record.increments[:, 0] / obs.epsilon
         se = np.sqrt(1.0 / obs.epsilon / record.count)
         assert abs(ratio.mean() - 1.5) < 5.0 * se
 
     def test_truth_shapes(self):
         rng = np.random.default_rng(79)
-        path, record = simulate_scenario(self.signal(), bump_obs(0.5), 2.0, rng)
-        assert path.shape == (5, 1)
-        assert record.count == 4
+        scenario = simulate_scenario(self.signal(), bump_obs(0.5), 2.0, rng)
+        assert scenario.truth.shape == (5, 1)
+        assert scenario.record.count == 4
+
+
+class TestOncePerRecord:
+    """A record's check, thinning bounds and lag table are built by its Scenario, once, and
+    every run and oracle on the record reads them."""
+
+    CONFIG = parse_config(default_config_text())
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """Count the calls to weight_bounds and lag_scales through every module's binding."""
+        calls = Counter()
+        modules = [m for name, m in list(sys.modules.items()) if name.startswith("levyfilter")]
+        for original in (observation.weight_bounds, stable.lag_scales):
+
+            def counting(*args, _original=original, **kwargs):
+                calls[_original.__name__] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    def test_a_sweep_builds_them_once(self, monkeypatch):
+        calls, cfg = self.count_builds(monkeypatch), self.CONFIG
+        signal, obs = build_signal(cfg), build_observation(cfg)
+        result = rate_sweep(
+            signal, obs, cfg.horizon, [250, 500, 1000], 2, cfg.seed, build_metric(cfg),
+            build_oracle(cfg),
+        )
+        assert result.total_runs == 6
+        # the truth's draws (no lag table given) make the other lag_scales call
+        assert calls == {"weight_bounds": 1, "lag_scales": 2}
+
+    def test_mass_moments_build_them_once_per_record(self, monkeypatch):
+        calls, cfg = self.count_builds(monkeypatch), self.CONFIG
+        signal, obs = build_signal(cfg), build_observation(cfg)
+        records = 40  # the check's smallest replication count; each record runs both ns
+        checks.check_mass_moments(
+            signal, obs, cfg.horizon, cfg.seed, ns=(100, 200), replications=records
+        )
+        assert calls == {"weight_bounds": records, "lag_scales": 2 * records}

@@ -21,6 +21,7 @@ from levyfilter import (
     InitialLaw,
     ObservationModel,
     ObservationRecord,
+    Scenario,
     SignalModel,
     SpectralMeasure,
     covariance_rate,
@@ -85,7 +86,8 @@ def ref_oracle_transforms(signal, obs, record, metric, oracle, grid_points, grid
 
 
 def ref_rate_sweep_rows(signal, obs, horizon, ns, replications, seed, metric, oracle):
-    _, record = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
+    scenario = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
+    record = scenario.record
     targets = ref_oracle_transforms(signal, obs, record, metric, oracle, 256, 10.0)
     rows = []
     # under the grid oracle the sweep passes no reducer, so its runs thin; under the Kalman
@@ -93,9 +95,7 @@ def ref_rate_sweep_rows(signal, obs, horizon, ns, replications, seed, metric, or
     reduce = None if oracle == "grid" else (lambda *epoch: None)
     for n in ns:
         for rep in range(replications):
-            run = run_filter(
-                signal, obs, record, n, substream(seed, "sweep-run", n, rep), reduce=reduce
-            )
+            run = run_filter(scenario, n, substream(seed, "sweep-run", n, rep), reduce=reduce)
             if run.extinct:
                 continue
             ensemble = run.final
@@ -111,12 +111,12 @@ def ref_baseline_errors(signal, sensor, horizon, n, seed, epsilons):
     for eps in epsilons:
         obs = ObservationModel(sensor, eps)
         tag = int(round(1e6 * eps))
-        _, record = simulate_scenario(signal, obs, horizon, substream(seed, "baseline-record", tag))
+        scenario = simulate_scenario(signal, obs, horizon, substream(seed, "baseline-record", tag))
         b_posts, m_posts = [], []
-        run_filter(signal, obs, record, n, substream(seed, "baseline-branch", tag), reduce=keep(b_posts))
-        run_baseline(signal, obs, record, n, substream(seed, "baseline-multi", tag), reduce=keep(m_posts))
+        run_filter(scenario, n, substream(seed, "baseline-branch", tag), reduce=keep(b_posts))
+        run_baseline(scenario, n, substream(seed, "baseline-multi", tag), reduce=keep(m_posts))
         summaries, _ = run_reference(
-            signal, obs, record, domain_halfwidth=10.0, points_per_axis=256
+            signal, obs, scenario.record, domain_halfwidth=10.0, points_per_axis=256
         )
         oracle_means = np.array([s.mean for s in summaries[1:]])
         b_means = np.array([post.positions.mean(axis=0) for post in b_posts])
@@ -129,9 +129,10 @@ def ref_baseline_errors(signal, sensor, horizon, n, seed, epsilons):
 def ref_oracle_agreement(signal, obs, horizon, seed, scale, oracle, n, grid_points):
     """(rms, bound), or the clip-region failure text."""
     n_eff = max(500, int(round(n * scale)))
-    truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "oracle-record"))
+    scenario = simulate_scenario(signal, obs, horizon, substream(seed, "oracle-record"))
+    truth, record = scenario.truth, scenario.record
     posts, pres = [], []
-    run_filter(signal, obs, record, n_eff, substream(seed, "oracle-run"), reduce=keep(posts, pres))
+    run_filter(scenario, n_eff, substream(seed, "oracle-run"), reduce=keep(posts, pres))
     particle_means = np.array([post.positions.mean(axis=0) for post in posts])
     if oracle == "kalman":
         sensor = obs.sensor
@@ -155,7 +156,8 @@ def ref_oracle_agreement(signal, obs, horizon, seed, scale, oracle, n, grid_poin
 
 def ref_kalman_crosscheck(signal, obs, horizon, seed, ns, reference_n, replications):
     sensor = obs.sensor
-    truth, record = simulate_scenario(signal, obs, horizon, substream(seed, "kalman-record"))
+    scenario = simulate_scenario(signal, obs, horizon, substream(seed, "kalman-record"))
+    truth, record = scenario.truth, scenario.record
     _, means, covs = ref_kalman_from_law(signal, sensor.matrix, record)
     posterior_std = float(np.sqrt(np.mean([np.trace(c) for c in covs])))
     largest_projection = float(np.abs(truth @ sensor.matrix.T).max())
@@ -166,7 +168,7 @@ def ref_kalman_crosscheck(signal, obs, horizon, seed, ns, reference_n, replicati
         for rep in range(replications):
             posts, pres = [], []
             rng = substream(seed, "kalman-run", n, rep)
-            run_filter(signal, obs, record, n, rng, reduce=keep(posts, pres))
+            run_filter(scenario, n, rng, reduce=keep(posts, pres))
             for epoch, (pre, post) in enumerate(zip(pres, posts), start=1):
                 largest_projection = max(
                     largest_projection,
@@ -208,8 +210,8 @@ def bump_obs(eps=0.1):
     return ObservationModel(GaussianBumpSensor([1.3], [[0.5]], [0.7]), eps)
 
 
-def record_for(signal, obs, seed=3):
-    return simulate_scenario(signal, obs, 0.8, np.random.default_rng(seed))[1]
+def scenario_for(signal, obs, seed=3):
+    return simulate_scenario(signal, obs, 0.8, np.random.default_rng(seed))
 
 
 def make_oracle(kind, grid_points):
@@ -226,9 +228,10 @@ def make_oracle(kind, grid_points):
 def test_summaries_bit_equal_to_per_caller_code(kind, d, law):
     signal = gaussian_signal(d, law)
     obs = linear_obs(d)
-    record = record_for(signal, obs)
+    scenario = scenario_for(signal, obs)
+    record = scenario.record
     metric = FrequencyGrid.build(d, alpha=2.0, cutoff=5.0 if d == 1 else 2.0, spacing=0.1 if d == 1 else 0.5)
-    summaries = make_oracle(kind, 128).summaries(signal, obs, record, metric)
+    summaries = make_oracle(kind, 128).summaries(scenario, metric)
     targets = ref_oracle_transforms(signal, obs, record, metric, kind, 128, 10.0)
     assert [s.epoch for s in summaries] == list(range(record.count + 1))
     for s in summaries:
@@ -310,9 +313,9 @@ def test_kalman_crosscheck_bit_equal():
 def test_kalman_preconditions_checked_once_for_every_consumer(signal, obs):
     with pytest.raises(ValueError, match="kalman needs observation.sensor = clipped_linear"):
         kalman_sensor(signal, obs)
-    record = record_for(signal, obs)
+    scenario = scenario_for(signal, obs)
     with pytest.raises(ValueError, match="kalman needs"):
-        Oracle("kalman").summaries(signal, obs, record)
+        Oracle("kalman").summaries(scenario)
     with pytest.raises(ValueError, match="kalman needs"):
         check_oracle_agreement(signal, obs, 0.5, 5, scale=0.1, oracle=Oracle("kalman"))
 
@@ -347,9 +350,10 @@ def test_clip_margin():
 def test_oracle_needs_the_record_epsilon(kind):
     signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.gaussian([0.0], [1.0]))
     sensor = ClippedLinearSensor([[1.0]], clip=20.0)
-    _, record = simulate_scenario(signal, ObservationModel(sensor, 0.05), 1.0, substream(3, "eps"))
+    scenario = simulate_scenario(signal, ObservationModel(sensor, 0.05), 1.0, substream(3, "eps"))
+    oracle = make_oracle(kind, 64)
     with pytest.raises(ValueError, match=r"epsilon 0\.05 .* epsilon 0\.1"):
-        make_oracle(kind, 64).summaries(signal, ObservationModel(sensor, 0.1), record)
+        oracle.summaries(Scenario(signal, ObservationModel(sensor, 0.1), scenario.record))
 
 
 @pytest.mark.parametrize("kind", ["grid", "kalman"])
@@ -357,5 +361,6 @@ def test_oracle_needs_the_record_width(kind):
     signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.gaussian([0.0], [1.0]))
     record = ObservationRecord(increments=np.zeros((5, 2)), epsilon=0.1)
     obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=20.0), 0.1)
+    oracle = make_oracle(kind, 64)
     with pytest.raises(ValueError, match=r"width 2 but the sensor gives 1-d"):
-        make_oracle(kind, 64).summaries(signal, obs, record)
+        oracle.summaries(Scenario(signal, obs, record))

@@ -14,6 +14,7 @@ from levyfilter import (
     InitialLaw,
     ObservationModel,
     ObservationRecord,
+    Scenario,
     SignalModel,
     SpectralMeasure,
     ZeroSensor,
@@ -21,7 +22,7 @@ from levyfilter import (
     simulate_scenario,
     weight,
 )
-from levyfilter import branching, checks
+from levyfilter import branching, checks, observation
 from levyfilter.branching import ParticleEnsemble, WeightOverflowError, _refill
 from levyfilter.cli import main as cli_main
 from levyfilter.experiments import ensemble_transform
@@ -42,14 +43,11 @@ CONFIG = parse_config(default_config_text())
 SIGNAL = build_signal(CONFIG)
 
 
-def default_record(epsilon=None):
+def default_scenario(epsilon=None):
     obs = build_observation(CONFIG)
     if epsilon is not None:
         obs = ObservationModel(obs.sensor, epsilon)
-    _, record = simulate_scenario(
-        SIGNAL, obs, CONFIG.horizon, substream(CONFIG.seed, "sweep-record")
-    )
-    return obs, record
+    return simulate_scenario(SIGNAL, obs, CONFIG.horizon, substream(CONFIG.seed, "sweep-record"))
 
 
 def noop(*epoch):
@@ -198,16 +196,15 @@ class TestRefill:
 
 class TestThinnedRuns:
     def test_a_run_thins_iff_it_has_no_reducer(self):
-        obs, record = default_record()
-        assert record.epsilon == 0.1
-        bare = run_filter(SIGNAL, obs, record, 1000, np.random.default_rng(4))
-        read = run_filter(SIGNAL, obs, record, 1000, np.random.default_rng(4), reduce=noop)
+        scenario = default_scenario()
+        assert scenario.record.epsilon == 0.1
+        bare = run_filter(scenario, 1000, np.random.default_rng(4))
+        read = run_filter(scenario, 1000, np.random.default_rng(4), reduce=noop)
         assert sum(s.moved for s in bare.steps) < sum(s.pre.count for s in bare.steps)
         assert sum(s.moved for s in read.steps) == sum(s.pre.count for s in read.steps)
 
     def test_population_epochs_are_counted_whole(self):
-        obs, record = default_record()
-        run = run_filter(SIGNAL, obs, record, 1000, np.random.default_rng(6))
+        run = run_filter(default_scenario(), 1000, np.random.default_rng(6))
         for step, nxt in zip(run.steps, run.steps[1:]):
             assert nxt.pre == step.post
         assert run.steps[-1].moved == run.steps[-1].weighed == run.steps[-1].pre.count
@@ -217,16 +214,14 @@ class TestThinnedRuns:
         # n = 2000 on the default record: mean final mass, mean squared error at the final
         # epoch and the two eve statistics agree within 3 standard errors of the
         # difference, over 400 runs each
-        obs, record = default_record()
+        scenario = default_scenario()
         metric, oracle = build_metric(CONFIG), build_oracle(CONFIG)
-        target = oracle.summaries(SIGNAL, obs, record, metric)[record.count].transform
+        target = oracle.summaries(scenario, metric)[scenario.record.count].transform
         out = {}
         for mode, reduce in (("every", noop), ("final", None)):
             mass, err2, eves = [], [], []
             for rep in range(400):
-                run = run_filter(
-                    SIGNAL, obs, record, 2000, substream(11, "law", mode, rep), reduce=reduce
-                )
+                run = run_filter(scenario, 2000, substream(11, "law", mode, rep), reduce=reduce)
                 mass.append(run.final.total_mass)
                 err = filter_error(ensemble_transform(run.final, metric), target, metric)
                 err2.append(err * err)
@@ -250,14 +245,14 @@ class TestThinnedRuns:
         )
         sensor = GaussianBumpSensor([1.0, -0.7], [[0.0, 0.0], [1.0, -0.5]], [1.0, 0.8])
         obs = ObservationModel(sensor, 0.05)
-        _, record = simulate_scenario(signal, obs, 1.0, np.random.default_rng(5))
+        scenario = simulate_scenario(signal, obs, 1.0, np.random.default_rng(5))
         theta = np.array([[0.7, 0.0], [0.0, 0.7]])
         out = {}
         for mode, reduce in (("every", noop), ("final", None)):
             stats = []
             for rep in range(300):
                 run = run_filter(
-                    signal, obs, record, 400, substream(3, "law2d", alpha, mode, rep),
+                    scenario, 400, substream(3, "law2d", alpha, mode, rep),
                     control=(0.8, 1.25), reduce=reduce,
                 )
                 transform = ensemble_transform(run.final, theta)
@@ -284,7 +279,7 @@ class TestThinnedRuns:
 
         monkeypatch.setattr(branching, "sample_increment", counting)
         n = 20000
-        run = run_filter(SIGNAL, obs, record, n, np.random.default_rng(8))
+        run = run_filter(Scenario(SIGNAL, obs, record), n, np.random.default_rng(8))
         assert sum(drawn) == max(drawn) == n
         assert [s.moved for s in run.steps] == [0] * 19 + [n]
         x = run.final.positions[:, 0]
@@ -293,11 +288,11 @@ class TestThinnedRuns:
 
     def test_small_epsilon_moves_under_a_quarter(self):
         # at epsilon 0.0125 the bound averages about 0.09
-        obs, record = default_record(0.0125)
-        assert record.count == 160
-        every = run_filter(SIGNAL, obs, record, 2000, np.random.default_rng(12), reduce=noop)
-        final = run_filter(SIGNAL, obs, record, 2000, np.random.default_rng(12))
-        assert np.mean(weight_bounds(obs, record)) < 0.12
+        scenario = default_scenario(0.0125)
+        assert scenario.record.count == 160
+        every = run_filter(scenario, 2000, np.random.default_rng(12), reduce=noop)
+        final = run_filter(scenario, 2000, np.random.default_rng(12))
+        assert np.mean(scenario.bounds) < 0.12
         moves = [sum(s.moved for s in run.steps) for run in (every, final)]
         assert moves[0] == sum(s.pre.count for s in every.steps)
         assert moves[1] < 0.25 * moves[0], moves
@@ -311,7 +306,7 @@ class TestThinnedRuns:
         record = ObservationRecord(np.array([[np.log1p(0.3 * sign) + 0.05], [0.0]]), 0.1)
         rho = weight(np.array([1.0]), record.increments[0], obs)[0]
         assert weight_bounds(obs, record)[0] < 1.0 and rho == pytest.approx(0.3 * sign)
-        run = run_filter(signal, obs, record, 1, StillRng([abs(rho), 0.5]))
+        run = run_filter(Scenario(signal, obs, record), 1, StillRng([abs(rho), 0.5]))
         assert run.steps[0].weighed == 1 and run.steps[0].post.count == 1
 
     def test_doubling_first_moves_every_stale_row(self, monkeypatch):
@@ -324,13 +319,11 @@ class TestThinnedRuns:
             return sample_increment(signal, dt, rng, size, lags_, table)
 
         monkeypatch.setattr(branching, "sample_increment", recording)
-        obs, record = default_record()
-        run = run_filter(
-            SIGNAL, obs, record, 400, np.random.default_rng(13), control=(0.999, 4.0)
-        )
+        scenario = default_scenario()
+        run = run_filter(scenario, 400, np.random.default_rng(13), control=(0.999, 4.0))
         doubled = [s for s in run.steps[:-1] if s.post.mass_factor < s.pre.mass_factor]
         assert doubled and all(s.moved > s.weighed for s in doubled)
-        assert lags[-1].max() <= record.count - doubled[-1].epoch
+        assert lags[-1].max() <= scenario.record.count - doubled[-1].epoch
 
 
 class TestGenealogy:
@@ -343,21 +336,21 @@ class TestGenealogy:
     @pytest.mark.parametrize("control", [None, (0.9, 1.1)], ids=["uncontrolled", "band"])
     @pytest.mark.parametrize("thin", [True, False], ids=["thinned", "eager"])
     def test_every_row_sits_where_its_eve_started(self, thin, control):
-        _, record = simulate_scenario(self.SIGNAL, self.OBS, 2.0, np.random.default_rng(5))
+        scenario = simulate_scenario(self.SIGNAL, self.OBS, 2.0, np.random.default_rng(5))
         seen = []
 
         def reduce(k, pre, rho, parents, post):
             seen.append((post.positions.copy(), post.eve.copy()))
 
         run = run_filter(
-            self.SIGNAL, self.OBS, record, 500, StillPaths(3), control=control,
+            scenario, 500, StillPaths(3), control=control,
             reduce=None if thin else reduce,
         )
         x0 = run.initial.positions
         assert np.unique(x0).size == 500 and np.array_equal(run.initial.eve, np.arange(500))
         assert run.final.eve.dtype == np.int32
         assert np.array_equal(run.final.positions, x0[run.final.eve])
-        assert len(seen) == (0 if thin else record.count)
+        assert len(seen) == (0 if thin else scenario.record.count)
         for x, eve in seen:
             assert np.array_equal(x, x0[eve])
         # not vacuous: eves die and split, the thinned run thins, the band halves and doubles
@@ -413,10 +406,10 @@ class TestMutants:
     """A thinning loop that trusts a wrong bound, or a NaN weight, must stop."""
 
     def test_a_bound_scaled_down_raises(self, monkeypatch):
-        monkeypatch.setattr(branching, "weight_bounds", scaled_bounds)
-        obs, record = default_record()
+        monkeypatch.setattr(observation, "weight_bounds", scaled_bounds)
+        scenario = default_scenario()  # its bounds come from the patched function
         with pytest.raises(WeightOverflowError, match=r"observation epoch \d+"):
-            run_filter(SIGNAL, obs, record, 1000, np.random.default_rng(3))
+            run_filter(scenario, 1000, np.random.default_rng(3))
 
     def test_a_nan_weight_at_a_thinned_epoch_raises(self, monkeypatch):
         def nan_weight(x, dy, obs):
@@ -425,16 +418,16 @@ class TestMutants:
             return rho
 
         monkeypatch.setattr(branching, "weight", nan_weight)
-        obs, record = default_record()
+        scenario = default_scenario()
         with pytest.raises(WeightOverflowError, match="observation epoch 1:") as err:
-            run_filter(SIGNAL, obs, record, 100, np.random.default_rng(1))
+            run_filter(scenario, 100, np.random.default_rng(1))
         assert np.isnan(err.value.max_rho)
-        assert err.value.bound == weight_bounds(obs, record)[0] < 1.0
+        assert err.value.bound == weight_bounds(scenario.obs, scenario.record)[0] < 1.0
 
     @pytest.mark.parametrize("mutant", ["bound", "nan"])
     def test_cli_exits_3_naming_the_epoch(self, mutant, monkeypatch, tmp_path, capsys):
         if mutant == "bound":
-            monkeypatch.setattr(branching, "weight_bounds", scaled_bounds)
+            monkeypatch.setattr(observation, "weight_bounds", scaled_bounds)
         else:
             monkeypatch.setattr(branching, "weight", lambda x, dy, obs: np.full(len(x), np.nan))
         text = default_config_text().replace(
