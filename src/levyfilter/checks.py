@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .branching import ExtinctionError, _offspring_counts, run_baseline, run_filter
-from .experiments import PostMeans, _epsilon_tag
+from .experiments import _epsilon_tag, _post_mean, replicates
 from .metrics import RateFit, _log_line, rate_fit, running_total, unit_terms
 from .observation import (
     GaussianBumpSensor,
@@ -334,22 +334,20 @@ def check_branch_sparsity(
 
 
 def _mean_agreement(scenario, oracle, summaries, n, rngs):
-    """(rms, spread, margin) of ``n``-particle runs on ``scenario``, one per generator in
-    ``rngs``: the rms over runs and epochs of the gap between the particle normalized mean
-    and the oracle's mean, the oracle's posterior spread sqrt(mean trace), and the clip
-    margin of the truth and every weighed particle.  Raises ExtinctionError when a run dies
-    out and ClipRegionError, after the run, when it left the clip region."""
-    sensor = scenario.obs.sensor
-    posts = PostMeans(oracle, sensor, oracle.clip_reach(sensor, scenario.truth))
-    for rep, rng in enumerate(rngs):
-        run = run_filter(scenario, n, rng, reduce=posts)
+    """(rms, spread, margin) of the ``replicates`` of ``n`` particles on ``scenario``, one per
+    generator in ``rngs``: the rms over runs and epochs of the gap between the particle
+    normalized mean and the oracle's mean, the oracle's posterior spread sqrt(mean trace) and
+    the smallest clip margin of a run.  Raises ExtinctionError when a run dies out."""
+    means, margins = [], []
+    for r, (run, kept, margin) in enumerate(replicates(scenario, oracle, n, rngs, keep=_post_mean)):
         if run.extinct:
-            where = f"observation epoch {run.extinct_epoch} (n {n}, replication {rep})"
+            where = f"observation epoch {run.extinct_epoch} (n {n}, replication {r})"
             raise ExtinctionError(f"particle system extinct at {where}")
-        margin = oracle.clip_margin(sensor, posts.reach)
-    gaps = np.array(posts.means) - np.tile([s.mean for s in summaries[1:]], (len(rngs), 1))
+        means.extend(kept)
+        margins.append(margin)
+    gaps = np.array(means) - np.tile([s.mean for s in summaries[1:]], (len(rngs), 1))
     spread = float(np.sqrt(np.mean([s.variance.sum() for s in summaries[1:]])))
-    return float(np.sqrt(np.mean(np.sum(gaps**2, axis=1)))), spread, margin
+    return float(np.sqrt(np.mean(np.sum(gaps**2, axis=1)))), spread, min(margins)
 
 
 def check_oracle_agreement(

@@ -7,6 +7,7 @@ all randomness from (master seed, tags), so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +21,11 @@ from .stable import SignalModel
 
 __all__ = [
     "ensemble_transform",
+    "replicates",
     "RateSweepResult",
     "rate_sweep",
     "BaselineComparison",
     "baseline_comparison",
-    "PostMeans",
 ]
 
 
@@ -33,6 +34,38 @@ def ensemble_transform(ensemble, nodes) -> np.ndarray:
     a metric grid (a 1-d lattice takes the NUFFT path) or a node array (summed directly);
     an empty ensemble transforms to zero everywhere."""
     return ensemble.estimate(fourier(ensemble.positions, None, nodes))
+
+
+def replicates(scenario, oracle, n, rngs, *, keep=None, control=None, multinomial=False):
+    """Yield ``(run, kept, margin)`` for one ``n``-particle run on ``scenario`` per generator in
+    ``rngs``, one alive at a time: the ``FilterRun`` (``run_baseline``'s steps if ``multinomial``),
+    ``keep(k, post)`` of each epoch k with survivors, and the clip margin of the truth and every
+    particle the run weighed (inf without an oracle); ClipRegionError when it is not positive.
+    The one place that decides how a branching run reads its epochs: eager only to feed ``keep``
+    or the Kalman clip check, which reads every ``pre``; any other run thins."""
+    sensor = scenario.obs.sensor
+    truth = 0.0 if oracle is None else oracle.clip_reach(sensor, scenario.truth)
+    eager = keep is not None or (oracle is not None and oracle.kind == "kalman")
+    for rng in rngs:
+        reach, kept = truth, []
+
+        def reduce(k, pre, rho, parents, post):
+            nonlocal reach
+            if oracle is not None:
+                reach = max(reach, oracle.clip_reach(sensor, pre.positions))
+            if keep is not None and post.count:
+                kept.append(keep(k, post))
+
+        if multinomial:
+            run = run_baseline(scenario, n, rng, reduce=reduce)
+        else:
+            run = run_filter(scenario, n, rng, control=control, reduce=reduce if eager else None)
+        yield run, kept, math.inf if oracle is None else oracle.clip_margin(sensor, reach)
+
+
+def _post_mean(k, post):
+    """The mean position of ``post``, what a normalized-mean comparison keeps per epoch."""
+    return post.positions.mean(axis=0)
 
 
 @dataclass
@@ -66,16 +99,13 @@ def rate_sweep(
 ) -> RateSweepResult:
     """Sobolev filter error against ``oracle`` (ValueError without one), per n and replication.
 
-    One observation record (drawn from the seed) is shared by the oracle and
-    all particle runs; replications vary only the particle randomness, so the
-    measured decay in n is the Monte Carlo rate.  ``error_epochs`` is
-    ``"final"`` (error at the terminal epoch only) or ``"all"``.  ``control``
-    is ``run_filter``'s population control band ``(low_ratio, high_ratio)``,
-    held around each run's n.  The truth and each weighed particle keep to the clip margin.
-    A repeated n is a ValueError: its runs would share their seeds and repeat a point.
-    The final error comes from ``run.final``.  A run passes a reducer, and so runs eager,
-    only to read the earlier epochs: their errors under ``"all"``, or the Kalman oracle's
-    clip reach over every weighed particle.  Any other run thins.
+    One observation record (drawn from the seed) is shared by the oracle and all particle
+    runs; replications vary only the particle randomness, so the measured decay in n is the
+    Monte Carlo rate.  ``error_epochs`` is ``"final"`` (error at the terminal epoch only) or
+    ``"all"``.  ``control`` is ``run_filter``'s population control band
+    ``(low_ratio, high_ratio)``, held around each run's n.  ``replicates`` runs them, each kept
+    to the clip margin.  A repeated n is a ValueError: its runs would share their seeds and
+    repeat a point.  The final error is the last one kept under ``"all"``, else ``run.final``'s.
     """
     if oracle is None:
         raise ValueError("rate_sweep needs an oracle (grid or kalman)")
@@ -84,45 +114,34 @@ def rate_sweep(
     scenario = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
     K = scenario.record.count
     targets = oracle.summaries(scenario, metric)
-    truth_reach = oracle.clip_reach(obs.sensor, scenario.truth)
-    every_epoch = oracle.kind == "kalman" or error_epochs == "all"
 
     def error(k, post):
         values = ensemble_transform(post, metric)
         if oracle.normalized:
             values = values / post.total_mass
-        return filter_error(values, targets[k].transform, metric)
+        return k, filter_error(values, targets[k].transform, metric)
 
     rows = []
     per_n_error = []
     extinct_runs = 0
     total_runs = 0
     particle_epochs = moves = weighings = 0
+    keep = error if error_epochs == "all" else None
     for n in ns:
         final_sq = []
-        for rep in range(replications):
+        rngs = (substream(seed, "sweep-run", n, rep) for rep in range(replications))
+        runs = replicates(scenario, oracle, n, rngs, keep=keep, control=control)
+        for rep, (run, errors, _) in enumerate(runs):
             total_runs += 1
-            reach, errors = truth_reach, []
-
-            def reduce(k, pre, rho, parents, post):
-                nonlocal reach
-                reach = max(reach, oracle.clip_reach(obs.sensor, pre.positions))
-                if error_epochs == "all" and k < K and post.count:
-                    errors.append((k, error(k, post)))
-
-            run = run_filter(
-                scenario, n, substream(seed, "sweep-run", n, rep),
-                control=control, reduce=reduce if every_epoch else None,
-            )
             particle_epochs += sum(s.pre.count for s in run.steps)
             moves += sum(s.moved for s in run.steps)
             weighings += sum(s.weighed for s in run.steps)
-            oracle.clip_margin(obs.sensor, reach)
             if run.extinct:
                 extinct_runs += 1
                 continue
-            err = error(K, run.final)
-            rows.extend((n, rep, k, e) for k, e in [*errors, (K, err)])
+            errors = errors or [error(K, run.final)]
+            rows.extend((n, rep, k, e) for k, e in errors)
+            err = errors[-1][1]
             final_sq.append(err * err)
         if final_sq:
             per_n_error.append((n, float(np.sqrt(np.mean(final_sq)))))
@@ -148,24 +167,6 @@ class BaselineComparison:
     slope: float                   # log-log slope of the fraction in eps; nan for one eps or a 0
 
 
-class PostMeans:
-    """A per-epoch reducer ``(k, pre, rho, parents, post)`` for ``run_filter`` and
-    ``run_baseline`` that reads no ``parents``: the mean position of every nonempty
-    ``post`` (``means``) and one ``reach``, the largest of the truth's ``reach`` it starts
-    from and the ``oracle``'s ``clip_reach`` of every ``pre``, the points the sensor
-    weighed (unchanged without an oracle)."""
-
-    def __init__(self, oracle: Oracle | None, sensor, reach: float):
-        self.oracle, self.sensor, self.reach = oracle, sensor, reach
-        self.means = []
-
-    def __call__(self, k, pre, rho, parents, post):
-        if post.count:
-            self.means.append(post.positions.mean(axis=0))
-        if self.oracle is not None:
-            self.reach = max(self.reach, self.oracle.clip_reach(self.sensor, pre.positions))
-
-
 def _epsilon_tag(eps) -> int:
     """The seed tag of one epsilon's records and runs: epsilons closer than 5e-7 share one."""
     return int(round(1e6 * eps))
@@ -185,33 +186,33 @@ def baseline_comparison(
     against ``oracle`` (every particle kept to its clip margin), nan without one.
 
     Raises ExtinctionError if a branching run dies out: its fractions and errors would
-    cover only the epochs before extinction.  Each run keeps only its per-epoch sizes;
-    ``PostMeans`` reduces it to the means and the one clip reach the comparison reads.
+    cover only the epochs before extinction.  Each run keeps only its per-epoch sizes and,
+    through ``replicates``, its posterior means.
     """
     b_fracs, m_fracs, b_errs, m_errs = [], [], [], []
     for eps in epsilons:
         obs = ObservationModel(sensor, eps)
         tag = _epsilon_tag(eps)
         scenario = simulate_scenario(signal, obs, horizon, substream(seed, "baseline-record", tag))
-        truth_reach = 0.0 if oracle is None else oracle.clip_reach(sensor, scenario.truth)
-        branch = PostMeans(oracle, sensor, truth_reach)
-        run = run_filter(scenario, n, substream(seed, "baseline-branch", tag), reduce=branch)
+        [(run, b_means, _)] = replicates(
+            scenario, oracle, n, [substream(seed, "baseline-branch", tag)], keep=_post_mean
+        )
         if run.extinct:
             raise ExtinctionError(
                 f"compare-baseline: branching particle system of {n} extinct at observation "
                 f"epoch {run.extinct_epoch} of {scenario.record.count} (epsilon {eps:g})"
             )
         b_fracs.append(float(np.mean([s.branch_events / s.pre.count for s in run.steps])))
-        multi = PostMeans(oracle, sensor, truth_reach)
-        steps = run_baseline(scenario, n, substream(seed, "baseline-multi", tag), reduce=multi)
+        [(steps, m_means, _)] = replicates(
+            scenario, oracle, n, [substream(seed, "baseline-multi", tag)], keep=_post_mean,
+            multinomial=True,
+        )
         m_fracs.append(float(np.mean([s.relocations / n for s in steps])))
         oracle_means = np.nan  # no oracle: nan errors
         if oracle is not None:
-            summaries = oracle.summaries(scenario)
-            oracle.clip_margin(sensor, max(branch.reach, multi.reach))
-            oracle_means = np.array([s.mean for s in summaries[1:]])
-        for errs, posts in ((b_errs, branch), (m_errs, multi)):
-            errs.append(float(np.mean(np.abs(np.array(posts.means) - oracle_means))))
+            oracle_means = np.array([s.mean for s in oracle.summaries(scenario)[1:]])
+        for errs, means in ((b_errs, b_means), (m_errs, m_means)):
+            errs.append(float(np.mean(np.abs(np.array(means) - oracle_means))))
     slope = np.nan  # no line through fewer than two distinct epsilons
     if len(set(epsilons)) > 1:
         slope = _log_line(epsilons, b_fracs)[0]

@@ -323,8 +323,8 @@ _SENSOR_KEYS = {
 
 def _model_violations(cfg: ExperimentConfig) -> list:
     """Build the signal and observation models and check that a kalman oracle can solve
-    them, or that a grid oracle's domain holds the initial law; one violation naming the
-    keys per rejection."""
+    them, or that a grid oracle's domain holds the initial law and its cells resolve the
+    metric; one violation naming the keys per rejection."""
     violations, models = [], []
     for keys, build in (
         ("signal.initial_center/initial_scale", build_signal),
@@ -345,6 +345,14 @@ def _model_violations(cfg: ExperimentConfig) -> list:
             _check_domain(models[0].initial_law, axes)
         except ValueError as exc:
             violations.append(f"oracle.grid_halfwidth/signal.initial_center: {exc}")
+    # the grid's transform is periodic in theta: it says nothing true past pi / cell width
+    nyquist = np.pi * cfg.grid_points / (2.0 * cfg.grid_halfwidth)
+    if cfg.oracle == "grid" and cfg.cutoff > nyquist:
+        violations.append(
+            f"metric.cutoff: {cfg.cutoff:g} exceeds pi * oracle.grid_points / "
+            f"(2 * oracle.grid_halfwidth) = {nyquist:.4g}, the highest frequency the grid "
+            "oracle resolves"
+        )
     return violations
 
 

@@ -212,13 +212,18 @@ class Scenario:
     table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        takes, dimension = self.obs.sensor.signal_dim, self.signal.dimension
-        if takes != dimension:
-            raise ValueError(f"sensor takes {takes}-d points but the signal is {dimension}-d")
+        _check_sensor_input(self.signal, self.obs)
         bounds = weight_bounds(self.obs, self.record)  # checks the record against obs
         lags = self.record.count if np.any(bounds[:-1] < 1.0) else 1
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "table", lag_scales(self.signal, self.obs.epsilon, lags))
+
+
+def _check_sensor_input(signal: SignalModel, obs: ObservationModel) -> None:
+    """ValueError, naming both dimensions, unless the sensor takes the signal's points."""
+    takes, dimension = obs.sensor.signal_dim, signal.dimension
+    if takes != dimension:
+        raise ValueError(f"sensor takes {takes}-d points but the signal is {dimension}-d")
 
 
 def epoch_count(horizon: float, epsilon: float) -> int:
@@ -240,6 +245,7 @@ def simulate_scenario(
     eps = obs.epsilon
     if horizon < eps:
         raise ValueError("horizon must be at least one observation interval")
+    _check_sensor_input(signal, obs)  # before the truth's draws
     K = epoch_count(horizon, eps)
     x0 = signal.initial_law.sample(1, rng)[0]
     steps = sample_increment(signal, eps, rng, size=K)

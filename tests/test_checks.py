@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from levyfilter import checks
+from levyfilter import checks, experiments
 from levyfilter.branching import run_filter
 from levyfilter.harness import build_observation, build_signal, default_config_text, parse_config
 from levyfilter.reference import Oracle
@@ -12,8 +12,10 @@ SIGNAL = build_signal(CONFIG)
 OBS = build_observation(CONFIG)
 
 
-def dies_out_once(monkeypatch, epoch):
-    """Patch the checks' run_filter so that its first run reports extinction at ``epoch``."""
+def dies_out_once(monkeypatch, module, epoch):
+    """Patch ``module``'s run_filter so that its first run reports extinction at ``epoch``:
+    ``checks`` for the checks that run their own filters, ``experiments`` for those whose
+    runs go through ``experiments.replicates``."""
     calls = []
 
     def first_extinct(*args, **kwargs):
@@ -21,12 +23,12 @@ def dies_out_once(monkeypatch, epoch):
         calls.append(run)
         return dataclasses.replace(run, extinct_epoch=epoch) if len(calls) == 1 else run
 
-    monkeypatch.setattr(checks, "run_filter", first_extinct)
+    monkeypatch.setattr(module, "run_filter", first_extinct)
     return calls
 
 
 def test_compensator_fails_naming_its_extinct_runs(monkeypatch):
-    calls = dies_out_once(monkeypatch, 4)
+    calls = dies_out_once(monkeypatch, checks, 4)
     result = checks.check_compensator(
         SIGNAL, OBS, CONFIG.horizon, CONFIG.seed, scale=0.1, n=200, replications=40
     )
@@ -36,7 +38,7 @@ def test_compensator_fails_naming_its_extinct_runs(monkeypatch):
 
 
 def test_oracle_agreement_fails_on_an_extinct_run(monkeypatch):
-    dies_out_once(monkeypatch, 7)
+    dies_out_once(monkeypatch, experiments, 7)
     oracle = Oracle("grid", 256, 10.0)
     result = checks.check_oracle_agreement(
         SIGNAL, OBS, CONFIG.horizon, CONFIG.seed, oracle, scale=0.1

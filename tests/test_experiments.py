@@ -1,6 +1,8 @@
 """Rate sweep, Kalman cross-check, baseline comparison (small sizes)."""
 
 import dataclasses
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,9 +20,10 @@ from levyfilter import (
     SpectralMeasure,
 )
 from levyfilter import experiments
-from levyfilter.branching import init_ensemble
-from levyfilter.checks import check_kalman_crosscheck
+from levyfilter.branching import BaselineStep, FilterStep, init_ensemble, run_filter
+from levyfilter.checks import check_kalman_crosscheck, check_oracle_agreement
 from levyfilter.experiments import baseline_comparison, ensemble_transform, rate_sweep
+from levyfilter.observation import ObservationRecord, Scenario, simulate_scenario
 from levyfilter.reference import ClipRegionError, Oracle
 
 
@@ -133,40 +136,109 @@ class TestRateSweep:
             rate_sweep(default_signal(), obs, 1.0, [100], 1, 17, metric, Oracle("kalman"))
 
 
+class TestReplicates:
+    """``replicates`` alone decides whether a branching run reads every epoch."""
+
+    scenario = simulate_scenario(
+        default_signal(),
+        ObservationModel(ClippedLinearSensor([[1.0]], clip=20.0), 0.1),
+        0.5,
+        np.random.default_rng(1),
+    )
+
+    @pytest.mark.parametrize(
+        "kind, keep, eager",
+        [
+            ("grid", None, False),
+            ("none", None, False),
+            ("kalman", None, True),
+            ("grid", "epoch", True),
+            ("kalman", "epoch", True),
+            ("none", "epoch", True),
+        ],
+    )
+    def test_a_run_is_eager_only_to_keep_or_to_check_the_clip(
+        self, monkeypatch, kind, keep, eager
+    ):
+        reducers = []
+
+        def recording(*args, reduce, **kwargs):
+            reducers.append(reduce)
+            return run_filter(*args, reduce=reduce, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_filter", recording)
+        oracle = {"grid": Oracle("grid", 128, 10.0), "kalman": Oracle("kalman"), "none": None}[kind]
+        keep = {None: None, "epoch": lambda k, post: k}[keep]
+        rngs = [np.random.default_rng(rep) for rep in range(2)]
+        runs = list(experiments.replicates(self.scenario, oracle, 50, rngs, keep=keep))
+        assert [reduce is not None for reduce in reducers] == [eager, eager]
+        for run, kept, margin in runs:
+            assert not run.extinct
+            assert kept == ([] if keep is None else [1, 2, 3, 4, 5])
+            assert (margin == math.inf) == (kind != "kalman")
+
+
 class TestClipReachOverWeighedPoints:
     """A particle weighed outside the clip region that dies in the same epoch still
     invalidates the Kalman oracle: the reach is taken over ``pre``, not ``post``."""
 
     sensor = ClippedLinearSensor([[1.0]], clip=2.0)
+    # a near-still truth from the origin stays well inside |x| < 2
+    signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.01]), InitialLaw.point([0.0]))
 
     @staticmethod
-    def epoch():
-        """(k, pre, rho, parents, post): the particle at 3 leaves no offspring."""
-        pre = ParticleEnsemble(np.array([[0.0], [3.0]]), initial_count=2)
+    def one_epoch(name, far):
+        """A stand-in for ``name``: one epoch that weighs particles at 0 and ``far``, and the
+        one at ``far`` leaves no offspring."""
+        pre = ParticleEnsemble(np.array([[0.0], [far]]), initial_count=2)
         post = ParticleEnsemble(np.array([[0.0]]), initial_count=2)
-        return 1, pre, np.array([0.0, -1.0]), np.array([0]), post
 
-    def test_post_means(self):
-        oracle = Oracle("kalman")
-        posts = experiments.PostMeans(oracle, self.sensor, 0.0)
-        posts(*self.epoch())
-        with pytest.raises(ClipRegionError, match=r"\|Bx\| reached 3.00 >= 2.0"):
-            oracle.clip_margin(self.sensor, posts.reach)
-
-    def test_rate_sweep(self, monkeypatch):
-        def one_epoch(scenario, n, rng, control=None, reduce=None):
+        def run(scenario, n, rng, *, control=None, reduce=None):
             assert reduce is not None  # the Kalman oracle's reach reads every epoch
-            k, pre, rho, parents, post = self.epoch()
-            reduce(k, pre, rho, parents, post)
-            return FilterRun(pre, post, [], extinct_epoch=k)
+            reduce(1, pre, np.array([0.0, -1.0]), np.array([0]), post)
+            if name == "run_baseline":
+                return [BaselineStep(1, post.size, 1)]
+            return FilterRun(pre, post, [FilterStep(1, pre.size, post.size, 1, 2, 2)])
 
-        monkeypatch.setattr(experiments, "run_filter", one_epoch)
-        # a near-still truth from the origin stays well inside |x| < 2
-        signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.01]), InitialLaw.point([0.0]))
-        obs = ObservationModel(self.sensor, 0.1)
+        return run
+
+    @pytest.mark.parametrize(
+        "caller, weighs_far",
+        [
+            ("rate_sweep", "run_filter"),
+            ("baseline_comparison", "run_filter"),
+            ("baseline_comparison", "run_baseline"),
+            ("check_oracle_agreement", "run_filter"),
+        ],
+        ids=["rate_sweep", "baseline_branching", "baseline_multinomial", "check_oracle_agreement"],
+    )
+    def test_reach_counts_a_particle_that_dies(self, monkeypatch, caller, weighs_far):
+        for name in ("run_filter", "run_baseline"):
+            far = 3.0 if name == weighs_far else 0.0
+            monkeypatch.setattr(experiments, name, self.one_epoch(name, far))
+        obs, oracle = ObservationModel(self.sensor, 0.1), Oracle("kalman")
         metric = FrequencyGrid.build(1, alpha=2.0, cutoff=5.0, spacing=0.2)
+        message = r"\|Bx\| reached 3.00 >= 2.0"
+        if caller == "check_oracle_agreement":
+            result = check_oracle_agreement(self.signal, obs, 0.2, 5, oracle, scale=0.1)
+            assert result.status == "FAIL"
+            assert re.search(message, result.detail)
+            return
+        with pytest.raises(ClipRegionError, match=message):
+            if caller == "rate_sweep":
+                rate_sweep(self.signal, obs, 0.2, [2], 1, 5, metric, oracle)
+            else:
+                baseline_comparison(self.signal, self.sensor, 0.2, 2, 5, oracle, epsilons=(0.1,))
+
+    def test_reach_starts_at_the_truth(self, monkeypatch):
+        # every weighed particle sits at 0; the truth's last state is at 3
+        monkeypatch.setattr(experiments, "run_filter", self.one_epoch("run_filter", 0.0))
+        obs = ObservationModel(self.sensor, 0.1)
+        record = ObservationRecord(np.zeros((1, 1)), 0.1)
+        scenario = Scenario(self.signal, obs, record, truth=np.array([[0.0], [3.0]]))
+        runs = experiments.replicates(scenario, Oracle("kalman"), 2, [np.random.default_rng(0)])
         with pytest.raises(ClipRegionError, match=r"\|Bx\| reached 3.00 >= 2.0"):
-            rate_sweep(signal, obs, 0.2, [2], 1, 5, metric, Oracle("kalman"))
+            next(runs)
 
 
 class TestKalmanCrosscheck:

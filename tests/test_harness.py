@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levyfilter import GaussianBumpSensor, ZeroSensor, branching, harness, reference
@@ -395,6 +395,17 @@ VALID_VALUES = {
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(values=st.fixed_dictionaries({}, optional=VALID_VALUES))
 def test_serialize_parse_round_trip(values):
+    # every key is drawn, but a grid oracle must resolve the metric: cutoff <= pi / cell width
+    kind, points, halfwidth, cutoff = (
+        values.get(key, default)
+        for key, default in (
+            (("oracle", "kind"), "grid"),
+            (("oracle", "grid_points"), "512"),
+            (("oracle", "grid_halfwidth"), "10.0"),
+            (("metric", "cutoff"), "40.0"),
+        )
+    )
+    assume(kind != "grid" or float(cutoff) <= np.pi * int(points) / (2.0 * float(halfwidth)))
     sections = {}
     for (section, key), value in values.items():
         sections.setdefault(section, []).append(f"{key} = {value}")
@@ -407,7 +418,8 @@ def test_serialize_parse_round_trip(values):
 
 class TestBuilders:
     def test_metric_above_the_node_cap_parses_then_exits_2_at_build(self):
-        cfg = parse_config("[metric]\ncutoff = 1e9\n")  # the per-key bound holds
+        # the per-key bound holds; no grid oracle, whose cells would not resolve the cutoff
+        cfg = parse_config("[metric]\ncutoff = 1e9\n[oracle]\nkind = none\n")
         with pytest.raises(ConfigError) as err:
             build_metric(cfg)
         (violation,) = err.value.violations
@@ -445,7 +457,7 @@ class TestBuilders:
     )
     def test_oracle_built_once_from_the_config(self, kind, expected):
         cfg = parse_config(
-            "[observation]\nsensor = clipped_linear\n"
+            "[observation]\nsensor = clipped_linear\n[metric]\ncutoff = 16.0\n"
             f"[oracle]\nkind = {kind}\ngrid_points = 64\ngrid_halfwidth = 6.0\n"
         )
         assert build_oracle(cfg) == expected
@@ -781,6 +793,36 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, work",
+        [
+            ("simulate", "run_filter"),
+            ("validate", "default_validation_suite"),
+            ("rate-sweep", "rate_sweep"),
+            ("compare-baseline", "baseline_comparison"),
+        ],
+    )
+    def test_cutoff_the_grid_cannot_resolve_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, work
+    ):
+        # at gamma = -0.6 the 512-point grid's error past pi / cell width = 80.4 would
+        # dominate the sweep and fail its slope, blaming the filter
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(harness, work, never)
+        text = default_config_text().replace("gamma = auto", "gamma = -0.6")
+        path = self.write_cfg(tmp_path, text.replace("cutoff = 40.0", "cutoff = 2000"))
+        rc = cli_main([command, "--config", path, "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert (
+            "  - metric.cutoff: 2000 exceeds pi * oracle.grid_points / (2 * oracle.grid_halfwidth)"
+            " = 80.42, the highest frequency the grid oracle resolves\n"
+        ) in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_cutoff_below_spacing_exit_2(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, QUICK + "\n[metric]\ncutoff = 0.01\n")
         rc = cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
@@ -802,6 +844,7 @@ class TestCli:
 
     def test_three_dimensional_metric_exit_2(self, tmp_path, capsys):
         text = QUICK.replace("grid_points = 256", "grid_points = 64") + (
+            "\n[metric]\ncutoff = 10.0\n"  # inside the 64-point grid's pi / cell width, 10.05
             '\n[signal]\ndimension = 3\natoms = [{"direction": [1.0, 0.0, 0.0], "weight": 0.5}]\n'
             "initial_center = [0.0, 0.0, 0.0]\ninitial_scale = [1.0, 1.0, 1.0]\n"
             "\n[observation]\nbump_centers = [[0.0, 0.0, 0.0]]\n"
@@ -1000,6 +1043,7 @@ assert_slope = off
     def test_strict_boundary_mass_exit_3(self, tmp_path, capsys, command):
         # a half-width of 5 leaves mass in the boundary cells after one predict
         text = QUICK.replace("grid_points = 256", "grid_points = 64\ngrid_halfwidth = 5.0")
+        text += "\n[metric]\ncutoff = 20.0\n"  # the grid resolves up to pi * 64 / 10 = 20.1
         path = self.write_cfg(tmp_path, text + "\n[rate]\nassert_slope = off\n")
         rc = cli_main([command, "--config", path, "--out", str(tmp_path / "o"), "--strict"])
         assert rc == 3
@@ -1008,6 +1052,7 @@ assert_slope = off
     def test_strict_escalates_boundary_mass_exit_3(self, tmp_path, capsys):
         # a half-width of 5 leaves mass in the boundary cells after one predict
         text = QUICK.replace("grid_points = 256", "grid_points = 64\ngrid_halfwidth = 5.0")
+        text += "\n[metric]\ncutoff = 20.0\n"  # the grid resolves up to pi * 64 / 10 = 20.1
         path = self.write_cfg(tmp_path, text)
         with pytest.warns(reference.GridAccuracyWarning, match="boundary cells"):
             assert cli_main(["simulate", "--config", path, "--out", str(tmp_path / "w")]) == 0
@@ -1064,6 +1109,9 @@ seed = 5
 
 [rate]
 assert_slope = off
+
+[metric]
+cutoff = 10.0
 
 [oracle]
 grid_points = 64

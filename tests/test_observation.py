@@ -249,8 +249,10 @@ class TestShapeRule:
             InitialLaw.point([0.0, 0.0]),
         )
         rng = np.random.default_rng(3)
-        with pytest.raises(ValueError, match="width 1"):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sensor takes 1-d points but the signal is 2-d"):
             simulate_scenario(planar, bump_obs(), 1.0, rng)
+        assert rng.bit_generator.state == state  # rejected before the truth's draws
         # a record built by hand stops at its Scenario, before any run draws
         record = ObservationRecord(increments=np.zeros((20, 1)), epsilon=0.1)
         with pytest.raises(ValueError, match="sensor takes 1-d points but the signal is 2-d"):
