@@ -55,7 +55,7 @@ worst_boundary = 0.0  # predict_step does not warn; a direct caller reads its di
 for step, particle_h in zip(run.steps, particle_hs):
     grid = predict_step(grid)
     worst_boundary = max(worst_boundary, grid.boundary_mass_fraction())
-    grid = update_step(grid, scenario.record.increments[step.epoch - 1], obs)
+    grid = update_step(grid, scenario.increments[step.epoch - 1], obs)
     weights = grid.density.reshape(-1)
     grid_h = float(weights @ grid_h_values / weights.sum())
     true_h = sensor(scenario.truth[step.epoch])[0, 0]

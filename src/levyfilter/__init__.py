@@ -28,7 +28,6 @@ from .observation import (
     ClippedLinearSensor,
     ZeroSensor,
     ObservationModel,
-    ObservationRecord,
     Scenario,
     simulate_scenario,
     weight,

@@ -279,10 +279,10 @@ def _run_epochs(scenario, n, rng, resample, reduce, control=None, thin=False):
     because nothing else of them outlives the epoch.  Returns the ``FilterRun``, one
     ``FilterStep(k, pre size, post size, tally, moved, weighed)`` per epoch.
     """
-    signal, obs, record, table = scenario.signal, scenario.obs, scenario.record, scenario.table
+    signal, obs, table = scenario.signal, scenario.obs, scenario.table
     eps = obs.epsilon
     initial = ensemble = init_ensemble(n, signal, rng)
-    bounds = [1.0] * record.count
+    bounds = [1.0] * scenario.count
     if thin:
         bounds[:-1] = scenario.bounds[:-1].tolist()
         ensemble = initial._map(np.copy)
@@ -311,8 +311,8 @@ def _run_epochs(scenario, n, rng, resample, reduce, control=None, thin=False):
         return _refill(pre, dead, born), born.size + dead.size, rows.size
 
     with np.errstate(over="ignore"):
-        for k in range(1, record.count + 1):
-            bound, dy, count = bounds[k - 1], record.increments[k - 1], ensemble.count
+        for k in range(1, scenario.count + 1):
+            bound, dy, count = bounds[k - 1], scenario.increments[k - 1], ensemble.count
             parents = None
             if bound < 1.0:
                 pre = ensemble

@@ -228,7 +228,7 @@ def check_compensator(
         jump_sum = np.zeros(len(thetas), dtype=complex)
         for step, jump, post_vals in zip(run.steps, jumps, posts):
             jump_sum += jump
-            if step.epoch < scenario.record.count:
+            if step.epoch < scenario.count:
                 segment_sum += post_vals * drift_factor
         stats[r] = posts[-1] - initial - segment_sum - jump_sum
     valid = stats[~np.isnan(stats[:, 0].real)]

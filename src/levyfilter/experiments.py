@@ -112,7 +112,7 @@ def rate_sweep(
     if len(set(ns)) < len(ns):
         raise ValueError(f"rate_sweep needs distinct particle counts, got {list(ns)}")
     scenario = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
-    K = scenario.record.count
+    K = scenario.count
     targets = oracle.summaries(scenario, metric)
 
     def error(k, post):
@@ -187,30 +187,33 @@ def baseline_comparison(
 
     Raises ExtinctionError if a branching run dies out: its fractions and errors would
     cover only the epochs before extinction.  Each run keeps only its per-epoch sizes and,
-    through ``replicates``, its posterior means.
+    through ``replicates`` and with an oracle, its posterior means (without, it thins).
     """
+    keep = None if oracle is None else _post_mean
     b_fracs, m_fracs, b_errs, m_errs = [], [], [], []
     for eps in epsilons:
         obs = ObservationModel(sensor, eps)
         tag = _epsilon_tag(eps)
         scenario = simulate_scenario(signal, obs, horizon, substream(seed, "baseline-record", tag))
         [(run, b_means, _)] = replicates(
-            scenario, oracle, n, [substream(seed, "baseline-branch", tag)], keep=_post_mean
+            scenario, oracle, n, [substream(seed, "baseline-branch", tag)], keep=keep
         )
         if run.extinct:
             raise ExtinctionError(
                 f"compare-baseline: branching particle system of {n} extinct at observation "
-                f"epoch {run.extinct_epoch} of {scenario.record.count} (epsilon {eps:g})"
+                f"epoch {run.extinct_epoch} of {scenario.count} (epsilon {eps:g})"
             )
         b_fracs.append(float(np.mean([s.branch_events / s.pre.count for s in run.steps])))
         [(steps, m_means, _)] = replicates(
-            scenario, oracle, n, [substream(seed, "baseline-multi", tag)], keep=_post_mean,
+            scenario, oracle, n, [substream(seed, "baseline-multi", tag)], keep=keep,
             multinomial=True,
         )
         m_fracs.append(float(np.mean([s.relocations / n for s in steps])))
-        oracle_means = np.nan  # no oracle: nan errors
-        if oracle is not None:
-            oracle_means = np.array([s.mean for s in oracle.summaries(scenario)[1:]])
+        if oracle is None:  # no means kept: nan errors
+            b_errs.append(math.nan)
+            m_errs.append(math.nan)
+            continue
+        oracle_means = np.array([s.mean for s in oracle.summaries(scenario)[1:]])
         for errs, means in ((b_errs, b_means), (m_errs, m_means)):
             errs.append(float(np.mean(np.abs(np.array(means) - oracle_means))))
     slope = np.nan  # no line through fewer than two distinct epsilons

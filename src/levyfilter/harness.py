@@ -37,6 +37,7 @@ from .observation import (
     ZeroSensor,
     simulate_scenario,
 )
+from .observation import MAX_EPOCHS, epoch_count
 from .reference import MAX_GRID_CELLS, GridAccuracyWarning, Oracle, kalman_sensor
 from .reference import _check_domain, _grid_axes
 from .seeding import substream
@@ -60,6 +61,7 @@ __all__ = [
 
 EXTINCTION_LIMIT = 0.2
 ALPHA_NEAR_ONE = 0.05  # warn when 0 < |alpha - 1| < this
+_EPOCH_CAP = f"floor(horizon / epsilon) is over MAX_EPOCHS = {MAX_EPOCHS} observation epochs"
 
 
 class ConfigError(ValueError):
@@ -252,8 +254,11 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(**values, raw=raw)
 
     # cross-field invariants (only where the pieces parsed)
-    if cfg.horizon is not None and cfg.epsilon is not None and cfg.horizon < cfg.epsilon:
-        violations.append("scenario.horizon: must be at least observation.epsilon")
+    if cfg.horizon is not None and cfg.epsilon is not None:
+        if cfg.horizon < cfg.epsilon:
+            violations.append("scenario.horizon: must be at least observation.epsilon")
+        elif epoch_count(cfg.horizon, cfg.epsilon) > MAX_EPOCHS:
+            violations.append(f"scenario.horizon/observation.epsilon: {_EPOCH_CAP}")
     counts = cfg.particle_counts
     if counts is not None and not (counts and all(type(n) is int and n >= 1 for n in counts)):
         violations.append("run.particle_counts: needs integers >= 1")
@@ -507,7 +512,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
     signal = build_signal(cfg)
     obs = build_observation(cfg)
     scenario = simulate_scenario(signal, obs, cfg.horizon, substream(cfg.seed, "scenario"))
-    path, record = scenario.truth, scenario.record
+    path = scenario.truth
     d = signal.dimension
     xs = [f"x{i}" for i in range(d)]
     epochs = np.arange(len(path))  # 0..K, observed at t_k = k * epsilon
@@ -517,10 +522,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir) -> int:
             ["epoch", "t"] + xs, [[epochs, times, *path.T]]
         ),
         f"{cfg.name}_simulate_observations.csv": itertools.chain(
-            [f"epsilon,{record.epsilon:.17g}\n"],
+            [f"epsilon,{obs.epsilon:.17g}\n"],
             csv_blocks(
-                ["k", "t"] + [f"dy{i}" for i in range(record.observation_dim)] + xs,
-                [[epochs[1:], times[1:], *record.increments.T, *path[1:].T]],
+                ["k", "t"] + [f"dy{i}" for i in range(obs.observation_dim)] + xs,
+                [[epochs[1:], times[1:], *scenario.increments.T, *path[1:].T]],
             ),
         ),
     }
@@ -684,6 +689,8 @@ def cmd_compare_baseline(cfg: ExperimentConfig, out_dir) -> int:
         raise ConfigError(
             [f"baseline.epsilons: every entry must be at most scenario.horizon ({cfg.horizon:g})"]
         )
+    if epoch_count(cfg.horizon, min(cfg.baseline_epsilons)) > MAX_EPOCHS:
+        raise ConfigError([f"baseline.epsilons: at the smallest entry, {_EPOCH_CAP}"])
     signal = build_signal(cfg)
     obs = build_observation(cfg)
     comparison = baseline_comparison(

@@ -31,8 +31,8 @@ __all__ = [
     "ZeroSensor",
     "Sensor",
     "ObservationModel",
-    "ObservationRecord",
     "Scenario",
+    "MAX_EPOCHS",
     "simulate_scenario",
     "weight",
     "weight_bounds",
@@ -169,54 +169,38 @@ class ObservationModel:
         return self.sensor.observation_dim
 
 
-@dataclass
-class ObservationRecord:
-    """Observation increments dY_k for k = 1..K, taken at t_k = k * epsilon.
-
-    The increments are rows (``metrics._rows``): a flat array is consecutive epochs of width 1.
-    """
-
-    increments: np.ndarray  # (K, d2)
-    epsilon: float
-
-    def __post_init__(self):
-        self.increments = _rows(self.increments)
-
-    @property
-    def count(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def observation_dim(self) -> int:
-        return self.increments.shape[1]
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """One observation record with the models it was observed through, and the ``truth``
-    path (K+1 rows, the initial state first) when it was simulated.
+    """One observation record: the increments dY_k of epochs k = 1..K, observed at
+    t_k = k * obs.epsilon through the models, and the ``truth`` path (K+1 rows, the initial
+    state first) when it was simulated.
 
-    The one place that ties a record to its models: ValueError unless the sensor takes the
-    signal's points and the record shares the model's epsilon and observation width.  It
-    holds what every run on the record reads, built once: ``bounds``, each epoch's thinning
-    bound (``weight_bounds``), and ``table``, the increment ``lag_scales`` up to lag K when
-    a bound of epochs 1..K-1 is below 1 (a run without a reducer thins there), else up to
-    lag 1.
+    The increments are rows (``metrics._rows``): a flat array is consecutive epochs of width 1.
+    The one object that holds a record and the one place that checks it: ValueError unless
+    the sensor takes the signal's points and gives the increments' width.  It holds what
+    every run on the record reads, built once: ``bounds``, each epoch's thinning bound
+    (``weight_bounds``), and ``table``, the increment ``lag_scales`` up to lag K when a bound
+    of epochs 1..K-1 is below 1 (a run without a reducer thins there), else up to lag 1.
     """
 
     signal: SignalModel
     obs: ObservationModel
-    record: ObservationRecord
+    increments: np.ndarray  # (K, d2)
     truth: np.ndarray | None = None
     bounds: np.ndarray = field(init=False, repr=False)
     table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_sensor_input(self.signal, self.obs)
-        bounds = weight_bounds(self.obs, self.record)  # checks the record against obs
-        lags = self.record.count if np.any(bounds[:-1] < 1.0) else 1
+        object.__setattr__(self, "increments", _rows(self.increments))
+        bounds = weight_bounds(self.obs, self.increments)  # checks the width against obs
+        lags = self.count if np.any(bounds[:-1] < 1.0) else 1
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "table", lag_scales(self.signal, self.obs.epsilon, lags))
+
+    @property
+    def count(self) -> int:
+        return self.increments.shape[0]
 
 
 def _check_sensor_input(signal: SignalModel, obs: ObservationModel) -> None:
@@ -226,9 +210,15 @@ def _check_sensor_input(signal: SignalModel, obs: ObservationModel) -> None:
         raise ValueError(f"sensor takes {takes}-d points but the signal is {dimension}-d")
 
 
+# The most observation epochs a record may have: its increments, its truth and its lag table
+# then take at most 8 MiB per column.
+MAX_EPOCHS = 2**20
+
+
 def epoch_count(horizon: float, epsilon: float) -> int:
-    """K = floor(horizon / epsilon), robust to floating division of exact multiples."""
-    return int(np.floor(horizon / epsilon + 1e-9))
+    """K = floor(horizon / epsilon), robust to floating division of exact multiples; any K
+    past MAX_EPOCHS, even one too large for an integer, reads MAX_EPOCHS + 1."""
+    return int(min(np.floor(horizon / epsilon + 1e-9), MAX_EPOCHS + 1))
 
 
 def simulate_scenario(
@@ -240,19 +230,21 @@ def simulate_scenario(
     """Sample a truth path at the observation epochs and its observation record.
 
     Returns their ``Scenario``: ``truth`` has K+1 rows, the initial state first and then
-    the states at t_1..t_K; ``record`` holds the K increments observed along it.
+    the states at t_1..t_K; ``increments`` holds the K increments observed along it.
     """
     eps = obs.epsilon
     if horizon < eps:
         raise ValueError("horizon must be at least one observation interval")
     _check_sensor_input(signal, obs)  # before the truth's draws
     K = epoch_count(horizon, eps)
+    if K > MAX_EPOCHS:
+        raise ValueError(f"horizon / epsilon gives more than MAX_EPOCHS = {MAX_EPOCHS} epochs")
     x0 = signal.initial_law.sample(1, rng)[0]
     steps = sample_increment(signal, eps, rng, size=K)
     path = np.vstack([x0, x0 + np.cumsum(steps, axis=0)])
     noise = np.sqrt(eps) * rng.standard_normal((K, obs.observation_dim))
     increments = obs.sensor(path[1:]) * eps + noise
-    return Scenario(signal, obs, ObservationRecord(increments, eps), truth=path)
+    return Scenario(signal, obs, increments, truth=path)
 
 
 def weight(x, dy, obs: ObservationModel):
@@ -287,27 +279,22 @@ def weight(x, dy, obs: ObservationModel):
 WEIGHT_BOUND_MARGIN = 2.0**-30
 
 
-def weight_bounds(obs: ObservationModel, record: ObservationRecord) -> np.ndarray:
-    """Per epoch k, a bound p_k >= |rho_k(x)| for every x, from the sensor's output box,
-    capped at 1 (a weight of 1 or more leaves no uniform untouched).
+def weight_bounds(obs: ObservationModel, increments) -> np.ndarray:
+    """Per epoch k, one row of ``increments``, a bound p_k >= |rho_k(x)| for every x, from
+    the sensor's output box, capped at 1 (a weight of 1 or more leaves no uniform untouched).
 
     The exponent dY'h - eps h'h / 2 is concave and separable in h, so over the box its
     largest value G+ is at h_i = clamp(dY_i / eps) and its smallest G- at a corner, per
     coordinate.  p_k = s + WEIGHT_BOUND_MARGIN * (1 + s) for s = max(e^G+ - 1, 1 - e^G-) > 0,
     which covers ``weight``'s rounding; s = 0 (a box of zero width) gives 0.  ValueError
-    unless the record shares ``obs``'s epsilon and observation width."""
-    if record.epsilon != obs.epsilon:
+    unless the increments have ``obs``'s observation width."""
+    dy, eps = _rows(increments), obs.epsilon
+    if dy.shape[1] != obs.observation_dim:
         raise ValueError(
-            f"the record's epsilon {record.epsilon!r} differs from the observation model's "
-            f"epsilon {obs.epsilon!r}"
-        )
-    if record.observation_dim != obs.observation_dim:
-        raise ValueError(
-            f"the record's increments have width {record.observation_dim} but the sensor "
+            f"the record's increments have width {dy.shape[1]} but the sensor "
             f"gives {obs.observation_dim}-d observations"
         )
     low, high = obs.sensor.output_box
-    dy, eps = record.increments, obs.epsilon
 
     def exponent(h):
         return dy * h - 0.5 * eps * h * h

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import fourier
-from .observation import ClippedLinearSensor, ObservationModel, ObservationRecord, Scenario, weight
+from .observation import ClippedLinearSensor, ObservationModel, Scenario, weight
 from .stable import InitialLaw, SignalModel, covariance_rate, increment_cf
 
 __all__ = [
@@ -239,29 +239,27 @@ class OracleSummary:
 
 
 def run_reference(
-    signal: SignalModel,
-    obs: ObservationModel,
-    record: ObservationRecord,
+    scenario: Scenario,
     *,
     domain_halfwidth: float,
     points_per_axis: int,
     theta_grid=None,
 ) -> tuple[list, GridFilter]:
-    """Alternate predict and update over the record; per-epoch summaries (with the transform
-    on ``theta_grid``, nodes or a ``FrequencyGrid``, if given) plus the final grid.
+    """Alternate predict and update over the scenario's record; per-epoch summaries (with the
+    transform on ``theta_grid``, nodes or a ``FrequencyGrid``, if given) plus the final grid.
 
     Each predicted grid is held to the ``_ACCURACY_TESTS`` thresholds; a threshold that
     any epoch crosses gives one GridAccuracyWarning after the run, with its worst epoch.
     """
-    grid = build_grid(signal, obs.epsilon, domain_halfwidth, points_per_axis)
+    grid = build_grid(scenario.signal, scenario.obs.epsilon, domain_halfwidth, points_per_axis)
     summaries = [_summarize(grid, 0, theta_grid)]
     fractions = []  # per epoch: clamped and boundary-cell fraction of the predicted mass
-    for k in range(1, record.count + 1):
+    for k in range(1, scenario.count + 1):
         grid = predict_step(grid)
         total = grid.total_mass
         clamped = grid.last_clamped / total if total > 0.0 else 0.0
         fractions.append((clamped, grid.boundary_mass_fraction()))
-        grid = update_step(grid, record.increments[k - 1], obs)
+        grid = update_step(grid, scenario.increments[k - 1], scenario.obs)
         summaries.append(_summarize(grid, k, theta_grid))
     for column, (what, limit, why) in zip(np.reshape(fractions, (-1, 2)).T, _ACCURACY_TESTS):
         over = int(np.sum(column > limit))
@@ -269,7 +267,7 @@ def run_reference(
             worst = int(np.argmax(column))  # the first of equally bad epochs
             warnings.warn(
                 f"{what} fraction {column[worst]:.3e} of the mass at epoch {worst + 1} "
-                f"(worst of {over} of {record.count} epochs over {limit:.0e}); {why}",
+                f"(worst of {over} of {scenario.count} epochs over {limit:.0e}); {why}",
                 GridAccuracyWarning,
             )
     return summaries, grid
@@ -318,20 +316,19 @@ class Oracle:
         the transform on its nodes.  The kalman posterior needs a scenario ``kalman_sensor``
         accepts.
         """
-        signal, obs, record = scenario.signal, scenario.obs, scenario.record
         if self.kind == "grid":
             return run_reference(
-                signal,
-                obs,
-                record,
+                scenario,
                 domain_halfwidth=self.grid_halfwidth,
                 points_per_axis=self.grid_points,
                 theta_grid=metric,
             )[0]
+        signal, obs = scenario.signal, scenario.obs
         law = signal.initial_law
         cov0 = np.diag(law.scale**2)  # a point law's scale is zero
         matrix, rate = kalman_sensor(signal, obs).matrix, covariance_rate(signal.spectral)
-        means, covs = kalman_reference(record, matrix, law.center, cov0, rate)
+        dy, eps = scenario.increments, obs.epsilon
+        means, covs = kalman_reference(dy, eps, matrix, law.center, cov0, rate)
         summaries = []
         for k, (mean, cov) in enumerate(zip([law.center, *means], [cov0, *covs])):
             transform = None
@@ -377,7 +374,8 @@ class ClipRegionError(RuntimeError):
 
 
 def kalman_reference(
-    record: ObservationRecord,
+    increments,
+    epsilon: float,
     matrix,
     prior_mean,
     prior_cov,
@@ -395,14 +393,14 @@ def kalman_reference(
     m = np.atleast_1d(np.asarray(prior_mean, dtype=float)).copy()
     P = np.atleast_2d(np.asarray(prior_cov, dtype=float)).copy()
     Q = np.atleast_2d(np.asarray(noise_rate, dtype=float))
-    eps = record.epsilon
-    means = np.empty((record.count, d1))
-    covs = np.empty((record.count, d1, d1))
+    K = len(increments)
+    means = np.empty((K, d1))
+    covs = np.empty((K, d1, d1))
     eye = np.eye(d1)
-    for k in range(record.count):
-        P = P + eps * Q
-        z = record.increments[k] / eps
-        S = H @ P @ H.T + np.eye(d2) / eps
+    for k in range(K):
+        P = P + epsilon * Q
+        z = increments[k] / epsilon
+        S = H @ P @ H.T + np.eye(d2) / epsilon
         gain = P @ H.T @ np.linalg.inv(S)
         m = m + gain @ (z - H @ m)
         P = (eye - gain @ H) @ P

@@ -13,7 +13,6 @@ from levyfilter import (
     GaussianBumpSensor,
     InitialLaw,
     ObservationModel,
-    ObservationRecord,
     Scenario,
     SignalModel,
     SpectralMeasure,
@@ -142,18 +141,18 @@ class TestEvolve:
     """The loop's evolution step, seen through runs whose zero sensor never branches."""
 
     def evolve(self, signal, n, eps, epochs, rng):
-        record = ObservationRecord(increments=np.zeros((epochs, 1)), epsilon=eps)
+        increments = np.zeros((epochs, 1))
         obs = ObservationModel(ZeroSensor(1, 1), eps)
-        return run_filter(Scenario(signal, obs, record), n, rng).final
+        return run_filter(Scenario(signal, obs, increments), n, rng).final
 
     def test_counts_and_mass_factor(self):
         # population control halves and doubles around the moves: each epoch's evolved
         # ensemble keeps the count and mass factor of the one that entered the interval
-        record = ObservationRecord(increments=np.full((6, 1), 0.4), epsilon=0.25)
+        increments = np.full((6, 1), 0.4)
         obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.25)
         steps = LiveSteps()
         run = run_filter(
-            Scenario(gaussian_signal(), obs, record), 100, np.random.default_rng(5),
+            Scenario(gaussian_signal(), obs, increments), 100, np.random.default_rng(5),
             control=(0.9, 1.1), reduce=steps,
         )
         entering = [run.initial] + [step.post for step in steps[:-1]]
@@ -189,17 +188,17 @@ class TestBranchStep:
     def branch_once(self, rho, u):
         """One epoch of ``run_filter`` on one near-static particle whose weight is rho."""
         obs = linear_obs()
-        record = ObservationRecord(increments=np.atleast_2d(dy_for_rho(rho, 1.0, obs)), epsilon=0.1)
+        increments = np.atleast_2d(dy_for_rho(rho, 1.0, obs))
         steps = LiveSteps()
-        scenario = Scenario(point_signal(1.0, w=1e-12), obs, record)
+        scenario = Scenario(point_signal(1.0, w=1e-12), obs, increments)
         run_filter(scenario, 1, FixedUniform([u]), reduce=steps)
         return steps[0]
 
     def test_zero_weights_relabel_only(self):
-        record = ObservationRecord(increments=np.array([[0.3]]), epsilon=0.1)
+        increments = np.array([[0.3]])
         obs = ObservationModel(ZeroSensor(1, 1), 0.1)
         steps = LiveSteps()
-        scenario = Scenario(gaussian_signal(), obs, record)
+        scenario = Scenario(gaussian_signal(), obs, increments)
         run_filter(scenario, 50, np.random.default_rng(13), reduce=steps)
         step = steps[0]
         assert step.post.count == step.pre.count
@@ -243,9 +242,9 @@ class TestBranchStep:
         assert empty.count == 0 and empty.positions.shape == (0, 1)
 
     def test_positions_preserved(self):
-        record = ObservationRecord(increments=np.array([[0.8]]), epsilon=0.5)
+        increments = np.array([[0.8]])
         steps = LiveSteps()
-        scenario = Scenario(gaussian_signal(), linear_obs(0.5), record)
+        scenario = Scenario(gaussian_signal(), linear_obs(0.5), increments)
         run_filter(scenario, 200, np.random.default_rng(23), reduce=steps)
         step = steps[0]
         assert_parent_rows(step)
@@ -312,37 +311,32 @@ class TestEstimates:
 
 
 class TestRunFilter:
-    def make_record(self, h_zero=False, K=5, eps=0.1, seed=49):
+    def make_increments(self, h_zero=False, K=5, eps=0.1, seed=49):
         rng = np.random.default_rng(seed)
         if h_zero:
             increments = np.sqrt(eps) * rng.standard_normal((K, 1))
         else:
             increments = eps * 0.5 + np.sqrt(eps) * rng.standard_normal((K, 1))
-        return ObservationRecord(increments=increments, epsilon=eps)
-
-    def test_record_and_model_must_share_epsilon(self):
-        record = self.make_record(K=20, eps=0.05)
-        obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.1)
-        with pytest.raises(ValueError, match=r"epsilon 0\.05 .* epsilon 0\.1"):
-            Scenario(gaussian_signal(), obs, record)
+        return increments
 
     def test_record_and_model_must_share_observation_width(self):
-        record = ObservationRecord(increments=np.zeros((5, 2)), epsilon=0.1)
+        increments = np.zeros((5, 2))
         obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.1)
         with pytest.raises(ValueError, match=r"width 2 but the sensor gives 1-d"):
-            Scenario(gaussian_signal(), obs, record)
+            Scenario(gaussian_signal(), obs, increments)
 
     def test_empty_record(self):
-        record = ObservationRecord(increments=np.empty((0, 1)), epsilon=0.1)
-        scenario = Scenario(gaussian_signal(), linear_obs(), record)
+        increments = np.empty((0, 1))
+        scenario = Scenario(gaussian_signal(), linear_obs(), increments)
         run = run_filter(scenario, 50, np.random.default_rng(53))
         assert run.steps == [] and not run.extinct
         assert run.final.count == 50
 
     def test_zero_sensor_keeps_mass_one(self):
-        record = self.make_record(h_zero=True, K=8)
+        increments = self.make_increments(h_zero=True, K=8)
         obs = ObservationModel(ZeroSensor(1, 1), 0.1)
-        run = run_filter(Scenario(gaussian_signal(), obs, record), 40, np.random.default_rng(59))
+        scenario = Scenario(gaussian_signal(), obs, increments)
+        run = run_filter(scenario, 40, np.random.default_rng(59))
         for step in run.steps:
             assert step.post.total_mass == 1.0
             assert step.branch_events == 0
@@ -351,10 +345,8 @@ class TestRunFilter:
         # one particle, strongly negative weights: extinction almost surely
         eps = 0.9
         obs = linear_obs(eps)
-        record = ObservationRecord(
-            increments=np.full((30, 1), -5.0), epsilon=eps
-        )
-        run = run_filter(Scenario(point_signal(1.0), obs, record), 1, np.random.default_rng(61))
+        increments = np.full((30, 1), -5.0)
+        run = run_filter(Scenario(point_signal(1.0), obs, increments), 1, np.random.default_rng(61))
         assert run.extinct
         assert run.steps[-1].post.count == 0
         assert run.extinct_epoch == run.steps[-1].epoch
@@ -362,8 +354,8 @@ class TestRunFilter:
     @pytest.mark.parametrize("runner", [run_filter, run_baseline])
     def test_a_run_keeps_its_end_ensembles_and_o_k_bytes(self, runner):
         obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.0125)
-        record = self.make_record(K=160, eps=0.0125)
-        scenario = Scenario(gaussian_signal(), obs, record)
+        increments = self.make_increments(K=160, eps=0.0125)
+        scenario = Scenario(gaussian_signal(), obs, increments)
         runner(scenario, 50, np.random.default_rng(78))  # first-call caches
         tracemalloc.start()
         try:
@@ -377,15 +369,16 @@ class TestRunFilter:
         if runner is run_filter:
             kept = result.initial.positions.nbytes + result.final.positions.nbytes
         # one record per epoch costs a few hundred bytes; one epoch's arrays cost 48 kB
-        assert retained < kept + 1000 * record.count, (retained, kept)
+        assert retained < kept + 1000 * len(increments), (retained, kept)
 
     def test_determinism_bit_identical(self):
-        record = self.make_record(K=6)
+        increments = self.make_increments(K=6)
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(67)
             runs.append(LiveSteps())
-            run_filter(Scenario(gaussian_signal(), linear_obs(), record), 300, rng, reduce=runs[-1])
+            scenario = Scenario(gaussian_signal(), linear_obs(), increments)
+            run_filter(scenario, 300, rng, reduce=runs[-1])
         a, b = runs
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.post.positions, sb.post.positions)
@@ -393,15 +386,15 @@ class TestRunFilter:
             assert np.array_equal(sa.parents, sb.parents)
 
     def test_parent_rows_match_offspring_counts(self):
-        record = self.make_record(K=10)
+        increments = self.make_increments(K=10)
         obs = linear_obs()
         rng = RecordingRng(71)  # alpha = 2: the branching rule is the only uniform draw
         steps = LiveSteps()
-        run_filter(Scenario(gaussian_signal(), obs, record), 500, rng, reduce=steps)
+        run_filter(Scenario(gaussian_signal(), obs, increments), 500, rng, reduce=steps)
         assert len(rng.uniforms) == len(steps) == 10
         for step, u in zip(steps, rng.uniforms):
             assert_parent_rows(step)
-            rho = weight(step.pre.positions, record.increments[step.epoch - 1], obs)
+            rho = weight(step.pre.positions, increments[step.epoch - 1], obs)
             counts = _offspring_counts(rho, u)
             assert np.array_equal(np.bincount(step.parents, minlength=step.pre.count), counts)
 
@@ -409,9 +402,9 @@ class TestRunFilter:
     def test_weight_overflow_is_an_error_not_extinction(self):
         # the linear sensor clips at 20, so rho = exp(100 * 20 - ...) - 1 = inf
         obs = linear_obs(0.5, clip=20.0)
-        record = ObservationRecord(increments=np.full((3, 1), 100.0), epsilon=0.5)
+        increments = np.full((3, 1), 100.0)
         signal = point_signal(25.0, w=1e-12)
-        scenario = Scenario(signal, obs, record)
+        scenario = Scenario(signal, obs, increments)
         with pytest.raises(WeightOverflowError) as err:
             run_filter(scenario, 10, np.random.default_rng(72))
         assert err.value.epoch == 1 and err.value.max_rho == np.inf
@@ -422,8 +415,8 @@ class TestRunFilter:
     def test_finite_weight_above_cap_rejected(self):
         obs = linear_obs(0.1)
         dy = dy_for_rho(100.0 * MAX_RHO, 1.0, obs)
-        record = ObservationRecord(increments=np.vstack([dy, dy]), epsilon=0.1)
-        scenario = Scenario(point_signal(1.0, w=1e-12), obs, record)
+        increments = np.vstack([dy, dy])
+        scenario = Scenario(point_signal(1.0, w=1e-12), obs, increments)
         with pytest.raises(WeightOverflowError) as err:
             run_filter(scenario, 3, np.random.default_rng(75))
         assert err.value.epoch == 1
@@ -434,11 +427,11 @@ class TestRunFilter:
     def test_nan_weight_is_an_overflow_error(self):
         # a NaN initial scale puts every particle at NaN, so every weight is NaN
         obs = linear_obs(0.1)
-        record = simulate_scenario(gaussian_signal(), obs, 0.5, np.random.default_rng(78)).record
+        simulated = simulate_scenario(gaussian_signal(), obs, 0.5, np.random.default_rng(78))
         signal = SignalModel(
             2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.gaussian([0.0], [np.nan])
         )
-        scenario = Scenario(signal, obs, record)
+        scenario = Scenario(signal, obs, simulated.increments)
         with pytest.raises(WeightOverflowError) as err:
             run_filter(scenario, 10, np.random.default_rng(79))
         assert err.value.epoch == 1 and np.isnan(err.value.max_rho)
@@ -450,10 +443,8 @@ class TestRunFilter:
         # one near-static particle with rho = 2.5 leaves 3 or 4 copies at every
         # epoch, and 3^7 > 1024: the cap of MAX_GROWTH * 1 trips within 7 epochs
         obs = linear_obs(0.1)
-        record = ObservationRecord(
-            increments=np.vstack([dy_for_rho(2.5, 1.0, obs)] * 10), epsilon=0.1
-        )
-        scenario = Scenario(point_signal(1.0, w=1e-12), obs, record)
+        increments = np.vstack([dy_for_rho(2.5, 1.0, obs)] * 10)
+        scenario = Scenario(point_signal(1.0, w=1e-12), obs, increments)
         with pytest.raises(PopulationGrowthError) as err:
             run_filter(scenario, 1, np.random.default_rng(77))
         assert 5 <= err.value.epoch <= 7
@@ -545,11 +536,9 @@ class TestMultinomialBaseline:
         assert abs(vals.mean() - target) < 5.0 * se
 
     def test_run_baseline_counts(self):
-        record = ObservationRecord(
-            increments=0.1 * np.ones((4, 1)), epsilon=0.1
-        )
+        increments = 0.1 * np.ones((4, 1))
         steps = run_baseline(
-            Scenario(gaussian_signal(), linear_obs(), record), 100, np.random.default_rng(89)
+            Scenario(gaussian_signal(), linear_obs(), increments), 100, np.random.default_rng(89)
         )
         assert [s.post.count for s in steps] == [100] * 4
 
@@ -558,7 +547,7 @@ class TestMultinomialBaseline:
         scenario = simulate_scenario(gaussian_signal(), obs, 0.5, np.random.default_rng(117))
         rng, steps = RecordingRng(119), LiveSteps()  # alpha = 2: resampling alone calls random
         run_baseline(scenario, 300, rng, reduce=steps)
-        assert len(rng.states) == len(steps) == scenario.record.count
+        assert len(rng.states) == len(steps) == scenario.count
         for step, state in zip(steps, rng.states):
             assert_gathered(step)
             w = 1.0 + step.rho
@@ -649,12 +638,10 @@ class TestPopulationControl:
         assert abs(masses.mean() - ens.total_mass) < 5.0 * se
 
     def test_run_filter_with_control_keeps_band(self):
-        record = ObservationRecord(
-            increments=0.3 * np.ones((12, 1)), epsilon=0.25
-        )
+        increments = 0.3 * np.ones((12, 1))
         obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0]], [1.0]), 0.25)
         run = run_filter(
-            Scenario(gaussian_signal(), obs, record),
+            Scenario(gaussian_signal(), obs, increments),
             100,
             np.random.default_rng(107),
             control=(0.5, 1.5),
@@ -667,12 +654,10 @@ class TestPopulationControl:
     def test_parent_rows_survive_halving_and_doubling(self):
         obs = linear_obs(0.1)
         grow, shrink = dy_for_rho(2.0, 1.0, obs), dy_for_rho(-0.6, 1.0, obs)
-        record = ObservationRecord(
-            increments=np.vstack([grow] * 3 + [shrink] * 4), epsilon=0.1
-        )
+        increments = np.vstack([grow] * 3 + [shrink] * 4)
         steps = LiveSteps()
         run = run_filter(
-            Scenario(point_signal(1.0, w=1e-12), obs, record),
+            Scenario(point_signal(1.0, w=1e-12), obs, increments),
             100,
             np.random.default_rng(109),
             control=(0.5, 2.0),
@@ -691,10 +676,10 @@ class TestPopulationControl:
         assert factor == 2.0
 
     def test_run_filter_rejects_band_outside_one(self):
-        record = ObservationRecord(increments=np.zeros((2, 1)), epsilon=0.1)
+        increments = np.zeros((2, 1))
         with pytest.raises(ValueError, match=r"bounds \(1\.5, 2\) must satisfy"):
             run_filter(
-                Scenario(gaussian_signal(), linear_obs(0.1), record),
+                Scenario(gaussian_signal(), linear_obs(0.1), increments),
                 50,
                 np.random.default_rng(113),
                 control=(1.5, 2.0),

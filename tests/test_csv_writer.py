@@ -46,14 +46,14 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def record_csv_text(record, truth) -> str:
-    d2 = record.observation_dim
-    header = ["k", "t"] + [f"dy{i}" for i in range(d2)]
+def record_csv_text(scenario) -> str:
+    increments, eps, truth = scenario.increments, scenario.obs.epsilon, scenario.truth[1:]
+    header = ["k", "t"] + [f"dy{i}" for i in range(increments.shape[1])]
     header += [f"x{i}" for i in range(truth.shape[1])]
-    lines = [f"epsilon,{record.epsilon:.17g}", ",".join(header)]
-    for k in range(record.count):
-        row = [str(k + 1), f"{(k + 1) * record.epsilon:.17g}"]
-        row += [f"{v:.17g}" for v in record.increments[k]]
+    lines = [f"epsilon,{eps:.17g}", ",".join(header)]
+    for k in range(len(increments)):
+        row = [str(k + 1), f"{(k + 1) * eps:.17g}"]
+        row += [f"{v:.17g}" for v in increments[k]]
         row += [f"{v:.17g}" for v in truth[k]]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
@@ -64,14 +64,14 @@ def simulate_files(cfg) -> dict:
     signal = build_signal(cfg)
     obs = build_observation(cfg)
     scenario = simulate_scenario(signal, obs, cfg.horizon, substream(cfg.seed, "scenario"))
-    path, record = scenario.truth, scenario.record
+    path = scenario.truth
     d = signal.dimension
     files = {}
     truth_rows = [[k, k * cfg.epsilon] + list(x) for k, x in enumerate(path)]
     files[f"{cfg.name}_simulate_truth.csv"] = _csv_text(
         ["epoch", "t"] + [f"x{i}" for i in range(d)], truth_rows
     )
-    files[f"{cfg.name}_simulate_observations.csv"] = record_csv_text(record, path[1:])
+    files[f"{cfg.name}_simulate_observations.csv"] = record_csv_text(scenario)
     n = cfg.particle_counts[0]
     control = (cfg.control_low, cfg.control_high) if cfg.population_control else None
     steps = []  # every epoch's post ensemble and the parent row of each of its rows
@@ -87,7 +87,7 @@ def simulate_files(cfg) -> dict:
         ens = step.post
         mean = ens.positions.mean(axis=0) if ens.count else np.full(ens.dimension, np.nan)
         unnorm = ens.mass_factor * ens.positions.sum(axis=0) / ens.initial_count
-        t = step.epoch * record.epsilon
+        t = step.epoch * obs.epsilon
         rows.append([step.epoch, t, ens.count, ens.total_mass] + list(unnorm) + list(mean))
     files[f"{cfg.name}_simulate_estimates.csv"] = _csv_text(
         ["epoch", "t", "count", "mass"]
@@ -108,9 +108,7 @@ def simulate_files(cfg) -> dict:
     if cfg.oracle == "grid":
         metric = build_metric(cfg)
         summaries, _ = run_reference(
-            signal,
-            obs,
-            record,
+            scenario,
             domain_halfwidth=cfg.grid_halfwidth,
             points_per_axis=cfg.grid_points,
             theta_grid=metric,

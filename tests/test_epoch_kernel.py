@@ -20,7 +20,6 @@ from levyfilter import (
     GaussianBumpSensor,
     InitialLaw,
     ObservationModel,
-    ObservationRecord,
     Scenario,
     SignalModel,
     SpectralMeasure,
@@ -64,21 +63,21 @@ def ref_weight(x, dy, obs):
     return np.exp(expo) - 1.0
 
 
-def ref_risky_epochs(record, obs):
+def ref_risky_epochs(increments, obs):
     """Per epoch, whether the bound rho <= exp(|dY_k| sqrt(sup h'h)) - 1 exceeds MAX_RHO."""
     sensor = obs.sensor
     if isinstance(sensor, GaussianBumpSensor):
         hh_sup = float(np.sum(sensor.amplitudes**2))
     else:
         hh_sup = float(sensor.observation_dim) * sensor.clip**2
-    return np.linalg.norm(record.increments, axis=1) * np.sqrt(hh_sup) > np.log1p(MAX_RHO)
+    return np.linalg.norm(increments, axis=1) * np.sqrt(hh_sup) > np.log1p(MAX_RHO)
 
 
-def ref_epoch_weights(positions, record, obs, k, risky):
+def ref_epoch_weights(positions, increments, obs, k, risky):
     if not risky:
-        return np.atleast_1d(ref_weight(positions, record.increments[k - 1], obs))
+        return np.atleast_1d(ref_weight(positions, increments[k - 1], obs))
     with np.errstate(over="ignore"):
-        rho = np.atleast_1d(ref_weight(positions, record.increments[k - 1], obs))
+        rho = np.atleast_1d(ref_weight(positions, increments[k - 1], obs))
     top = float(np.max(rho))
     if not top <= MAX_RHO:
         raise WeightOverflowError(k, top)
@@ -123,14 +122,14 @@ def ref_population_control(ensemble, n_target, bounds, rng):
     return ensemble, None
 
 
-def ref_run_filter(signal, obs, record, n, rng, control=None):
+def ref_run_filter(signal, obs, increments, n, rng, control=None):
     """Per epoch (pre, post, parents, branch_events); then the extinction epoch."""
     ensemble = init_ensemble(n, signal, rng)
     steps = []
-    risky = ref_risky_epochs(record, obs)
-    for k in range(1, record.count + 1):
-        pre = ref_evolve(ensemble, signal, record.epsilon, rng)
-        rho = ref_epoch_weights(pre.positions, record, obs, k, risky[k - 1])
+    risky = ref_risky_epochs(increments, obs)
+    for k in range(1, len(increments) + 1):
+        pre = ref_evolve(ensemble, signal, obs.epsilon, rng)
+        rho = ref_epoch_weights(pre.positions, increments, obs, k, risky[k - 1])
         u = rng.uniform(size=pre.count)
         counts, events = ref_offspring_counts(rho, u)
         ensemble, parents = ref_apply_offspring(pre, counts)
@@ -144,14 +143,14 @@ def ref_run_filter(signal, obs, record, n, rng, control=None):
     return steps, None
 
 
-def ref_run_baseline(signal, obs, record, n, rng):
+def ref_run_baseline(signal, obs, increments, n, rng):
     """Per epoch (post, parents, relocations)."""
     ensemble = init_ensemble(n, signal, rng)
     steps = []
-    risky = ref_risky_epochs(record, obs)
-    for k in range(1, record.count + 1):
-        ensemble = ref_evolve(ensemble, signal, record.epsilon, rng)
-        rho = ref_epoch_weights(ensemble.positions, record, obs, k, risky[k - 1])
+    risky = ref_risky_epochs(increments, obs)
+    for k in range(1, len(increments) + 1):
+        ensemble = ref_evolve(ensemble, signal, obs.epsilon, rng)
+        rho = ref_epoch_weights(ensemble.positions, increments, obs, k, risky[k - 1])
         w = 1.0 + rho
         parents = rng.choice(ensemble.count, size=ensemble.count, p=w / w.sum())
         moved = int(np.sum(parents != np.arange(ensemble.count)))
@@ -178,11 +177,11 @@ def assert_same_ensemble(new, old):
 
 
 def assert_filter_bit_equal(scenario, n, seed, control=None):
-    signal, obs, record = scenario.signal, scenario.obs, scenario.record
+    signal, obs, increments = scenario.signal, scenario.obs, scenario.increments
     live = LiveSteps()
     run = run_filter(scenario, n, np.random.default_rng(seed), control=control, reduce=live)
     steps, extinct_epoch = ref_run_filter(
-        signal, obs, record, n, np.random.default_rng(seed), control
+        signal, obs, increments, n, np.random.default_rng(seed), control
     )
     assert run.extinct_epoch == extinct_epoch
     assert len(run.steps) == len(live) == len(steps)
@@ -190,7 +189,7 @@ def assert_filter_bit_equal(scenario, n, seed, control=None):
         assert_same_ensemble(step.pre, pre)
         # weights reach the output only through comparisons with uniforms,
         # so compare them directly
-        dy = record.increments[step.epoch - 1]
+        dy = increments[step.epoch - 1]
         rho = weight(step.pre.positions, dy, obs)
         assert np.array_equal(rho, ref_weight(pre.positions, dy, obs))
         assert_same_ensemble(step.post, post)
@@ -204,7 +203,7 @@ def assert_baseline_bit_equal(scenario, n, seed):
     live = LiveSteps()
     steps = run_baseline(scenario, n, np.random.default_rng(seed), reduce=live)
     ref = ref_run_baseline(
-        scenario.signal, scenario.obs, scenario.record, n, np.random.default_rng(seed)
+        scenario.signal, scenario.obs, scenario.increments, n, np.random.default_rng(seed)
     )
     assert len(steps) == len(live) == len(ref)
     for kept, step, (post, parents, moved) in zip(steps, live, ref):
@@ -256,7 +255,7 @@ def test_baseline_bit_equal_at_the_benchmark_size():
     signal = make_signal(1.5, 1, 1)
     obs = make_obs("bump", 1, eps=0.0125)
     scenario = simulate_scenario(signal, obs, 0.05, np.random.default_rng(19))
-    assert scenario.record.count == 4
+    assert scenario.count == 4
     assert_baseline_bit_equal(scenario, 16000, seed=47)
 
 
@@ -264,11 +263,9 @@ def test_population_control_bit_equal():
     signal = make_signal(2.0, 1, 1)
     obs = make_obs("linear", 1)
     # growth then decay, so control both halves and doubles the population
-    record = ObservationRecord(
-        increments=np.array([[1.5]] * 4 + [[-1.5]] * 6), epsilon=0.1
-    )
+    increments = np.array([[1.5]] * 4 + [[-1.5]] * 6)
     control = (0.5, 1.5)
-    run = assert_filter_bit_equal(Scenario(signal, obs, record), 100, seed=31, control=control)
+    run = assert_filter_bit_equal(Scenario(signal, obs, increments), 100, seed=31, control=control)
     factors = {step.post.mass_factor / step.pre.mass_factor for step in run.steps}
     assert {2.0, 0.5} <= factors
 
@@ -279,9 +276,9 @@ def test_risky_epoch_bit_equal():
     # below the cap
     signal = make_signal(1.5, 1, 1)
     obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=20.0), 0.1)
-    record = ObservationRecord(increments=np.array([[1.0], [0.1], [-1.0]]), epsilon=0.1)
-    assert ref_risky_epochs(record, obs).tolist() == [True, False, True]
-    scenario = Scenario(signal, obs, record)
+    increments = np.array([[1.0], [0.1], [-1.0]])
+    assert ref_risky_epochs(increments, obs).tolist() == [True, False, True]
+    scenario = Scenario(signal, obs, increments)
     assert_filter_bit_equal(scenario, 80, seed=37)
     assert_baseline_bit_equal(scenario, 80, seed=41)
 
@@ -289,6 +286,6 @@ def test_risky_epoch_bit_equal():
 def test_extinct_run_bit_equal():
     signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.point([1.0]))
     obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=50.0), 0.9)
-    record = ObservationRecord(increments=np.full((30, 1), -5.0), epsilon=0.9)
-    run = assert_filter_bit_equal(Scenario(signal, obs, record), 3, seed=43)
-    assert run.extinct and run.extinct_epoch < record.count
+    increments = np.full((30, 1), -5.0)
+    run = assert_filter_bit_equal(Scenario(signal, obs, increments), 3, seed=43)
+    assert run.extinct and run.extinct_epoch < len(increments)

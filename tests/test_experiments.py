@@ -23,7 +23,7 @@ from levyfilter import experiments
 from levyfilter.branching import BaselineStep, FilterStep, init_ensemble, run_filter
 from levyfilter.checks import check_kalman_crosscheck, check_oracle_agreement
 from levyfilter.experiments import baseline_comparison, ensemble_transform, rate_sweep
-from levyfilter.observation import ObservationRecord, Scenario, simulate_scenario
+from levyfilter.observation import Scenario, simulate_scenario
 from levyfilter.reference import ClipRegionError, Oracle
 
 
@@ -234,8 +234,7 @@ class TestClipReachOverWeighedPoints:
         # every weighed particle sits at 0; the truth's last state is at 3
         monkeypatch.setattr(experiments, "run_filter", self.one_epoch("run_filter", 0.0))
         obs = ObservationModel(self.sensor, 0.1)
-        record = ObservationRecord(np.zeros((1, 1)), 0.1)
-        scenario = Scenario(self.signal, obs, record, truth=np.array([[0.0], [3.0]]))
+        scenario = Scenario(self.signal, obs, np.zeros((1, 1)), truth=np.array([[0.0], [3.0]]))
         runs = experiments.replicates(scenario, Oracle("kalman"), 2, [np.random.default_rng(0)])
         with pytest.raises(ClipRegionError, match=r"\|Bx\| reached 3.00 >= 2.0"):
             next(runs)
@@ -346,6 +345,21 @@ class TestBaselineComparison:
         assert res.branching_fractions[1] < res.branching_fractions[0]
         assert all(np.isfinite(res.branching_errors))
 
+    def test_without_an_oracle_the_branching_runs_thin(self, monkeypatch):
+        # no oracle: no means to keep, so no reducer, and each run moves only its candidates
+        runs = []
+
+        def recording_run_filter(*args, **kwargs):
+            runs.append(run_filter(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(experiments, "run_filter", recording_run_filter)
+        sensor = GaussianBumpSensor([1.0], [[0.0]], [1.0])
+        res = baseline_comparison(default_signal(), sensor, 1.0, 400, 23, None, epsilons=(0.1, 0.05))
+        assert len(runs) == 2 and all(np.isnan(res.branching_errors + res.multinomial_errors))
+        for run in runs:
+            assert sum(s.moved for s in run.steps) < sum(s.pre.count for s in run.steps)
+
     def test_kalman_oracle_errors_are_finite(self):
         res = baseline_comparison(
             default_signal(),
@@ -400,8 +414,9 @@ class TestBaselineComparison:
 
     def test_holds_one_run_at_a_time(self, monkeypatch):
         signal, sensor = default_signal(), GaussianBumpSensor([1.0], [[0.0]], [1.0])
+        oracle = Oracle("grid", 64, 10.0)  # its means keep every branching run eager
         # first-call allocations (caches, lazily built objects) are not what is measured
-        baseline_comparison(signal, sensor, 0.5, 100, 23, None, epsilons=(0.1, 0.05))
+        baseline_comparison(signal, sensor, 0.5, 100, 23, oracle, epsilons=(0.1, 0.05))
         # per branching epoch: its pre and post positions and the int32 offspring counts
         # (4 bytes a row of pre) that the branching rule makes
         epoch_bytes = []
@@ -421,7 +436,7 @@ class TestBaselineComparison:
             epoch_bytes.clear()
             tracemalloc.start()
             try:
-                baseline_comparison(signal, sensor, 2.0, 2000, 23, None, epsilons=epsilons)
+                baseline_comparison(signal, sensor, 2.0, 2000, 23, oracle, epsilons=epsilons)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

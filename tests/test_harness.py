@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from levyfilter import GaussianBumpSensor, ZeroSensor, branching, harness, reference
 from levyfilter.cli import main as cli_main
+from levyfilter.observation import MAX_EPOCHS
 from levyfilter.harness import (
     _SCHEMA,
     AlphaNearOneWarning,
@@ -149,6 +150,22 @@ class TestParseConfig:
             parse_config(text)
         (violation,) = [v for v in err.value.violations if v.startswith("oracle.grid_points: ")]
         assert "signal.dimension" in violation and str(reference.MAX_GRID_CELLS) in violation
+
+    @pytest.mark.parametrize("horizon", ["1e12", "1e308"])
+    def test_epochs_past_the_cap_name_horizon_and_epsilon(self, horizon):
+        # parse only: 1e13 epochs would need a record of 73 TiB
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[scenario]\nhorizon = {horizon}\n")
+        (violation,) = err.value.violations
+        assert violation.startswith("scenario.horizon/observation.epsilon: ")
+        assert f"MAX_EPOCHS = {MAX_EPOCHS} " in violation
+
+    def test_the_epoch_cap_is_floor_of_horizon_over_epsilon(self):
+        text = "[scenario]\nhorizon = {}\n[observation]\nepsilon = 0.125\n"
+        assert parse_config(text.format(MAX_EPOCHS * 0.125)).horizon == MAX_EPOCHS * 0.125
+        parse_config(text.format((MAX_EPOCHS + 0.5) * 0.125))  # floor: still MAX_EPOCHS epochs
+        with pytest.raises(ConfigError, match="scenario.horizon/observation.epsilon: "):
+            parse_config(text.format((MAX_EPOCHS + 1) * 0.125))
 
     def test_cell_bound_only_binds_the_grid_oracle(self):
         parse_config("[oracle]\nkind = none\ngrid_points = 8388608\n")
@@ -755,6 +772,23 @@ class TestCli:
         rc = cli_main(["compare-baseline", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "baseline.epsilons" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_baseline_epochs_past_the_cap_exit_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 20000 / 0.1 epochs parse; 20000 / 0.0125 = 1.6e6 exceed the cap
+        def no_work(*args, **kwargs):
+            raise AssertionError("reached the comparison")
+
+        monkeypatch.setattr(harness, "baseline_comparison", no_work)
+        path = self.write_cfg(tmp_path, QUICK.replace("horizon = 1.0", "horizon = 20000.0"))
+        rc = cli_main(["compare-baseline", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error:\n  - baseline.epsilons: at the smallest entry, floor(horizon / epsilon) "
+            f"is over MAX_EPOCHS = {MAX_EPOCHS} observation epochs\n"
+        )
         assert not (tmp_path / "o").exists()
 
     def test_baseline_epsilon_above_the_horizon_exit_2(self, tmp_path, capsys):

@@ -336,7 +336,7 @@ class TestSharedUnitTerms:
             epochs.append(k)
 
         run_filter(scenario, 300, np.random.default_rng(10), reduce=reduce)
-        assert len(epochs) == scenario.record.count
+        assert len(epochs) == scenario.count
 
 
 class TestSobolevNorm:

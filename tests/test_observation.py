@@ -11,7 +11,6 @@ from levyfilter import (
     GaussianBumpSensor,
     InitialLaw,
     ObservationModel,
-    ObservationRecord,
     Scenario,
     SignalModel,
     SpectralMeasure,
@@ -236,10 +235,10 @@ class TestShapeRule:
                 weight(x, np.array(dy), obs)
 
     def test_flat_record_is_epochs_of_width_one(self):
-        record = ObservationRecord(increments=np.array([0.1, 0.2, 0.3]), epsilon=0.1)
-        assert (record.count, record.observation_dim) == (3, 1)
         signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.point([0.0]))
-        run = run_filter(Scenario(signal, bump_obs(), record), 20, np.random.default_rng(5))
+        scenario = Scenario(signal, bump_obs(), np.array([0.1, 0.2, 0.3]))
+        assert scenario.increments.shape == (3, 1) and scenario.count == 3
+        run = run_filter(scenario, 20, np.random.default_rng(5))
         assert [step.epoch for step in run.steps] == [1, 2, 3]
 
     def test_line_sensor_on_a_planar_signal_is_rejected(self):
@@ -254,13 +253,13 @@ class TestShapeRule:
             simulate_scenario(planar, bump_obs(), 1.0, rng)
         assert rng.bit_generator.state == state  # rejected before the truth's draws
         # a record built by hand stops at its Scenario, before any run draws
-        record = ObservationRecord(increments=np.zeros((20, 1)), epsilon=0.1)
+        increments = np.zeros((20, 1))
         with pytest.raises(ValueError, match="sensor takes 1-d points but the signal is 2-d"):
-            Scenario(planar, bump_obs(), record)
+            Scenario(planar, bump_obs(), increments)
         line = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.point([0.0]))
         plane_obs = ObservationModel(GaussianBumpSensor([1.0], [[0.0, 0.0]], [1.0]), 0.1)
         with pytest.raises(ValueError, match="sensor takes 2-d points but the signal is 1-d"):
-            Scenario(line, plane_obs, record)
+            Scenario(line, plane_obs, increments)
 
 
 class TestScenario:
@@ -272,8 +271,8 @@ class TestScenario:
     def test_pure_noise_channel(self):
         rng = np.random.default_rng(67)
         obs = ObservationModel(ZeroSensor(1, 1), 0.1)
-        record = simulate_scenario(self.signal(), obs, horizon=1000.0, rng=rng).record
-        z = record.increments[:, 0] / np.sqrt(obs.epsilon)
+        increments = simulate_scenario(self.signal(), obs, horizon=1000.0, rng=rng).increments
+        z = increments[:, 0] / np.sqrt(obs.epsilon)
         n = z.size
         assert n == 10_000
         assert abs(z.mean()) < 5.0 / np.sqrt(n)
@@ -281,13 +280,11 @@ class TestScenario:
 
     def test_single_epoch_horizon(self):
         rng = np.random.default_rng(71)
-        record = simulate_scenario(self.signal(), bump_obs(0.25), 0.25, rng).record
-        assert record.count == 1
+        assert simulate_scenario(self.signal(), bump_obs(0.25), 0.25, rng).count == 1
 
     def test_exact_multiple_horizon(self):
         rng = np.random.default_rng(72)
-        record = simulate_scenario(self.signal(), bump_obs(0.1), 2.0, rng).record
-        assert record.count == 20
+        assert simulate_scenario(self.signal(), bump_obs(0.1), 2.0, rng).count == 20
 
     def test_channel_mean_tracks_sensor(self):
         # near-frozen truth: tiny spectral weight pins X near its start
@@ -296,16 +293,24 @@ class TestScenario:
             2.0, SpectralMeasure([[1.0]], [1e-12]), InitialLaw.point([1.5])
         )
         obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=10.0), 0.1)
-        record = simulate_scenario(signal, obs, horizon=1000.0, rng=rng).record
-        ratio = record.increments[:, 0] / obs.epsilon
-        se = np.sqrt(1.0 / obs.epsilon / record.count)
+        increments = simulate_scenario(signal, obs, horizon=1000.0, rng=rng).increments
+        ratio = increments[:, 0] / obs.epsilon
+        se = np.sqrt(1.0 / obs.epsilon / len(increments))
         assert abs(ratio.mean() - 1.5) < 5.0 * se
+
+    def test_epochs_past_the_cap_raise_before_any_draw(self):
+        obs = ObservationModel(ZeroSensor(1, 1), 0.5)
+        rng = np.random.default_rng(83)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"more than MAX_EPOCHS = {observation.MAX_EPOCHS} "):
+            simulate_scenario(self.signal(), obs, (observation.MAX_EPOCHS + 1) * 0.5, rng)
+        assert rng.bit_generator.state == state
 
     def test_truth_shapes(self):
         rng = np.random.default_rng(79)
         scenario = simulate_scenario(self.signal(), bump_obs(0.5), 2.0, rng)
         assert scenario.truth.shape == (5, 1)
-        assert scenario.record.count == 4
+        assert scenario.count == 4
 
 
 class TestOncePerRecord:

@@ -20,7 +20,6 @@ from levyfilter import (
     GaussianBumpSensor,
     InitialLaw,
     ObservationModel,
-    ObservationRecord,
     Scenario,
     SignalModel,
     SpectralMeasure,
@@ -52,23 +51,23 @@ def keep(posts, pres=None):
     return reduce
 
 
-def ref_kalman_from_law(signal, matrix, record):
+def ref_kalman_from_law(scenario, matrix):
+    signal, eps = scenario.signal, scenario.obs.epsilon
     law = signal.initial_law
     d = signal.dimension
     cov0 = np.diag(law.scale**2) if law.kind == "gaussian" else np.zeros((d, d))
     means, covs = kalman_reference(
-        record, matrix, law.center, cov0, covariance_rate(signal.spectral)
+        scenario.increments, eps, matrix, law.center, cov0, covariance_rate(signal.spectral)
     )
     return cov0, means, covs
 
 
-def ref_oracle_transforms(signal, obs, record, metric, oracle, grid_points, grid_halfwidth):
+def ref_oracle_transforms(scenario, metric, oracle, grid_points, grid_halfwidth):
+    signal, obs = scenario.signal, scenario.obs
     targets = {}
     if oracle == "grid":
         summaries, _ = run_reference(
-            signal,
-            obs,
-            record,
+            scenario,
             domain_halfwidth=grid_halfwidth,
             points_per_axis=grid_points,
             theta_grid=metric,
@@ -76,10 +75,10 @@ def ref_oracle_transforms(signal, obs, record, metric, oracle, grid_points, grid
         for s in summaries:
             targets[s.epoch] = s.transform
         return targets
-    cov0, means, covs = ref_kalman_from_law(signal, obs.sensor.matrix, record)
+    cov0, means, covs = ref_kalman_from_law(scenario, obs.sensor.matrix)
     th, mean0 = metric.nodes, signal.initial_law.center
     targets[0] = np.exp(-1j * (th @ mean0) - 0.5 * np.einsum("mi,ij,mj->m", th, cov0, th))
-    for k in range(1, record.count + 1):
+    for k in range(1, scenario.count + 1):
         quad = np.einsum("mi,ij,mj->m", th, covs[k - 1], th)
         targets[k] = np.exp(-1j * (th @ means[k - 1]) - 0.5 * quad)
     return targets
@@ -87,8 +86,8 @@ def ref_oracle_transforms(signal, obs, record, metric, oracle, grid_points, grid
 
 def ref_rate_sweep_rows(signal, obs, horizon, ns, replications, seed, metric, oracle):
     scenario = simulate_scenario(signal, obs, horizon, substream(seed, "sweep-record"))
-    record = scenario.record
-    targets = ref_oracle_transforms(signal, obs, record, metric, oracle, 256, 10.0)
+    targets = ref_oracle_transforms(scenario, metric, oracle, 256, 10.0)
+    K = scenario.count
     rows = []
     # under the grid oracle the sweep passes no reducer, so its runs thin; under the Kalman
     # oracle its reducer, the clip reach over every weighed particle, makes them eager
@@ -102,7 +101,7 @@ def ref_rate_sweep_rows(signal, obs, horizon, ns, replications, seed, metric, or
             values = ensemble_transform(ensemble, metric)
             if oracle == "kalman" and ensemble.total_mass > 0.0:
                 values = values / ensemble.total_mass
-            rows.append((n, rep, record.count, filter_error(values, targets[record.count], metric)))
+            rows.append((n, rep, K, filter_error(values, targets[K], metric)))
     return rows
 
 
@@ -115,9 +114,7 @@ def ref_baseline_errors(signal, sensor, horizon, n, seed, epsilons):
         b_posts, m_posts = [], []
         run_filter(scenario, n, substream(seed, "baseline-branch", tag), reduce=keep(b_posts))
         run_baseline(scenario, n, substream(seed, "baseline-multi", tag), reduce=keep(m_posts))
-        summaries, _ = run_reference(
-            signal, obs, scenario.record, domain_halfwidth=10.0, points_per_axis=256
-        )
+        summaries, _ = run_reference(scenario, domain_halfwidth=10.0, points_per_axis=256)
         oracle_means = np.array([s.mean for s in summaries[1:]])
         b_means = np.array([post.positions.mean(axis=0) for post in b_posts])
         m_means = np.array([post.positions.mean(axis=0) for post in m_posts])
@@ -130,7 +127,7 @@ def ref_oracle_agreement(signal, obs, horizon, seed, scale, oracle, n, grid_poin
     """(rms, bound), or the clip-region failure text."""
     n_eff = max(500, int(round(n * scale)))
     scenario = simulate_scenario(signal, obs, horizon, substream(seed, "oracle-record"))
-    truth, record = scenario.truth, scenario.record
+    truth = scenario.truth
     posts, pres = [], []
     run_filter(scenario, n_eff, substream(seed, "oracle-run"), reduce=keep(posts, pres))
     particle_means = np.array([post.positions.mean(axis=0) for post in posts])
@@ -142,11 +139,11 @@ def ref_oracle_agreement(signal, obs, horizon, seed, scale, oracle, n, grid_poin
         )
         if worst >= sensor.clip:
             return f"clip region violated (|Bx| reached {worst:.2f} >= {sensor.clip})"
-        _, means, covs = ref_kalman_from_law(signal, sensor.matrix, record)
+        _, means, covs = ref_kalman_from_law(scenario, sensor.matrix)
         spread = float(np.sqrt(np.mean([np.trace(c) for c in covs])))
     else:
         summaries, _ = run_reference(
-            signal, obs, record, domain_halfwidth=10.0, points_per_axis=grid_points
+            scenario, domain_halfwidth=10.0, points_per_axis=grid_points
         )
         means = np.array([s.mean for s in summaries[1:]])
         spread = float(np.sqrt(np.mean([s.variance.sum() for s in summaries[1:]])))
@@ -157,8 +154,8 @@ def ref_oracle_agreement(signal, obs, horizon, seed, scale, oracle, n, grid_poin
 def ref_kalman_crosscheck(signal, obs, horizon, seed, ns, reference_n, replications):
     sensor = obs.sensor
     scenario = simulate_scenario(signal, obs, horizon, substream(seed, "kalman-record"))
-    truth, record = scenario.truth, scenario.record
-    _, means, covs = ref_kalman_from_law(signal, sensor.matrix, record)
+    truth = scenario.truth
+    _, means, covs = ref_kalman_from_law(scenario, sensor.matrix)
     posterior_std = float(np.sqrt(np.mean([np.trace(c) for c in covs])))
     largest_projection = float(np.abs(truth @ sensor.matrix.T).max())
     per_n_rms = []
@@ -229,16 +226,15 @@ def test_summaries_bit_equal_to_per_caller_code(kind, d, law):
     signal = gaussian_signal(d, law)
     obs = linear_obs(d)
     scenario = scenario_for(signal, obs)
-    record = scenario.record
     metric = FrequencyGrid.build(d, alpha=2.0, cutoff=5.0 if d == 1 else 2.0, spacing=0.1 if d == 1 else 0.5)
     summaries = make_oracle(kind, 128).summaries(scenario, metric)
-    targets = ref_oracle_transforms(signal, obs, record, metric, kind, 128, 10.0)
-    assert [s.epoch for s in summaries] == list(range(record.count + 1))
+    targets = ref_oracle_transforms(scenario, metric, kind, 128, 10.0)
+    assert [s.epoch for s in summaries] == list(range(scenario.count + 1))
     for s in summaries:
         assert s.transform.dtype == targets[s.epoch].dtype
         assert np.array_equal(s.transform, targets[s.epoch])
     if kind == "kalman":
-        cov0, means, covs = ref_kalman_from_law(signal, obs.sensor.matrix, record)
+        cov0, means, covs = ref_kalman_from_law(scenario, obs.sensor.matrix)
         assert np.array_equal([s.mean for s in summaries[1:]], means)
         assert np.array_equal(summaries[0].variance, np.diag(cov0))
         assert [float(s.variance.sum()) for s in summaries[1:]] == [np.trace(c) for c in covs]
@@ -347,19 +343,9 @@ def test_clip_margin():
 
 
 @pytest.mark.parametrize("kind", ["grid", "kalman"])
-def test_oracle_needs_the_record_epsilon(kind):
-    signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.gaussian([0.0], [1.0]))
-    sensor = ClippedLinearSensor([[1.0]], clip=20.0)
-    scenario = simulate_scenario(signal, ObservationModel(sensor, 0.05), 1.0, substream(3, "eps"))
-    oracle = make_oracle(kind, 64)
-    with pytest.raises(ValueError, match=r"epsilon 0\.05 .* epsilon 0\.1"):
-        oracle.summaries(Scenario(signal, ObservationModel(sensor, 0.1), scenario.record))
-
-
-@pytest.mark.parametrize("kind", ["grid", "kalman"])
 def test_oracle_needs_the_record_width(kind):
     signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.gaussian([0.0], [1.0]))
-    record = ObservationRecord(increments=np.zeros((5, 2)), epsilon=0.1)
+    record = np.zeros((5, 2))
     obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=20.0), 0.1)
     oracle = make_oracle(kind, 64)
     with pytest.raises(ValueError, match=r"width 2 but the sensor gives 1-d"):

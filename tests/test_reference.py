@@ -8,7 +8,7 @@ from levyfilter import (
     GaussianBumpSensor,
     InitialLaw,
     ObservationModel,
-    ObservationRecord,
+    Scenario,
     SignalModel,
     SpectralMeasure,
     ZeroSensor,
@@ -210,10 +210,10 @@ class TestRunReference:
         eps, K = 0.1, 8
         sig = signal()
         obs = ObservationModel(ZeroSensor(1, 1), eps)
-        record = ObservationRecord(increments=np.zeros((K, 1)), epsilon=eps)
+        increments = np.zeros((K, 1))
         thetas = np.array([0.5, 1.0, 2.0])
         summaries, grid = run_reference(
-            sig, obs, record, domain_halfwidth=10.0, points_per_axis=512,
+            Scenario(sig, obs, increments), domain_halfwidth=10.0, points_per_axis=512,
             theta_grid=thetas,
         )
         start = summaries[0].transform
@@ -222,19 +222,19 @@ class TestRunReference:
         assert np.max(np.abs(final - start * factor)) < 1e-6
 
     def test_empty_record_initial_summary_only(self):
-        record = ObservationRecord(increments=np.empty((0, 1)), epsilon=0.1)
+        increments = np.empty((0, 1))
         obs = ObservationModel(ZeroSensor(1, 1), 0.1)
         summaries, _ = run_reference(
-            signal(), obs, record, domain_halfwidth=10.0, points_per_axis=64
+            Scenario(signal(), obs, increments), domain_halfwidth=10.0, points_per_axis=64
         )
         assert len(summaries) == 1
         assert summaries[0].total_mass == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_sensor_mass_constant(self):
-        record = ObservationRecord(increments=np.zeros((5, 1)), epsilon=0.1)
+        increments = np.zeros((5, 1))
         obs = ObservationModel(ZeroSensor(1, 1), 0.1)
         summaries, _ = run_reference(
-            signal(), obs, record, domain_halfwidth=10.0, points_per_axis=256
+            Scenario(signal(), obs, increments), domain_halfwidth=10.0, points_per_axis=256
         )
         for s in summaries:
             assert s.total_mass == pytest.approx(1.0, abs=1e-9)
@@ -243,12 +243,10 @@ class TestRunReference:
         # a half-width of 5 lets the alpha = 1.5 law reach the boundary cells; with no
         # sensor the update keeps the predicted grid, so the summaries hold its fractions
         K = 10
-        record = ObservationRecord(increments=np.zeros((K, 1)), epsilon=0.1)
         obs = ObservationModel(ZeroSensor(1, 1), 0.1)
+        scenario = Scenario(signal(alpha=1.5), obs, np.zeros((K, 1)))
         with pytest.warns(GridAccuracyWarning) as caught:
-            summaries, _ = run_reference(
-                signal(alpha=1.5), obs, record, domain_halfwidth=5.0, points_per_axis=64
-            )
+            summaries, _ = run_reference(scenario, domain_halfwidth=5.0, points_per_axis=64)
         messages = [str(w.message) for w in caught if w.category is GridAccuracyWarning]
         fractions = np.array([s.boundary_mass for s in summaries[1:]])
         over = int(np.sum(fractions > 1e-4))
@@ -261,13 +259,11 @@ class TestRunReference:
 
     def test_clamped_mass_warns_once(self):
         # a Cauchy kernel much narrower than a cell rings below zero around a point mass
-        record = ObservationRecord(increments=np.zeros((5, 1)), epsilon=0.001)
         obs = ObservationModel(ZeroSensor(1, 1), 0.001)
         law = InitialLaw.point([0.0])
+        scenario = Scenario(signal(alpha=1.0, law=law), obs, np.zeros((5, 1)))
         with pytest.warns(GridAccuracyWarning) as caught:
-            run_reference(
-                signal(alpha=1.0, law=law), obs, record, domain_halfwidth=10.0, points_per_axis=64
-            )
+            run_reference(scenario, domain_halfwidth=10.0, points_per_axis=64)
         messages = [str(w.message) for w in caught if w.category is GridAccuracyWarning]
         assert len(messages) == 1
         assert messages[0].startswith("clamped mass fraction ")
@@ -276,16 +272,16 @@ class TestRunReference:
 
 class TestKalman:
     def test_no_channel_covariance_growth(self):
-        record = ObservationRecord(increments=np.zeros((5, 1)), epsilon=0.5)
-        means, covs = kalman_reference(record, [[0.0]], [1.3], [[1.0]], [[2.0]])
+        increments = np.zeros((5, 1))
+        means, covs = kalman_reference(increments, 0.5, [[0.0]], [1.3], [[1.0]], [[2.0]])
         assert np.allclose(means[:, 0], 1.3)
         expected = 1.0 + 0.5 * 2.0 * np.arange(1, 6)
         assert np.allclose(covs[:, 0, 0], expected, rtol=1e-12)
 
     def test_hand_computed_gain(self):
         # P0=1, Q=0, eps=1, H=1: gain 1/2, posterior variance 1/2
-        record = ObservationRecord(increments=np.array([[0.8]]), epsilon=1.0)
-        means, covs = kalman_reference(record, [[1.0]], [0.0], [[1.0]], [[0.0]])
+        increments = np.array([[0.8]])
+        means, covs = kalman_reference(increments, 1.0, [[1.0]], [0.0], [[1.0]], [[0.0]])
         assert covs[0, 0, 0] == pytest.approx(0.5, rel=1e-12)
         assert means[0, 0] == pytest.approx(0.5 * 0.8, rel=1e-12)
 
@@ -301,14 +297,13 @@ class TestKalman:
             truth.append(truth[-1] + float(np.sqrt(2.0 * w * eps)) * rng.standard_normal())
         truth = np.array(truth[1:]).reshape(-1, 1)
         increments = truth * eps + np.sqrt(eps) * rng.standard_normal((K, 1))
-        record = ObservationRecord(increments=increments, epsilon=eps)
-        means, _ = kalman_reference(record, [[1.0]], [x0], [[0.0]], [[2.0 * w]])
+        means, _ = kalman_reference(increments, eps, [[1.0]], [x0], [[0.0]], [[2.0 * w]])
         summaries, _ = run_reference(
-            sig, obs, record, domain_halfwidth=10.0, points_per_axis=512
+            Scenario(sig, obs, increments), domain_halfwidth=10.0, points_per_axis=512
         )
         grid_means = np.array([s.mean[0] for s in summaries[1:]])
         coarse, _ = run_reference(
-            sig, obs, record, domain_halfwidth=10.0, points_per_axis=256
+            Scenario(sig, obs, increments), domain_halfwidth=10.0, points_per_axis=256
         )
         coarse_means = np.array([s.mean[0] for s in coarse[1:]])
         discretization = max(np.max(np.abs(grid_means - coarse_means)), 1e-6)
@@ -324,16 +319,14 @@ class TestKalman:
         for _ in range(K):
             x = x + np.sqrt(2.0 * w * eps) * rng.standard_normal()
             rows.append(x * eps + np.sqrt(eps) * rng.standard_normal())
-        record = ObservationRecord(
-            increments=np.array(rows).reshape(-1, 1), epsilon=eps
-        )
-        means, _ = kalman_reference(record, [[1.0]], [0.0], [[1.0]], [[1.0]])
+        increments = np.array(rows).reshape(-1, 1)
+        means, _ = kalman_reference(increments, eps, [[1.0]], [0.0], [[1.0]], [[1.0]])
         summaries, _ = run_reference(
-            sig, obs, record, domain_halfwidth=10.0, points_per_axis=512
+            Scenario(sig, obs, increments), domain_halfwidth=10.0, points_per_axis=512
         )
         grid_means = np.array([s.mean[0] for s in summaries[1:]])
         coarse, _ = run_reference(
-            sig, obs, record, domain_halfwidth=10.0, points_per_axis=256
+            Scenario(sig, obs, increments), domain_halfwidth=10.0, points_per_axis=256
         )
         coarse_means = np.array([s.mean[0] for s in coarse[1:]])
         discretization = max(np.max(np.abs(grid_means - coarse_means)), 1e-6)

@@ -13,7 +13,6 @@ from levyfilter import (
     GaussianBumpSensor,
     InitialLaw,
     ObservationModel,
-    ObservationRecord,
     Scenario,
     SignalModel,
     SpectralMeasure,
@@ -105,24 +104,22 @@ class TestWeightBounds:
             "linear2": ClippedLinearSensor([[0.9], [-0.4]], clip=0.7),
         }
         obs = ObservationModel(sensors[sensor], eps)
-        record = ObservationRecord(
-            scale * rng.standard_normal((6, obs.observation_dim)), epsilon=eps
-        )
-        bounds = weight_bounds(obs, record)
+        increments = scale * rng.standard_normal((6, obs.observation_dim))
+        bounds = weight_bounds(obs, increments)
         assert bounds.shape == (6,) and np.all((0.0 <= bounds) & (bounds <= 1.0))
         # a dense line of sites reaches every output value of a one-output sensor, where
         # the bound is tight up to its margin and the grid
         x = np.linspace(-8.0, 8.0, 20001)
-        for k in range(record.count):
-            top = np.abs(weight(x, record.increments[k], obs)).max()
+        for k in range(len(increments)):
+            top = np.abs(weight(x, increments[k], obs)).max()
             if bounds[k] < 1.0:
                 assert top <= bounds[k]
                 assert obs.observation_dim > 1 or top > 0.99 * bounds[k]
 
     def test_zero_sensor_bound_is_zero(self):
         obs = ObservationModel(ZeroSensor(2, 1), 0.1)
-        record = ObservationRecord(np.random.default_rng(1).standard_normal((5, 2)), 0.1)
-        assert np.array_equal(weight_bounds(obs, record), np.zeros(5))
+        increments = np.random.default_rng(1).standard_normal((5, 2))
+        assert np.array_equal(weight_bounds(obs, increments), np.zeros(5))
 
     def test_clipped_linear_box_is_the_clip(self):
         low, high = ClippedLinearSensor([[1.0], [2.0]], clip=3.0).output_box
@@ -197,7 +194,7 @@ class TestRefill:
 class TestThinnedRuns:
     def test_a_run_thins_iff_it_has_no_reducer(self):
         scenario = default_scenario()
-        assert scenario.record.epsilon == 0.1
+        assert scenario.obs.epsilon == 0.1
         bare = run_filter(scenario, 1000, np.random.default_rng(4))
         read = run_filter(scenario, 1000, np.random.default_rng(4), reduce=noop)
         assert sum(s.moved for s in bare.steps) < sum(s.pre.count for s in bare.steps)
@@ -216,7 +213,7 @@ class TestThinnedRuns:
         # difference, over 400 runs each
         scenario = default_scenario()
         metric, oracle = build_metric(CONFIG), build_oracle(CONFIG)
-        target = oracle.summaries(scenario, metric)[scenario.record.count].transform
+        target = oracle.summaries(scenario, metric)[scenario.count].transform
         out = {}
         for mode, reduce in (("every", noop), ("final", None)):
             mass, err2, eves = [], [], []
@@ -269,7 +266,7 @@ class TestThinnedRuns:
         # p = 0 at every epoch but the read one: each particle draws one increment over
         # the whole horizon, and its final variance is 1 + 2 w T = 3
         obs = ObservationModel(ZeroSensor(1, 1), 0.1)
-        record = ObservationRecord(np.random.default_rng(7).standard_normal((20, 1)) * 0.3, 0.1)
+        increments = np.random.default_rng(7).standard_normal((20, 1)) * 0.3
         drawn = []
 
         def counting(*args, **kwargs):
@@ -279,7 +276,7 @@ class TestThinnedRuns:
 
         monkeypatch.setattr(branching, "sample_increment", counting)
         n = 20000
-        run = run_filter(Scenario(SIGNAL, obs, record), n, np.random.default_rng(8))
+        run = run_filter(Scenario(SIGNAL, obs, increments), n, np.random.default_rng(8))
         assert sum(drawn) == max(drawn) == n
         assert [s.moved for s in run.steps] == [0] * 19 + [n]
         x = run.final.positions[:, 0]
@@ -289,7 +286,7 @@ class TestThinnedRuns:
     def test_small_epsilon_moves_under_a_quarter(self):
         # at epsilon 0.0125 the bound averages about 0.09
         scenario = default_scenario(0.0125)
-        assert scenario.record.count == 160
+        assert scenario.count == 160
         every = run_filter(scenario, 2000, np.random.default_rng(12), reduce=noop)
         final = run_filter(scenario, 2000, np.random.default_rng(12))
         assert np.mean(scenario.bounds) < 0.12
@@ -303,10 +300,10 @@ class TestThinnedRuns:
         # |rho|: the half-open rule neither splits it (rho > 0) nor kills it (rho < 0)
         obs = ObservationModel(ClippedLinearSensor([[1.0]], clip=2.0), 0.1)
         signal = SignalModel(2.0, SpectralMeasure([[1.0]], [0.5]), InitialLaw.point([1.0]))
-        record = ObservationRecord(np.array([[np.log1p(0.3 * sign) + 0.05], [0.0]]), 0.1)
-        rho = weight(np.array([1.0]), record.increments[0], obs)[0]
-        assert weight_bounds(obs, record)[0] < 1.0 and rho == pytest.approx(0.3 * sign)
-        run = run_filter(Scenario(signal, obs, record), 1, StillRng([abs(rho), 0.5]))
+        increments = np.array([[np.log1p(0.3 * sign) + 0.05], [0.0]])
+        rho = weight(np.array([1.0]), increments[0], obs)[0]
+        assert weight_bounds(obs, increments)[0] < 1.0 and rho == pytest.approx(0.3 * sign)
+        run = run_filter(Scenario(signal, obs, increments), 1, StillRng([abs(rho), 0.5]))
         assert run.steps[0].weighed == 1 and run.steps[0].post.count == 1
 
     def test_doubling_first_moves_every_stale_row(self, monkeypatch):
@@ -323,7 +320,7 @@ class TestThinnedRuns:
         run = run_filter(scenario, 400, np.random.default_rng(13), control=(0.999, 4.0))
         doubled = [s for s in run.steps[:-1] if s.post.mass_factor < s.pre.mass_factor]
         assert doubled and all(s.moved > s.weighed for s in doubled)
-        assert lags[-1].max() <= scenario.record.count - doubled[-1].epoch
+        assert lags[-1].max() <= scenario.count - doubled[-1].epoch
 
 
 class TestGenealogy:
@@ -350,7 +347,7 @@ class TestGenealogy:
         assert np.unique(x0).size == 500 and np.array_equal(run.initial.eve, np.arange(500))
         assert run.final.eve.dtype == np.int32
         assert np.array_equal(run.final.positions, x0[run.final.eve])
-        assert len(seen) == (0 if thin else scenario.record.count)
+        assert len(seen) == (0 if thin else scenario.count)
         for x, eve in seen:
             assert np.array_equal(x, x0[eve])
         # not vacuous: eves die and split, the thinned run thins, the band halves and doubles
@@ -397,9 +394,9 @@ class TestSizeOnlyChecks:
         assert tags == [("sparsity-record", 0, 3970), ("sparsity-run", 0, 3970)]
 
 
-def scaled_bounds(obs, record):
+def scaled_bounds(obs, increments):
     """A bound 10% too small."""
-    return 0.9 * weight_bounds(obs, record)
+    return 0.9 * weight_bounds(obs, increments)
 
 
 class TestMutants:
@@ -422,7 +419,7 @@ class TestMutants:
         with pytest.raises(WeightOverflowError, match="observation epoch 1:") as err:
             run_filter(scenario, 100, np.random.default_rng(1))
         assert np.isnan(err.value.max_rho)
-        assert err.value.bound == weight_bounds(scenario.obs, scenario.record)[0] < 1.0
+        assert err.value.bound == weight_bounds(scenario.obs, scenario.increments)[0] < 1.0
 
     @pytest.mark.parametrize("mutant", ["bound", "nan"])
     def test_cli_exits_3_naming_the_epoch(self, mutant, monkeypatch, tmp_path, capsys):
