@@ -38,8 +38,7 @@ from .observation import (
     simulate_scenario,
 )
 from .observation import MAX_EPOCHS, epoch_count
-from .reference import MAX_GRID_CELLS, GridAccuracyWarning, Oracle, kalman_sensor
-from .reference import _check_domain, _grid_axes
+from .reference import GridAccuracyWarning, Oracle
 from .seeding import substream
 from .stable import InitialLaw, SignalModel, SpectralMeasure
 
@@ -288,16 +287,6 @@ def parse_config(text: str) -> ExperimentConfig:
         and cfg.gamma >= -cfg.dimension / 2.0
     ):
         violations.append("metric.gamma: must be < -dimension/2")
-    if (
-        cfg.oracle == "grid"
-        and cfg.grid_points is not None
-        and cfg.dimension is not None
-        and cfg.grid_points**cfg.dimension > MAX_GRID_CELLS
-    ):
-        violations.append(
-            f"oracle.grid_points: {cfg.grid_points} points per axis in signal.dimension "
-            f"{cfg.dimension} make more than {MAX_GRID_CELLS} grid cells"
-        )
     if cfg.slope_low is not None and cfg.slope_high is not None and cfg.slope_low > cfg.slope_high:
         violations.append("rate.slope_low/slope_high: slope_low must not exceed slope_high")
     if cfg.baseline_epsilons is not None:
@@ -327,9 +316,7 @@ _SENSOR_KEYS = {
 
 
 def _model_violations(cfg: ExperimentConfig) -> list:
-    """Build the signal and observation models and check that a kalman oracle can solve
-    them, or that a grid oracle's domain holds the initial law and its cells resolve the
-    metric; one violation naming the keys per rejection."""
+    """Build the models, then list what the oracle cannot serve of them (``Oracle.problems``)."""
     violations, models = [], []
     for keys, build in (
         ("signal.initial_center/initial_scale", build_signal),
@@ -339,26 +326,8 @@ def _model_violations(cfg: ExperimentConfig) -> list:
             models.append(build(cfg))
         except (TypeError, ValueError) as exc:
             violations.append(f"{keys}: {exc}")
-    if cfg.oracle == "kalman" and not violations:
-        try:
-            kalman_sensor(*models)
-        except ValueError as exc:
-            violations.append(f"oracle.kind: {exc}")
-    if cfg.oracle == "grid" and not violations:
-        axes = _grid_axes(cfg.grid_halfwidth, cfg.grid_points, cfg.dimension)
-        try:
-            _check_domain(models[0].initial_law, axes)
-        except ValueError as exc:
-            violations.append(f"oracle.grid_halfwidth/signal.initial_center: {exc}")
-    # the grid's transform is periodic in theta: it says nothing true past pi / cell width
-    nyquist = np.pi * cfg.grid_points / (2.0 * cfg.grid_halfwidth)
-    if cfg.oracle == "grid" and cfg.cutoff > nyquist:
-        violations.append(
-            f"metric.cutoff: {cfg.cutoff:g} exceeds pi * oracle.grid_points / "
-            f"(2 * oracle.grid_halfwidth) = {nyquist:.4g}, the highest frequency the grid "
-            "oracle resolves"
-        )
-    return violations
+    oracle = build_oracle(cfg)
+    return violations if violations or oracle is None else oracle.problems(*models, cfg.cutoff)
 
 
 def build_signal(cfg: ExperimentConfig) -> SignalModel:

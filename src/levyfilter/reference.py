@@ -49,7 +49,11 @@ class GridAccuracyWarning(UserWarning):
 
 
 class GridDomainError(ValueError):
-    """The spatial domain is too small for the requested initial law."""
+    """The grid cannot hold or sample the initial law; ``keys`` names the config keys to change."""
+
+    def __init__(self, message: str, keys: str = "oracle.grid_halfwidth/signal.initial_center"):
+        super().__init__(message)
+        self.keys = keys
 
 
 # The accuracy tests on each predicted grid: (what, largest fraction of its mass, why, and
@@ -127,35 +131,44 @@ def _grid_axes(domain_halfwidth: float, points_per_axis: int, d: int) -> tuple:
     return tuple(-domain_halfwidth + (np.arange(points_per_axis) + 0.5) * delta for _ in range(d))
 
 
-def _check_domain(law: InitialLaw, axes: tuple) -> None:
-    """GridDomainError unless the grid spanned by ``axes`` holds the initial law: a point
-    mass inside the domain, or all but 1e-6 of a density's mass."""
+def _check_domain(law: InitialLaw, axes: tuple) -> tuple:
+    """The index of the cell nearest the law's centre; GridDomainError unless the grid on ``axes``
+    holds a point law, or all but 1e-6 of a density's mass and a positive finite peak there."""
+    nearest = tuple(int(np.argmin(np.abs(a - c))) for a, c in zip(axes, law.center))
     edges_lo = np.array([a[0] - 0.5 * (a[1] - a[0]) for a in axes])
     edges_hi = np.array([a[-1] + 0.5 * (a[1] - a[0]) for a in axes])
     if law.kind == "point":
         if np.any(law.center < edges_lo) or np.any(law.center > edges_hi):
             raise GridDomainError("point mass lies outside the grid domain")
-        return
+        return nearest
     coverage = 1.0
-    for lo, hi, mu, scale in zip(edges_lo, edges_hi, law.center, law.scale):
-        if law.kind == "gaussian":
-            coverage *= _norm_cdf((hi - mu) / scale) - _norm_cdf((lo - mu) / scale)
-        else:  # uniform, of halfwidth ``scale``
-            coverage *= max(0.0, min(hi, mu + scale) - max(lo, mu - scale)) / (2.0 * scale)
+    with np.errstate(all="ignore"):  # a scale near either end of the float range gives 0 or inf
+        for lo, hi, mu, scale in zip(edges_lo, edges_hi, law.center, law.scale):
+            if law.kind == "gaussian":
+                coverage *= _norm_cdf((hi - mu) / scale) - _norm_cdf((lo - mu) / scale)
+            else:  # uniform, of halfwidth ``scale``
+                coverage *= max(0.0, min(hi, mu + scale) - max(lo, mu - scale)) / (2.0 * scale)
+        peak = law.pdf(np.array([[a[i] for a, i in zip(axes, nearest)]]))[0]
     if 1.0 - coverage > _INITIAL_MASS_OUTSIDE_TOL:
         raise GridDomainError(
             f"initial mass outside the domain is {1.0 - coverage:.3e} (> 1e-06); enlarge the grid"
         )
+    if not 0.0 < peak < math.inf:
+        raise GridDomainError(
+            f"the initial density is {peak:g} at the grid cell nearest its centre, so the grid "
+            "holds no positive finite mass; use a wider law, finer cells or initial_law = point",
+            keys="oracle.grid_points/oracle.grid_halfwidth/signal.initial_scale",
+        )
+    return nearest
 
 
 def _initial_density(signal: SignalModel, axes: tuple, points, cell_volume: float) -> np.ndarray:
     law = signal.initial_law
-    _check_domain(law, axes)
+    nearest = _check_domain(law, axes)
     shape = tuple(a.size for a in axes)
     if law.kind == "point":
         density = np.zeros(shape)
-        idx = tuple(int(np.argmin(np.abs(a - c))) for a, c in zip(axes, law.center))
-        density[idx] = 1.0 / cell_volume
+        density[nearest] = 1.0 / cell_volume
         return density
     density = law.pdf(points).reshape(shape)
     density /= density.sum() * cell_volume
@@ -310,6 +323,34 @@ class Oracle:
     def normalized(self) -> bool:
         """Whether the posterior is a probability (kalman) rather than the filter's mass."""
         return self.kind == "kalman"
+
+    def problems(self, signal: SignalModel, obs: ObservationModel, cutoff: float) -> list:
+        """One text, led by the keys to change, per rule the models or ``cutoff`` break."""
+        if self.kind == "kalman":
+            try:
+                kalman_sensor(signal, obs)
+            except ValueError as exc:
+                return [f"oracle.kind: {exc}"]
+            return []
+        points, d = self.grid_points, signal.dimension
+        if points**d > MAX_GRID_CELLS:  # before any of the grid is built
+            return [
+                f"oracle.grid_points: {points} points per axis in signal.dimension {d} "
+                f"make more than {MAX_GRID_CELLS} grid cells"
+            ]
+        found = []
+        try:
+            _check_domain(signal.initial_law, _grid_axes(self.grid_halfwidth, points, d))
+        except GridDomainError as exc:
+            found.append(f"{exc.keys}: {exc}")
+        # the grid's transform is periodic in theta: it says nothing true past pi / cell width
+        if cutoff > (nyquist := np.pi * points / (2.0 * self.grid_halfwidth)):
+            found.append(
+                f"metric.cutoff: {cutoff:g} exceeds pi * oracle.grid_points / "
+                f"(2 * oracle.grid_halfwidth) = {nyquist:.4g}, the highest frequency the grid "
+                "oracle resolves"
+            )
+        return found
 
     def summaries(self, scenario: Scenario, metric=None) -> list:
         """One summary per epoch 0..K of the scenario's record; with ``metric`` each carries

@@ -254,6 +254,39 @@ class TestParseConfig:
             f"is {outside} (> 1e-06); enlarge the grid"
         ]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[signal]\ninitial_scale = [1e-9]\n",
+            "[signal]\ninitial_scale = [1e-300]\n",  # (x / scale)**2 overflows
+            "[signal]\ninitial_law = uniform\ninitial_scale = [0.005]\n",
+            # each axis factor at the nearest cell centre (z = 32.6) is 5.3e-228; their
+            # product, the density the grid samples, underflows to 0
+            '[signal]\ndimension = 2\natoms = [{"direction": [1.0, 0.0], "weight": 0.5}]\n'
+            "initial_center = [0.0, 0.0]\ninitial_scale = [6e-4, 6e-4]\n"
+            "[observation]\nbump_centers = [[0.0, 0.0]]\n",
+        ],
+        ids=["gaussian", "gaussian-1e-300", "uniform", "2d-product"],
+    )
+    def test_initial_law_the_grid_cannot_sample(self, text):
+        # the 512-cell grid on [-10, 10] has no cell centre nearer 0 than 0.0195
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        (violation,) = err.value.violations
+        assert violation.startswith(
+            "oracle.grid_points/oracle.grid_halfwidth/signal.initial_scale: the initial density "
+        )
+        assert violation.endswith(" or initial_law = point")
+
+    @pytest.mark.filterwarnings("error")
+    def test_initial_law_the_grid_just_samples(self):
+        # z = 19.5 at the nearest cell centre: a density of 5.8e-81 there, which normalizes
+        cfg = parse_config("[signal]\ninitial_scale = [1e-3]\n")
+        grid = reference.build_grid(build_signal(cfg), cfg.epsilon, 10.0, 512)
+        assert grid.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.isfinite(grid.density))
+
     def test_shipped_kalman_config_parses(self):
         cfg = parse_config((ROOT / "configs" / "kalman.ini").read_text())
         assert cfg.oracle == "kalman" and cfg.sensor == "clipped_linear"
@@ -800,6 +833,25 @@ class TestCli:
         assert "baseline.epsilons: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "law, violation",
+        [
+            (
+                "initial_center = [9.5]",
+                "oracle.grid_halfwidth/signal.initial_center: initial mass outside the domain "
+                "is 3.085e-01 (> 1e-06); enlarge the grid",
+            ),
+            (
+                # no centre of the 256-cell grid lies within 4e7 scales of 0
+                "initial_scale = [1e-9]",
+                "oracle.grid_points/oracle.grid_halfwidth/signal.initial_scale: the initial "
+                "density is 0 at the grid cell nearest its centre, so the grid holds no positive "
+                "finite mass; use a wider law, finer cells or initial_law = point",
+            ),
+        ],
+        ids=["outside", "unsampled"],
+    )
     @pytest.mark.parametrize(
         "command, work",
         [
@@ -810,20 +862,17 @@ class TestCli:
         ],
     )
     def test_initial_law_outside_grid_exits_2_before_any_work(
-        self, tmp_path, capsys, monkeypatch, command, work
+        self, tmp_path, capsys, monkeypatch, command, work, law, violation
     ):
         def never(*args, **kwargs):
             raise AssertionError(f"{work} ran")
 
         monkeypatch.setattr(harness, work, never)
-        path = self.write_cfg(tmp_path, QUICK + "\n[signal]\ninitial_center = [9.5]\n")
+        path = self.write_cfg(tmp_path, QUICK + f"\n[signal]\n{law}\n")
         rc = cli_main([command, "--config", path, "--out", str(tmp_path / "o")])
         captured = capsys.readouterr()
         assert rc == 2
-        assert (
-            "  - oracle.grid_halfwidth/signal.initial_center: initial mass outside the domain "
-            "is 3.085e-01 (> 1e-06); enlarge the grid\n"
-        ) in captured.err
+        assert f"  - {violation}\n" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "o").exists()
 

@@ -1,4 +1,4 @@
-"""The power of the tests: hand mutants of the filter, each caught by a named test.
+"""The power of the tests: hand mutants of the filter and its oracle, each caught by a named test.
 
 A mutant is one plausible slip put in at one seam with ``monkeypatch``.  Each test below
 runs the existing tests that must catch its mutant, under the mutant, and asserts that
@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import test_branching
+import test_harness
+import test_reference
 import test_thinning
-from levyfilter import branching
+from levyfilter import branching, reference
 from levyfilter.branching import ParticleEnsemble, _flat
+from levyfilter.reference import GridDomainError
 
 
 def example(test):
@@ -60,6 +63,20 @@ def refill_appending(ensemble, slots, sources):
     return ensemble._map(lambda column: np.concatenate((column, column[sources])))
 
 
+def check_domain_passing(rule):
+    """``reference._check_domain`` with the rule whose violation names ``rule`` dropped."""
+    original = reference._check_domain
+
+    def check(law, axes):
+        try:
+            original(law, axes)
+        except GridDomainError as exc:
+            if rule not in exc.keys:
+                raise
+
+    return check
+
+
 def test_eve_left_unmoved(monkeypatch):
     monkeypatch.setattr(ParticleEnsemble, "_map", map_leaving_eve)
     with pytest.raises(AssertionError):
@@ -95,3 +112,27 @@ def test_refill_appends_without_filling_the_holes(monkeypatch):
         example(test_thinning.TestRefill.test_population_is_the_repeat_up_to_order)(
             test_thinning.TestRefill(), count=10, width=1, seed=3, share=1.0, thinned=True
         )
+
+
+def test_grid_resolution_rule_dropped(monkeypatch):
+    # the grid would normalize 0 / 0 into a nan oracle
+    monkeypatch.setattr(reference, "_check_domain", check_domain_passing("initial_scale"))
+    with pytest.raises(pytest.fail.Exception):  # no ConfigError raised
+        test_harness.TestParseConfig().test_initial_law_the_grid_cannot_sample(
+            "[signal]\ninitial_scale = [1e-9]\n"
+        )
+
+
+def test_grid_coverage_check_dropped(monkeypatch):
+    monkeypatch.setattr(reference, "_check_domain", check_domain_passing("initial_center"))
+    with pytest.raises(pytest.fail.Exception):  # no GridDomainError raised
+        test_reference.TestBuildGrid().test_domain_too_small()
+
+
+def test_grid_transition_conjugated(monkeypatch):
+    # M4: exp(eps * l(theta)) in place of exp(eps * l(-theta)) moves the grid's skewed
+    # kernel the wrong way; no acceptance check runs a skewed signal against the grid
+    original = reference.increment_cf
+    monkeypatch.setattr(reference, "increment_cf", lambda *args: np.conj(original(*args)))
+    with pytest.raises(AssertionError):
+        test_reference.TestPredict().test_skewed_kernel_orientation()

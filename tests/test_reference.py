@@ -64,6 +64,7 @@ class TestBuildGrid:
         grid = build_grid(signal(), 0.1, 10.0, 64)
         assert grid.multiplier.reshape(-1)[0] == 1.0 + 0.0j
 
+    @pytest.mark.filterwarnings("error")
     def test_domain_too_small(self):
         with pytest.raises(GridDomainError):
             build_grid(signal(law=InitialLaw.gaussian([0.0], [5.0])), 0.1, 6.0, 64)
@@ -72,6 +73,11 @@ class TestBuildGrid:
         # a quarter of the uniform support [8.5, 10.5] lies beyond the edge at 10
         with pytest.raises(GridDomainError, match=r"outside the domain is 2\.500e-01 "):
             build_grid(signal(law=InitialLaw.uniform([9.5], [1.0])), 0.1, 10.0, 64)
+        # no cell centre lies within 0.0195 of 0: the sampled density would normalize to nan
+        for law in (InitialLaw.gaussian([0.0], [1e-9]), InitialLaw.uniform([0.0], [0.005])):
+            with pytest.raises(GridDomainError, match="or initial_law = point") as err:
+                build_grid(signal(law=law), 0.1, 10.0, 512)
+            assert err.value.keys == "oracle.grid_points/oracle.grid_halfwidth/signal.initial_scale"
 
     def test_uniform_law_density(self):
         # support [1.25, 3.75] on cell edges of the 512-cell grid on [-10, 10] (step 2**-5 * 1.25)
