@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branching import ExtinctionError, _offspring_counts, run_baseline, run_filter
-from .experiments import _epsilon_tag, _post_mean, replicates
+from .branching import ExtinctionError, _offspring_counts, run_filter
+from .experiments import _post_mean, baseline_comparison, replicates
 from .metrics import RateFit, _log_line, rate_fit, running_total, unit_terms
 from .observation import (
     GaussianBumpSensor,
@@ -300,35 +300,18 @@ def check_branch_sparsity(
     probability comparable to the weight residual, so the per-epoch fraction
     of branched-or-killed particles follows a log-log slope near 1/2 in eps
     and is small at the smallest eps, while multinomial resampling relocates
-    nearly every particle regardless of eps.
+    nearly every particle regardless of eps.  ``baseline_comparison`` measures
+    both, without an oracle, on ``_count(6, scale, 2)`` records per eps.
     """
-    reps, horizon = _count(6, scale, 2), 2.0
-    n_eff = _count(n, scale, 500)
-    fractions = []
-    for eps in epsilons:
-        obs, tag = ObservationModel(sensor, eps), _epsilon_tag(eps)
-        vals = []
-        for r in range(reps):
-            scenario = simulate_scenario(
-                signal, obs, horizon, substream(seed, "sparsity-record", r, tag)
-            )
-            run = run_filter(scenario, n_eff, substream(seed, "sparsity-run", r, tag))
-            vals.extend(s.branch_events / s.pre.count for s in run.steps)
-        fractions.append(float(np.mean(vals)))
-    slope = _log_line(epsilons, fractions)[0]
-    smallest = fractions[int(np.argmin(epsilons))]
-    eps_min = float(min(epsilons))
-    obs = ObservationModel(sensor, eps_min)
-    scenario = simulate_scenario(signal, obs, horizon, substream(seed, "sparsity-base-record"))
-    baseline_steps = run_baseline(scenario, n_eff, substream(seed, "sparsity-baseline"))
-    baseline_fraction = float(
-        np.mean([s.relocations / n_eff for s in baseline_steps])
-    )
-    ok = 0.35 <= slope <= 0.65 and smallest < 0.1 and baseline_fraction > 0.9
+    reps, n_eff = _count(6, scale, 2), _count(n, scale, 500)
+    res = baseline_comparison(signal, sensor, 2.0, n_eff, seed, None, epsilons=epsilons, records=reps)
+    i = int(np.argmin(epsilons))
+    smallest, relocated = res.branching_fractions[i], res.multinomial_fractions[i]
+    ok = 0.35 <= res.slope <= 0.65 and smallest < 0.1 and relocated > 0.9
     detail = (
-        f"branch fraction slope {slope:.3f} (window [0.35, 0.65]); "
-        f"fraction at eps={eps_min} is {smallest:.4f} (< 0.1); "
-        f"multinomial relocation fraction {baseline_fraction:.4f} (> 0.9)"
+        f"branch fraction slope {res.slope:.3f} (window [0.35, 0.65]); "
+        f"fraction at eps={float(epsilons[i])} is {smallest:.4f} (< 0.1); "
+        f"multinomial relocation fraction {relocated:.4f} (> 0.9)"
     )
     return CheckResult("branch_sparsity", "PASS" if ok else "FAIL", detail)
 

@@ -160,7 +160,7 @@ def rate_sweep(
 @dataclass
 class BaselineComparison:
     epsilons: list
-    branching_fractions: list      # mean per-epoch branch/death fraction per eps
+    branching_fractions: list      # mean per-epoch branch/death fraction per eps, all records
     multinomial_fractions: list    # mean per-epoch relocation fraction per eps
     branching_errors: list         # mean |normalized mean - oracle mean| per eps (nan without one)
     multinomial_errors: list
@@ -181,29 +181,36 @@ def baseline_comparison(
     oracle: Oracle | None,
     *,
     epsilons,
+    records: int = 1,
 ) -> BaselineComparison:
     """Branching versus multinomial resampling on identical records, per eps; the errors are
     against ``oracle`` (every particle kept to its clip margin), nan without one.
 
-    Raises ExtinctionError if a branching run dies out: its fractions and errors would
-    cover only the epochs before extinction.  Each run keeps only its per-epoch sizes and,
-    through ``replicates`` and with an oracle, its posterior means (without, it thins).
+    Each of ``records`` records per eps adds one branching run to the pooled branching
+    fraction; the multinomial rule, which relocates about 1 - 1/n of the rows on any record,
+    and the errors read record 0 alone.  Raises ExtinctionError if a branching run dies out:
+    its fractions and errors would cover only the epochs before extinction.  Runs keep only
+    their sizes and, through ``replicates`` with an oracle, their means (without, they thin).
     """
     keep = None if oracle is None else _post_mean
     b_fracs, m_fracs, b_errs, m_errs = [], [], [], []
     for eps in epsilons:
-        obs = ObservationModel(sensor, eps)
-        tag = _epsilon_tag(eps)
-        scenario = simulate_scenario(signal, obs, horizon, substream(seed, "baseline-record", tag))
-        [(run, b_means, _)] = replicates(
-            scenario, oracle, n, [substream(seed, "baseline-branch", tag)], keep=keep
-        )
-        if run.extinct:
-            raise ExtinctionError(
-                f"compare-baseline: branching particle system of {n} extinct at observation "
-                f"epoch {run.extinct_epoch} of {scenario.count} (epsilon {eps:g})"
+        obs, tag, fracs = ObservationModel(sensor, eps), _epsilon_tag(eps), []
+        for r in range(records):
+            key = (tag, r) if r else (tag,)  # record 0 keeps the tags of a single record
+            record = simulate_scenario(signal, obs, horizon, substream(seed, "baseline-record", *key))
+            [(run, means, _)] = replicates(
+                record, oracle, n, [substream(seed, "baseline-branch", *key)], keep=keep
             )
-        b_fracs.append(float(np.mean([s.branch_events / s.pre.count for s in run.steps])))
+            if run.extinct:
+                raise ExtinctionError(
+                    f"branching particle system of {n} extinct at observation epoch "
+                    f"{run.extinct_epoch} of {record.count} (epsilon {eps:g})"
+                )
+            fracs.extend(s.branch_events / s.pre.count for s in run.steps)
+            if not r:
+                scenario, b_means = record, means
+        b_fracs.append(float(np.mean(fracs)))
         [(steps, m_means, _)] = replicates(
             scenario, oracle, n, [substream(seed, "baseline-multi", tag)], keep=keep,
             multinomial=True,

@@ -278,9 +278,11 @@ def parse_config(text: str) -> ExperimentConfig:
             measure = SpectralMeasure.from_records(cfg.atoms)
         except (KeyError, TypeError, ValueError) as exc:
             violations.append(f"signal.atoms: {exc}")
+            cfg.atoms = None  # the signal model is built only from atoms that pass
         else:
             if measure.dimension != cfg.dimension:
                 violations.append("signal.atoms: direction length must equal signal.dimension")
+                cfg.atoms = None
     if (
         cfg.gamma is not None
         and cfg.dimension is not None
@@ -301,8 +303,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 "baseline.epsilons: two entries share a seed tag round(1e6 * eps); a repeated "
                 "epsilon would repeat a point of the slope fit"
             )
-    if not violations:
-        violations = _model_violations(cfg)
+    violations += _model_violations(cfg)
     if violations:
         raise ConfigError(violations)
     return cfg
@@ -316,18 +317,27 @@ _SENSOR_KEYS = {
 
 
 def _model_violations(cfg: ExperimentConfig) -> list:
-    """Build the models, then list what the oracle cannot serve of them (``Oracle.problems``)."""
+    """Build each model whose section's keys and signal.dimension all passed their rules, then
+    list what the oracle cannot serve of the models built, its grid and the metric cutoff
+    (``Oracle.problems``, which checks each rule whose inputs are given)."""
     violations, models = [], []
-    for keys, build in (
-        ("signal.initial_center/initial_scale", build_signal),
-        (_SENSOR_KEYS[cfg.sensor], build_observation),
+    for section, keys, build in (
+        ("signal", "signal.initial_center/initial_scale", build_signal),
+        ("observation", _SENSOR_KEYS.get(cfg.sensor), build_observation),
     ):
-        try:
-            models.append(build(cfg))
-        except (TypeError, ValueError) as exc:
-            violations.append(f"{keys}: {exc}")
-    oracle = build_oracle(cfg)
-    return violations if violations or oracle is None else oracle.problems(*models, cfg.cutoff)
+        reads = ["dimension"] + [row.attr or row.key for row in _SCHEMA if row.section == section]
+        model = None
+        if all(getattr(cfg, attr) is not None for attr in reads):
+            try:
+                model = build(cfg)
+            except (TypeError, ValueError) as exc:
+                violations.append(f"{keys}: {exc}")
+        models.append(model)
+    grid_parsed = None not in (cfg.grid_points, cfg.grid_halfwidth)
+    oracle = build_oracle(cfg) if grid_parsed or cfg.oracle != "grid" else None
+    if oracle is not None:
+        violations += oracle.problems(cfg.dimension, cfg.cutoff, *models)
+    return violations
 
 
 def build_signal(cfg: ExperimentConfig) -> SignalModel:

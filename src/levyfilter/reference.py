@@ -324,27 +324,34 @@ class Oracle:
         """Whether the posterior is a probability (kalman) rather than the filter's mass."""
         return self.kind == "kalman"
 
-    def problems(self, signal: SignalModel, obs: ObservationModel, cutoff: float) -> list:
-        """One text, led by the keys to change, per rule the models or ``cutoff`` break."""
+    def problems(self, dimension: int | None, cutoff: float | None, signal=None, obs=None) -> list:
+        """One text, led by the keys to change, per rule that ``dimension`` axes, a metric
+        ``cutoff`` or the models break.  A rule runs only when what it reads is not None: the
+        cell cap ``dimension``, the Nyquist bound ``cutoff``, the domain ``signal`` (of
+        ``dimension`` axes) and the kalman precondition both models."""
         if self.kind == "kalman":
+            if signal is None or obs is None:
+                return []
             try:
                 kalman_sensor(signal, obs)
             except ValueError as exc:
                 return [f"oracle.kind: {exc}"]
             return []
-        points, d = self.grid_points, signal.dimension
-        if points**d > MAX_GRID_CELLS:  # before any of the grid is built
+        points, d = self.grid_points, dimension
+        if d is not None and points**d > MAX_GRID_CELLS:  # before any of the grid is built
             return [
                 f"oracle.grid_points: {points} points per axis in signal.dimension {d} "
                 f"make more than {MAX_GRID_CELLS} grid cells"
             ]
         found = []
-        try:
-            _check_domain(signal.initial_law, _grid_axes(self.grid_halfwidth, points, d))
-        except GridDomainError as exc:
-            found.append(f"{exc.keys}: {exc}")
+        if signal is not None:
+            try:
+                _check_domain(signal.initial_law, _grid_axes(self.grid_halfwidth, points, d))
+            except GridDomainError as exc:
+                found.append(f"{exc.keys}: {exc}")
         # the grid's transform is periodic in theta: it says nothing true past pi / cell width
-        if cutoff > (nyquist := np.pi * points / (2.0 * self.grid_halfwidth)):
+        nyquist = np.pi * points / (2.0 * self.grid_halfwidth)
+        if cutoff is not None and cutoff > nyquist:
             found.append(
                 f"metric.cutoff: {cutoff:g} exceeds pi * oracle.grid_points / "
                 f"(2 * oracle.grid_halfwidth) = {nyquist:.4g}, the highest frequency the grid "

@@ -25,6 +25,7 @@ from levyfilter.checks import check_kalman_crosscheck, check_oracle_agreement
 from levyfilter.experiments import baseline_comparison, ensemble_transform, rate_sweep
 from levyfilter.observation import Scenario, simulate_scenario
 from levyfilter.reference import ClipRegionError, Oracle
+from levyfilter.seeding import substream
 
 
 def default_signal():
@@ -359,6 +360,55 @@ class TestBaselineComparison:
         assert len(runs) == 2 and all(np.isnan(res.branching_errors + res.multinomial_errors))
         for run in runs:
             assert sum(s.moved for s in run.steps) < sum(s.pre.count for s in run.steps)
+
+    def test_records_take_the_epsilon_tags_with_the_record_appended(self, monkeypatch):
+        # record 0 keeps the single-record tags; one multinomial run per eps, on record 0
+        paths, calls = [], []
+
+        def recording_substream(seed, *path):
+            paths.append(path)
+            return substream(seed, *path)
+
+        def counting(name, original):
+            def run(scenario, *args, **kwargs):
+                calls.append((name, scenario.obs.epsilon))
+                return original(scenario, *args, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(experiments, "substream", recording_substream)
+        for name in ("run_filter", "run_baseline"):
+            monkeypatch.setattr(experiments, name, counting(name, getattr(experiments, name)))
+        sensor = GaussianBumpSensor([1.0], [[0.0]], [1.0])
+        signal = default_signal()
+        baseline_comparison(signal, sensor, 0.5, 100, 23, None, epsilons=(0.1, 0.05), records=3)
+        expected_paths, expected_calls = [], []
+        for tag, eps in ((100000, 0.1), (50000, 0.05)):
+            for key in ((tag,), (tag, 1), (tag, 2)):
+                expected_paths += [("baseline-record", *key), ("baseline-branch", *key)]
+            expected_paths.append(("baseline-multi", tag))
+            expected_calls += [("run_filter", eps)] * 3 + [("run_baseline", eps)]
+        assert paths == expected_paths
+        assert calls == expected_calls
+
+    def test_the_branching_fraction_pools_every_epoch_of_every_record(self, monkeypatch):
+        runs = []
+
+        def recording_run_filter(*args, **kwargs):
+            runs.append(run_filter(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(experiments, "run_filter", recording_run_filter)
+        sensor = GaussianBumpSensor([1.0], [[0.0]], [1.0])
+        signal, epsilons = default_signal(), (0.1, 0.05)
+        res = baseline_comparison(signal, sensor, 1.0, 200, 23, None, epsilons=epsilons, records=3)
+        single = baseline_comparison(signal, sensor, 1.0, 200, 23, None, epsilons=epsilons)
+        for i in range(2):  # the first call's runs: three records of each eps
+            fractions = [[s.branch_events / s.pre.count for s in r.steps] for r in runs[3 * i :][:3]]
+            pooled = res.branching_fractions[i]
+            assert pooled == np.mean(np.concatenate(fractions))
+            assert single.branching_fractions[i] == np.mean(fractions[0]) != pooled
+        assert single.multinomial_fractions == res.multinomial_fractions
 
     def test_kalman_oracle_errors_are_finite(self):
         res = baseline_comparison(

@@ -151,6 +151,44 @@ class TestParseConfig:
         (violation,) = [v for v in err.value.violations if v.startswith("oracle.grid_points: ")]
         assert "signal.dimension" in violation and str(reference.MAX_GRID_CELLS) in violation
 
+    @pytest.mark.parametrize(
+        "text, violations",
+        [
+            (
+                "[oracle]\ngrid_points = 8388608\n[rate]\nslope_low = -0.3\n",
+                [
+                    "rate.slope_low/slope_high: slope_low must not exceed slope_high",
+                    f"oracle.grid_points: 8388608 points per axis in signal.dimension 1 make more "
+                    f"than {reference.MAX_GRID_CELLS} grid cells",
+                ],
+            ),
+            (
+                "[observation]\nbump_widths = [-1.0]\n[metric]\ncutoff = 2000\n",
+                [
+                    "observation.bump_amplitudes/bump_centers/bump_widths: widths must be "
+                    "positive, with a positive square",
+                    "metric.cutoff: 2000 exceeds pi * oracle.grid_points / "
+                    "(2 * oracle.grid_halfwidth) = 80.42, the highest frequency the grid oracle "
+                    "resolves",
+                ],
+            ),
+            (
+                "[signal]\ninitial_center = [9.5]\n[rate]\nslope_low = -0.3\n",
+                [
+                    "rate.slope_low/slope_high: slope_low must not exceed slope_high",
+                    "oracle.grid_halfwidth/signal.initial_center: initial mass outside the domain "
+                    "is 3.085e-01 (> 1e-06); enlarge the grid",
+                ],
+            ),
+        ],
+        ids=["cell-cap", "nyquist", "domain"],
+    )
+    def test_an_oracle_rule_is_listed_beside_an_independent_fault(self, text, violations):
+        # each oracle rule runs wherever the keys or the model it reads passed their own rules
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.violations == violations
+
     @pytest.mark.parametrize("horizon", ["1e12", "1e308"])
     def test_epochs_past_the_cap_name_horizon_and_epsilon(self, horizon):
         # parse only: 1e13 epochs would need a record of 73 TiB

@@ -5,14 +5,17 @@ runs the existing tests that must catch its mutant, under the mutant, and assert
 they fail.  A mutant that no test catches is a blind spot; the README lists those.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import test_branching
+import test_experiments
 import test_harness
 import test_reference
 import test_thinning
-from levyfilter import branching, reference
+from levyfilter import GaussianBumpSensor, branching, checks, experiments, observation, reference
 from levyfilter.branching import ParticleEnsemble, _flat
 from levyfilter.reference import GridDomainError
 
@@ -61,6 +64,36 @@ def offspring_counts_closed(rho, u):
 def refill_appending(ensemble, slots, sources):
     """``branching._refill`` that appends the copies and leaves the dead rows in their slots."""
     return ensemble._map(lambda column: np.concatenate((column, column[sources])))
+
+
+def resample_in_place(rho, u):
+    """``branching._multinomial_resample`` that keeps every row as its own parent."""
+    return np.arange(len(rho)), 0
+
+
+def replicates_pooling_record_zero(original):
+    """``experiments.replicates`` that hides the epochs of every branching run after an eps's
+    first, so ``baseline_comparison`` pools the fraction of record 0 alone."""
+    seen = set()
+
+    def replicates(scenario, *args, multinomial=False, **kwargs):
+        eps = scenario.obs.epsilon
+        for run, kept, margin in original(scenario, *args, multinomial=multinomial, **kwargs):
+            if multinomial:
+                seen.discard(eps)  # the eps is done: its next call starts at record 0
+            elif eps in seen:
+                run = dataclasses.replace(run, steps=[])
+            else:
+                seen.add(eps)
+            yield run, kept, margin
+
+    return replicates
+
+
+def weight_m1(x, dy, obs):
+    """M1: ``observation.weight`` with 0.55 * eps * h'h in its exponent in place of 0.5."""
+    hh = np.sum(obs.sensor(x) ** 2, axis=1)
+    return (observation.weight(x, dy, obs) + 1.0) * np.exp(-0.05 * obs.epsilon * hh) - 1.0
 
 
 def check_domain_passing(rule):
@@ -112,6 +145,30 @@ def test_refill_appends_without_filling_the_holes(monkeypatch):
         example(test_thinning.TestRefill.test_population_is_the_repeat_up_to_order)(
             test_thinning.TestRefill(), count=10, width=1, seed=3, share=1.0, thinned=True
         )
+
+
+def test_multinomial_rule_relocates_nothing(monkeypatch):
+    monkeypatch.setattr(branching, "_multinomial_resample", resample_in_place)
+    sensor = GaussianBumpSensor([1.0], [[0.0]], [1.0])
+    result = checks.check_branch_sparsity(test_experiments.default_signal(), sensor, 1, 0.05)  # c08
+    assert result.status == "FAIL" and "multinomial relocation fraction 0.0000" in result.detail
+    with pytest.raises(AssertionError):
+        test_experiments.TestBaselineComparison().test_fractions_and_errors()
+
+
+def test_baseline_pools_record_zero_alone(monkeypatch):
+    mutant = replicates_pooling_record_zero(experiments.replicates)
+    monkeypatch.setattr(experiments, "replicates", mutant)
+    test = test_experiments.TestBaselineComparison()
+    with pytest.raises(AssertionError):
+        test.test_the_branching_fraction_pools_every_epoch_of_every_record(monkeypatch)
+
+
+def test_weight_exponent_off_by_a_tenth(monkeypatch):
+    # M1; the grid oracle shares ``weight``, so only c03's identity and c07 see it
+    monkeypatch.setattr(checks, "weight", weight_m1)
+    result = checks.check_weight_moment_scaling(1, scale=0.05)  # c03
+    assert result.status == "FAIL" and "weight() differs from the direct rho" in result.detail
 
 
 def test_grid_resolution_rule_dropped(monkeypatch):

@@ -21,7 +21,7 @@ from levyfilter import (
     simulate_scenario,
     weight,
 )
-from levyfilter import branching, checks, observation
+from levyfilter import branching, checks, experiments, observation
 from levyfilter.branching import ParticleEnsemble, WeightOverflowError, _refill
 from levyfilter.cli import main as cli_main
 from levyfilter.experiments import ensemble_transform
@@ -382,16 +382,16 @@ class TestSizeOnlyChecks:
 
         def recording(seed, *path):
             tags.append(path)
-            if path[0] == "sparsity-run":
+            if path[0] == "baseline-branch":
                 raise Stop
             return substream(seed, *path)
 
-        monkeypatch.setattr(checks, "substream", recording)
+        monkeypatch.setattr(experiments, "substream", recording)
         with pytest.raises(Stop):
             checks.check_branch_sparsity(
                 SIGNAL, build_observation(CONFIG).sensor, CONFIG.seed, epsilons=(0.00397,)
             )
-        assert tags == [("sparsity-record", 0, 3970), ("sparsity-run", 0, 3970)]
+        assert tags == [("baseline-record", 3970), ("baseline-branch", 3970)]
 
 
 def scaled_bounds(obs, increments):
